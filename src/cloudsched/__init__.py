@@ -38,7 +38,6 @@ from .queueing import (
     ResourcePool,
     UnsatisfiableDemandError,
     UnstableError,
-    allocation_probability,
     cheapest_fit,
     class_service_rate,
     classify,
@@ -48,7 +47,6 @@ from .queueing import (
     try_allocate,
 )
 from .simulator import (
-    Event,
     InsufficientSamplesError,
     JobRecord,
     ReplicationRow,

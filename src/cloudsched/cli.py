@@ -4,6 +4,8 @@ report and plot-data emission.
 Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
 its built-in default and is echoed. All outputs are written atomically.
+Each report_<mode>.json holds the compact SimReport.to_json() text plus a
+newline; load_report reads it back.
 """
 
 from __future__ import annotations
@@ -380,9 +382,7 @@ def _table_text(header, rows, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                             for v in row])
+        writer.writerows(rows)
         return buf.getvalue()
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
@@ -438,8 +438,7 @@ def _job_rows(report: SimReport):
 
 
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
-    _write_atomic(out_dir / f"report_{report.mode}.json",
-                  json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_atomic(out_dir / f"report_{report.mode}.json", report.to_json() + "\n")
     _write_table(out_dir, f"jobs_{report.mode}", _JOB_TABLE_HEADER, _job_rows(report), fmt)
     _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)

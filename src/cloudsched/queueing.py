@@ -105,11 +105,6 @@ class AllocationTable:
         raise AssertionError("bands cover [1,100] by construction")
 
 
-def allocation_probability(rank: int, table: AllocationTable) -> float:
-    """Probability that a job of the given rank is granted resources per attempt."""
-    return table.probability(rank)
-
-
 class QueueClass:
     """One priority class queue, kept in chain order (position within class)."""
 
@@ -209,7 +204,8 @@ def try_allocate(job: Job, rank: int, pool: ResourcePool, table: AllocationTable
     A full pool always defers. Otherwise admission is a Bernoulli draw at the
     rank's band probability; on success the cheapest fitting instance is
     granted and the pool occupancy incremented, on failure the job is deferred
-    until clock + retry_interval.
+    until clock + retry_interval. A band probability of 1 always admits, so
+    it draws nothing from rng.
     """
     instance = cheapest_fit(pool.catalog, job.demand)
     if instance is None:
@@ -217,7 +213,8 @@ def try_allocate(job: Job, rank: int, pool: ResourcePool, table: AllocationTable
             f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
     if pool.is_full:
         return Deferred(retry_at=clock + retry_interval)
-    if rng.random() < allocation_probability(rank, table):
+    p = table.probability(rank)
+    if p == 1.0 or rng.random() < p:
         pool.in_use += 1
         return Allocated(instance=instance)
     return Deferred(retry_at=clock + retry_interval)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,10 @@ from .workload import generate_arrivals, sample_jobs, spec_from_sim
 COMPLETION = "completion"
 ARRIVAL = "arrival"
 RETRY_ALLOCATION = "retry_allocation"
-SERVICE_START = "service_start"
 
 # Same-time events resolve in this order, then by job id: completions free
-# capacity before new arrivals see the pool, and service starts last so they
-# observe a settled queue state.
-_KIND_PRECEDENCE = {COMPLETION: 0, ARRIVAL: 1, RETRY_ALLOCATION: 2, SERVICE_START: 3}
+# capacity before new arrivals see the pool, and retries come last.
+_KIND_PRECEDENCE = {COMPLETION: 0, ARRIVAL: 1, RETRY_ALLOCATION: 2}
 
 
 def _id_sort_key(job_id) -> tuple:
@@ -51,18 +49,6 @@ def _id_sort_key(job_id) -> tuple:
 
 def _event_key(time: float, kind: str, job_id) -> tuple:
     return (time, _KIND_PRECEDENCE[kind], _id_sort_key(job_id))
-
-
-@dataclass(frozen=True)
-class Event:
-    """One simulation event; processed in (time, kind precedence, job id) order."""
-
-    time: float
-    kind: str
-    job_id: int | str
-
-    def sort_key(self) -> tuple:
-        return _event_key(self.time, self.kind, self.job_id)
 
 
 class InsufficientSamplesError(ValueError):
@@ -169,17 +155,42 @@ class SimReport:
         )
 
     def to_json(self) -> str:
+        """Compact JSON with sorted keys; `cloudsched simulate` writes it as the report file."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-class _JobState:
-    __slots__ = ("job", "index", "record", "ack", "alloc_time", "start", "completion",
-                 "retries", "pending_retry", "first_block", "status", "instance", "reason")
+class _JobStream:
+    """One job's allocation draws, from a generator built on the first draw.
 
-    def __init__(self, job, index):
+    The stream depends only on (seed, job index), so paired native and
+    resultant runs draw the same numbers whenever they draw.
+    """
+
+    __slots__ = ("seed", "index", "_rng")
+
+    def __init__(self, seed: int, index: int):
+        self.seed = seed
+        self.index = index
+        self._rng = None
+
+    def random(self) -> float:
+        if self._rng is None:
+            self._rng = np.random.default_rng(
+                np.random.SeedSequence(self.seed, spawn_key=(self.index,)))
+        return self._rng.random()
+
+
+class _JobState:
+    __slots__ = ("job", "index", "stream", "record", "chain", "ack", "alloc_time", "start",
+                 "completion", "retries", "pending_retry", "first_block", "status",
+                 "instance", "reason")
+
+    def __init__(self, job, index, seed):
         self.job = job
         self.index = index
+        self.stream = _JobStream(seed, index)
         self.record = None
+        self.chain = None
         self.ack = None
         self.alloc_time = None
         self.start = None
@@ -243,29 +254,22 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     classes = [QueueClass(i + 1, class_service_rate(i + 1, n_classes, config.mu_base))
                for i in range(n_classes)]
 
-    states = [_JobState(job, i) for i, job in enumerate(jobs)]
+    states = [_JobState(job, i, config.seed) for i, job in enumerate(jobs)]
     heap: list = []
     for st in states:
         heapq.heappush(heap, (_event_key(st.job.arrival_time, ARRIVAL, st.job.id),
                               ARRIVAL, st.index))
 
-    rngs: dict[int, np.random.Generator] = {}
-
-    def rng_for(index: int) -> np.random.Generator:
-        rng = rngs.get(index)
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
-            rngs[index] = rng
-        return rng
-
     collected = completed = rejected = stuck = 0
-    in_queue = pending_start = in_service = 0
+    in_queue = in_service = 0
     busy_time = 0.0
     last_time = 0.0
     unstable = False
 
     def pump(now: float) -> None:
-        nonlocal in_queue, pending_start, stuck
+        nonlocal in_queue, in_service, stuck
+        if not in_queue:
+            return
         for qc in classes:
             if pool.is_full:
                 return
@@ -274,19 +278,21 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                 st = states[index]
                 if st.pending_retry:
                     break
-                outcome = try_allocate(st.job, st.record.rank, pool, table, rng_for(index),
+                outcome = try_allocate(st.job, st.record.rank, pool, table, st.stream,
                                        clock=now, retry_interval=config.retry_interval)
                 if isinstance(outcome, Allocated):
+                    # Service starts at the allocation instant.
                     qc.pop()
                     in_queue -= 1
-                    pending_start += 1
+                    in_service += 1
                     st.instance = outcome.instance
-                    st.alloc_time = now
+                    st.alloc_time = st.start = now
                     if st.first_block is not None:
                         pool.record_saturation_delay(now - st.first_block)
                         st.first_block = None
-                    heapq.heappush(heap, (_event_key(now, SERVICE_START, st.job.id),
-                                          SERVICE_START, index))
+                    heapq.heappush(heap, (_event_key(now + st.job.exec_time, COMPLETION,
+                                                     st.job.id),
+                                          COMPLETION, index))
                 else:
                     st.retries += 1
                     if st.retries > config.max_retries:
@@ -316,12 +322,11 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                 rejected += 1
                 continue
             collected += 1
-            rec = build_record(st.job, windows[_epoch_of(st.job.arrival_time,
-                                                         config.epoch_length)],
-                               pcfg, apply_business=apply_business)
-            m = classify(rec, n_classes)
-            n = classes[m - 1].enqueue(index)
-            st.record = replace(rec, chain=(m, n))
+            st.record = build_record(st.job, windows[_epoch_of(st.job.arrival_time,
+                                                               config.epoch_length)],
+                                     pcfg, apply_business=apply_business)
+            m = classify(st.record, n_classes)
+            st.chain = (m, classes[m - 1].enqueue(index))
             in_queue += 1
             if pool.is_full:
                 st.first_block = now
@@ -334,12 +339,6 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                 continue
             st.pending_retry = False
             pump(now)
-        elif kind == SERVICE_START:
-            st.start = now
-            pending_start -= 1
-            in_service += 1
-            heapq.heappush(heap, (_event_key(now + st.job.exec_time, COMPLETION, st.job.id),
-                                  COMPLETION, index))
         else:
             release(pool, st.instance)
             st.completion = now
@@ -349,7 +348,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             busy_time += st.job.exec_time
             pump(now)
         # Conservation: every collected job is accounted for at every instant.
-        assert collected == completed + stuck + in_queue + pending_start + in_service
+        assert collected == completed + stuck + in_queue + in_service
 
     records = []
     for st in states:
@@ -372,8 +371,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             bp_score=rec.bp_score if rec else None,
             resultant=rec.resultant if rec else None,
             rank=rec.rank if rec else None,
-            class_index=rec.chain[0] if rec and rec.chain else None,
-            chain_position=rec.chain[1] if rec and rec.chain else None,
+            class_index=st.chain[0] if st.chain else None,
+            chain_position=st.chain[1] if st.chain else None,
             instance=st.instance.name if st.instance else None,
             cost=cost,
             sls=service_level_satisfaction(rec.resultant) if rec else None,

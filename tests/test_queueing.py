@@ -20,7 +20,6 @@ from cloudsched.queueing import (
     ResourcePool,
     UnsatisfiableDemandError,
     UnstableError,
-    allocation_probability,
     cheapest_fit,
     class_service_rate,
     classify,
@@ -35,6 +34,13 @@ def make_job(demand=None, due=700.0, exec_time=650.0, prep=5.0, job_id=0):
     return Job(id=job_id, arrival_time=0.0, due_time=due, exec_time=exec_time,
                prep_time=prep, demand=demand or ResourceDemand(1, 1.5, 100.0),
                business=BusinessProfile(0.0, 0.0))
+
+
+class NoDraws:
+    """A random stream that fails the test if anything draws from it."""
+
+    def random(self):
+        raise AssertionError("unexpected draw")
 
 
 def record_with_rank(rank):
@@ -93,23 +99,23 @@ class TestClassify:
 class TestAllocationTable:
     def test_reference_band_values(self):
         table = AllocationTable()
-        assert allocation_probability(5, table) == 1.0
-        assert allocation_probability(35, table) == 0.9
-        assert allocation_probability(55, table) == 0.7
+        assert table.probability(5) == 1.0
+        assert table.probability(35) == 0.9
+        assert table.probability(55) == 0.7
 
     def test_extension_band(self):
-        assert allocation_probability(75, AllocationTable()) == 0.5
+        assert AllocationTable().probability(75) == 0.5
 
     def test_rank_domain(self):
         table = AllocationTable()
         with pytest.raises(ValueError):
-            allocation_probability(0, table)
+            table.probability(0)
         with pytest.raises(ValueError):
-            allocation_probability(101, table)
+            table.probability(101)
 
     def test_non_increasing_over_full_scale(self):
         table = AllocationTable()
-        probs = [allocation_probability(r, table) for r in range(1, 101)]
+        probs = [table.probability(r) for r in range(1, 101)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_invalid_tables_rejected(self):
@@ -191,6 +197,18 @@ class TestTryAllocate:
         pool.in_use = 1
         outcome = try_allocate(make_job(), 1, pool, AllocationTable(),
                                np.random.default_rng(0), clock=3.0, retry_interval=2.0)
+        assert outcome == Deferred(retry_at=5.0)
+
+    def test_certain_band_draws_nothing(self):
+        pool = ResourcePool(10, default_catalog())
+        outcome = try_allocate(make_job(), 5, pool, AllocationTable(), NoDraws())
+        assert isinstance(outcome, Allocated)
+
+    def test_full_pool_defers_without_drawing(self):
+        pool = ResourcePool(1, default_catalog())
+        pool.in_use = 1
+        outcome = try_allocate(make_job(), 95, pool, AllocationTable(), NoDraws(),
+                               clock=3.0, retry_interval=2.0)
         assert outcome == Deferred(retry_at=5.0)
 
     def test_failed_draw_defers(self):

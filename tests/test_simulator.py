@@ -1,17 +1,20 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cloudsched import simulator
 from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
+from cloudsched.queueing import AllocationTable
 from cloudsched.simulator import (
     ARRIVAL,
     COMPLETION,
     RETRY_ALLOCATION,
-    SERVICE_START,
-    Event,
     InsufficientSamplesError,
     SimReport,
+    _event_key,
     compare_analytic,
     deadline_qos,
     replication_bundle,
@@ -19,7 +22,7 @@ from cloudsched.simulator import (
     waiting_time_model,
     window_stats_by_epoch,
 )
-from cloudsched.workload import generate_arrivals, sample_jobs, spec_from_sim
+from cloudsched.workload import Distribution, generate_arrivals, sample_jobs, spec_from_sim
 
 ALL_ONE_BANDS = tuple((lo, lo + 9, 1.0) for lo in range(1, 100, 10))
 
@@ -40,21 +43,15 @@ def small_config(**kwargs):
 
 class TestEventOrdering:
     def test_kind_precedence_at_equal_time(self):
-        kinds = [SERVICE_START, ARRIVAL, COMPLETION, RETRY_ALLOCATION]
-        events = [Event(5.0, k, 0) for k in kinds]
-        ordered = sorted(events, key=Event.sort_key)
-        assert [e.kind for e in ordered] == [COMPLETION, ARRIVAL, RETRY_ALLOCATION,
-                                             SERVICE_START]
+        kinds = [RETRY_ALLOCATION, ARRIVAL, COMPLETION]
+        ordered = sorted(kinds, key=lambda k: _event_key(5.0, k, 0))
+        assert ordered == [COMPLETION, ARRIVAL, RETRY_ALLOCATION]
 
     def test_time_dominates_kind(self):
-        early = Event(1.0, SERVICE_START, 0)
-        late = Event(2.0, COMPLETION, 0)
-        assert early.sort_key() < late.sort_key()
+        assert _event_key(1.0, RETRY_ALLOCATION, 0) < _event_key(2.0, COMPLETION, 0)
 
     def test_job_id_breaks_remaining_ties(self):
-        a = Event(1.0, ARRIVAL, 1)
-        b = Event(1.0, ARRIVAL, 2)
-        assert a.sort_key() < b.sort_key()
+        assert _event_key(1.0, ARRIVAL, 1) < _event_key(1.0, ARRIVAL, 2)
 
 
 class TestSingleJob:
@@ -183,6 +180,18 @@ class TestRunContract:
         jobs = [make_job(job_id=i, arrival=0.0) for i in range(10)]
         report = run(cfg, jobs)
         assert report.unstable is True
+
+    def test_unstable_stop_keeps_start_of_allocated_job(self):
+        # Job 0 is allocated at t=0, then the queue overflows at the same instant.
+        cfg = small_config(num_vms=1, max_queue_length=1)
+        jobs = [make_job(job_id=i, arrival=0.0) for i in range(3)]
+        report = run(cfg, jobs)
+        assert report.unstable is True
+        first = report.jobs[0]
+        assert first.status == "pending"
+        assert first.allocation == first.start == 0.0
+        assert first.wait == 0.0
+        assert [r.start for r in report.jobs[1:]] == [None, None]
 
     def test_report_round_trip(self):
         cfg = small_config(num_vms=2)
@@ -323,3 +332,104 @@ class TestWindowStats:
                 make_job(job_id=1, arrival=2.0, exec_time=0.0)]
         windows = window_stats_by_epoch(jobs, 60.0)
         assert windows[0].count == 1
+
+
+def _scenario(name):
+    """A 300-job scenario, "reference", "mixed" or "saturated", as (config, spec)."""
+    cfg = SimConfig(num_tasks=300, seed=7)
+    if name == "saturated":
+        cfg = replace(cfg, num_vms=60)
+    spec = spec_from_sim(cfg)
+    if name == "mixed":
+        spec = replace(spec, due_dist=Distribution("uniform", (660.0, 3600.0)),
+                       exec_dist=Distribution("exponential", (650.0,)),
+                       prep_dist=Distribution("uniform", (0.0, 10.0)))
+    return cfg, spec
+
+
+# SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
+# is a change in report bytes and must be recorded in CHANGES.md.
+PINNED_REPORT_SHA256 = {
+    ("reference", "native"): "d0ff9ce94ca8c22c06f834f9c6776b9ebf2bbf3bbdc852695469036c90d5c120",
+    ("reference", "resultant"):
+        "54b8b87033e8515db46674573446c4d91b42e0f12f1f2bf51072cc99ca7bc0a6",
+    ("mixed", "native"): "f8d87a2002913817c3c82ef5f3468f95c38730690936bcb926bc25a2556e3ca7",
+    ("mixed", "resultant"): "74d73461228d2eca1a012bb12ba95e5e66257f40e33b08a8ddf33173771d8a0e",
+    ("saturated", "native"): "2679eda13a63cd40f773b1769856e04f0cd292b48a62d6064b4cecaa6a44e547",
+    ("saturated", "resultant"):
+        "c27bf0305dbddb52a181e9e723dd07b370f35d70983d5ba6c30dbf403fcaa522",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("name,mode", sorted(PINNED_REPORT_SHA256))
+    def test_to_json_hash_is_pinned(self, name, mode):
+        cfg, spec = _scenario(name)
+        report = run(cfg, sample_jobs(spec, generate_arrivals(spec)), mode=mode)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == PINNED_REPORT_SHA256[(name, mode)]
+
+    def test_mixed_scenario_reaches_every_band(self):
+        cfg, spec = _scenario("mixed")
+        jobs = sample_jobs(spec, generate_arrivals(spec))
+        for mode in ("native", "resultant"):
+            assert len(run(cfg, jobs, mode=mode).band_waits) == len(cfg.allocation_bands)
+
+    def test_saturated_scenario_queues(self):
+        cfg, spec = _scenario("saturated")
+        report = run(cfg, sample_jobs(spec, generate_arrivals(spec)))
+        assert not report.unstable
+        assert max(r.wait for r in report.jobs) >= cfg.exec_time
+
+
+class EagerStream:
+    """A job stream that builds its generator up front: the reference for lazy streams."""
+
+    def __init__(self, seed, index):
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+    def random(self):
+        return self._rng.random()
+
+
+def _count_generators(monkeypatch) -> list:
+    """Record every generator built from now on (workload sampling builds some too)."""
+    calls = []
+    default_rng = simulator.np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(simulator.np.random, "default_rng", counting)
+    return calls
+
+
+class TestJobStreams:
+    def test_certain_bands_build_no_generator(self, monkeypatch):
+        cfg, spec = _scenario("mixed")
+        cfg = replace(cfg, allocation_bands=ALL_ONE_BANDS)
+        jobs = sample_jobs(spec, generate_arrivals(spec))
+        built = _count_generators(monkeypatch)
+        report = run(cfg, jobs)
+        assert report.completed == cfg.num_tasks
+        assert built == []
+
+    @pytest.mark.parametrize("mode", ["native", "resultant"])
+    def test_one_generator_per_drawing_job(self, monkeypatch, mode):
+        cfg, spec = _scenario("mixed")
+        jobs = sample_jobs(spec, generate_arrivals(spec))
+        built = _count_generators(monkeypatch)
+        report = run(cfg, jobs, mode=mode)
+        table = AllocationTable(cfg.allocation_bands)
+        # run() only attempts allocation on a free pool, so every attempt at a
+        # band probability below 1 draws; every job here is attempted.
+        drawing = sum(1 for r in report.jobs if table.probability(r.rank) < 1.0)
+        assert 0 < drawing < len(jobs)
+        assert len(built) == drawing
+
+        monkeypatch.setattr(simulator, "_JobStream", EagerStream)
+        eager = run(cfg, jobs, mode=mode)
+        assert len(built) == drawing + len(jobs)
+        assert eager.jobs == report.jobs
+        assert eager.to_json() == report.to_json()
