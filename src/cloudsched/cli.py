@@ -16,11 +16,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
-from .domain import ResourceCatalogEntry, SimConfig, default_catalog
-from .priority import PriorityEngineConfig
+from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnstableError, mg1_waiting
 from .simulator import SimReport, compare_analytic, replication_bundle, run
 from .workload import (
@@ -75,7 +74,6 @@ class ParsedConfig:
 
     sim: SimConfig
     workload: WorkloadSpec
-    priority: PriorityEngineConfig
     analysis: tuple[tuple[float, float, float], ...] | None
     applied_defaults: tuple[str, ...]
 
@@ -92,17 +90,17 @@ def _expect_int(value, keypath: str) -> int:
     return value
 
 
-def _expect_numlist(value, keypath: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"expected a non-empty list of numbers, got {value!r}", keypath)
-    return tuple(_expect_num(v, f"{keypath}[{i}]") for i, v in enumerate(value))
+def _expect_str(value, keypath: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}", keypath)
+    return value
 
 
-def _expect_pair(value, keypath: str) -> tuple[float, float]:
-    pair = _expect_numlist(value, keypath)
-    if len(pair) != 2:
-        raise ConfigError(f"expected [lo, hi], got {value!r}", keypath)
-    return (pair[0], pair[1])
+def _expect_list(value, keypath: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        want = "a non-empty list" if length is None else f"a list of {length} items"
+        raise ConfigError(f"expected {want}, got {value!r}", keypath)
+    return value
 
 
 def _section(data: dict, name: str) -> dict:
@@ -112,43 +110,89 @@ def _section(data: dict, name: str) -> dict:
     return sec
 
 
-def _take(section: dict, section_name: str, key: str, convert, default,
-          applied: list[str]):
-    if key in section:
-        return convert(section[key], f"{section_name}.{key}")
-    applied.append(f"{section_name}.{key}={default!r}")
-    return default
-
-
 def _check_unknown(section: dict, section_name: str, known) -> None:
     for key in section:
         if key not in known:
             raise ConfigError("unknown key", f"{section_name}.{key}")
 
 
-def _parse_distribution(value, keypath: str) -> Distribution:
+@dataclass(frozen=True)
+class _ClassMoments:
+    """One analysis.classes entry: arrival rate and the first two service moments."""
+
+    rate: float
+    mean_service: float
+    mean_service_sq: float
+
+
+# Converters by annotated field type. Under `from __future__ import annotations`
+# each dataclass field's type is the annotation string, e.g. "tuple[float, ...]".
+_SCALARS = {"int": _expect_int, "float": _expect_num, "str": _expect_str}
+_RECORDS = {"ResourceCatalogEntry": ResourceCatalogEntry, "Distribution": Distribution}
+
+
+def _convert(tp: str, value, keypath: str):
+    """Check a config value against an annotated field type and convert it."""
+    if tp.endswith(" | None"):
+        return None if value is None else _convert(tp[:-len(" | None")], value, keypath)
+    if tp in _SCALARS:
+        return _SCALARS[tp](value, keypath)
+    if tp in _RECORDS:
+        return _record(_RECORDS[tp], value, keypath)
+    if not tp.startswith("tuple["):
+        raise TypeError(f"no config converter for field type {tp!r}")
+    if tp.endswith(", ...]"):
+        item = tp[len("tuple["):-len(", ...]")]
+        return tuple(_convert(item, v, f"{keypath}[{i}]")
+                     for i, v in enumerate(_expect_list(value, keypath)))
+    items = [t.strip() for t in tp[len("tuple["):-1].split(",")]
+    values = _expect_list(value, keypath, len(items))
+    return tuple(_convert(t, v, f"{keypath}[{i}]") for i, (t, v) in enumerate(zip(items, values)))
+
+
+def _record(cls, value, keypath: str):
+    """Build a dataclass from a config object with every field given."""
     if not isinstance(value, dict):
-        raise ConfigError(f"expected an object with kind/params, got {value!r}", keypath)
-    _check_unknown(value, keypath, ("kind", "params"))
-    kind = value.get("kind")
-    if not isinstance(kind, str):
-        raise ConfigError(f"expected a string kind, got {kind!r}", f"{keypath}.kind")
-    params = _expect_numlist(value.get("params", []), f"{keypath}.params")
+        raise ConfigError(f"expected an object, got {value!r}", keypath)
+    types = {f.name: f.type for f in fields(cls)}
+    _check_unknown(value, keypath, types)
+    for name in types:
+        if name not in value:
+            raise ConfigError(f"missing key {name!r}", keypath)
     try:
-        return Distribution(kind, params)
+        return cls(**{name: _convert(tp, value[name], f"{keypath}.{name}")
+                      for name, tp in types.items()})
     except ValueError as exc:
         raise ConfigError(str(exc), keypath) from None
 
 
+def _take(source: dict, keypath: str, tp: str, default, applied: list[str],
+          default_text: str | None = None):
+    """The value at keypath converted to tp, or the default (recorded in applied)."""
+    key = keypath.rsplit(".", 1)[-1]
+    if key in source:
+        return _convert(tp, source[key], keypath)
+    applied.append(f"{keypath}={repr(default) if default_text is None else default_text}")
+    return default
+
+
 _DEFAULTS = SimConfig()
 
-_SIM_KEYS = ("num_tasks", "num_vms", "arrival_rate", "class_rates", "seed",
-             "retry_interval", "due_time", "exec_time", "prep_time", "epoch_length",
-             "mu_base", "max_retries", "max_queue_length")
-_PRIORITY_KEYS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
-                  "business_cap", "blank_time")
-_WORKLOAD_KEYS = ("due", "exec", "prep", "demand_weights", "order_range",
-                  "relationship_range")
+# Config file section of each SimConfig field: the priority engine's tuning
+# values go under "priority", the catalog and the bands at the top level
+# (None), every other field under "simulation".
+_PRIORITY_FIELDS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
+                    "business_cap", "blank_time")
+_SIM_FIELDS = tuple(
+    (f.name, f.type, None if f.name in ("catalog", "allocation_bands")
+     else "priority" if f.name in _PRIORITY_FIELDS else "simulation")
+    for f in fields(SimConfig))
+_DEFAULT_TEXT = {"catalog": f"<default {len(_DEFAULTS.catalog)}-entry catalog>",
+                 "allocation_bands": f"<default {len(_DEFAULTS.allocation_bands)}-band table>"}
+# Workload section keys and the WorkloadSpec fields they set.
+_WORKLOAD_KEYS = {"due": "due_dist", "exec": "exec_dist", "prep": "prep_dist",
+                  "demand_weights": "demand_weights", "order_range": "order_range",
+                  "relationship_range": "relationship_range"}
 _TOP_KEYS = ("simulation", "priority", "catalog", "allocation_bands", "workload",
              "analysis")
 
@@ -172,132 +216,38 @@ def parse_config(path: str | Path | None) -> ParsedConfig:
         raise ConfigError("top level must be an object")
     _check_unknown(data, "config", _TOP_KEYS)
 
+    sections = {name: _section(data, name) for name in ("simulation", "priority", "workload")}
+    for name in ("simulation", "priority"):
+        _check_unknown(sections[name], name, {f for f, _tp, sec in _SIM_FIELDS if sec == name})
+    _check_unknown(sections["workload"], "workload", _WORKLOAD_KEYS)
+
     applied: list[str] = []
-    sim_sec = _section(data, "simulation")
-    _check_unknown(sim_sec, "simulation", _SIM_KEYS)
-    pri_sec = _section(data, "priority")
-    _check_unknown(pri_sec, "priority", _PRIORITY_KEYS)
-    wl_sec = _section(data, "workload")
-    _check_unknown(wl_sec, "workload", _WORKLOAD_KEYS)
-
-    d = _DEFAULTS
-    num_tasks = _take(sim_sec, "simulation", "num_tasks", _expect_int, d.num_tasks, applied)
-    num_vms = _take(sim_sec, "simulation", "num_vms", _expect_int, d.num_vms, applied)
-    arrival_rate = _take(sim_sec, "simulation", "arrival_rate", _expect_num,
-                         d.arrival_rate, applied)
-    class_rates = _take(sim_sec, "simulation", "class_rates", _expect_numlist,
-                        d.class_rates, applied)
-    seed = _take(sim_sec, "simulation", "seed", _expect_int, d.seed, applied)
-    retry_interval = _take(sim_sec, "simulation", "retry_interval", _expect_num,
-                           d.retry_interval, applied)
-    due_time = _take(sim_sec, "simulation", "due_time", _expect_num, d.due_time, applied)
-    exec_time = _take(sim_sec, "simulation", "exec_time", _expect_num, d.exec_time, applied)
-    prep_time = _take(sim_sec, "simulation", "prep_time", _expect_num, d.prep_time, applied)
-    epoch_length = _take(sim_sec, "simulation", "epoch_length", _expect_num,
-                         d.epoch_length, applied)
-    mu_base = _take(sim_sec, "simulation", "mu_base", _expect_num, d.mu_base, applied)
-    max_retries = _take(sim_sec, "simulation", "max_retries", _expect_int,
-                        d.max_retries, applied)
-    max_queue_length = _take(sim_sec, "simulation", "max_queue_length", _expect_int,
-                             d.max_queue_length, applied)
-
-    beta = _take(pri_sec, "priority", "beta", _expect_num, d.beta, applied)
-    w_urgency = _take(pri_sec, "priority", "w_urgency", _expect_num, d.w_urgency, applied)
-    w_demand = _take(pri_sec, "priority", "w_demand", _expect_num, d.w_demand, applied)
-    order_norm = _take(pri_sec, "priority", "order_norm", _expect_num, d.order_norm, applied)
-    relationship_norm = _take(pri_sec, "priority", "relationship_norm", _expect_num,
-                              d.relationship_norm, applied)
-    business_cap = _take(pri_sec, "priority", "business_cap", _expect_num,
-                         d.business_cap, applied)
-    blank_time = _take(pri_sec, "priority", "blank_time", _expect_num, d.blank_time, applied)
-
-    if "catalog" in data:
-        raw_catalog = data["catalog"]
-        if not isinstance(raw_catalog, list) or not raw_catalog:
-            raise ConfigError("expected a non-empty list of catalog entries", "catalog")
-        catalog = []
-        for i, entry in enumerate(raw_catalog):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"expected an object, got {entry!r}", f"catalog[{i}]")
-            _check_unknown(entry, f"catalog[{i}]",
-                           ("name", "cores", "ecus", "ram", "arch_bits", "disk", "cost"))
-            try:
-                catalog.append(ResourceCatalogEntry.from_dict(entry))
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(str(exc), f"catalog[{i}]") from None
-        catalog = tuple(catalog)
-    else:
-        catalog = default_catalog()
-        applied.append("catalog=<default 5-entry catalog>")
-
-    if "allocation_bands" in data:
-        raw_bands = data["allocation_bands"]
-        if not isinstance(raw_bands, list):
-            raise ConfigError("expected a list of [lo, hi, probability]", "allocation_bands")
-        bands = []
-        for i, band in enumerate(raw_bands):
-            if not isinstance(band, list) or len(band) != 3:
-                raise ConfigError(f"expected [lo, hi, probability], got {band!r}",
-                                  f"allocation_bands[{i}]")
-            bands.append((_expect_int(band[0], f"allocation_bands[{i}][0]"),
-                          _expect_int(band[1], f"allocation_bands[{i}][1]"),
-                          _expect_num(band[2], f"allocation_bands[{i}][2]")))
-        bands = tuple(bands)
-    else:
-        bands = d.allocation_bands
-        applied.append("allocation_bands=<default 10-band table>")
-
+    values = {}
+    for name, tp, section in _SIM_FIELDS:
+        source, keypath = (data, name) if section is None else (sections[section],
+                                                                f"{section}.{name}")
+        values[name] = _take(source, keypath, tp, getattr(_DEFAULTS, name), applied,
+                             _DEFAULT_TEXT.get(name))
     try:
-        priority_cfg = PriorityEngineConfig(
-            beta=beta, w_urgency=w_urgency, w_demand=w_demand, order_norm=order_norm,
-            relationship_norm=relationship_norm, business_cap=business_cap,
-            blank_time=blank_time)
+        sim = SimConfig(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc), "priority") from None
+        raise ConfigError(str(exc)) from None
 
+    spec_fields = {f.name: f for f in fields(WorkloadSpec)}
+    timing = {"due": sim.due_time, "exec": sim.exec_time, "prep": sim.prep_time}
+    spec_values = {}
+    for key, name in _WORKLOAD_KEYS.items():
+        default, text = spec_fields[name].default, None
+        if key in timing:
+            default, text = Distribution("fixed", (timing[key],)), f"fixed({timing[key]!r})"
+        elif default is None:
+            text = "uniform"  # demand_weights: every catalog shape equally likely
+        spec_values[name] = _take(sections["workload"], f"workload.{key}",
+                                  spec_fields[name].type, default, applied, text)
     try:
-        sim = SimConfig(
-            num_tasks=num_tasks, num_vms=num_vms, arrival_rate=arrival_rate,
-            class_rates=class_rates, beta=beta, blank_time=blank_time,
-            w_urgency=w_urgency, w_demand=w_demand, order_norm=order_norm,
-            relationship_norm=relationship_norm, business_cap=business_cap, seed=seed,
-            catalog=catalog, allocation_bands=bands, retry_interval=retry_interval,
-            due_time=due_time, exec_time=exec_time, prep_time=prep_time,
-            epoch_length=epoch_length, mu_base=mu_base, max_retries=max_retries,
-            max_queue_length=max_queue_length)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "simulation") from None
-
-    due_dist = (_parse_distribution(wl_sec["due"], "workload.due") if "due" in wl_sec
-                else Distribution("fixed", (due_time,)))
-    if "due" not in wl_sec:
-        applied.append(f"workload.due=fixed({due_time!r})")
-    exec_dist = (_parse_distribution(wl_sec["exec"], "workload.exec") if "exec" in wl_sec
-                 else Distribution("fixed", (exec_time,)))
-    if "exec" not in wl_sec:
-        applied.append(f"workload.exec=fixed({exec_time!r})")
-    prep_dist = (_parse_distribution(wl_sec["prep"], "workload.prep") if "prep" in wl_sec
-                 else Distribution("fixed", (prep_time,)))
-    if "prep" not in wl_sec:
-        applied.append(f"workload.prep=fixed({prep_time!r})")
-
-    if "demand_weights" in wl_sec and wl_sec["demand_weights"] is not None:
-        demand_weights = _expect_numlist(wl_sec["demand_weights"], "workload.demand_weights")
-    else:
-        demand_weights = None
-        if "demand_weights" not in wl_sec:
-            applied.append("workload.demand_weights=uniform")
-    order_range = _take(wl_sec, "workload", "order_range", _expect_pair,
-                        (0.0, 1000.0), applied)
-    relationship_range = _take(wl_sec, "workload", "relationship_range", _expect_pair,
-                               (0.0, 100.0), applied)
-
-    try:
-        workload = WorkloadSpec(
-            rate=arrival_rate, class_rates=class_rates, num_tasks=num_tasks,
-            due_dist=due_dist, exec_dist=exec_dist, prep_dist=prep_dist,
-            catalog=catalog, demand_weights=demand_weights, order_range=order_range,
-            relationship_range=relationship_range, seed=seed)
+        workload = WorkloadSpec(rate=sim.arrival_rate, class_rates=sim.class_rates,
+                                num_tasks=sim.num_tasks, catalog=sim.catalog, seed=sim.seed,
+                                **spec_values)
     except ValueError as exc:
         raise ConfigError(str(exc), "workload") from None
 
@@ -305,64 +255,26 @@ def parse_config(path: str | Path | None) -> ParsedConfig:
     if "analysis" in data:
         ana = _section(data, "analysis")
         _check_unknown(ana, "analysis", ("classes",))
-        raw_classes = ana.get("classes")
-        if not isinstance(raw_classes, list) or not raw_classes:
-            raise ConfigError("expected a non-empty list of classes", "analysis.classes")
-        moments = []
-        for i, cl in enumerate(raw_classes):
-            if not isinstance(cl, dict):
-                raise ConfigError(f"expected an object, got {cl!r}", f"analysis.classes[{i}]")
-            _check_unknown(cl, f"analysis.classes[{i}]",
-                           ("rate", "mean_service", "mean_service_sq"))
-            try:
-                moments.append((
-                    _expect_num(cl["rate"], f"analysis.classes[{i}].rate"),
-                    _expect_num(cl["mean_service"], f"analysis.classes[{i}].mean_service"),
-                    _expect_num(cl["mean_service_sq"],
-                                f"analysis.classes[{i}].mean_service_sq"),
-                ))
-            except KeyError as exc:
-                raise ConfigError(f"missing key {exc.args[0]!r}",
-                                  f"analysis.classes[{i}]") from None
-        analysis = tuple(moments)
+        classes = _expect_list(ana.get("classes"), "analysis.classes")
+        analysis = tuple(astuple(_record(_ClassMoments, cl, f"analysis.classes[{i}]"))
+                         for i, cl in enumerate(classes))
 
-    return ParsedConfig(sim=sim, workload=workload, priority=priority_cfg,
-                        analysis=analysis, applied_defaults=tuple(applied))
+    return ParsedConfig(sim=sim, workload=workload, analysis=analysis,
+                        applied_defaults=tuple(applied))
 
 
 def effective_config(parsed: ParsedConfig) -> dict:
     """The fully-resolved config as a dict in the config file schema."""
-    sim = parsed.sim
-    wl = parsed.workload
-    result = {
-        "simulation": {
-            "num_tasks": sim.num_tasks, "num_vms": sim.num_vms,
-            "arrival_rate": sim.arrival_rate, "class_rates": list(sim.class_rates),
-            "seed": sim.seed, "retry_interval": sim.retry_interval,
-            "due_time": sim.due_time, "exec_time": sim.exec_time,
-            "prep_time": sim.prep_time, "epoch_length": sim.epoch_length,
-            "mu_base": sim.mu_base, "max_retries": sim.max_retries,
-            "max_queue_length": sim.max_queue_length,
-        },
-        "priority": {
-            "beta": sim.beta, "w_urgency": sim.w_urgency, "w_demand": sim.w_demand,
-            "order_norm": sim.order_norm, "relationship_norm": sim.relationship_norm,
-            "business_cap": sim.business_cap, "blank_time": sim.blank_time,
-        },
-        "catalog": [c.to_dict() for c in sim.catalog],
-        "allocation_bands": [list(b) for b in sim.allocation_bands],
-        "workload": {
-            "due": wl.due_dist.to_dict(), "exec": wl.exec_dist.to_dict(),
-            "prep": wl.prep_dist.to_dict(),
-            "demand_weights": list(wl.demand_weights) if wl.demand_weights else None,
-            "order_range": list(wl.order_range),
-            "relationship_range": list(wl.relationship_range),
-        },
-    }
+    # The priority section lists its keys in _PRIORITY_FIELDS order.
+    result: dict = {"simulation": {}, "priority": dict.fromkeys(_PRIORITY_FIELDS)}
+    sim = jsonable(parsed.sim)
+    for name, _tp, section in _SIM_FIELDS:
+        (result if section is None else result[section])[name] = sim[name]
+    result["workload"] = {key: jsonable(getattr(parsed.workload, name))
+                          for key, name in _WORKLOAD_KEYS.items()}
     if parsed.analysis is not None:
-        result["analysis"] = {"classes": [
-            {"rate": r, "mean_service": es, "mean_service_sq": es2}
-            for r, es, es2 in parsed.analysis]}
+        result["analysis"] = {"classes": [jsonable(_ClassMoments(*m))
+                                          for m in parsed.analysis]}
     return result
 
 
@@ -413,13 +325,8 @@ def _echo_defaults(parsed: ParsedConfig) -> None:
 def _load_parsed(manifest: RunManifest) -> ParsedConfig:
     parsed = parse_config(manifest.config_path)
     if manifest.seed is not None:
-        parsed = ParsedConfig(
-            sim=replace(parsed.sim, seed=manifest.seed),
-            workload=replace(parsed.workload, seed=manifest.seed),
-            priority=parsed.priority,
-            analysis=parsed.analysis,
-            applied_defaults=parsed.applied_defaults,
-        )
+        parsed = replace(parsed, sim=replace(parsed.sim, seed=manifest.seed),
+                         workload=replace(parsed.workload, seed=manifest.seed))
     return parsed
 
 

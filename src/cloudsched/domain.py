@@ -3,7 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+
+
+def jsonable(value):
+    """value with dataclasses as dicts and tuples as lists: JSON-native types only."""
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -14,14 +23,6 @@ class ResourceDemand:
     memory: float
     storage: float
 
-    def to_dict(self) -> dict:
-        return {"processors": self.processors, "memory": self.memory, "storage": self.storage}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResourceDemand":
-        return cls(processors=int(d["processors"]), memory=float(d["memory"]),
-                   storage=float(d["storage"]))
-
 
 @dataclass(frozen=True)
 class BusinessProfile:
@@ -29,13 +30,6 @@ class BusinessProfile:
 
     order_amount: float
     relationship: float
-
-    def to_dict(self) -> dict:
-        return {"order_amount": self.order_amount, "relationship": self.relationship}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BusinessProfile":
-        return cls(order_amount=float(d["order_amount"]), relationship=float(d["relationship"]))
 
 
 @dataclass(frozen=True)
@@ -55,29 +49,6 @@ class Job:
     demand: ResourceDemand
     business: BusinessProfile
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "arrival_time": self.arrival_time,
-            "due_time": self.due_time,
-            "exec_time": self.exec_time,
-            "prep_time": self.prep_time,
-            "demand": self.demand.to_dict(),
-            "business": self.business.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Job":
-        return cls(
-            id=d["id"],
-            arrival_time=float(d["arrival_time"]),
-            due_time=float(d["due_time"]),
-            exec_time=float(d["exec_time"]),
-            prep_time=float(d["prep_time"]),
-            demand=ResourceDemand.from_dict(d["demand"]),
-            business=BusinessProfile.from_dict(d["business"]),
-        )
-
 
 OK = "ok"
 INFEASIBLE = "infeasible"
@@ -95,10 +66,20 @@ class ValidationResult:
 def validate_job(job: Job) -> ValidationResult:
     """Check a job's invariants.
 
-    Returns invalid with a reason when any field constraint fails, infeasible
-    when the required work cannot fit before the due time, ok otherwise.
-    Infeasible jobs are still admissible; they simply miss their deadline.
+    Returns invalid with a reason when any field constraint fails (every float
+    field must be finite), infeasible when the required work cannot fit before
+    the due time, ok otherwise. Infeasible jobs are still admissible; they
+    simply miss their deadline.
     """
+    for name, value in (("arrival_time", job.arrival_time), ("due_time", job.due_time),
+                        ("exec_time", job.exec_time), ("prep_time", job.prep_time),
+                        ("memory", job.demand.memory), ("storage", job.demand.storage),
+                        ("order_amount", job.business.order_amount),
+                        ("relationship", job.business.relationship)):
+        if not math.isfinite(value):
+            return ValidationResult(INVALID, f"{name} must be finite")
+    if job.arrival_time < 0:
+        return ValidationResult(INVALID, "arrival_time must be >= 0")
     if job.due_time <= 0:
         return ValidationResult(INVALID, "due_time must be > 0")
     if job.exec_time <= 0:
@@ -144,18 +125,6 @@ class ResourceCatalogEntry:
                 and self.ram >= demand.memory
                 and self.disk >= demand.storage)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "cores": self.cores, "ecus": self.ecus, "ram": self.ram,
-            "arch_bits": self.arch_bits, "disk": self.disk, "cost": self.cost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResourceCatalogEntry":
-        return cls(name=str(d["name"]), cores=int(d["cores"]), ecus=float(d["ecus"]),
-                   ram=float(d["ram"]), arch_bits=int(d["arch_bits"]), disk=float(d["disk"]),
-                   cost=float(d["cost"]))
-
 
 def default_catalog() -> tuple[ResourceCatalogEntry, ...]:
     """Default instance catalog: five classic EC2 shapes."""
@@ -185,30 +154,6 @@ class PriorityRecord:
     rank: int
     chain: tuple[int, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "demand_weight": self.demand_weight,
-            "tp_score": self.tp_score,
-            "bp_score": self.bp_score,
-            "resultant": self.resultant,
-            "rank": self.rank,
-            "chain": list(self.chain) if self.chain is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorityRecord":
-        chain = d.get("chain")
-        return cls(
-            t_start=float(d["t_start"]),
-            demand_weight=float(d["demand_weight"]),
-            tp_score=int(d["tp_score"]),
-            bp_score=float(d["bp_score"]),
-            resultant=float(d["resultant"]),
-            rank=int(d["rank"]),
-            chain=(int(chain[0]), int(chain[1])) if chain is not None else None,
-        )
-
 
 # Default allocation bands: probability of resource allocation per rank decade.
 # The first six bands are the standard curve; the last four continue the
@@ -227,10 +172,15 @@ DEFAULT_ALLOCATION_BANDS: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def _check_bands(bands) -> None:
+def check_bands(bands) -> tuple[tuple[int, int, float], ...]:
+    """Validate allocation bands and return them sorted by their first rank.
+
+    The bands must cover ranks 1..100 without gaps or overlaps, and their
+    probabilities must lie in (0, 1] and not increase with rank.
+    """
     if not bands:
         raise ValueError("allocation_bands must be non-empty")
-    ordered = sorted(bands, key=lambda b: b[0])
+    ordered = tuple(sorted(bands, key=lambda b: b[0]))
     if ordered[0][0] != 1 or ordered[-1][1] != 100:
         raise ValueError("allocation_bands must cover ranks 1..100")
     prev_hi = 0
@@ -245,6 +195,7 @@ def _check_bands(bands) -> None:
         if prev_p is not None and p > prev_p:
             raise ValueError("allocation probabilities must be non-increasing with rank")
         prev_hi, prev_p = hi, p
+    return ordered
 
 
 def _default_class_rates() -> tuple[float, ...]:
@@ -310,7 +261,7 @@ class SimConfig:
             raise ValueError("business_cap must be >= 0")
         if not self.catalog:
             raise ValueError("catalog must be non-empty")
-        _check_bands(self.allocation_bands)
+        check_bands(self.allocation_bands)
         if self.retry_interval <= 0:
             raise ValueError("retry_interval must be > 0")
         if self.epoch_length <= 0:
@@ -319,55 +270,4 @@ class SimConfig:
             raise ValueError("mu_base must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "num_tasks": self.num_tasks,
-            "num_vms": self.num_vms,
-            "arrival_rate": self.arrival_rate,
-            "class_rates": list(self.class_rates),
-            "beta": self.beta,
-            "blank_time": self.blank_time,
-            "w_urgency": self.w_urgency,
-            "w_demand": self.w_demand,
-            "order_norm": self.order_norm,
-            "relationship_norm": self.relationship_norm,
-            "business_cap": self.business_cap,
-            "seed": self.seed,
-            "catalog": [c.to_dict() for c in self.catalog],
-            "allocation_bands": [list(b) for b in self.allocation_bands],
-            "retry_interval": self.retry_interval,
-            "due_time": self.due_time,
-            "exec_time": self.exec_time,
-            "prep_time": self.prep_time,
-            "epoch_length": self.epoch_length,
-            "mu_base": self.mu_base,
-            "max_retries": self.max_retries,
-            "max_queue_length": self.max_queue_length,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        return cls(
-            num_tasks=int(d["num_tasks"]),
-            num_vms=int(d["num_vms"]),
-            arrival_rate=float(d["arrival_rate"]),
-            class_rates=tuple(float(r) for r in d["class_rates"]),
-            beta=float(d["beta"]),
-            blank_time=float(d["blank_time"]),
-            w_urgency=float(d["w_urgency"]),
-            w_demand=float(d["w_demand"]),
-            order_norm=float(d["order_norm"]),
-            relationship_norm=float(d["relationship_norm"]),
-            business_cap=float(d["business_cap"]),
-            seed=int(d["seed"]),
-            catalog=tuple(ResourceCatalogEntry.from_dict(c) for c in d["catalog"]),
-            allocation_bands=tuple((int(b[0]), int(b[1]), float(b[2]))
-                                   for b in d["allocation_bands"]),
-            retry_interval=float(d["retry_interval"]),
-            due_time=float(d["due_time"]),
-            exec_time=float(d["exec_time"]),
-            prep_time=float(d["prep_time"]),
-            epoch_length=float(d["epoch_length"]),
-            mu_base=float(d["mu_base"]),
-            max_retries=int(d["max_retries"]),
-            max_queue_length=int(d["max_queue_length"]),
-        )
+        return jsonable(self)

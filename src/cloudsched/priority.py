@@ -1,9 +1,9 @@
 """Priority algebra: start slack, demand weight, technical and business scores,
-threshold-gated resultant score, rank conversion, chain ordering, feasibility."""
+threshold-gated resultant score and rank conversion. The tuning values (beta,
+weights, normalizers, business cap, blank time) are read from SimConfig."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .domain import (
@@ -17,43 +17,6 @@ from .domain import (
 
 class EmptyWindowError(ValueError):
     """Raised when priority normalization is asked for an empty job window."""
-
-
-@dataclass(frozen=True)
-class PriorityEngineConfig:
-    """Tuning knobs for the priority engine.
-
-    beta is the score threshold above which the business boost applies;
-    w_urgency and w_demand blend start-time urgency against resource demand;
-    order_norm and relationship_norm scale order amount and relationship score
-    into the boost, which is capped at business_cap.
-    """
-
-    beta: float = 60.0
-    w_urgency: float = 0.7
-    w_demand: float = 0.3
-    order_norm: float = 0.01
-    relationship_norm: float = 0.0
-    business_cap: float = 10.0
-    blank_time: float = 0.0
-
-    def __post_init__(self):
-        if self.w_urgency < 0 or self.w_demand < 0:
-            raise ValueError("weights must be >= 0")
-        if not math.isclose(self.w_urgency + self.w_demand, 1.0, rel_tol=1e-9):
-            raise ValueError("w_urgency + w_demand must equal 1")
-        if not (0.0 <= self.beta <= 100.0):
-            raise ValueError("beta must be in [0,100]")
-        if self.business_cap < 0:
-            raise ValueError("business_cap must be >= 0")
-        if self.blank_time < 0:
-            raise ValueError("blank_time must be >= 0")
-
-    @classmethod
-    def from_sim(cls, cfg: SimConfig) -> "PriorityEngineConfig":
-        return cls(beta=cfg.beta, w_urgency=cfg.w_urgency, w_demand=cfg.w_demand,
-                   order_norm=cfg.order_norm, relationship_norm=cfg.relationship_norm,
-                   business_cap=cfg.business_cap, blank_time=cfg.blank_time)
 
 
 @dataclass(frozen=True)
@@ -89,7 +52,7 @@ def demand_weight(d: ResourceDemand) -> float:
     return d.processors + d.memory + d.storage
 
 
-def technical_priority(job: Job, window: WindowStats, cfg: PriorityEngineConfig) -> int:
+def technical_priority(job: Job, window: WindowStats, cfg: SimConfig) -> int:
     """Score a job 0..100 from start-time urgency and resource demand.
 
     Urgency is 1 for the earliest start slack in the window and 0 for the
@@ -114,13 +77,13 @@ def technical_priority(job: Job, window: WindowStats, cfg: PriorityEngineConfig)
     return int(min(max(score, 0), 100))
 
 
-def business_priority(b: BusinessProfile, cfg: PriorityEngineConfig) -> float:
+def business_priority(b: BusinessProfile, cfg: SimConfig) -> float:
     """Business boost: scaled order amount plus scaled relationship, capped."""
     raw = cfg.order_norm * b.order_amount + cfg.relationship_norm * b.relationship
     return min(max(raw, 0.0), cfg.business_cap)
 
 
-def resultant_priority(tp: float, bp: float, cfg: PriorityEngineConfig) -> float:
+def resultant_priority(tp: float, bp: float, cfg: SimConfig) -> float:
     """Combine technical score and business boost.
 
     Above the beta threshold the boost is added (capped at 100); at or below
@@ -145,42 +108,7 @@ def score_to_rank(score: float) -> int:
     return int(min(max(round(101 - score), 1), 100))
 
 
-def chain_compare(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Order two (class, position) chain keys lexicographically.
-
-    Returns -1 when a goes first, 1 when b goes first, 0 when equal. A smaller
-    class index always wins; within a class the smaller position wins.
-    """
-    if a[0] < 1 or a[1] < 1 or b[0] < 1 or b[1] < 1:
-        raise ValueError("chain components must be >= 1")
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
-def tolerance_check(job: Job, slack_factor: float = 0.9,
-                    include_due_term: bool = False) -> str:
-    """Classify how much of the due time the job's required work consumes.
-
-    Tolerance is exec + prep time (optionally also counting the due time as a
-    delivery-time term, which makes every job infeasible by construction and
-    exists only for comparison). Returns "feasible" when tolerance fits within
-    slack_factor of the due time, "tight" when it fits only without slack,
-    "infeasible" otherwise.
-    """
-    if not (0.0 < slack_factor <= 1.0):
-        raise ValueError("slack_factor must be in (0,1]")
-    tolerance = job.exec_time + job.prep_time
-    if include_due_term:
-        tolerance += job.due_time
-    if tolerance <= slack_factor * job.due_time:
-        return "feasible"
-    if tolerance <= job.due_time:
-        return "tight"
-    return "infeasible"
-
-
-def build_record(job: Job, window: WindowStats, cfg: PriorityEngineConfig,
+def build_record(job: Job, window: WindowStats, cfg: SimConfig,
                  apply_business: bool = True) -> PriorityRecord:
     """Compute the full priority record for a job against its window.
 

@@ -1,28 +1,23 @@
-"""Intake pipeline: job collection and acknowledgement, class gate, per-class
-queues in chain order, probabilistic allocation against the instance catalog,
-and closed-form waiting times for the non-preemptive priority single-server queue."""
+"""Intake pipeline: class gate, per-class queues in chain order, probabilistic
+allocation against the instance catalog, and closed-form waiting times for the
+non-preemptive priority single-server queue."""
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (
     DEFAULT_ALLOCATION_BANDS,
-    INVALID,
     Job,
     PriorityRecord,
     ResourceCatalogEntry,
     ResourceDemand,
-    validate_job,
+    check_bands,
 )
-
-
-class JobRejectedError(ValueError):
-    """Raised by collect() when a job fails validation outright."""
 
 
 class UnsatisfiableDemandError(ValueError):
@@ -37,22 +32,6 @@ class UnstableError(ValueError):
         super().__init__(f"unstable: utilization {utilization:g}")
 
 
-@dataclass(frozen=True)
-class Acknowledgement:
-    """Receipt issued when a job enters the pipeline."""
-
-    job_id: int | str
-    ack_time: float
-
-
-def collect(job: Job, clock: float) -> Acknowledgement:
-    """Admit a job at the collection point; invalid jobs are rejected."""
-    result = validate_job(job)
-    if result.status == INVALID:
-        raise JobRejectedError(result.reason or "invalid job")
-    return Acknowledgement(job.id, clock)
-
-
 def classify(record: PriorityRecord, n_classes: int) -> int:
     """Map a 1..100 rank onto one of n_classes queue classes (1 = best)."""
     if n_classes < 1:
@@ -62,19 +41,6 @@ def classify(record: PriorityRecord, n_classes: int) -> int:
     return (record.rank * n_classes + 99) // 100
 
 
-def class_service_rate(index: int, n_classes: int, mu_base: float = 1.0) -> float:
-    """Nominal service rate of a class, scaled by its midpoint satisfaction score.
-
-    Class 1 covers the best ranks and therefore gets the highest rate; rates
-    are non-increasing in class index.
-    """
-    lo = (index - 1) * 100.0 / n_classes
-    hi = index * 100.0 / n_classes
-    mid_rank = (lo + hi) / 2.0
-    score = min(max(101.0 - mid_rank, 0.0), 100.0)
-    return mu_base * score / 100.0
-
-
 @dataclass(frozen=True)
 class AllocationTable:
     """Rank-band allocation probabilities covering ranks 1..100."""
@@ -82,19 +48,7 @@ class AllocationTable:
     bands: tuple[tuple[int, int, float], ...] = DEFAULT_ALLOCATION_BANDS
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.bands, key=lambda b: b[0]))
-        if not ordered or ordered[0][0] != 1 or ordered[-1][1] != 100:
-            raise ValueError("bands must cover ranks 1..100")
-        prev_hi, prev_p = 0, None
-        for lo, hi, p in ordered:
-            if lo != prev_hi + 1 or hi < lo:
-                raise ValueError("bands must be contiguous and non-overlapping")
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"band probability {p} not in (0, 1]")
-            if prev_p is not None and p > prev_p:
-                raise ValueError("band probabilities must be non-increasing with rank")
-            prev_hi, prev_p = hi, p
-        object.__setattr__(self, "bands", ordered)
+        object.__setattr__(self, "bands", check_bands(self.bands))
 
     def probability(self, rank: int) -> float:
         if not (1 <= rank <= 100):
@@ -106,12 +60,14 @@ class AllocationTable:
 
 
 class QueueClass:
-    """One priority class queue, kept in chain order (position within class)."""
+    """One priority class queue, kept in chain order (position within class).
 
-    def __init__(self, index: int, service_rate: float):
+    Positions are handed out in increasing order, so chain order is FIFO.
+    """
+
+    def __init__(self, index: int):
         self.index = index
-        self.service_rate = service_rate
-        self._entries: list[tuple[int, object]] = []
+        self._entries: deque = deque()
         self._next_n = 1
 
     def __len__(self) -> int:
@@ -121,23 +77,16 @@ class QueueClass:
         """Append an item with the next within-class position; returns that position."""
         n = self._next_n
         self._next_n += 1
-        self.push(n, item)
+        self._entries.append(item)
         return n
 
-    def push(self, n: int, item) -> None:
-        """Insert an item at an explicit chain position, keeping the queue sorted."""
-        bisect.insort(self._entries, (n, item), key=lambda e: e[0])
-        self._next_n = max(self._next_n, n + 1)
-
     def peek(self):
-        if not self._entries:
-            raise IndexError("queue class is empty")
-        return self._entries[0][1]
+        """The first item in chain order; IndexError when empty."""
+        return self._entries[0]
 
     def pop(self):
-        if not self._entries:
-            raise IndexError("queue class is empty")
-        return self._entries.pop(0)[1]
+        """Remove and return the first item in chain order; IndexError when empty."""
+        return self._entries.popleft()
 
 
 @dataclass(frozen=True)
@@ -155,12 +104,7 @@ class Deferred:
 
 
 class ResourcePool:
-    """Counting pool of identical VM slots plus the instance catalog.
-
-    blank_time_feedback estimates the extra wait jobs experience for resources:
-    zero whenever there is spare capacity, otherwise a decaying average of the
-    recent defer-to-allocate delays observed under saturation.
-    """
+    """Counting pool of identical VM slots plus the instance catalog."""
 
     def __init__(self, capacity: int, catalog):
         if capacity < 1:
@@ -168,23 +112,10 @@ class ResourcePool:
         self.capacity = capacity
         self.catalog = tuple(catalog)
         self.in_use = 0
-        self._delay_ewma = 0.0
 
     @property
     def is_full(self) -> bool:
         return self.in_use >= self.capacity
-
-    @property
-    def blank_time_feedback(self) -> float:
-        if self.in_use < self.capacity:
-            return 0.0
-        return self._delay_ewma
-
-    def record_saturation_delay(self, delay: float) -> None:
-        """Fold one defer-to-allocate delay into the feedback estimate (decay 0.9)."""
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        self._delay_ewma = 0.9 * self._delay_ewma + 0.1 * delay
 
 
 def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None:
@@ -220,7 +151,7 @@ def try_allocate(job: Job, rank: int, pool: ResourcePool, table: AllocationTable
     return Deferred(retry_at=clock + retry_interval)
 
 
-def release(pool: ResourcePool, instance: ResourceCatalogEntry | None = None) -> None:
+def release(pool: ResourcePool) -> None:
     """Return one slot to the pool."""
     if pool.in_use < 1:
         raise ValueError("release on empty pool")

@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SimConfig
+from .domain import INVALID, SimConfig, validate_job
 from .priority import (
-    PriorityEngineConfig,
     WindowStats,
     build_record,
     resultant_priority,
@@ -21,12 +20,9 @@ from .priority import (
 from .queueing import (
     Allocated,
     AllocationTable,
-    JobRejectedError,
     QueueClass,
     ResourcePool,
-    class_service_rate,
     classify,
-    collect,
     release,
     try_allocate,
 )
@@ -84,25 +80,11 @@ class JobRecord:
     reason: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id, "arrival": self.arrival, "due": self.due,
-            "ack": self.ack, "allocation": self.allocation, "start": self.start,
-            "completion": self.completion, "wait": self.wait, "t_start": self.t_start,
-            "demand_weight": self.demand_weight, "tp_score": self.tp_score,
-            "bp_score": self.bp_score, "resultant": self.resultant, "rank": self.rank,
-            "class_index": self.class_index, "chain_position": self.chain_position,
-            "instance": self.instance, "cost": self.cost, "sls": self.sls,
-            "deadline_met": self.deadline_met, "status": self.status,
-            "retries": self.retries, "reason": self.reason,
-        }
+        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
-        return cls(**{k: d[k] for k in (
-            "job_id", "arrival", "due", "ack", "allocation", "start", "completion",
-            "wait", "t_start", "demand_weight", "tp_score", "bp_score", "resultant",
-            "rank", "class_index", "chain_position", "instance", "cost", "sls",
-            "deadline_met", "status", "retries", "reason")})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -182,7 +164,7 @@ class _JobStream:
 
 class _JobState:
     __slots__ = ("job", "index", "stream", "record", "chain", "ack", "alloc_time", "start",
-                 "completion", "retries", "pending_retry", "first_block", "status",
+                 "completion", "retries", "pending_retry", "status",
                  "instance", "reason")
 
     def __init__(self, job, index, seed):
@@ -197,7 +179,6 @@ class _JobState:
         self.completion = None
         self.retries = 0
         self.pending_retry = False
-        self.first_block = None
         self.status = None
         self.instance = None
         self.reason = None
@@ -210,15 +191,11 @@ def _epoch_of(t: float, epoch_length: float) -> int:
 def window_stats_by_epoch(jobs, epoch_length: float, blank_time: float = 0.0) -> dict:
     """Group jobs into arrival epochs and compute normalization stats per epoch.
 
-    Jobs that would be rejected outright never reach the prioritizer and are
-    excluded from the statistics.
+    run() passes only the jobs that pass validation: rejected jobs never reach
+    the prioritizer.
     """
-    from .domain import INVALID, validate_job
-
     buckets: dict[int, list] = {}
     for job in jobs:
-        if validate_job(job).status == INVALID:
-            continue
         buckets.setdefault(_epoch_of(job.arrival_time, epoch_length), []).append(job)
     return {e: WindowStats.from_jobs(batch, blank_time) for e, batch in buckets.items()}
 
@@ -236,7 +213,9 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     mode "resultant" applies the business boost above the threshold; "native"
     scores jobs by technical priority alone. Same config, jobs, and seed give
     a byte-identical report. Allocation draws come from one substream per job
-    so paired native/resultant runs see common random numbers.
+    so paired native/resultant runs see common random numbers. Each job is
+    validated once, up front: an invalid job is recorded as rejected with its
+    reason and never enters the event queue. Duplicate job ids raise ValueError.
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -244,23 +223,35 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not jobs:
         raise ValueError("jobs must be non-empty")
 
-    pcfg = PriorityEngineConfig.from_sim(config)
+    states = [_JobState(job, i, config.seed) for i, job in enumerate(jobs)]
+    seen_ids = set()
+    admitted = []
+    for st in states:
+        if st.job.id in seen_ids:
+            raise ValueError(f"duplicate job id {st.job.id!r}")
+        seen_ids.add(st.job.id)
+        result = validate_job(st.job)
+        if result.status == INVALID:
+            st.status = "rejected"
+            st.reason = result.reason
+        else:
+            admitted.append(st)
+    rejected = len(states) - len(admitted)
+
     n_classes = len(config.class_rates)
     apply_business = mode == "resultant"
-    windows = window_stats_by_epoch(jobs, config.epoch_length, pcfg.blank_time)
+    windows = window_stats_by_epoch([st.job for st in admitted], config.epoch_length,
+                                    config.blank_time)
 
     pool = ResourcePool(config.num_vms, config.catalog)
     table = AllocationTable(config.allocation_bands)
-    classes = [QueueClass(i + 1, class_service_rate(i + 1, n_classes, config.mu_base))
-               for i in range(n_classes)]
+    classes = [QueueClass(i + 1) for i in range(n_classes)]
 
-    states = [_JobState(job, i, config.seed) for i, job in enumerate(jobs)]
-    heap: list = []
-    for st in states:
-        heapq.heappush(heap, (_event_key(st.job.arrival_time, ARRIVAL, st.job.id),
-                              ARRIVAL, st.index))
+    heap = [(_event_key(st.job.arrival_time, ARRIVAL, st.job.id), ARRIVAL, st.index)
+            for st in admitted]
+    heapq.heapify(heap)
 
-    collected = completed = rejected = stuck = 0
+    collected = completed = stuck = 0
     in_queue = in_service = 0
     busy_time = 0.0
     last_time = 0.0
@@ -287,9 +278,6 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     in_service += 1
                     st.instance = outcome.instance
                     st.alloc_time = st.start = now
-                    if st.first_block is not None:
-                        pool.record_saturation_delay(now - st.first_block)
-                        st.first_block = None
                     heapq.heappush(heap, (_event_key(now + st.job.exec_time, COMPLETION,
                                                      st.job.id),
                                           COMPLETION, index))
@@ -314,22 +302,14 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         last_time = now
         st = states[index]
         if kind == ARRIVAL:
-            try:
-                st.ack = collect(st.job, now).ack_time
-            except JobRejectedError as exc:
-                st.status = "rejected"
-                st.reason = str(exc)
-                rejected += 1
-                continue
+            st.ack = now
             collected += 1
             st.record = build_record(st.job, windows[_epoch_of(st.job.arrival_time,
                                                                config.epoch_length)],
-                                     pcfg, apply_business=apply_business)
+                                     config, apply_business=apply_business)
             m = classify(st.record, n_classes)
             st.chain = (m, classes[m - 1].enqueue(index))
             in_queue += 1
-            if pool.is_full:
-                st.first_block = now
             if in_queue > config.max_queue_length:
                 unstable = True
                 break
@@ -340,7 +320,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             st.pending_retry = False
             pump(now)
         else:
-            release(pool, st.instance)
+            release(pool)
             st.completion = now
             st.status = "completed"
             completed += 1
@@ -451,10 +431,9 @@ def replication_bundle(config: SimConfig) -> list[ReplicationRow]:
     probability), wait_model_native / wait_model_resultant (hours), and
     wait_simulated (mean simulated wait hours per rank band).
     """
-    pcfg = PriorityEngineConfig.from_sim(config)
     rows = []
     for tp in (80, 78, 76, 74, 72, 70, 60, 58):
-        boosted = resultant_priority(tp, pcfg.business_cap, pcfg)
+        boosted = resultant_priority(tp, config.business_cap, config)
         rows.append(ReplicationRow("priority_boost", str(tp), boosted, "model"))
         rows.append(ReplicationRow("sls_native", str(tp),
                                    service_level_satisfaction(tp), "model"))

@@ -46,8 +46,7 @@ class InvalidJobError(Exception):
 
 # One independent substream per sampled quantity, so adding or reordering a
 # draw for one attribute never perturbs the others.
-_STREAMS = {"arrivals": 0, "due": 1, "exec": 2, "prep": 3, "demand": 4, "business": 5,
-            "class": 6}
+_STREAMS = {"arrivals": 0, "due": 1, "exec": 2, "prep": 3, "demand": 4, "business": 5}
 
 
 def _stream(seed: int, name: str) -> np.random.Generator:
@@ -81,17 +80,6 @@ class Distribution:
             return rng.uniform(self.params[0], self.params[1], size)
         return rng.exponential(self.params[0], size)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Distribution":
-        return cls(kind=str(d["kind"]), params=tuple(float(p) for p in d["params"]))
-
-
-def _default_weights() -> tuple[float, ...] | None:
-    return None
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -104,7 +92,7 @@ class WorkloadSpec:
     exec_dist: Distribution = Distribution("fixed", (650.0,))
     prep_dist: Distribution = Distribution("fixed", (5.0,))
     catalog: tuple[ResourceCatalogEntry, ...] = field(default_factory=default_catalog)
-    demand_weights: tuple[float, ...] | None = field(default_factory=_default_weights)
+    demand_weights: tuple[float, ...] | None = None
     order_range: tuple[float, float] = (0.0, 1000.0)
     relationship_range: tuple[float, float] = (0.0, 100.0)
     seed: int = 1
@@ -121,39 +109,6 @@ class WorkloadSpec:
             raise ValueError("order_range must be (lo, hi) with 0 <= lo <= hi")
         if self.relationship_range[0] > self.relationship_range[1] or self.relationship_range[0] < 0:
             raise ValueError("relationship_range must be (lo, hi) with 0 <= lo <= hi")
-
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "class_rates": list(self.class_rates),
-            "num_tasks": self.num_tasks,
-            "due": self.due_dist.to_dict(),
-            "exec": self.exec_dist.to_dict(),
-            "prep": self.prep_dist.to_dict(),
-            "catalog": [c.to_dict() for c in self.catalog],
-            "demand_weights": list(self.demand_weights) if self.demand_weights is not None else None,
-            "order_range": list(self.order_range),
-            "relationship_range": list(self.relationship_range),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkloadSpec":
-        weights = d.get("demand_weights")
-        return cls(
-            rate=float(d["rate"]),
-            class_rates=tuple(float(r) for r in d["class_rates"]),
-            num_tasks=int(d["num_tasks"]),
-            due_dist=Distribution.from_dict(d["due"]),
-            exec_dist=Distribution.from_dict(d["exec"]),
-            prep_dist=Distribution.from_dict(d["prep"]),
-            catalog=tuple(ResourceCatalogEntry.from_dict(c) for c in d["catalog"]),
-            demand_weights=tuple(float(w) for w in weights) if weights is not None else None,
-            order_range=(float(d["order_range"][0]), float(d["order_range"][1])),
-            relationship_range=(float(d["relationship_range"][0]),
-                                float(d["relationship_range"][1])),
-            seed=int(d["seed"]),
-        )
 
 
 def spec_from_sim(cfg: SimConfig) -> WorkloadSpec:
@@ -220,16 +175,6 @@ def sample_jobs(spec: WorkloadSpec, arrivals) -> list[Job]:
     return jobs
 
 
-def thin_by_class(n: int, class_rates, seed: int) -> np.ndarray:
-    """Assign each of n arrivals a class index 1..k with probability rate_i / total."""
-    rates = np.asarray(class_rates, dtype=float)
-    if rates.size == 0 or (rates <= 0).any():
-        raise ValueError("class_rates must be positive")
-    probs = rates / rates.sum()
-    rng = _stream(seed, "class")
-    return rng.choice(len(rates), size=n, p=probs) + 1
-
-
 JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage",
                    "order_amount", "relationship")
 
@@ -279,11 +224,12 @@ def load_jobs(path) -> list[Job]:
     """Read a job CSV file, validating every record.
 
     Raises ParseError for malformed records and InvalidJobError when a record
-    violates a job invariant; both carry the 1-based data record number.
-    An empty file yields an empty list.
+    violates a job invariant or repeats an earlier record's id; both carry the
+    1-based data record number. An empty file yields an empty list.
     """
     path = Path(path)
     jobs: list[Job] = []
+    seen_ids = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -317,5 +263,8 @@ def load_jobs(path) -> list[Job]:
             result = validate_job(job)
             if result.status == INVALID:
                 raise InvalidJobError(record, result.reason or "invalid job")
+            if job_id in seen_ids:
+                raise InvalidJobError(record, f"duplicate job id {job_id!r}")
+            seen_ids.add(job_id)
             jobs.append(job)
     return jobs

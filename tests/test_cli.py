@@ -1,11 +1,14 @@
 import csv
 import json
 
+from dataclasses import fields
+
 import pytest
 
 from cloudsched import cli
+from cloudsched.domain import SimConfig
 from cloudsched.simulator import run
-from cloudsched.workload import generate_arrivals, sample_jobs
+from cloudsched.workload import Distribution, generate_arrivals, sample_jobs
 
 # Low admission odds and few retries leave some jobs stuck, so the job table
 # has empty (None) cells next to completed rows.
@@ -63,3 +66,211 @@ class TestTableText:
         text = cli._table_text(("a", "b", "c", "d", "e"),
                                [(None, 0.1 + 0.2, 3, "x,y", True)], "csv")
         assert text == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
+
+
+def _config_file(tmp_path, config) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _print_config(tmp_path, capsys, config):
+    """Run --print-config on a config; returns (exit code, stdout, stderr)."""
+    rc = cli.main(["--print-config", "--config", _config_file(tmp_path, config)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+# Keys the config file reads from the "priority" section and from the top
+# level; every other SimConfig field is read from "simulation".
+PRIORITY_KEYS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
+                 "business_cap", "blank_time")
+TOP_LEVEL_KEYS = ("catalog", "allocation_bands")
+
+CATALOG_ENTRY = {"name": "x1", "cores": 2, "ecus": 3.0, "ram": 4.0, "arch_bits": 64,
+                 "disk": 100.0, "cost": 0.25}
+
+# A non-default value for every SimConfig field, plus the other keys that must
+# change with it to keep the config valid.
+FIELD_VALUES = {
+    "num_tasks": (10, {}),
+    "num_vms": (7, {}),
+    "arrival_rate": (2.0, {"class_rates": [1.0, 1.0]}),
+    "class_rates": ([0.25, 0.75], {}),
+    "beta": (55.0, {}),
+    "blank_time": (3.0, {}),
+    "w_urgency": (0.6, {"w_demand": 0.4}),
+    "w_demand": (0.4, {"w_urgency": 0.6}),
+    "order_norm": (0.02, {}),
+    "relationship_norm": (0.5, {}),
+    "business_cap": (12.0, {}),
+    "seed": (99, {}),
+    "catalog": ([CATALOG_ENTRY], {}),
+    "allocation_bands": ([[1, 50, 1.0], [51, 100, 0.5]], {}),
+    "retry_interval": (2.5, {}),
+    "due_time": (800.0, {}),
+    "exec_time": (600.0, {}),
+    "prep_time": (1.0, {}),
+    "epoch_length": (30.0, {}),
+    "mu_base": (2.0, {}),
+    "max_retries": (17, {}),
+    "max_queue_length": (23, {}),
+}
+
+
+def _section_of(name: str) -> str | None:
+    if name in TOP_LEVEL_KEYS:
+        return None
+    return "priority" if name in PRIORITY_KEYS else "simulation"
+
+
+def _config_setting(settings: dict) -> dict:
+    config: dict = {}
+    for name, value in settings.items():
+        section = _section_of(name)
+        if section is None:
+            config[name] = value
+        else:
+            config.setdefault(section, {})[name] = value
+    return config
+
+
+EMPTY_CONFIG_DEFAULTS = {
+    "simulation.num_tasks=2000",
+    "simulation.num_vms=2500",
+    "simulation.arrival_rate=1.0",
+    "simulation.class_rates=(" + ", ".join(["0.16666666666666666"] * 6) + ")",
+    "simulation.seed=1",
+    "simulation.retry_interval=1.0",
+    "simulation.due_time=700.0",
+    "simulation.exec_time=650.0",
+    "simulation.prep_time=5.0",
+    "simulation.epoch_length=60.0",
+    "simulation.mu_base=1.0",
+    "simulation.max_retries=1000000",
+    "simulation.max_queue_length=1000000",
+    "priority.beta=60.0",
+    "priority.w_urgency=0.7",
+    "priority.w_demand=0.3",
+    "priority.order_norm=0.01",
+    "priority.relationship_norm=0.0",
+    "priority.business_cap=10.0",
+    "priority.blank_time=0.0",
+    "catalog=<default 5-entry catalog>",
+    "allocation_bands=<default 10-band table>",
+    "workload.due=fixed(700.0)",
+    "workload.exec=fixed(650.0)",
+    "workload.prep=fixed(5.0)",
+    "workload.demand_weights=uniform",
+    "workload.order_range=(0.0, 1000.0)",
+    "workload.relationship_range=(0.0, 100.0)",
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("config,keypath", [
+        ({"bogus": 1}, "config.bogus"),
+        ({"simulation": {"bogus": 1}}, "simulation.bogus"),
+        ({"priority": {"bogus": 1}}, "priority.bogus"),
+        ({"catalog": [dict(CATALOG_ENTRY, bogus=1)]}, "catalog[0].bogus"),
+        ({"workload": {"due": {"kind": "fixed", "params": [700.0], "bogus": 1}}},
+         "workload.due.bogus"),
+    ])
+    def test_unknown_key_names_its_path(self, tmp_path, capsys, config, keypath):
+        rc, _out, err = _print_config(tmp_path, capsys, config)
+        assert rc == cli.EXIT_CONFIG
+        assert keypath in err
+
+    @pytest.mark.parametrize("config,keypath", [
+        ({"simulation": {"arrival_rate": True}}, "simulation.arrival_rate"),
+        ({"priority": {"beta": False}}, "priority.beta"),
+        ({"simulation": {"num_tasks": 1.5}}, "simulation.num_tasks"),
+        ({"simulation": {"seed": 2.0}}, "simulation.seed"),
+    ])
+    def test_wrong_number_type_is_rejected(self, tmp_path, capsys, config, keypath):
+        rc, _out, err = _print_config(tmp_path, capsys, config)
+        assert rc == cli.EXIT_CONFIG
+        assert keypath in err
+
+    def test_empty_config_applies_every_default(self):
+        applied = cli.parse_config(None).applied_defaults
+        assert len(applied) == len(set(applied))
+        assert set(applied) == EMPTY_CONFIG_DEFAULTS
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"workload": {"due": {"kind": "uniform", "params": [660.0, 3600.0]},
+                      "demand_weights": [1.0, 2.0, 3.0, 4.0, 5.0]},
+         "analysis": {"classes": [{"rate": 0.2, "mean_service": 1.0,
+                                   "mean_service_sq": 2.0}]}},
+    ])
+    def test_printed_config_reads_back_unchanged(self, tmp_path, capsys, config):
+        rc, out, _err = _print_config(tmp_path, capsys, config)
+        assert rc == cli.EXIT_OK
+        before = cli.parse_config(_config_file(tmp_path, config))
+        again = tmp_path / "printed.json"
+        again.write_text(out)
+        after = cli.parse_config(again)
+        assert after.applied_defaults == ()
+        assert (after.sim, after.workload, after.analysis) == (
+            before.sim, before.workload, before.analysis)
+
+    def test_workload_timing_defaults_follow_simulation(self, tmp_path):
+        config = {"simulation": {"due_time": 800.0, "exec_time": 600.0, "prep_time": 2.0}}
+        parsed = cli.parse_config(_config_file(tmp_path, config))
+        wl = parsed.workload
+        assert (wl.due_dist, wl.exec_dist, wl.prep_dist) == (
+            Distribution("fixed", (800.0,)), Distribution("fixed", (600.0,)),
+            Distribution("fixed", (2.0,)))
+        assert {"workload.due=fixed(800.0)", "workload.exec=fixed(600.0)",
+                "workload.prep=fixed(2.0)"} <= set(parsed.applied_defaults)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_VALUES))
+    def test_each_sim_field_is_settable_from_its_section(self, tmp_path, name):
+        value, companions = FIELD_VALUES[name]
+        parsed = cli.parse_config(_config_file(tmp_path,
+                                               _config_setting({name: value, **companions})))
+        assert getattr(parsed.sim, name) != getattr(SimConfig(), name)
+        section = _section_of(name)
+        printed = cli.effective_config(parsed)
+        assert (printed[name] if section is None else printed[section][name]) == value
+        path = name if section is None else f"{section}.{name}"
+        assert not any(a.startswith(f"{path}=") for a in parsed.applied_defaults)
+
+    def test_every_sim_field_has_a_test_value(self):
+        assert set(FIELD_VALUES) == {f.name for f in fields(SimConfig)}
+
+
+class TestCatalogEntries:
+    @pytest.mark.parametrize("key,value", [("cores", 2.7), ("ecus", "3"), ("arch_bits", True),
+                                           ("name", 5)])
+    def test_entry_fields_use_the_field_converters(self, tmp_path, capsys, key, value):
+        rc, _out, err = _print_config(tmp_path, capsys,
+                                      {"catalog": [dict(CATALOG_ENTRY, **{key: value})]})
+        assert rc == cli.EXIT_CONFIG
+        assert f"catalog[0].{key}" in err
+
+    def test_missing_entry_key_names_the_entry(self, tmp_path, capsys):
+        entry = dict(CATALOG_ENTRY)
+        del entry["cost"]
+        rc, _out, err = _print_config(tmp_path, capsys, {"catalog": [CATALOG_ENTRY, entry]})
+        assert rc == cli.EXIT_CONFIG
+        assert "catalog[1]" in err and "'cost'" in err
+
+
+JOB_FILE_HEADER = "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
+
+
+class TestSimulateJobFile:
+    @pytest.mark.parametrize("rows,message", [
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,nan,700,650,5,1,1.7,160,100,5"],
+         "record 2: arrival_time must be finite"),
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "0,1.0,700,650,5,1,1.7,160,100,5"],
+         "record 2: duplicate job id 0"),
+    ])
+    def test_bad_job_file_exits_2(self, tmp_path, capsys, rows, message):
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text(JOB_FILE_HEADER + "\n".join(rows) + "\n")
+        rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cloudsched.domain import (
     DEFAULT_ALLOCATION_BANDS,
@@ -10,13 +12,17 @@ from cloudsched.domain import (
     OK,
     BusinessProfile,
     Job,
-    PriorityRecord,
     ResourceCatalogEntry,
     ResourceDemand,
     SimConfig,
+    ValidationResult,
     default_catalog,
+    jsonable,
     validate_job,
 )
+from cloudsched.priority import WindowStats, build_record
+from cloudsched.simulator import JobRecord, run
+from cloudsched.workload import load_jobs, save_jobs
 
 
 def make_job(due=700.0, exec_time=650.0, prep=5.0, demand=None, business=None,
@@ -71,6 +77,25 @@ class TestValidateJob:
         assert validate_job(bad).reason == "order_amount must be >= 0"
         bad = make_job(business=BusinessProfile(0.0, -0.5))
         assert validate_job(bad).reason == "relationship must be >= 0"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "arrival_time", "due_time", "exec_time", "prep_time", "memory", "storage",
+        "order_amount", "relationship"])
+    def test_non_finite_float_is_invalid(self, field, value):
+        job = make_job()
+        if field in ("memory", "storage"):
+            job = replace(job, demand=replace(job.demand, **{field: value}))
+        elif field in ("order_amount", "relationship"):
+            job = replace(job, business=replace(job.business, **{field: value}))
+        else:
+            job = replace(job, **{field: value})
+        assert validate_job(job) == ValidationResult(INVALID, f"{field} must be finite")
+
+    def test_negative_arrival_is_invalid(self):
+        assert validate_job(make_job(arrival=-0.5)) == ValidationResult(
+            INVALID, "arrival_time must be >= 0")
+        assert validate_job(make_job(arrival=0.0)).status == OK
 
     @given(
         due=st.floats(1.0, 1e6),
@@ -177,9 +202,12 @@ businesses = st.builds(
     order_amount=st.floats(0.0, 1e6),
     relationship=st.floats(0.0, 1e4),
 )
+# String ids that read back as strings from a job file: not integer-like, no NUL.
+text_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                   min_size=1, max_size=8).filter(lambda s: not s.lstrip("-").isdigit())
 jobs = st.builds(
     Job,
-    id=st.one_of(st.integers(0, 10**6), st.text(min_size=1, max_size=8)),
+    id=st.one_of(st.integers(0, 10**6), text_ids),
     arrival_time=st.floats(0.0, 1e6),
     due_time=st.floats(0.1, 1e6),
     exec_time=st.floats(0.1, 1e6),
@@ -190,27 +218,47 @@ jobs = st.builds(
 
 
 class TestRoundTrip:
-    @given(jobs)
-    def test_job_dict_round_trip(self, job):
-        again = Job.from_dict(json.loads(json.dumps(job.to_dict())))
-        assert again == job
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(job=jobs)
+    def test_job_file_round_trip(self, tmp_path, job):
+        path = tmp_path / "jobs.csv"
+        save_jobs(path, [job])
+        assert load_jobs(path) == [job]
 
     def test_sim_config_round_trip(self):
         cfg = SimConfig(seed=99, beta=55.0, class_rates=(0.25, 0.75))
-        again = SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        d = cfg.to_dict()
+        assert json.loads(json.dumps(d)) == d  # JSON-native: lists, not tuples
+        again = SimConfig(**{
+            **d,
+            "class_rates": tuple(d["class_rates"]),
+            "catalog": tuple(ResourceCatalogEntry(**c) for c in d["catalog"]),
+            "allocation_bands": tuple(tuple(b) for b in d["allocation_bands"]),
+        })
         assert again == cfg
 
     def test_priority_record_round_trip(self):
-        rec = PriorityRecord(t_start=45.0, demand_weight=162.7, tp_score=73,
-                             bp_score=4.5, resultant=77.5, rank=24, chain=(2, 17))
-        again = PriorityRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-        assert again == rec
+        # A job's priority record is serialized as part of its JobRecord.
+        cfg = SimConfig(num_tasks=1, class_rates=(1.0,))
+        job = make_job(business=BusinessProfile(400.0, 0.0))
+        rec = build_record(job, WindowStats.from_jobs([job]), cfg)
+        report = run(cfg, [job])
+        again = JobRecord.from_dict(json.loads(json.dumps(report.jobs[0].to_dict())))
+        assert again == report.jobs[0]
+        assert ((again.t_start, again.demand_weight, again.tp_score, again.bp_score,
+                 again.resultant, again.rank) == (rec.t_start, rec.demand_weight,
+                                                  rec.tp_score, rec.bp_score,
+                                                  rec.resultant, rec.rank))
+        assert (again.class_index, again.chain_position) == (1, 1)
 
     def test_priority_record_without_chain(self):
-        rec = PriorityRecord(45.0, 162.7, 73, 4.5, 77.5, 24)
-        assert PriorityRecord.from_dict(rec.to_dict()) == rec
+        # A rejected job never gets a priority record or a chain key.
+        cfg = SimConfig(num_tasks=1, class_rates=(1.0,))
+        report = run(cfg, [make_job(exec_time=0.0)])
+        again = JobRecord.from_dict(json.loads(json.dumps(report.jobs[0].to_dict())))
+        assert again == report.jobs[0]
+        assert (again.rank, again.class_index, again.chain_position) == (None, None, None)
 
     def test_catalog_entry_round_trip(self):
         for entry in default_catalog():
-            assert ResourceCatalogEntry.from_dict(
-                json.loads(json.dumps(entry.to_dict()))) == entry
+            assert ResourceCatalogEntry(**json.loads(json.dumps(jsonable(entry)))) == entry

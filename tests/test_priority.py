@@ -1,27 +1,23 @@
-import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cloudsched.domain import BusinessProfile, Job, ResourceDemand
+from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
 from cloudsched.priority import (
     EmptyWindowError,
-    PriorityEngineConfig,
     WindowStats,
     build_record,
     business_priority,
-    chain_compare,
     compute_start_time,
     demand_weight,
     resultant_priority,
     score_to_rank,
     service_level_satisfaction,
     technical_priority,
-    tolerance_check,
 )
 
-CFG = PriorityEngineConfig()
+CFG = SimConfig()
 
 
 def timed_job(due, exec_time, prep, weight_demand=None, arrival=0.0):
@@ -105,21 +101,21 @@ class TestTechnicalPriority:
 
 class TestBusinessPriority:
     def test_order_only(self):
-        cfg = PriorityEngineConfig(order_norm=1.0, relationship_norm=0.0)
+        cfg = SimConfig(order_norm=1.0, relationship_norm=0.0)
         assert business_priority(BusinessProfile(7.0, 123.0), cfg) == 7.0
 
     def test_zero_normalizers(self):
-        cfg = PriorityEngineConfig(order_norm=0.0, relationship_norm=0.0)
+        cfg = SimConfig(order_norm=0.0, relationship_norm=0.0)
         assert business_priority(BusinessProfile(100.0, 100.0), cfg) == 0.0
 
     def test_cap_binds(self):
-        cfg = PriorityEngineConfig(order_norm=0.5, relationship_norm=0.5)
+        cfg = SimConfig(order_norm=0.5, relationship_norm=0.5)
         assert business_priority(BusinessProfile(100.0, 100.0), cfg) == 10.0
 
     @given(order=st.floats(0.0, 1e7), rel=st.floats(0.0, 1e7),
            cap=st.floats(0.0, 50.0))
     def test_always_within_cap(self, order, rel, cap):
-        cfg = PriorityEngineConfig(order_norm=0.01, relationship_norm=0.02,
+        cfg = SimConfig(order_norm=0.01, relationship_norm=0.02,
                                    business_cap=cap)
         boost = business_priority(BusinessProfile(order, rel), cfg)
         assert 0.0 <= boost <= cap
@@ -180,57 +176,6 @@ class TestScoreToRank:
     def test_antitone(self, a, b):
         if a > b:
             assert score_to_rank(a) <= score_to_rank(b)
-
-
-class TestChainCompare:
-    def test_better_class_wins(self):
-        assert chain_compare((1, 5), (2, 1)) == -1
-        assert chain_compare((2, 1), (1, 5)) == 1
-
-    def test_equal(self):
-        assert chain_compare((3, 2), (3, 2)) == 0
-
-    def test_sorting_matches_linear_key(self):
-        keys = [(m, n) for m in range(1, 5) for n in range(1, 5)]
-        by_compare = sorted(keys, key=functools.cmp_to_key(chain_compare))
-        by_linear = sorted(keys, key=lambda c: c[0] * 1000 + c[1])
-        assert by_compare == by_linear
-
-    def test_total_order_brute_force(self):
-        keys = [(m, n) for m in range(1, 7) for n in range(1, 7)]
-        for a in keys:
-            for b in keys:
-                ab, ba = chain_compare(a, b), chain_compare(b, a)
-                assert ab == -ba  # antisymmetric
-                assert (ab == 0) == (a == b)  # total: equal only at identity
-        for a in keys:
-            for b in keys:
-                for c in keys:
-                    if chain_compare(a, b) <= 0 and chain_compare(b, c) <= 0:
-                        assert chain_compare(a, c) <= 0  # transitive
-
-    def test_rejects_zero_components(self):
-        with pytest.raises(ValueError):
-            chain_compare((0, 1), (1, 1))
-
-
-class TestToleranceCheck:
-    def test_reference_timing_is_tight(self):
-        # 650 + 5 = 655 is above 0.9 * 700 = 630 but within 700
-        assert tolerance_check(timed_job(700, 650, 5)) == "tight"
-
-    def test_roomy_job_is_feasible(self):
-        assert tolerance_check(timed_job(1000, 100, 5)) == "feasible"
-
-    def test_overlong_job_is_infeasible(self):
-        assert tolerance_check(timed_job(100, 200, 0)) == "infeasible"
-
-    def test_due_term_variant_always_overshoots(self):
-        assert tolerance_check(timed_job(1000, 100, 5), include_due_term=True) == "infeasible"
-
-    def test_slack_factor_domain(self):
-        with pytest.raises(ValueError):
-            tolerance_check(timed_job(700, 650, 5), slack_factor=0.0)
 
 
 class TestBuildRecord:

@@ -8,30 +8,28 @@ from cloudsched.domain import (
     Job,
     PriorityRecord,
     ResourceDemand,
+    SimConfig,
     default_catalog,
 )
 from cloudsched.queueing import (
-    Acknowledgement,
     Allocated,
     AllocationTable,
     Deferred,
-    JobRejectedError,
     QueueClass,
     ResourcePool,
     UnsatisfiableDemandError,
     UnstableError,
     cheapest_fit,
-    class_service_rate,
     classify,
-    collect,
     mg1_waiting,
     release,
     try_allocate,
 )
+from cloudsched.simulator import run
 
 
-def make_job(demand=None, due=700.0, exec_time=650.0, prep=5.0, job_id=0):
-    return Job(id=job_id, arrival_time=0.0, due_time=due, exec_time=exec_time,
+def make_job(demand=None, due=700.0, exec_time=650.0, prep=5.0, job_id=0, arrival=0.0):
+    return Job(id=job_id, arrival_time=arrival, due_time=due, exec_time=exec_time,
                prep_time=prep, demand=demand or ResourceDemand(1, 1.5, 100.0),
                business=BusinessProfile(0.0, 0.0))
 
@@ -48,24 +46,39 @@ def record_with_rank(rank):
                           bp_score=0.0, resultant=float(101 - rank), rank=rank)
 
 
+def intake_config(num_vms=1):
+    """A one-class config whose every band admits at once."""
+    return SimConfig(num_tasks=1, num_vms=num_vms, class_rates=(1.0,),
+                     allocation_bands=((1, 100, 1.0),))
+
+
 class TestCollect:
+    """Collection is run()'s intake: each job is validated once, on the way in."""
+
     def test_ack_carries_clock(self):
-        ack = collect(make_job(job_id="j9"), 10.0)
-        assert ack == Acknowledgement("j9", 10.0)
+        report = run(intake_config(), [make_job(job_id="j9", arrival=10.0)])
+        assert report.jobs[0].ack == 10.0
 
     def test_invalid_job_rejected(self):
-        bad = make_job(exec_time=0.0)
-        with pytest.raises(JobRejectedError):
-            collect(bad, 0.0)
+        jobs = [make_job(job_id=0), make_job(job_id=1, exec_time=0.0)]
+        report = run(intake_config(), jobs)
+        bad = report.jobs[1]
+        assert (bad.status, bad.reason) == ("rejected", "exec_time must be > 0")
+        assert (bad.ack, bad.rank, bad.class_index, bad.chain_position) == (None,) * 4
+        assert report.rejected == 1
 
     def test_infeasible_job_still_collected(self):
-        job = make_job(due=100.0, exec_time=100.0, prep=5.0)
-        assert collect(job, 1.0).ack_time == 1.0
+        job = make_job(due=100.0, exec_time=100.0, prep=5.0, arrival=1.0)
+        rec = run(intake_config(), [job]).jobs[0]
+        assert rec.ack == 1.0
+        assert rec.status == "completed"
 
     def test_bulk_collection_drops_nothing(self):
-        acks = [collect(make_job(job_id=i), float(i)) for i in range(2000)]
-        assert len(acks) == 2000
-        assert len({a.job_id for a in acks}) == 2000
+        jobs = [make_job(job_id=i, arrival=float(i)) for i in range(2000)]
+        report = run(intake_config(num_vms=2000), jobs)
+        assert report.completed == 2000
+        assert [r.ack for r in report.jobs] == [float(i) for i in range(2000)]
+        assert len({r.job_id for r in report.jobs}) == 2000
 
 
 class TestClassify:
@@ -129,23 +142,27 @@ class TestAllocationTable:
 
 class TestQueueClass:
     def test_enqueue_assigns_sequential_positions(self):
-        qc = QueueClass(1, 1.0)
+        qc = QueueClass(1)
         assert [qc.enqueue(f"job{i}") for i in range(4)] == [1, 2, 3, 4]
         assert [qc.pop() for _ in range(4)] == ["job0", "job1", "job2", "job3"]
 
     def test_random_insertion_drains_in_chain_order(self):
+        # Enqueues and pops interleave at random; items leave in position order.
         rng = random.Random(42)
         for _ in range(20):
-            positions = list(range(1, 30))
-            rng.shuffle(positions)
-            qc = QueueClass(2, 1.0)
-            for n in positions:
-                qc.push(n, f"item{n}")
-            drained = [qc.pop() for _ in range(len(positions))]
-            assert drained == [f"item{n}" for n in sorted(positions)]
+            qc = QueueClass(2)
+            positions, drained = {}, []
+            for i in range(60):
+                if len(qc) and rng.random() < 0.4:
+                    drained.append(qc.pop())
+                else:
+                    positions[f"item{i}"] = qc.enqueue(f"item{i}")
+            drained.extend(qc.pop() for _ in range(len(qc)))
+            assert list(positions.values()) == list(range(1, len(positions) + 1))
+            assert drained == sorted(positions, key=positions.get)
 
     def test_peek_and_empty_errors(self):
-        qc = QueueClass(1, 1.0)
+        qc = QueueClass(1)
         with pytest.raises(IndexError):
             qc.peek()
         with pytest.raises(IndexError):
@@ -153,14 +170,6 @@ class TestQueueClass:
         qc.enqueue("x")
         assert qc.peek() == "x"
         assert len(qc) == 1
-
-
-class TestClassServiceRate:
-    def test_rates_non_increasing_in_class_index(self):
-        for n in (1, 2, 6, 10):
-            rates = [class_service_rate(i, n, 2.0) for i in range(1, n + 1)]
-            assert all(a >= b for a, b in zip(rates, rates[1:]))
-            assert all(r > 0 for r in rates)
 
 
 class TestCheapestFit:
@@ -231,7 +240,7 @@ class TestTryAllocate:
                 outcome = try_allocate(make_job(), rank, pool, table, rng)
                 if isinstance(outcome, Allocated):
                     successes += 1
-                    release(pool, outcome.instance)
+                    release(pool)
             assert abs(successes / n - p) <= 0.02
 
 
@@ -246,24 +255,6 @@ class TestResourcePool:
         pool = ResourcePool(2, default_catalog())
         with pytest.raises(ValueError):
             release(pool)
-
-    def test_feedback_zero_below_capacity(self):
-        pool = ResourcePool(2, default_catalog())
-        pool.record_saturation_delay(10.0)
-        pool.in_use = 1
-        assert pool.blank_time_feedback == 0.0
-        pool.in_use = 2
-        assert pool.blank_time_feedback > 0.0
-        release(pool)
-        assert pool.blank_time_feedback == 0.0
-
-    def test_feedback_ewma_arithmetic(self):
-        pool = ResourcePool(1, default_catalog())
-        pool.in_use = 1
-        pool.record_saturation_delay(5.0)
-        assert pool.blank_time_feedback == pytest.approx(0.5)
-        pool.record_saturation_delay(3.0)
-        assert pool.blank_time_feedback == pytest.approx(0.9 * 0.5 + 0.1 * 3.0)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,19 @@ class TestCapacitySerialization:
             assert b.start >= a.completion  # service intervals never overlap
 
 
+class TestChainOrder:
+    def test_better_class_wins(self):
+        # Job 1 queues first, but job 2 is in a better class, so it takes the
+        # server when job 0 completes.
+        cfg = SimConfig(num_tasks=3, num_vms=1, allocation_bands=ALL_ONE_BANDS, seed=3)
+        jobs = [make_job(job_id=0), make_job(job_id=1, arrival=1.0, due=3000.0),
+                make_job(job_id=2, arrival=2.0)]
+        first, worse, better = run(cfg, jobs).jobs
+        assert better.class_index < worse.class_index
+        assert better.start == first.completion
+        assert worse.start == better.completion
+
+
 class TestDeadlineQos:
     def test_ahead_of_deadline_is_good(self):
         report = run(small_config(), [make_job(due=700.0, exec_time=690.0, prep=0.0)])
@@ -133,6 +147,43 @@ class TestRunContract:
         assert statuses[1] == "rejected"
         assert report.rejected == 1
         assert report.jobs[1].reason == "exec_time must be > 0"
+
+    def test_non_finite_jobs_are_rejected_before_the_queue(self, monkeypatch):
+        windowed, validated = [], []
+        real_windows, real_validate = simulator.window_stats_by_epoch, simulator.validate_job
+
+        def windows(jobs, *args):
+            windowed.extend(job.id for job in jobs)
+            return real_windows(jobs, *args)
+
+        def validate(job):
+            validated.append(job.id)
+            return real_validate(job)
+
+        monkeypatch.setattr(simulator, "window_stats_by_epoch", windows)
+        monkeypatch.setattr(simulator, "validate_job", validate)
+        jobs = [make_job(job_id=0), make_job(job_id=1, due=math.nan),
+                make_job(job_id=2, arrival=math.nan), make_job(job_id=3, arrival=math.inf)]
+        report = run(small_config(num_vms=4), jobs)
+        assert [r.status for r in report.jobs] == ["completed", "rejected", "rejected",
+                                                   "rejected"]
+        assert [r.reason for r in report.jobs[1:]] == [
+            "due_time must be finite", "arrival_time must be finite",
+            "arrival_time must be finite"]
+        assert all(r.ack is None and r.class_index is None for r in report.jobs[1:])
+        assert windowed == [0]
+        assert validated == [0, 1, 2, 3]  # once per job
+
+    def test_rejected_arrival_does_not_extend_makespan(self):
+        jobs = [make_job(job_id=0), make_job(job_id=1, arrival=5000.0, exec_time=0.0)]
+        report = run(small_config(), jobs)
+        assert report.rejected == 1
+        assert report.makespan == 650.0
+
+    def test_duplicate_job_id_rejected(self):
+        jobs = [make_job(job_id="a"), make_job(job_id="b"), make_job(job_id="a")]
+        with pytest.raises(ValueError, match="duplicate job id 'a'"):
+            run(small_config(), jobs)
 
     def test_conservation(self):
         cfg = small_config(num_vms=3)
@@ -328,10 +379,14 @@ class TestWindowStats:
         assert windows[1].count == 1
 
     def test_invalid_jobs_excluded(self):
+        # Job 1 would start earlier than job 0, so in job 0's window it would
+        # pull job 0's urgency, and its score, down from the top.
         jobs = [make_job(job_id=0, arrival=1.0),
-                make_job(job_id=1, arrival=2.0, exec_time=0.0)]
-        windows = window_stats_by_epoch(jobs, 60.0)
-        assert windows[0].count == 1
+                make_job(job_id=1, arrival=2.0, due=700.0, exec_time=690.0, prep=0.0,
+                         demand=ResourceDemand(1, 1.5, -1.0))]
+        report = run(small_config(), jobs)
+        assert report.jobs[1].status == "rejected"
+        assert report.jobs[0].tp_score == 100
 
 
 def _scenario(name):

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from cloudsched.domain import OK, SimConfig, validate_job
-from cloudsched.priority import PriorityEngineConfig, business_priority
+from cloudsched.priority import business_priority
 from cloudsched.workload import (
     Distribution,
     InvalidJobError,
@@ -17,7 +17,6 @@ from cloudsched.workload import (
     sample_jobs,
     save_jobs,
     spec_from_sim,
-    thin_by_class,
 )
 
 
@@ -83,19 +82,6 @@ class TestGenerateArrivals:
         assert result.pvalue > 0.01
 
 
-class TestThinning:
-    def test_class_shares_close_to_rates(self):
-        rates = tuple(1.0 / 6 for _ in range(6))
-        assignment = thin_by_class(10_000, rates, seed=5)
-        for i, rate in enumerate(rates, start=1):
-            empirical = np.mean(assignment == i)
-            assert abs(empirical - rate / sum(rates)) / (rate / sum(rates)) <= 0.05
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            thin_by_class(10, (0.0, 1.0), seed=1)
-
-
 class TestSampleJobs:
     def test_reference_fixed_spec_all_valid(self):
         spec = fixed_spec(num_tasks=200)
@@ -108,8 +94,7 @@ class TestSampleJobs:
         spec = fixed_spec(num_tasks=50, order_range=(0.0, 0.0),
                           relationship_range=(0.0, 0.0))
         jobs = sample_jobs(spec, generate_arrivals(spec))
-        cfg = PriorityEngineConfig()
-        assert all(business_priority(j.business, cfg) == 0.0 for j in jobs)
+        assert all(business_priority(j.business, SimConfig()) == 0.0 for j in jobs)
 
     def test_requested_count(self):
         spec = fixed_spec(num_tasks=2000)
@@ -203,6 +188,27 @@ class TestJobFile:
             load_jobs(path)
         assert err.value.record == 1
         assert err.value.reason == "exec_time must be > 0"
+
+    def test_duplicate_id_is_reported_with_number(self, tmp_path):
+        path = tmp_path / "jobs.csv"
+        path.write_text(
+            "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
+            "7,0.0,700,650,5,1,1.7,160,100,5\n"
+            "8,1.0,700,650,5,1,1.7,160,100,5\n"
+            "7,2.0,700,650,5,1,1.7,160,100,5\n")
+        with pytest.raises(InvalidJobError) as err:
+            load_jobs(path)
+        assert err.value.record == 3
+        assert err.value.reason == "duplicate job id 7"
+
+    def test_non_finite_record_is_invalid(self, tmp_path):
+        path = tmp_path / "jobs.csv"
+        path.write_text(
+            "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
+            "0,nan,700,650,5,1,1.7,160,100,5\n")
+        with pytest.raises(InvalidJobError) as err:
+            load_jobs(path)
+        assert err.value.reason == "arrival_time must be finite"
 
     def test_malformed_record_is_a_parse_error(self, tmp_path):
         path = tmp_path / "jobs.csv"
