@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -21,7 +22,13 @@ from pathlib import Path
 
 from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnstableError, mg1_waiting
-from .simulator import SimReport, compare_analytic, replication_bundle, run
+from .simulator import (
+    InsufficientSamplesError,
+    SimReport,
+    compare_analytic,
+    replication_bundle,
+    run,
+)
 from .workload import (
     Distribution,
     InvalidJobError,
@@ -81,7 +88,13 @@ class ParsedConfig:
 def _expect_num(value, keypath: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", keypath)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}", keypath)
+    return number
 
 
 def _expect_int(value, keypath: str) -> int:
@@ -278,11 +291,19 @@ def effective_config(parsed: ParsedConfig) -> dict:
     return result
 
 
-def _write_atomic(path: Path, text: str) -> None:
+# Texts are written in slices, so that encoding a large text (a 20k-job
+# report is about 9 MB) never makes a second full-size copy of it.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_atomic(path: Path, *texts: str) -> None:
+    """Write the texts one after another to a tmp file, then replace path with it."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            for text in texts:
+                for i in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[i:i + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -345,7 +366,8 @@ def _job_rows(report: SimReport):
 
 
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
-    _write_atomic(out_dir / f"report_{report.mode}.json", report.to_json() + "\n")
+    # The newline is written after the report, not appended to a copy of it.
+    _write_atomic(out_dir / f"report_{report.mode}.json", report.to_json(), "\n")
     _write_table(out_dir, f"jobs_{report.mode}", _JOB_TABLE_HEADER, _job_rows(report), fmt)
     _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)
@@ -513,6 +535,9 @@ def main(argv=None) -> int:
         return _COMMANDS[manifest.command](manifest)
     except (ConfigError, ParseError, InvalidJobError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InsufficientSamplesError as exc:
+        print(f"report too small to compare: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnstableError as exc:
         print(str(exc), file=sys.stderr)

@@ -63,6 +63,11 @@ class ValidationResult:
     reason: str | None = None
 
 
+_VALID = ValidationResult(OK)
+_FLOAT_FIELDS = ("arrival_time", "due_time", "exec_time", "prep_time", "memory", "storage",
+                 "order_amount", "relationship")
+
+
 def validate_job(job: Job) -> ValidationResult:
     """Check a job's invariants.
 
@@ -71,13 +76,12 @@ def validate_job(job: Job) -> ValidationResult:
     the due time, ok otherwise. Infeasible jobs are still admissible; they
     simply miss their deadline.
     """
-    for name, value in (("arrival_time", job.arrival_time), ("due_time", job.due_time),
-                        ("exec_time", job.exec_time), ("prep_time", job.prep_time),
-                        ("memory", job.demand.memory), ("storage", job.demand.storage),
-                        ("order_amount", job.business.order_amount),
-                        ("relationship", job.business.relationship)):
-        if not math.isfinite(value):
-            return ValidationResult(INVALID, f"{name} must be finite")
+    demand, business = job.demand, job.business
+    values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.memory,
+              demand.storage, business.order_amount, business.relationship)
+    if not all(map(math.isfinite, values)):
+        name = next(n for n, v in zip(_FLOAT_FIELDS, values) if not math.isfinite(v))
+        return ValidationResult(INVALID, f"{name} must be finite")
     if job.arrival_time < 0:
         return ValidationResult(INVALID, "arrival_time must be >= 0")
     if job.due_time <= 0:
@@ -86,19 +90,19 @@ def validate_job(job: Job) -> ValidationResult:
         return ValidationResult(INVALID, "exec_time must be > 0")
     if job.prep_time < 0:
         return ValidationResult(INVALID, "prep_time must be >= 0")
-    if job.demand.processors < 1:
+    if demand.processors < 1:
         return ValidationResult(INVALID, "processors must be >= 1")
-    if job.demand.memory <= 0:
+    if demand.memory <= 0:
         return ValidationResult(INVALID, "memory must be > 0")
-    if job.demand.storage < 0:
+    if demand.storage < 0:
         return ValidationResult(INVALID, "storage must be >= 0")
-    if job.business.order_amount < 0:
+    if business.order_amount < 0:
         return ValidationResult(INVALID, "order_amount must be >= 0")
-    if job.business.relationship < 0:
+    if business.relationship < 0:
         return ValidationResult(INVALID, "relationship must be >= 0")
     if job.exec_time + job.prep_time > job.due_time:
         return ValidationResult(INFEASIBLE, "exec_time + prep_time exceeds due_time")
-    return ValidationResult(OK)
+    return _VALID
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import (
     BusinessProfile,
     Job,
@@ -131,3 +133,55 @@ def build_record(job: Job, window: WindowStats, cfg: SimConfig,
         rank=score_to_rank(resultant),
         chain=None,
     )
+
+
+def _clamp(x, lo, hi):
+    """min(max(x, lo), hi) element-wise, keeping Python's choice on ties and NaN.
+
+    np.minimum/np.maximum differ from min/max on the sign of zero and on NaN,
+    so this uses the comparisons min and max make.
+    """
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def priority_columns(jobs, windows, cfg: SimConfig, apply_business: bool = True):
+    """build_record's priority fields for many jobs at once, equal bit for bit.
+
+    windows[i] is the WindowStats of jobs[i]. Returns the lists (t_start,
+    demand_weight, tp_score, bp_score, resultant, rank), one entry per job,
+    with the types build_record gives them when the job's values are floats.
+    Every column repeats the scalar operations in the same order; np.rint
+    rounds half to even, as round() does. A resultant outside [0, 100] (a NaN
+    score) raises ValueError, as score_to_rank does.
+    """
+    n = len(jobs)
+    due, exec_time, prep, processors, memory, storage, order, relationship = np.array(
+        [(j.due_time, j.exec_time, j.prep_time, j.demand.processors, j.demand.memory,
+          j.demand.storage, j.business.order_amount, j.business.relationship)
+         for j in jobs], dtype=float).reshape(n, 8).T
+    t_min, t_max, weight_max = np.array(
+        [(w.t_start_min, w.t_start_max, w.demand_weight_max) for w in windows],
+        dtype=float).reshape(n, 3).T
+
+    t_start = due - exec_time - prep - cfg.blank_time
+    weight = processors + memory + storage
+    spread = t_max - t_min
+    has_spread, has_weight = spread > 0, weight_max > 0
+    u = np.where(has_spread, (t_max - t_start) / np.where(has_spread, spread, 1.0), 1.0)
+    v = np.where(has_weight, weight / np.where(has_weight, weight_max, 1.0), 1.0)
+    score = np.rint(100.0 * (cfg.w_urgency * _clamp(u, 0.0, 1.0)
+                             + cfg.w_demand * _clamp(v, 0.0, 1.0)))
+    tp = _clamp(score, 0.0, 100.0)
+    raw = cfg.order_norm * order + cfg.relationship_norm * relationship
+    bp = _clamp(raw, 0.0, cfg.business_cap)
+    if apply_business:
+        boosted = tp + bp
+        resultant = np.where(tp > cfg.beta, np.where(100.0 < boosted, 100.0, boosted), tp)
+    else:
+        resultant = tp
+    if not np.all((resultant >= 0.0) & (resultant <= 100.0)):
+        raise ValueError("score must be in [0,100]")
+    rank = _clamp(np.rint(101.0 - resultant), 1.0, 100.0)
+    return (t_start.tolist(), weight.tolist(), tp.astype(np.int64).tolist(), bp.tolist(),
+            resultant.tolist(), rank.astype(np.int64).tolist())

@@ -13,7 +13,6 @@ import numpy as np
 from .domain import (
     DEFAULT_ALLOCATION_BANDS,
     Job,
-    PriorityRecord,
     ResourceCatalogEntry,
     ResourceDemand,
     check_bands,
@@ -32,13 +31,13 @@ class UnstableError(ValueError):
         super().__init__(f"unstable: utilization {utilization:g}")
 
 
-def classify(record: PriorityRecord, n_classes: int) -> int:
+def classify(rank: int, n_classes: int) -> int:
     """Map a 1..100 rank onto one of n_classes queue classes (1 = best)."""
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
-    if not (1 <= record.rank <= 100):
+    if not (1 <= rank <= 100):
         raise ValueError("rank must be in [1,100]")
-    return (record.rank * n_classes + 99) // 100
+    return (rank * n_classes + 99) // 100
 
 
 @dataclass(frozen=True)
@@ -63,30 +62,32 @@ class QueueClass:
     """One priority class queue, kept in chain order (position within class).
 
     Positions are handed out in increasing order, so chain order is FIFO.
+    entries holds the queued items, first in chain order; it is read-only
+    outside this class, so an empty queue tests false without a method call.
     """
 
     def __init__(self, index: int):
         self.index = index
-        self._entries: deque = deque()
+        self.entries: deque = deque()
         self._next_n = 1
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def enqueue(self, item) -> int:
         """Append an item with the next within-class position; returns that position."""
         n = self._next_n
         self._next_n += 1
-        self._entries.append(item)
+        self.entries.append(item)
         return n
 
     def peek(self):
         """The first item in chain order; IndexError when empty."""
-        return self._entries[0]
+        return self.entries[0]
 
     def pop(self):
         """Remove and return the first item in chain order; IndexError when empty."""
-        return self._entries.popleft()
+        return self.entries.popleft()
 
 
 @dataclass(frozen=True)
@@ -127,24 +128,23 @@ def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None
     return best
 
 
-def try_allocate(job: Job, rank: int, pool: ResourcePool, table: AllocationTable,
-                 rng: np.random.Generator, clock: float = 0.0,
+def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
+                 pool: ResourcePool, rng: np.random.Generator, clock: float = 0.0,
                  retry_interval: float = 1.0) -> Allocated | Deferred:
     """One allocation attempt for the job.
 
-    A full pool always defers. Otherwise admission is a Bernoulli draw at the
-    rank's band probability; on success the cheapest fitting instance is
-    granted and the pool occupancy incremented, on failure the job is deferred
-    until clock + retry_interval. A band probability of 1 always admits, so
-    it draws nothing from rng.
+    instance is the job's cheapest fitting catalog entry (see cheapest_fit),
+    None when nothing fits, and p the admission probability of its rank band.
+    A full pool always defers, without drawing. Otherwise admission is a
+    Bernoulli draw at p from rng; on success the instance is granted and the
+    pool occupancy incremented, on failure the job is deferred until
+    clock + retry_interval. At p = 1 it always admits and draws nothing.
     """
-    instance = cheapest_fit(pool.catalog, job.demand)
     if instance is None:
         raise UnsatisfiableDemandError(
             f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
     if pool.is_full:
         return Deferred(retry_at=clock + retry_interval)
-    p = table.probability(rank)
     if p == 1.0 or rng.random() < p:
         pool.in_use += 1
         return Allocated(instance=instance)

@@ -4,6 +4,7 @@ replication bundle of reference curves."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ import numpy as np
 from .domain import INVALID, SimConfig, validate_job
 from .priority import (
     WindowStats,
-    build_record,
+    priority_columns,
     resultant_priority,
     service_level_satisfaction,
 )
@@ -22,19 +23,17 @@ from .queueing import (
     AllocationTable,
     QueueClass,
     ResourcePool,
+    cheapest_fit,
     classify,
     release,
     try_allocate,
 )
 from .workload import generate_arrivals, sample_jobs, spec_from_sim
 
-COMPLETION = "completion"
-ARRIVAL = "arrival"
-RETRY_ALLOCATION = "retry_allocation"
-
-# Same-time events resolve in this order, then by job id: completions free
-# capacity before new arrivals see the pool, and retries come last.
-_KIND_PRECEDENCE = {COMPLETION: 0, ARRIVAL: 1, RETRY_ALLOCATION: 2}
+# Event kinds, in the order same-time events resolve; remaining ties go by job
+# id. Completions free capacity before new arrivals see the pool, and retries
+# come last.
+COMPLETION, ARRIVAL, RETRY_ALLOCATION = 0, 1, 2
 
 
 def _id_sort_key(job_id) -> tuple:
@@ -43,17 +42,21 @@ def _id_sort_key(job_id) -> tuple:
     return (1, 0, str(job_id))
 
 
-def _event_key(time: float, kind: str, job_id) -> tuple:
-    return (time, _KIND_PRECEDENCE[kind], _id_sort_key(job_id))
+# The JobRecord fields from ack to deadline_met of a job that never arrived.
+_UNSEEN = (None,) * 17
 
 
 class InsufficientSamplesError(ValueError):
     """Too few completed jobs in a class for a meaningful analytic comparison."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class JobRecord:
-    """Everything observed about one job during a run."""
+    """Everything observed about one job during a run.
+
+    Not frozen: a frozen dataclass sets each of the 23 fields through
+    object.__setattr__, which made building a run's records about 6x slower.
+    """
 
     job_id: int | str
     arrival: float
@@ -162,28 +165,6 @@ class _JobStream:
         return self._rng.random()
 
 
-class _JobState:
-    __slots__ = ("job", "index", "stream", "record", "chain", "ack", "alloc_time", "start",
-                 "completion", "retries", "pending_retry", "status",
-                 "instance", "reason")
-
-    def __init__(self, job, index, seed):
-        self.job = job
-        self.index = index
-        self.stream = _JobStream(seed, index)
-        self.record = None
-        self.chain = None
-        self.ack = None
-        self.alloc_time = None
-        self.start = None
-        self.completion = None
-        self.retries = 0
-        self.pending_retry = False
-        self.status = None
-        self.instance = None
-        self.reason = None
-
-
 def _epoch_of(t: float, epoch_length: float) -> int:
     return int(t // epoch_length)
 
@@ -216,6 +197,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     so paired native/resultant runs see common random numbers. Each job is
     validated once, up front: an invalid job is recorded as rejected with its
     reason and never enters the event queue. Duplicate job ids raise ValueError.
+    Priorities are computed up front too, from each job's epoch window (see
+    window_stats_by_epoch), so an arrival only classifies and enqueues the job.
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,33 +206,57 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not jobs:
         raise ValueError("jobs must be non-empty")
 
-    states = [_JobState(job, i, config.seed) for i, job in enumerate(jobs)]
+    reasons: list = [None] * len(jobs)
     seen_ids = set()
     admitted = []
-    for st in states:
-        if st.job.id in seen_ids:
-            raise ValueError(f"duplicate job id {st.job.id!r}")
-        seen_ids.add(st.job.id)
-        result = validate_job(st.job)
+    for i, job in enumerate(jobs):
+        if job.id in seen_ids:
+            raise ValueError(f"duplicate job id {job.id!r}")
+        seen_ids.add(job.id)
+        result = validate_job(job)
         if result.status == INVALID:
-            st.status = "rejected"
-            st.reason = result.reason
+            reasons[i] = result.reason
         else:
-            admitted.append(st)
-    rejected = len(states) - len(admitted)
+            admitted.append(i)
+    rejected = len(jobs) - len(admitted)
 
-    n_classes = len(config.class_rates)
-    apply_business = mode == "resultant"
-    windows = window_stats_by_epoch([st.job for st in admitted], config.epoch_length,
+    windows = window_stats_by_epoch([jobs[i] for i in admitted], config.epoch_length,
                                     config.blank_time)
+    # Admitted jobs are numbered k = 0.. in job id order, so k breaks the ties
+    # between same-time events of the same kind.
+    order = sorted(admitted, key=lambda i: _id_sort_key(jobs[i].id))
+    adm = [jobs[i] for i in order]
+    t_start, weight, tp, bp, resultant, rank = priority_columns(
+        adm, [windows[_epoch_of(job.arrival_time, config.epoch_length)] for job in adm],
+        config, apply_business=mode == "resultant")
 
     pool = ResourcePool(config.num_vms, config.catalog)
     table = AllocationTable(config.allocation_bands)
-    classes = [QueueClass(i + 1) for i in range(n_classes)]
+    band_probability = [None] + [table.probability(r) for r in range(1, 101)]
+    fit = functools.cache(functools.partial(cheapest_fit, pool.catalog))
+    fits = [fit(job.demand) for job in adm]
+    probs = [band_probability[r] for r in rank]
+    streams = [_JobStream(config.seed, i) for i in order]
+    n_classes = len(config.class_rates)
+    classes = [QueueClass(m + 1) for m in range(n_classes)]
 
-    heap = [(_event_key(st.job.arrival_time, ARRIVAL, st.job.id), ARRIVAL, st.index)
-            for st in admitted]
-    heapq.heapify(heap)
+    m_jobs = len(adm)
+    start: list = [None] * m_jobs
+    completion: list = [None] * m_jobs
+    chain: list = [None] * m_jobs
+    instance: list = [None] * m_jobs
+    status: list = [None] * m_jobs
+    stuck_reason: list = [None] * m_jobs
+    retries = [0] * m_jobs
+    pending_retry = [False] * m_jobs
+
+    # Arrivals are known up front: a sorted list merged with the heap, which
+    # holds only completions and retries. Events are (time, kind, k).
+    arrivals = sorted((job.arrival_time, ARRIVAL, k) for k, job in enumerate(adm))
+    heap: list = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    capacity, retry_interval = pool.capacity, config.retry_interval
+    max_retries, max_queue_length = config.max_retries, config.max_queue_length
 
     collected = completed = stuck = 0
     in_queue = in_service = 0
@@ -262,106 +269,97 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         if not in_queue:
             return
         for qc in classes:
-            if pool.is_full:
-                return
-            while len(qc) and not pool.is_full:
-                index = qc.peek()
-                st = states[index]
-                if st.pending_retry:
+            while qc.entries and pool.in_use < capacity:
+                k = qc.peek()
+                if pending_retry[k]:
                     break
-                outcome = try_allocate(st.job, st.record.rank, pool, table, st.stream,
-                                       clock=now, retry_interval=config.retry_interval)
+                outcome = try_allocate(adm[k], fits[k], probs[k], pool, streams[k],
+                                       now, retry_interval)
                 if isinstance(outcome, Allocated):
                     # Service starts at the allocation instant.
                     qc.pop()
                     in_queue -= 1
                     in_service += 1
-                    st.instance = outcome.instance
-                    st.alloc_time = st.start = now
-                    heapq.heappush(heap, (_event_key(now + st.job.exec_time, COMPLETION,
-                                                     st.job.id),
-                                          COMPLETION, index))
+                    instance[k] = outcome.instance
+                    start[k] = now
+                    heappush(heap, (now + adm[k].exec_time, COMPLETION, k))
                 else:
-                    st.retries += 1
-                    if st.retries > config.max_retries:
+                    retries[k] += 1
+                    if retries[k] > max_retries:
                         qc.pop()
                         in_queue -= 1
-                        st.status = "stuck"
-                        st.reason = f"exceeded max_retries ({config.max_retries})"
+                        status[k] = "stuck"
+                        stuck_reason[k] = f"exceeded max_retries ({max_retries})"
                         stuck += 1
                         continue
-                    st.pending_retry = True
-                    heapq.heappush(heap, (_event_key(outcome.retry_at, RETRY_ALLOCATION,
-                                                     st.job.id),
-                                          RETRY_ALLOCATION, index))
+                    pending_retry[k] = True
+                    heappush(heap, (outcome.retry_at, RETRY_ALLOCATION, k))
                     break
+            if pool.in_use >= capacity:
+                return
 
-    while heap:
-        key, kind, index = heapq.heappop(heap)
-        now = key[0]
+    next_arrival = 0
+    while True:
+        if next_arrival < m_jobs and (not heap or arrivals[next_arrival] < heap[0]):
+            now, kind, k = arrivals[next_arrival]
+            next_arrival += 1
+        elif heap:
+            now, kind, k = heappop(heap)
+        else:
+            break
         last_time = now
-        st = states[index]
         if kind == ARRIVAL:
-            st.ack = now
             collected += 1
-            st.record = build_record(st.job, windows[_epoch_of(st.job.arrival_time,
-                                                               config.epoch_length)],
-                                     config, apply_business=apply_business)
-            m = classify(st.record, n_classes)
-            st.chain = (m, classes[m - 1].enqueue(index))
+            m = classify(rank[k], n_classes)
+            chain[k] = (m, classes[m - 1].enqueue(k))
             in_queue += 1
-            if in_queue > config.max_queue_length:
+            if in_queue > max_queue_length:
                 unstable = True
                 break
             pump(now)
         elif kind == RETRY_ALLOCATION:
-            if st.status is not None:
+            if status[k] is not None:
                 continue
-            st.pending_retry = False
+            pending_retry[k] = False
             pump(now)
         else:
             release(pool)
-            st.completion = now
-            st.status = "completed"
+            completion[k] = now
+            status[k] = "completed"
             completed += 1
             in_service -= 1
-            busy_time += st.job.exec_time
+            busy_time += adm[k].exec_time
             pump(now)
         # Conservation: every collected job is accounted for at every instant.
         assert collected == completed + stuck + in_queue + in_service
 
+    k_of = [None] * len(jobs)
+    for k, i in enumerate(order):
+        k_of[i] = k
     records = []
-    for st in states:
-        rec = st.record
-        is_done = st.status == "completed"
-        wait = (st.start - st.job.arrival_time) if st.start is not None else None
-        cost = (st.job.exec_time / 3600.0 * st.instance.cost) if is_done else None
+    for i, job in enumerate(jobs):
+        k = k_of[i]
+        c = None if k is None else chain[k]
+        if c is None:
+            # Rejected, or yet to arrive when an unstable run stopped: no
+            # priority either.
+            records.append(JobRecord(job.id, job.arrival_time, job.due_time, *_UNSEEN,
+                                     "pending" if k is not None else "rejected", 0,
+                                     reasons[i]))
+            continue
+        s = start[k]
+        inst = instance[k]
+        is_done = status[k] == "completed"
         records.append(JobRecord(
-            job_id=st.job.id,
-            arrival=st.job.arrival_time,
-            due=st.job.due_time,
-            ack=st.ack,
-            allocation=st.alloc_time,
-            start=st.start,
-            completion=st.completion,
-            wait=wait,
-            t_start=rec.t_start if rec else None,
-            demand_weight=rec.demand_weight if rec else None,
-            tp_score=rec.tp_score if rec else None,
-            bp_score=rec.bp_score if rec else None,
-            resultant=rec.resultant if rec else None,
-            rank=rec.rank if rec else None,
-            class_index=st.chain[0] if st.chain else None,
-            chain_position=st.chain[1] if st.chain else None,
-            instance=st.instance.name if st.instance else None,
-            cost=cost,
-            sls=service_level_satisfaction(rec.resultant) if rec else None,
-            deadline_met=(st.completion <= st.job.arrival_time + st.job.due_time)
-            if is_done else None,
-            status=st.status or "pending",
-            retries=st.retries,
-            reason=st.reason,
-        ))
+            job.id, job.arrival_time, job.due_time,
+            job.arrival_time, s, s, completion[k],  # ack, allocation, start, completion
+            None if s is None else s - job.arrival_time,  # wait
+            t_start[k], weight[k], tp[k], bp[k], resultant[k], rank[k],
+            c[0], c[1], inst and inst.name,  # class, chain position, instance
+            job.exec_time / 3600.0 * inst.cost if is_done else None,  # cost
+            resultant[k],  # sls, numerically the resultant score
+            completion[k] <= job.arrival_time + job.due_time if is_done else None,
+            status[k] or "pending", retries[k], stuck_reason[k]))
 
     done = [r for r in records if r.status == "completed"]
     band_waits = {}

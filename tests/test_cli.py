@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 from dataclasses import fields
 
@@ -186,6 +187,14 @@ class TestConfigSchema:
         ({"priority": {"beta": False}}, "priority.beta"),
         ({"simulation": {"num_tasks": 1.5}}, "simulation.num_tasks"),
         ({"simulation": {"seed": 2.0}}, "simulation.seed"),
+        ({"priority": {"blank_time": math.nan}}, "priority.blank_time"),
+        ({"simulation": {"retry_interval": math.inf}}, "simulation.retry_interval"),
+        ({"catalog": [dict(CATALOG_ENTRY, ram=-math.inf)]}, "catalog[0].ram"),
+        ({"workload": {"due": {"kind": "uniform", "params": [660.0, math.inf]}}},
+         "workload.due.params[1]"),
+        ({"analysis": {"classes": [{"rate": math.nan, "mean_service": 1.0,
+                                    "mean_service_sq": 2.0}]}}, "analysis.classes[0].rate"),
+        ({"simulation": {"arrival_rate": 10 ** 400}}, "simulation.arrival_rate"),
     ])
     def test_wrong_number_type_is_rejected(self, tmp_path, capsys, config, keypath):
         rc, _out, err = _print_config(tmp_path, capsys, config)
@@ -274,3 +283,23 @@ class TestSimulateJobFile:
         rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+class TestAnalyzeReport:
+    def test_too_few_samples_exits_2_naming_the_class(self, tmp_path, capsys):
+        # 2000 jobs over 2 classes: no class reaches the 10k completed jobs
+        # that compare_analytic asks for.
+        config = {"simulation": {"num_tasks": 2000, "class_rates": [0.5, 0.5], "seed": 3},
+                  "analysis": {"classes": [
+                      {"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0},
+                      {"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0}]}}
+        path = _config_file(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        report = cli.load_report(out / "report_native.json")
+        first = sum(1 for r in report.jobs if r.status == "completed" and r.class_index == 1)
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--config", path, "--out", str(out),
+                       "--report", str(out / "report_native.json")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"class 1 has {first} completed jobs, need 10000" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
 from cloudsched.priority import (
@@ -11,11 +11,13 @@ from cloudsched.priority import (
     business_priority,
     compute_start_time,
     demand_weight,
+    priority_columns,
     resultant_priority,
     score_to_rank,
     service_level_satisfaction,
     technical_priority,
 )
+from cloudsched.simulator import window_stats_by_epoch
 
 CFG = SimConfig()
 
@@ -208,3 +210,115 @@ class TestBuildRecord:
         for job in batch:
             rec = build_record(job, window, CFG)
             assert rec.resultant >= rec.tp_score
+
+
+def _window_of_each(jobs, cfg):
+    windows = window_stats_by_epoch(jobs, cfg.epoch_length, cfg.blank_time)
+    return [windows[int(j.arrival_time // cfg.epoch_length)] for j in jobs]
+
+
+def _exact(values):
+    """Type and repr of each value: repr tells every two floats apart, -0.0 included."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def _priority_job(job_id, epoch, offset, due, exec_time, prep, demand, order, rel):
+    return Job(id=job_id, arrival_time=epoch * 60.0 + offset, due_time=due,
+               exec_time=exec_time, prep_time=prep, demand=demand,
+               business=BusinessProfile(order, rel))
+
+
+def _priority_cfg(beta=60.0, w_urgency=0.7, order_norm=0.01, relationship_norm=0.0,
+                  business_cap=10.0, blank_time=0.0):
+    return SimConfig(beta=beta, w_urgency=w_urgency, w_demand=1.0 - w_urgency,
+                     order_norm=order_norm, relationship_norm=relationship_norm,
+                     business_cap=business_cap, blank_time=blank_time)
+
+
+SMALL = ResourceDemand(1, 1.0, 10.0)
+# Epoch 0: two jobs with zero spread (tied t_start 45). Epoch 1: one job.
+# Epoch 2: tied t_start 45 at jobs 3 and 4; job 5 scores tp 30 and, with a
+# boost of 0.5 (50 * 0.01), resultant 30.5, a rank half-step (101 - 30.5).
+# Epoch 3: job 6 has urgency 1 and demand 25 of 100, so equal weights score
+# it 100 * (0.5 + 0.125) = 62.5, a tp half-step.
+CORNER_JOBS = [
+    _priority_job(0, 0, 1.0, 700.0, 650.0, 5.0, SMALL, 0.0, 0.0),
+    _priority_job(1, 0, 2.0, 700.0, 650.0, 5.0, SMALL, 1000.0, 0.0),
+    _priority_job(2, 1, 0.0, 700.0, 650.0, 5.0, SMALL, 50.0, 0.0),
+    _priority_job(3, 2, 0.0, 700.0, 650.0, 5.0, SMALL, 0.0, 0.0),
+    _priority_job(4, 2, 3.0, 700.0, 650.0, 5.0, SMALL, 50.0, 10.0),
+    _priority_job(5, 2, 5.0, 900.0, 650.0, 5.0, SMALL, 50.0, 0.0),
+    _priority_job(6, 3, 0.0, 700.0, 650.0, 5.0, ResourceDemand(1, 4.0, 20.0), 0.0, 0.0),
+    _priority_job(7, 3, 1.0, 900.0, 650.0, 5.0, ResourceDemand(1, 9.0, 90.0), 0.0, 0.0),
+]
+CORNER_CFGS = {
+    "half_step": _priority_cfg(beta=20.0),
+    "tp_half_step": _priority_cfg(w_urgency=0.5),
+    "tp_equals_beta": _priority_cfg(beta=30.0),
+    "cap_zero": _priority_cfg(business_cap=0.0),
+    "negative_norms": _priority_cfg(order_norm=-0.01, relationship_norm=-0.02),
+}
+
+_job = st.builds(
+    _priority_job, st.just(0), st.integers(0, 3), st.floats(0.0, 59.9),
+    st.sampled_from([700.0, 900.0, 50.0]) | st.floats(1.0, 5000.0),
+    st.sampled_from([650.0, 10.0]) | st.floats(0.5, 1000.0),
+    st.sampled_from([0.0, 5.0]) | st.floats(0.0, 100.0),
+    st.builds(ResourceDemand, st.integers(1, 8),
+              st.sampled_from([1.0, 7.5]) | st.floats(0.01, 64.0),
+              st.sampled_from([0.0, 10.0, 160.0]) | st.floats(0.0, 2000.0)),
+    st.sampled_from([0.0, 50.0, 1000.0]) | st.floats(0.0, 1e4),
+    st.sampled_from([0.0, 10.0]) | st.floats(0.0, 100.0))
+_cfg = st.builds(
+    _priority_cfg,
+    beta=st.integers(0, 100).map(float) | st.floats(0.0, 100.0),
+    w_urgency=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    order_norm=st.sampled_from([0.0, -0.0, 0.01, -0.01]) | st.floats(-1.0, 1.0),
+    relationship_norm=st.sampled_from([0.0, -0.0, 0.02, -0.02]) | st.floats(-1.0, 1.0),
+    business_cap=st.sampled_from([0.0, 0.5, 10.0]) | st.floats(0.0, 100.0),
+    blank_time=st.sampled_from([0.0, 5.0]) | st.floats(0.0, 100.0))
+
+
+def _with_ids(jobs):
+    return [Job(i, j.arrival_time, j.due_time, j.exec_time, j.prep_time, j.demand,
+                j.business) for i, j in enumerate(jobs)]
+
+
+class TestPriorityColumns:
+    """priority_columns is the batch form of build_record, equal bit for bit."""
+
+    @given(jobs=st.lists(_job, min_size=1, max_size=30).map(_with_ids), cfg=_cfg,
+           apply_business=st.booleans())
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["half_step"], apply_business=True)
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_equals_beta"], apply_business=True)
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["cap_zero"], apply_business=True)
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["negative_norms"], apply_business=True)
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["half_step"], apply_business=False)
+    @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_half_step"], apply_business=False)
+    def test_columns_equal_build_record(self, jobs, cfg, apply_business):
+        windows = _window_of_each(jobs, cfg)
+        columns = priority_columns(jobs, windows, cfg, apply_business=apply_business)
+        for i, (job, window) in enumerate(zip(jobs, windows)):
+            rec = build_record(job, window, cfg, apply_business=apply_business)
+            expected = (rec.t_start, rec.demand_weight, rec.tp_score, rec.bp_score,
+                        rec.resultant, rec.rank)
+            assert _exact(col[i] for col in columns) == _exact(expected)
+
+    def test_corner_examples_reach_their_corners(self):
+        def columns(name):
+            cfg = CORNER_CFGS[name]
+            return priority_columns(CORNER_JOBS, _window_of_each(CORNER_JOBS, cfg), cfg)
+
+        t_start, _w, tp, bp, resultant, rank = columns("half_step")
+        windows = _window_of_each(CORNER_JOBS, CORNER_CFGS["half_step"])
+        assert windows[0].t_start_min == windows[0].t_start_max  # zero spread
+        assert windows[2].count == 1
+        assert t_start[3] == t_start[4] and windows[3].t_start_max > t_start[3]
+        assert (tp[5], bp[5], resultant[5], rank[5]) == (30, 0.5, 30.5, 70)  # half to even
+        assert columns("tp_half_step")[2][6] == 62  # 62.5 half to even
+        _t, _w, tp, _bp, resultant, _r = columns("tp_equals_beta")
+        assert (tp[5], resultant[5]) == (30, 30.0)  # not boosted at tp == beta
+        _t, _w, _tp, bp, _res, _r = columns("cap_zero")
+        assert set(bp) == {0.0}
+        _t, _w, _tp, bp, _res, _r = columns("negative_norms")
+        assert repr(bp[0]) == "-0.0" and repr(bp[1]) == "0.0"

@@ -6,7 +6,6 @@ import pytest
 from cloudsched.domain import (
     BusinessProfile,
     Job,
-    PriorityRecord,
     ResourceDemand,
     SimConfig,
     default_catalog,
@@ -39,11 +38,6 @@ class NoDraws:
 
     def random(self):
         raise AssertionError("unexpected draw")
-
-
-def record_with_rank(rank):
-    return PriorityRecord(t_start=45.0, demand_weight=100.0, tp_score=70,
-                          bp_score=0.0, resultant=float(101 - rank), rank=rank)
 
 
 def intake_config(num_vms=1):
@@ -83,30 +77,30 @@ class TestCollect:
 
 class TestClassify:
     def test_best_rank_first_class(self):
-        assert classify(record_with_rank(1), 6) == 1
+        assert classify(1, 6) == 1
 
     def test_worst_rank_last_class(self):
-        assert classify(record_with_rank(100), 6) == 6
+        assert classify(100, 6) == 6
 
     def test_interior_rank(self):
         # ceil(55 * 6 / 100) = ceil(3.3) = 4
-        assert classify(record_with_rank(55), 6) == 4
+        assert classify(55, 6) == 4
 
     def test_single_class_takes_everything(self):
         for rank in (1, 50, 100):
-            assert classify(record_with_rank(rank), 1) == 1
+            assert classify(rank, 1) == 1
 
     def test_all_ranks_land_in_range_and_monotone(self):
         for n in (1, 2, 3, 6, 10, 100):
-            indices = [classify(record_with_rank(r), n) for r in range(1, 101)]
+            indices = [classify(r, n) for r in range(1, 101)]
             assert all(1 <= m <= n for m in indices)
             assert indices == sorted(indices)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            classify(record_with_rank(1), 0)
+            classify(1, 0)
         with pytest.raises(ValueError):
-            classify(record_with_rank(0), 6)
+            classify(0, 6)
 
 
 class TestAllocationTable:
@@ -186,44 +180,61 @@ class TestCheapestFit:
         assert cheapest_fit(default_catalog(), ResourceDemand(16, 64.0, 5000.0)) is None
 
 
+SMALL_FIT = default_catalog()[0]  # m1.small, the cheapest fit of make_job's demand
+
+
 class TestTryAllocate:
     def test_certain_band_allocates_cheapest_fit(self):
         pool = ResourcePool(10, default_catalog())
-        rng = np.random.default_rng(0)
-        outcome = try_allocate(make_job(), 5, pool, AllocationTable(), rng)
-        assert isinstance(outcome, Allocated)
-        assert outcome.instance.name == "m1.small"
+        job = make_job()
+        instance = cheapest_fit(pool.catalog, job.demand)
+        outcome = try_allocate(job, instance, 1.0, pool, np.random.default_rng(0))
+        assert outcome == Allocated(instance=SMALL_FIT)
         assert pool.in_use == 1
+        # run() grants each job its cheapest fit: m1.large is the cheapest
+        # entry with 2 cores and 7 GB.
+        big = make_job(job_id=1, demand=ResourceDemand(2, 7.0, 300.0))
+        report = run(intake_config(num_vms=2), [make_job(), big])
+        assert [r.instance for r in report.jobs] == ["m1.small", "m1.large"]
 
     def test_unsatisfiable_demand(self):
         pool = ResourcePool(10, default_catalog())
         job = make_job(demand=ResourceDemand(16, 64.0, 5000.0))
-        with pytest.raises(UnsatisfiableDemandError):
-            try_allocate(job, 5, pool, AllocationTable(), np.random.default_rng(0))
+        with pytest.raises(UnsatisfiableDemandError, match="job 0"):
+            try_allocate(job, None, 1.0, pool, np.random.default_rng(0))
+        # run() raises it at the job's first allocation attempt.
+        with pytest.raises(UnsatisfiableDemandError, match="job 0"):
+            run(intake_config(), [job])
 
     def test_full_pool_defers_even_at_best_rank(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
-        outcome = try_allocate(make_job(), 1, pool, AllocationTable(),
-                               np.random.default_rng(0), clock=3.0, retry_interval=2.0)
+        p = AllocationTable().probability(1)
+        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, np.random.default_rng(0),
+                               clock=3.0, retry_interval=2.0)
         assert outcome == Deferred(retry_at=5.0)
+        assert pool.in_use == 1
 
     def test_certain_band_draws_nothing(self):
         pool = ResourcePool(10, default_catalog())
-        outcome = try_allocate(make_job(), 5, pool, AllocationTable(), NoDraws())
+        p = AllocationTable().probability(5)
+        assert p == 1.0
+        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws())
         assert isinstance(outcome, Allocated)
 
     def test_full_pool_defers_without_drawing(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
-        outcome = try_allocate(make_job(), 95, pool, AllocationTable(), NoDraws(),
+        p = AllocationTable().probability(95)
+        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws(),
                                clock=3.0, retry_interval=2.0)
         assert outcome == Deferred(retry_at=5.0)
 
     def test_failed_draw_defers(self):
         pool = ResourcePool(10, default_catalog())
         rng = np.random.default_rng(1)  # first draw is 0.5118216247002567
-        outcome = try_allocate(make_job(), 95, pool, AllocationTable(), rng,
+        p = AllocationTable().probability(95)  # 0.3
+        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, rng,
                                clock=0.0, retry_interval=1.0)
         assert outcome == Deferred(retry_at=1.0)
         assert pool.in_use == 0
@@ -232,12 +243,13 @@ class TestTryAllocate:
         # empirical admission rate over 1e5 draws stays within +/- 0.02
         table = AllocationTable()
         for rank, p in ((55, 0.7), (35, 0.9)):
+            assert table.probability(rank) == p
             pool = ResourcePool(5, default_catalog())
             rng = np.random.default_rng(12345)
             successes = 0
             n = 100_000
             for _ in range(n):
-                outcome = try_allocate(make_job(), rank, pool, table, rng)
+                outcome = try_allocate(make_job(), SMALL_FIT, p, pool, rng)
                 if isinstance(outcome, Allocated):
                     successes += 1
                     release(pool)

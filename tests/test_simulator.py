@@ -10,12 +10,8 @@ from cloudsched import simulator
 from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
 from cloudsched.queueing import AllocationTable
 from cloudsched.simulator import (
-    ARRIVAL,
-    COMPLETION,
-    RETRY_ALLOCATION,
     InsufficientSamplesError,
     SimReport,
-    _event_key,
     compare_analytic,
     deadline_qos,
     replication_bundle,
@@ -42,17 +38,89 @@ def small_config(**kwargs):
     return SimConfig(**defaults)
 
 
+class ScriptedStream:
+    """Allocation draws that fail (0.999) a set number of times, then admit (0.0)."""
+
+    def __init__(self, failures: int):
+        self.failures = failures
+
+    def random(self):
+        if self.failures:
+            self.failures -= 1
+            return 0.999
+        return 0.0
+
+
+def _script_draws(monkeypatch, failures: dict) -> None:
+    """Give job index i a stream whose first failures[i] draws fail."""
+    monkeypatch.setattr(simulator, "_JobStream",
+                        lambda seed, index: ScriptedStream(failures.get(index, 0)))
+
+
 class TestEventOrdering:
-    def test_kind_precedence_at_equal_time(self):
-        kinds = [RETRY_ALLOCATION, ARRIVAL, COMPLETION]
-        ordered = sorted(kinds, key=lambda k: _event_key(5.0, k, 0))
-        assert ordered == [COMPLETION, ARRIVAL, RETRY_ALLOCATION]
+    """Same-instant events: completions, then arrivals, then retries; ties by job id."""
 
-    def test_time_dominates_kind(self):
-        assert _event_key(1.0, RETRY_ALLOCATION, 0) < _event_key(2.0, COMPLETION, 0)
+    def test_completion_frees_capacity_before_same_instant_arrival(self):
+        # Job 0 completes at t=650 on the only VM, the instant job 2 (a better
+        # class) arrives. The completion runs first and hands the VM to job 1,
+        # which has queued since t=1; job 2 finds the pool full.
+        cfg = small_config(class_rates=(0.5, 0.5))
+        jobs = [make_job(job_id=0),
+                make_job(job_id=1, arrival=1.0, due=700.0, exec_time=5.0, prep=0.0,
+                         demand=ResourceDemand(1, 1.0, 0.0)),
+                make_job(job_id=2, arrival=650.0)]
+        first, queued, arriving = run(cfg, jobs).jobs
+        assert (queued.class_index, arriving.class_index) == (2, 1)
+        assert first.completion == 650.0
+        assert queued.allocation == 650.0
+        assert arriving.allocation == queued.completion == 655.0
 
-    def test_job_id_breaks_remaining_ties(self):
-        assert _event_key(1.0, ARRIVAL, 1) < _event_key(1.0, ARRIVAL, 2)
+    def test_completion_precedes_same_instant_retry(self, monkeypatch):
+        # Job 1 fails its draws at t=0..9, so it retries at t=10, the instant
+        # job 0 completes. Job 2 fills the second VM at t=9.5 and job 3 queues
+        # behind it. The completion runs first: its pump skips job 1, which
+        # waits for its retry, and gives the VM to job 3.
+        _script_draws(monkeypatch, failures={1: 10})
+        cfg = small_config(num_vms=2, class_rates=(0.5, 0.5),
+                           allocation_bands=((1, 100, 0.5),))
+        tiny = ResourceDemand(1, 1.0, 0.0)
+        jobs = [make_job(job_id=0, due=700.0, exec_time=10.0, prep=0.0),
+                make_job(job_id=1, due=100.0, exec_time=5.0, prep=0.0),
+                make_job(job_id=2, arrival=9.5, due=2000.0, exec_time=1000.0, prep=0.0,
+                         demand=tiny),
+                make_job(job_id=3, arrival=9.6, due=2000.0, exec_time=5.0, prep=0.0,
+                         demand=tiny)]
+        first, retrying, filler, queued = run(cfg, jobs).jobs
+        assert [r.class_index for r in (retrying, filler, queued)] == [1, 2, 2]
+        assert (first.completion, filler.allocation) == (10.0, 9.5)
+        assert queued.allocation == 10.0
+        assert retrying.retries == 10
+        assert retrying.allocation == queued.completion == 15.0
+
+    def test_arrival_precedes_same_instant_retry(self, monkeypatch):
+        # Job 1 fails its draw when the VM frees at t=9.5 and retries at t=10.5,
+        # the instant job 2 (a better class) arrives. The arrival is handled
+        # first and takes the VM; the retry finds the pool full.
+        _script_draws(monkeypatch, failures={1: 1})
+        cfg = small_config(class_rates=(0.5, 0.5), allocation_bands=((1, 100, 0.5),))
+        jobs = [make_job(job_id=0, due=700.0, exec_time=9.5, prep=0.0),
+                make_job(job_id=1, due=700.0, exec_time=5.0, prep=0.0,
+                         demand=ResourceDemand(1, 1.0, 0.0)),
+                make_job(job_id=2, arrival=10.5, due=100.0, exec_time=5.0, prep=0.0)]
+        first, retrying, arriving = run(cfg, jobs).jobs
+        assert (retrying.class_index, arriving.class_index) == (2, 1)
+        assert first.completion == 9.5
+        assert arriving.allocation == 10.5
+        assert retrying.retries == 1
+        assert retrying.allocation == arriving.completion == 15.5
+
+    def test_id_tie_break_orders_mixed_int_and_str_ids(self):
+        # Ints before strings, ints by value (2 before 10), strings by text.
+        ids = ["b", 10, "a", 2]
+        report = run(small_config(), [make_job(job_id=i) for i in ids])
+        by_id = {r.job_id: r for r in report.jobs}
+        assert [by_id[i].chain_position for i in (2, 10, "a", "b")] == [1, 2, 3, 4]
+        assert [by_id[i].start for i in (2, 10, "a", "b")] == [0.0, 650.0, 1300.0, 1950.0]
 
 
 class TestSingleJob:
@@ -243,6 +311,23 @@ class TestRunContract:
         assert first.allocation == first.start == 0.0
         assert first.wait == 0.0
         assert [r.start for r in report.jobs[1:]] == [None, None]
+
+    def test_unstable_stop_leaves_later_jobs_unscored(self):
+        # The queue overflows at t=0, so job 3, due at t=5, never arrives: it
+        # has no ack, priority or class. No job completes, and the total cost
+        # is the empty sum, 0.
+        cfg = small_config(num_vms=1, max_queue_length=1)
+        jobs = [make_job(job_id=i, arrival=0.0) for i in range(3)]
+        jobs.append(make_job(job_id=3, arrival=5.0))
+        report = run(cfg, jobs)
+        assert report.unstable is True
+        assert report.jobs[2].rank is not None
+        later = report.jobs[3]
+        assert later.status == "pending"
+        assert (later.ack, later.t_start, later.demand_weight, later.tp_score,
+                later.bp_score, later.resultant, later.rank, later.class_index,
+                later.chain_position, later.sls) == (None,) * 10
+        assert '"total_cost":0,' in report.to_json()
 
     def test_report_round_trip(self):
         cfg = small_config(num_vms=2)
