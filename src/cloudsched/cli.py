@@ -346,8 +346,11 @@ def _echo_defaults(parsed: ParsedConfig) -> None:
 def _load_parsed(manifest: RunManifest) -> ParsedConfig:
     parsed = parse_config(manifest.config_path)
     if manifest.seed is not None:
-        parsed = replace(parsed, sim=replace(parsed.sim, seed=manifest.seed),
-                         workload=replace(parsed.workload, seed=manifest.seed))
+        try:
+            parsed = replace(parsed, sim=replace(parsed.sim, seed=manifest.seed),
+                             workload=replace(parsed.workload, seed=manifest.seed))
+        except ValueError as exc:
+            raise ConfigError(str(exc), "--seed") from None
     return parsed
 
 

@@ -263,6 +263,8 @@ class SimConfig:
             raise ValueError("w_urgency + w_demand must equal 1")
         if self.business_cap < 0:
             raise ValueError("business_cap must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.catalog:
             raise ValueError("catalog must be non-empty")
         check_bands(self.allocation_bands)

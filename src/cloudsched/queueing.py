@@ -71,9 +71,6 @@ class QueueClass:
         self.entries: deque = deque()
         self._next_n = 1
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def enqueue(self, item) -> int:
         """Append an item with the next within-class position; returns that position."""
         n = self._next_n
@@ -114,10 +111,6 @@ class ResourcePool:
         self.catalog = tuple(catalog)
         self.in_use = 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.in_use >= self.capacity
-
 
 def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None:
     """Cheapest catalog entry satisfying the demand; None if nothing fits."""
@@ -143,7 +136,7 @@ def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
     if instance is None:
         raise UnsatisfiableDemandError(
             f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
-    if pool.is_full:
+    if pool.in_use >= pool.capacity:
         return Deferred(retry_at=clock + retry_interval)
     if p == 1.0 or rng.random() < p:
         pool.in_use += 1

@@ -144,25 +144,97 @@ class SimReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-class _JobStream:
-    """One job's allocation draws, from a generator built on the first draw.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of its PCG64 generator (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _job_streams(seed: int, indices) -> list:
+    """One allocation stream per job index, equal draw for draw to
+    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,))).
 
     The stream depends only on (seed, job index), so paired native and
-    resultant runs draw the same numbers whenever they draw.
+    resultant runs draw the same numbers whenever they draw. The SeedSequence
+    hash runs once for all indices, on uint32 arrays whose arithmetic wraps
+    mod 2**32 as numpy's does; only the last entropy word, the index, differs
+    between jobs. TestJobStreams in tests/test_simulator.py checks every stream
+    against numpy, which stays the definition.
+    """
+    entropy = []
+    while True:  # the seed's little-endian 32-bit words; 0 gives [0]
+        entropy.append(np.array([seed & _MASK32], np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))  # padded for the spawn key
+    entropy.append(np.asarray(indices, np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    # SeedSequence.mix_entropy: hash the first four words into the pool, mix
+    # every pool word into every other, then mix in the remaining words.
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # SeedSequence.generate_state(4, np.uint64): eight 32-bit words from the
+    # cycled pool, paired little-endian into 64-bit words.
+    state = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    words = [(state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4)]
+    return list(map(_PCG64Stream, zip(*words)))
+
+
+class _PCG64Stream:
+    """numpy's PCG64 (128-bit LCG, XSL-RR output) from four 64-bit seed words.
+
+    Seeding waits for the first draw, because most jobs never draw.
     """
 
-    __slots__ = ("seed", "index", "_rng")
+    __slots__ = ("_words", "_state", "_inc")
 
-    def __init__(self, seed: int, index: int):
-        self.seed = seed
-        self.index = index
-        self._rng = None
+    def __init__(self, words: tuple):
+        self._words = words
+        self._state = None
 
     def random(self) -> float:
-        if self._rng is None:
-            self._rng = np.random.default_rng(
-                np.random.SeedSequence(self.seed, spawn_key=(self.index,)))
-        return self._rng.random()
+        """The next double in [0, 1), as Generator.random() computes it."""
+        state = self._state
+        if state is None:  # numpy's pcg64_set_seed
+            w0, w1, w2, w3 = self._words
+            self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((w0 << 64 | w1) + self._inc) * _PCG64_MULT + self._inc
+        state = (state * _PCG64_MULT + self._inc) & _MASK128
+        self._state = state
+        low = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out = (low >> rot | low << (64 - rot)) & _MASK64
+        return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _epoch_of(t: float, epoch_length: float) -> int:
@@ -181,22 +253,17 @@ def window_stats_by_epoch(jobs, epoch_length: float, blank_time: float = 0.0) ->
     return {e: WindowStats.from_jobs(batch, blank_time) for e, batch in buckets.items()}
 
 
-def deadline_qos(record: JobRecord) -> str:
-    """Good when the job completed on or before arrival + due time, else Poor."""
-    if record.completion is None:
-        raise ValueError("job has not completed")
-    return "Good" if record.completion <= record.arrival + record.due else "Poor"
-
-
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     """Simulate the full pipeline over a job list until drained.
 
     mode "resultant" applies the business boost above the threshold; "native"
     scores jobs by technical priority alone. Same config, jobs, and seed give
-    a byte-identical report. Allocation draws come from one substream per job
-    so paired native/resultant runs see common random numbers. Each job is
-    validated once, up front: an invalid job is recorded as rejected with its
-    reason and never enters the event queue. Duplicate job ids raise ValueError.
+    a byte-identical report. Allocation draws come from one stream per job,
+    numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,)) and
+    computed without building a numpy Generator (see _job_streams), so paired
+    native/resultant runs see common random numbers. Each job is validated
+    once, up front: an invalid job is recorded as rejected with its reason and
+    never enters the event queue. Duplicate job ids raise ValueError.
     Priorities are computed up front too, from each job's epoch window (see
     window_stats_by_epoch), so an arrival only classifies and enqueues the job.
     """
@@ -236,7 +303,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     fit = functools.cache(functools.partial(cheapest_fit, pool.catalog))
     fits = [fit(job.demand) for job in adm]
     probs = [band_probability[r] for r in rank]
-    streams = [_JobStream(config.seed, i) for i in order]
+    streams = _job_streams(config.seed, order)
     n_classes = len(config.class_rates)
     classes = [QueueClass(m + 1) for m in range(n_classes)]
 

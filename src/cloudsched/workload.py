@@ -100,6 +100,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         total = math.fsum(self.class_rates)
         if not math.isclose(total, self.rate, rel_tol=1e-9):
             raise ValueError(f"class_rates must sum to rate: sum is {total!r}, rate is {self.rate!r}")

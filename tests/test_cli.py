@@ -267,6 +267,21 @@ class TestCatalogEntries:
         assert "catalog[1]" in err and "'cost'" in err
 
 
+class TestNegativeSeed:
+    def test_config_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20, "seed": -1}})
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_seed_override_exits_2_naming_seed(self, tmp_path, capsys):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20}})
+        rc = cli.main(["simulate", "--config", path, "--seed", "-1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "--seed: seed must be >= 0" in capsys.readouterr().err
+
+
 JOB_FILE_HEADER = "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
 
 

@@ -161,6 +161,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="sum"):
             SimConfig(arrival_rate=1.0, class_rates=(0.3, 0.3))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
+
     def test_beta_range(self):
         with pytest.raises(ValueError, match=r"beta must be in \[0,100\]"):
             SimConfig(beta=150)

@@ -147,11 +147,11 @@ class TestQueueClass:
             qc = QueueClass(2)
             positions, drained = {}, []
             for i in range(60):
-                if len(qc) and rng.random() < 0.4:
+                if qc.entries and rng.random() < 0.4:
                     drained.append(qc.pop())
                 else:
                     positions[f"item{i}"] = qc.enqueue(f"item{i}")
-            drained.extend(qc.pop() for _ in range(len(qc)))
+            drained.extend(qc.pop() for _ in range(len(qc.entries)))
             assert list(positions.values()) == list(range(1, len(positions) + 1))
             assert drained == sorted(positions, key=positions.get)
 
@@ -163,7 +163,7 @@ class TestQueueClass:
             qc.pop()
         qc.enqueue("x")
         assert qc.peek() == "x"
-        assert len(qc) == 1
+        assert len(qc.entries) == 1
 
 
 class TestCheapestFit:

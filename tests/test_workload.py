@@ -155,6 +155,10 @@ class TestWorkloadSpecInvariants:
         with pytest.raises(ValueError, match="sum"):
             fixed_spec(class_rates=(0.4, 0.4))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            fixed_spec(seed=-1)
+
     def test_weights_length_must_match_catalog(self):
         with pytest.raises(ValueError):
             fixed_spec(demand_weights=(1.0, 2.0))
