@@ -3,14 +3,19 @@ report and plot-data emission.
 
 Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
-its built-in default and is echoed. All outputs are written atomically.
-Each report_<mode>.json holds the compact SimReport.to_json() text plus a
-newline; load_report reads it back.
+its built-in default and is echoed. All outputs are written atomically:
+to a .tmp file that replaces the output when complete, and is removed if
+writing fails. Each report_<mode>.json holds the compact SimReport.to_json()
+text plus a newline. It is streamed one block of job records at a time
+(SimReport.json_chunks), and with --format csv jobs_<mode>.csv is written in
+the same pass from the same formatted cells, so neither file is held whole in
+memory. load_report reads a report back.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -292,22 +297,32 @@ def effective_config(parsed: ParsedConfig) -> dict:
 
 
 # Texts are written in slices, so that encoding a large text (a 20k-job
-# report is about 9 MB) never makes a second full-size copy of it.
+# table in --format json is about 10 MB) never makes a second full-size copy
+# of it.
 _WRITE_SLICE = 1 << 20
 
 
-def _write_atomic(path: Path, *texts: str) -> None:
-    """Write the texts one after another to a tmp file, then replace path with it."""
-    tmp = path.with_name(path.name + ".tmp")
+@contextlib.contextmanager
+def _atomic_files(*paths: Path):
+    """Open a tmp file for each path; when the block ends, replace each path
+    with its tmp file. If anything raises, every tmp file is removed."""
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
-        with open(tmp, "w", newline="") as fh:
-            for text in texts:
-                for i in range(0, len(text), _WRITE_SLICE):
-                    fh.write(text[i:i + _WRITE_SLICE])
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", newline="")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a tmp file, then replace path with it."""
+    with _atomic_files(path) as (fh,):
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
 
 
 def _table_text(header, rows, fmt: str) -> str:
@@ -369,17 +384,55 @@ def _job_rows(report: SimReport):
 
 
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
-    # The newline is written after the report, not appended to a copy of it.
-    _write_atomic(out_dir / f"report_{report.mode}.json", report.to_json(), "\n")
-    _write_table(out_dir, f"jobs_{report.mode}", _JOB_TABLE_HEADER, _job_rows(report), fmt)
-    _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
+    """Write report_<mode>.json, jobs_<mode>.<fmt> and bands_<mode>.<fmt>.
+
+    The report and, with csv, the job table are written in one pass over the
+    report's blocks. A block's finite floats and ints reach csv.writer as
+    their JSON text, which is the text csv.writer writes for them; every other
+    cell reaches it as the value, so csv keeps its quoting and its nan/inf.
+    """
+    mode = report.mode
+    paths = [out_dir / f"report_{mode}.json"]
+    if fmt == "csv":
+        paths.append(out_dir / f"jobs_{mode}.csv")
+    with _atomic_files(*paths) as files:
+        table = None
+        if fmt == "csv":
+            table = csv.writer(files[1])
+            table.writerow(_JOB_TABLE_HEADER)
+        for text, columns in report.json_chunks():
+            files[0].write(text)
+            if table is not None and columns is not None:
+                table.writerows(zip(*[columns[name] for name in _JOB_TABLE_HEADER]))
+        files[0].write("\n")
+    if fmt != "csv":
+        _write_table(out_dir, f"jobs_{mode}", _JOB_TABLE_HEADER, _job_rows(report), fmt)
+    _write_table(out_dir, f"bands_{mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)
 
 
+class ReportError(ValueError):
+    """A report file that cannot be read back as a SimReport."""
+
+
 def load_report(path) -> SimReport:
-    """Read back a structured report written by cmd_simulate."""
+    """Read back a structured report written by cmd_simulate.
+
+    Raises ReportError naming the file when it is not JSON or not a report.
+    """
     with open(path) as fh:
-        return SimReport.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ReportError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ReportError(f"{path}: top level must be an object")
+    try:
+        return SimReport.from_dict(data)
+    except KeyError as exc:
+        raise ReportError(f"{path}: missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ReportError(f"{path}: not a report: {exc}") from None
 
 
 def cmd_generate(manifest: RunManifest) -> int:
@@ -541,6 +594,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InsufficientSamplesError as exc:
         print(f"report too small to compare: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ReportError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnstableError as exc:
         print(str(exc), file=sys.stderr)

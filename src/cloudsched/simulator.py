@@ -7,7 +7,10 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,12 +85,105 @@ class JobRecord:
     retries: int
     reason: str | None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
         return cls(**d)
+
+
+# Job records are written in blocks of this many rows: each distinct value of
+# a block is formatted once, and only one block's text is held at a time.
+_BLOCK_ROWS = 1024
+# JobRecord fields in the order json.dumps(sort_keys=True) writes them.
+_JOB_FIELDS = tuple(sorted(f.name for f in fields(JobRecord)))
+_job_values = operator.attrgetter(*_JOB_FIELDS)
+_ROW_TEMPLATE = "{%s}" % ",".join(encode_basestring_ascii(name) + ":%s" for name in _JOB_FIELDS)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _float_text(value: float) -> str:
+    """A float as json.dumps writes it: its repr, NaN, Infinity or -Infinity."""
+    if value - value == 0.0:
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+class _Texts(dict):
+    """JSON texts of one type's values, keyed by value.
+
+    format_column() formats each value of a column that is not stored yet
+    once and stores it. None is never stored: it is written as null on each
+    lookup, so .get(value, value) gives None back as itself.
+    """
+
+    __slots__ = ("_format",)
+
+    def __init__(self, format_value):
+        super().__init__()
+        self._format = format_value
+
+    def _storable(self, values):
+        return values
+
+    def format_column(self, column) -> list:
+        new = set(column).difference(self)
+        new.discard(None)
+        new = self._storable(new)
+        self.update(zip(new, map(self._format, new)))
+        return list(map(self.__getitem__, column))
+
+    def __missing__(self, value):
+        return "null" if value is None else self._format(value)
+
+
+class _FloatTexts(_Texts):
+    """Zeros and non-finite floats are formatted on every lookup and never
+    stored: 0.0 and -0.0 are equal keys, and a NaN key is found only by
+    identity."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(float.__repr__)
+
+    def _storable(self, values):
+        return list(filter(None, filter(math.isfinite, values)))
+
+    def __missing__(self, value):
+        return "null" if value is None else _float_text(value)
+
+
+def _format_block(records) -> tuple[str, dict]:
+    """The JSON text of a block of job records, rows joined by commas, and the
+    block's columns by field name with each finite float and int replaced by
+    its JSON text (a CSV writer writes the same text for them).
+
+    A column whose values other than None share one type is formatted through
+    that type's table; a column that mixes types is encoded value by value.
+    """
+    nulls = _Texts(None)
+    nulls[None] = "null"  # a column of None only: every lookup finds it
+    tables = {float: _FloatTexts(), int: _Texts(int.__repr__),
+              str: _Texts(encode_basestring_ascii), bool: _Texts(_bool_text),
+              type(None): nulls}
+    texts = []
+    columns = {}
+    for name, column in zip(_JOB_FIELDS, zip(*map(_job_values, records))):
+        kinds = set(map(type, column))
+        if len(kinds) == 2:
+            kinds.discard(type(None))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        table = tables.get(kind)
+        texts.append(list(map(_encode, column)) if table is None
+                     else table.format_column(column))
+        columns[name] = (list(map(table.get, column, column)) if kind is float or kind is int
+                         else column)
+    return ",".join(map(_ROW_TEMPLATE.__mod__, zip(*texts))), columns
 
 
 @dataclass(frozen=True)
@@ -109,24 +205,6 @@ class SimReport:
     makespan: float = 0.0
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "jobs": [r.to_dict() for r in self.jobs],
-            "band_waits": dict(self.band_waits),
-            "class_sls": dict(self.class_sls),
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "utilization": self.utilization,
-            "total_cost": self.total_cost,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "stuck": self.stuck,
-            "unstable": self.unstable,
-            "makespan": self.makespan,
-            "config": self.config,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SimReport":
         return cls(
@@ -139,9 +217,29 @@ class SimReport:
             config=d["config"],
         )
 
+    def json_chunks(self):
+        """The to_json() text in pieces, each with the job columns it holds.
+
+        Yields (text, columns): the fields before "jobs", then one piece per
+        block of _BLOCK_ROWS job records with its columns from _format_block,
+        then the fields after "jobs"; columns is None outside the job blocks.
+        """
+        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
+        head = _encode({k: v for k, v in rest.items() if k < "jobs"})
+        tail = _encode({k: v for k, v in rest.items() if k > "jobs"})
+        yield head[:-1] + ',"jobs":[', None
+        for start in range(0, len(self.jobs), _BLOCK_ROWS):
+            text, columns = _format_block(self.jobs[start:start + _BLOCK_ROWS])
+            yield ("," + text if start else text), columns
+        yield "]," + tail[1:], None
+
     def to_json(self) -> str:
-        """Compact JSON with sorted keys; `cloudsched simulate` writes it as the report file."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Compact JSON with sorted keys, as json.dumps(sort_keys=True,
+        separators=(",", ":")) writes the report's fields; every job record is
+        an object of its fields. `cloudsched simulate` streams the same text,
+        block by block (json_chunks), to the report file and adds a newline.
+        """
+        return "".join(text for text, _columns in self.json_chunks())
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the

@@ -1,14 +1,18 @@
 import csv
+import hashlib
+import io
 import json
 import math
+import os
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cloudsched import cli
+from cloudsched import cli, simulator
 from cloudsched.domain import SimConfig
-from cloudsched.simulator import run
+from cloudsched.simulator import JobRecord, SimReport, run
 from cloudsched.workload import Distribution, generate_arrivals, sample_jobs
 
 # Low admission odds and few retries leave some jobs stuck, so the job table
@@ -67,6 +71,156 @@ class TestTableText:
         text = cli._table_text(("a", "b", "c", "d", "e"),
                                [(None, 0.1 + 0.2, 3, "x,y", True)], "csv")
         assert text == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
+
+
+# A 2500-job run: three blocks of job records, with stuck jobs (None cells) on
+# both sides of each block boundary.
+MULTI_BLOCK_CONFIG = {
+    "simulation": {"num_tasks": 2500, "num_vms": 40, "seed": 4, "max_retries": 2},
+    "allocation_bands": [[1, 100, 0.3]],
+}
+# SHA-256 of every file `simulate` writes for MULTI_BLOCK_CONFIG, as written
+# before reports were streamed in blocks. A change to any of them is a change
+# in output bytes and must be recorded in CHANGES.md.
+PINNED_OUTPUT_SHA256 = {
+    "bands_native.csv": "622f95214c75f6bf872c30002b37ac1a66897673087354334200b1ebf651c223",
+    "bands_resultant.csv": "b1710167a5f72712a7f4c4bb8c92054fcf05e9138427e44ab4af292daf218017",
+    "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
+    "jobs_native.csv": "420dfc6b404bea3a471d3ef46ab56c4c52f7b409ac228a7441cc9b84c0dfd06e",
+    "jobs_resultant.csv": "7cf4dd6e8a7edc6d0da6c051794e806500c3d2b49ff420b989ad9274dd019483",
+    "report_native.json": "fe0ccf4ad36cadb8be5ece2e29312ab80e174970889baf080fcaf653bd9a7151",
+    "report_resultant.json": "933f7917aeccd8bf972bd2c3c6328e1d7d723407c7f726c80cedf6fef5c325d6",
+}
+
+
+@pytest.fixture(scope="module")
+def multi_block(tmp_path_factory):
+    out = tmp_path_factory.mktemp("multi_block")
+    config = out / "config.json"
+    config.write_text(json.dumps(MULTI_BLOCK_CONFIG))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out / "o")]) == 0
+    return out / "o"
+
+
+class TestMultiBlockBytes:
+    def test_every_output_file_hash_is_pinned(self, multi_block):
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in multi_block.iterdir()}
+        assert digests == PINNED_OUTPUT_SHA256
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_none_cells_on_both_sides_of_each_block_boundary(self, multi_block, mode):
+        jobs = cli.load_report(multi_block / f"report_{mode}.json").jobs
+        rows = simulator._BLOCK_ROWS
+        assert 2 * rows < len(jobs) <= 3 * rows
+        for boundary in (rows, 2 * rows):
+            before = jobs[boundary - 16:boundary]
+            after = jobs[boundary:boundary + 16]
+            assert any(r.status == "stuck" and r.start is None for r in before)
+            assert any(r.status == "stuck" and r.start is None for r in after)
+
+
+JOB_FIELDS = [f.name for f in fields(JobRecord)]
+_FLOATS = st.floats() | st.sampled_from((0.0, -0.0, 1.0, math.nan, math.inf, -math.inf))
+_TEXTS = st.text(st.sampled_from('ab,"\n\r 1é€')
+                 | st.characters(exclude_categories=("Cc", "Cs")), max_size=6)
+_CELLS = {
+    "float": _FLOATS,
+    "int": st.integers(),
+    "str": _TEXTS,
+    "bool": st.booleans(),
+    "mixed": st.one_of(_FLOATS, st.integers(), _TEXTS, st.booleans()),
+}
+REPORT_LENGTHS = (0, 1, 1023, 1024, 1025)
+
+
+def _report(rows) -> SimReport:
+    return SimReport(mode="native", seed=5, jobs=tuple(JobRecord(**row) for row in rows),
+                     band_waits={"1-100": 0.5}, class_sls={"1": -0.0},
+                     deadline_hit_rate=math.nan, config={"seed": 5, "beta": 60.0})
+
+
+# Six rows, repeated: zeros of both signs in one float column and block, 1,
+# 1.0 and True in one column and across the int, float and bool columns,
+# non-finite floats, and ids that mix ints with strings csv must quote.
+EDGE_COLUMNS = {
+    "job_id": (1, "a,b", 'say "hi"', "two\nlines", "é€", 2),
+    "arrival": (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf),
+    "wait": (-0.0, 0.0, None, 0.0, 1.0, -0.0),
+    "rank": (1, 1.0, True, None, 0, False),
+    "retries": (1, 2, 1, 0, None, 3),
+    "deadline_met": (True, False, None, True, True, False),
+    "status": ("completed", "stuck", "a\rb", "completed", "", "x"),
+    "reason": (None,) * 6,
+}
+
+
+def _edge_report(n: int) -> SimReport:
+    filler = (0.5, None, 2.0, 0.5, -0.0, 3.25)
+    return _report({name: EDGE_COLUMNS.get(name, filler)[i % 6] for name in JOB_FIELDS}
+                   for i in range(n))
+
+
+@st.composite
+def reports(draw):
+    kinds = {name: draw(st.sampled_from(sorted(_CELLS))) for name in JOB_FIELDS}
+    pool = draw(st.lists(st.fixed_dictionaries(
+        {name: st.none() | _CELLS[kinds[name]] for name in JOB_FIELDS}), min_size=1, max_size=6))
+    n = draw(st.sampled_from(REPORT_LENGTHS))
+    return _report(pool[i % len(pool)] for i in range(n))
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equality with a short message: pytest's diff of two long texts is slow."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at {at}: {got[at - 80:at + 80]!r} "
+                    f"!= {want[at - 80:at + 80]!r}")
+
+
+def _with_examples(test):
+    for n in REPORT_LENGTHS:
+        test = example(report=_edge_report(n))(test)
+    return test
+
+
+class TestStreamedWriter:
+    """The block writer against json.dumps and csv.writer on the same values."""
+
+    @_with_examples
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=reports())
+    def test_report_and_job_table_equal_json_and_csv_modules(self, tmp_path, report):
+        expected_json = json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
+        _assert_same_text(report.to_json(), expected_json)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(cli._JOB_TABLE_HEADER)
+        writer.writerows(cli._job_rows(report))
+        cli._write_report(tmp_path, report, "csv")
+        _assert_same_text((tmp_path / "report_native.json").read_text(), expected_json + "\n")
+        with open(tmp_path / "jobs_native.csv", newline="") as fh:
+            _assert_same_text(fh.read(), buf.getvalue())
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_failure_in_second_block_leaves_old_files(self, tmp_path, monkeypatch, fmt):
+        cli._write_report(tmp_path, _edge_report(3), fmt)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+        format_block = simulator._format_block
+
+        def failing(records):
+            calls.append(len(records))
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return format_block(records)
+
+        monkeypatch.setattr(simulator, "_format_block", failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._write_report(tmp_path, _edge_report(2 * simulator._BLOCK_ROWS), fmt)
+        assert calls == [simulator._BLOCK_ROWS] * 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _config_file(tmp_path, config) -> str:
@@ -318,3 +472,31 @@ class TestAnalyzeReport:
                        "--report", str(out / "report_native.json")])
         assert rc == cli.EXIT_CONFIG
         assert f"class 1 has {first} completed jobs, need 10000" in capsys.readouterr().err
+
+
+ANALYSIS_CONFIG = {"analysis": {"classes": [
+    {"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0}]}}
+
+
+class TestBadReportFile:
+    def _analyze(self, tmp_path, capsys, report_text: str):
+        report = tmp_path / "report.json"
+        report.write_text(report_text)
+        rc = cli.main(["analyze", "--config", _config_file(tmp_path, ANALYSIS_CONFIG),
+                       "--out", str(tmp_path / "out"), "--report", str(report)])
+        return rc, capsys.readouterr().err, str(report)
+
+    def test_truncated_report_exits_2_naming_the_file(self, simulated, tmp_path, capsys):
+        out, _reports = simulated
+        text = (out / "report_native.json").read_text()
+        rc, err, path = self._analyze(tmp_path, capsys, text[:len(text) // 2])
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: not valid JSON" in err
+
+    def test_report_without_mode_exits_2_naming_the_key(self, simulated, tmp_path, capsys):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        del data["mode"]
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: missing key 'mode'" in err

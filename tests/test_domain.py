@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -247,7 +247,7 @@ class TestRoundTrip:
         job = make_job(business=BusinessProfile(400.0, 0.0))
         rec = build_record(job, WindowStats.from_jobs([job]), cfg)
         report = run(cfg, [job])
-        again = JobRecord.from_dict(json.loads(json.dumps(report.jobs[0].to_dict())))
+        again = JobRecord.from_dict(json.loads(json.dumps(asdict(report.jobs[0]))))
         assert again == report.jobs[0]
         assert ((again.t_start, again.demand_weight, again.tp_score, again.bp_score,
                  again.resultant, again.rank) == (rec.t_start, rec.demand_weight,
@@ -259,7 +259,7 @@ class TestRoundTrip:
         # A rejected job never gets a priority record or a chain key.
         cfg = SimConfig(num_tasks=1, class_rates=(1.0,))
         report = run(cfg, [make_job(exec_time=0.0)])
-        again = JobRecord.from_dict(json.loads(json.dumps(report.jobs[0].to_dict())))
+        again = JobRecord.from_dict(json.loads(json.dumps(asdict(report.jobs[0]))))
         assert again == report.jobs[0]
         assert (again.rank, again.class_index, again.chain_position) == (None, None, None)
 
