@@ -19,7 +19,6 @@ from .workload import (
     load_jobs,
     sample_jobs,
     save_jobs,
-    spec_from_sim,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ writing fails. Each report_<mode>.json holds the compact SimReport.to_json()
 text plus a newline. It is streamed one block of job records at a time
 (SimReport.json_chunks), and with --format csv jobs_<mode>.csv is written in
 the same pass from the same formatted cells, so neither file is held whole in
-memory. load_report reads a report back.
+memory. With --format json each table is written one block of rows at a time.
+load_report reads a report back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from pathlib import Path
 from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnstableError, mg1_waiting
 from .simulator import (
+    _BLOCK_ROWS,
     InsufficientSamplesError,
     SimReport,
     compare_analytic,
@@ -65,19 +67,6 @@ class ConfigError(Exception):
         if line is not None:
             parts.append(f"line {line}")
         super().__init__(f"{': '.join(parts)}: {message}" if parts else message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation: command, config path, output dir, overrides."""
-
-    command: str
-    config_path: str | None
-    out_dir: str
-    seed: int | None
-    fmt: str
-    jobs_path: str | None = None
-    report_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -251,23 +240,24 @@ def parse_config(path: str | Path | None) -> ParsedConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    spec_fields = {f.name: f for f in fields(WorkloadSpec)}
-    timing = {"due": sim.due_time, "exec": sim.exec_time, "prep": sim.prep_time}
-    spec_values = {}
+    # Each workload key replaces its default in the fixed-timing spec, one at
+    # a time, so a value that breaks a WorkloadSpec invariant is named.
+    spec_types = {f.name: f.type for f in fields(WorkloadSpec)}
+    workload = WorkloadSpec.fixed(sim)
     for key, name in _WORKLOAD_KEYS.items():
-        default, text = spec_fields[name].default, None
-        if key in timing:
-            default, text = Distribution("fixed", (timing[key],)), f"fixed({timing[key]!r})"
-        elif default is None:
-            text = "uniform"  # demand_weights: every catalog shape equally likely
-        spec_values[name] = _take(sections["workload"], f"workload.{key}",
-                                  spec_fields[name].type, default, applied, text)
-    try:
-        workload = WorkloadSpec(rate=sim.arrival_rate, class_rates=sim.class_rates,
-                                num_tasks=sim.num_tasks, catalog=sim.catalog, seed=sim.seed,
-                                **spec_values)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "workload") from None
+        default = getattr(workload, name)
+        text = ("uniform" if default is None  # demand_weights: every shape equally likely
+                else f"fixed({default.params[0]!r})" if isinstance(default, Distribution)
+                else None)
+        keypath = f"workload.{key}"
+        value = _take(sections["workload"], keypath, spec_types[name], default, applied, text)
+        try:
+            workload = replace(workload, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc), keypath) from None
+    if workload.demand_weights is not None and len(workload.demand_weights) != len(sim.catalog):
+        raise ConfigError("demand_weights length must match catalog length",
+                          "workload.demand_weights")
 
     analysis = None
     if "analysis" in data:
@@ -296,8 +286,8 @@ def effective_config(parsed: ParsedConfig) -> dict:
     return result
 
 
-# Texts are written in slices, so that encoding a large text (a 20k-job
-# table in --format json is about 10 MB) never makes a second full-size copy
+# Texts are written in slices, so that encoding a large text (the jobs.csv
+# of a 100k-job generate is about 13 MB) never makes a second full-size copy
 # of it.
 _WRITE_SLICE = 1 << 20
 
@@ -325,19 +315,28 @@ def _write_atomic(path: Path, text: str) -> None:
             fh.write(text[i:i + _WRITE_SLICE])
 
 
-def _table_text(header, rows, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+def _write_json_table(fh, header, rows) -> None:
+    """Write json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    and a newline, _BLOCK_ROWS rows at a time: each block's text without its
+    opening "[\n" and closing "\n]", the blocks joined by ",\n"."""
+    rows = iter(rows)
+    sep = "\n"
+    fh.write("[")
+    while block := [dict(zip(header, row)) for row in itertools.islice(rows, _BLOCK_ROWS)]:
+        fh.write(sep + json.dumps(block, indent=2)[2:-2])
+        sep = ",\n"
+    fh.write("]\n" if sep == "\n" else "\n]\n")
 
 
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     path = out_dir / f"{name}.{fmt}"
-    _write_atomic(path, _table_text(header, rows, fmt))
+    with _atomic_files(path) as (fh,):
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            _write_json_table(fh, header, rows)
     return path
 
 
@@ -358,12 +357,11 @@ def _echo_defaults(parsed: ParsedConfig) -> None:
               + ", ".join(parsed.applied_defaults))
 
 
-def _load_parsed(manifest: RunManifest) -> ParsedConfig:
-    parsed = parse_config(manifest.config_path)
-    if manifest.seed is not None:
+def _load_parsed(args: argparse.Namespace) -> ParsedConfig:
+    parsed = parse_config(args.config)
+    if args.seed is not None:
         try:
-            parsed = replace(parsed, sim=replace(parsed.sim, seed=manifest.seed),
-                             workload=replace(parsed.workload, seed=manifest.seed))
+            parsed = replace(parsed, sim=replace(parsed.sim, seed=args.seed))
         except ValueError as exc:
             raise ConfigError(str(exc), "--seed") from None
     return parsed
@@ -431,38 +429,38 @@ def load_report(path) -> SimReport:
         return SimReport.from_dict(data)
     except KeyError as exc:
         raise ReportError(f"{path}: missing key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ReportError(f"{path}: not a report: {exc}") from None
 
 
-def cmd_generate(manifest: RunManifest) -> int:
-    parsed = _load_parsed(manifest)
+def cmd_generate(args: argparse.Namespace) -> int:
+    parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(manifest.out_dir)
-    spec = parsed.workload
-    jobs = sample_jobs(spec, generate_arrivals(spec))
+    out = _ensure_out(args.out)
+    sim = parsed.sim
+    jobs = sample_jobs(sim, parsed.workload, generate_arrivals(sim))
     path = out / "jobs.csv"
     _write_atomic(path, jobs_to_csv(jobs))
-    print(f"generated {len(jobs)} jobs at rate {spec.rate:g}/s (seed {spec.seed}) -> {path}")
+    print(f"generated {len(jobs)} jobs at rate {sim.arrival_rate:g}/s (seed {sim.seed}) "
+          f"-> {path}")
     return EXIT_OK
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
-    parsed = _load_parsed(manifest)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(manifest.out_dir)
-    if manifest.jobs_path is not None:
-        jobs = load_jobs(manifest.jobs_path)
+    out = _ensure_out(args.out)
+    if args.jobs is not None:
+        jobs = load_jobs(args.jobs)
         if not jobs:
-            raise ConfigError(f"workload file {manifest.jobs_path} contains no jobs")
+            raise ConfigError(f"workload file {args.jobs} contains no jobs")
     else:
-        spec = parsed.workload
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
 
     native = run(parsed.sim, jobs, mode="native")
     resultant = run(parsed.sim, jobs, mode="resultant")
-    _write_report(out, native, manifest.fmt)
-    _write_report(out, resultant, manifest.fmt)
+    _write_report(out, native, args.format)
+    _write_report(out, resultant, args.format)
 
     beta = parsed.sim.beta
     nat_by_id = {r.job_id: r for r in native.jobs}
@@ -493,36 +491,36 @@ def cmd_simulate(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(manifest: RunManifest) -> int:
-    parsed = _load_parsed(manifest)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(manifest.out_dir)
+    out = _ensure_out(args.out)
     if parsed.analysis is None:
         raise ConfigError("analyze requires an analysis.classes section in the config")
     waits = mg1_waiting(parsed.analysis)
     rows = [(i + 1, rate, es, es2, w)
             for i, ((rate, es, es2), w) in enumerate(zip(parsed.analysis, waits))]
     _write_table(out, "analysis", ("class", "rate", "mean_service", "mean_service_sq",
-                                   "mean_wait"), rows, manifest.fmt)
+                                   "mean_wait"), rows, args.format)
     for i, w in enumerate(waits, start=1):
         print(f"class {i}: analytic mean wait {w:.6g}")
-    if manifest.report_path is not None:
-        report = load_report(manifest.report_path)
+    if args.report is not None:
+        report = load_report(args.report)
         errors = compare_analytic(report, parsed.analysis)
         _write_table(out, "analysis_vs_simulation", ("class", "relative_error"),
-                     list(enumerate(errors, start=1)), manifest.fmt)
+                     list(enumerate(errors, start=1)), args.format)
         for i, err in enumerate(errors, start=1):
             print(f"class {i}: relative error vs simulation {err:.4f}")
     return EXIT_OK
 
 
-def cmd_replicate(manifest: RunManifest) -> int:
-    parsed = _load_parsed(manifest)
+def cmd_replicate(args: argparse.Namespace) -> int:
+    parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(manifest.out_dir)
+    out = _ensure_out(args.out)
     rows = replication_bundle(parsed.sim)
     _write_table(out, "replication", ("series", "x", "value", "provenance"),
-                 [(r.series, r.x, r.value, r.provenance) for r in rows], manifest.fmt)
+                 [(r.series, r.x, r.value, r.provenance) for r in rows], args.format)
     series = sorted({r.series for r in rows})
     print(f"wrote {len(rows)} replication rows ({', '.join(series)}) -> {out}")
     return EXIT_OK
@@ -579,16 +577,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("cloudsched: a command is required", file=sys.stderr)
             return EXIT_CONFIG
-        manifest = RunManifest(
-            command=args.command,
-            config_path=args.config,
-            out_dir=args.out,
-            seed=args.seed,
-            fmt=args.format,
-            jobs_path=getattr(args, "jobs", None),
-            report_path=getattr(args, "report", None),
-        )
-        return _COMMANDS[manifest.command](manifest)
+        return _COMMANDS[args.command](args)
     except (ConfigError, ParseError, InvalidJobError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

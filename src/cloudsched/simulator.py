@@ -31,7 +31,7 @@ from .queueing import (
     release,
     try_allocate,
 )
-from .workload import generate_arrivals, sample_jobs, spec_from_sim
+from .workload import WorkloadSpec, generate_arrivals, sample_jobs
 
 # Event kinds, in the order same-time events resolve; remaining ties go by job
 # id. Completions free capacity before new arrivals see the pool, and retries
@@ -610,8 +610,7 @@ def replication_bundle(config: SimConfig) -> list[ReplicationRow]:
     for p in range(8, 99, 10):
         rows.append(ReplicationRow("wait_model_resultant", str(p),
                                    waiting_time_model(p, "resultant"), "model"))
-    spec = spec_from_sim(config)
-    jobs = sample_jobs(spec, generate_arrivals(spec))
+    jobs = sample_jobs(config, WorkloadSpec.fixed(config), generate_arrivals(config))
     report = run(config, jobs, mode="resultant")
     for band, wait in report.band_waits.items():
         rows.append(ReplicationRow("wait_simulated", band, wait / 3600.0, "simulated"))

@@ -1,11 +1,17 @@
-"""Reproducible synthetic workloads (Poisson arrivals, attribute sampling) and job-file I/O."""
+"""Reproducible synthetic workloads (Poisson arrivals, attribute sampling) and job-file I/O.
+
+A workload is drawn from two values: the SimConfig, which holds the job count,
+arrival rate, class rates, catalog and seed, and the WorkloadSpec, which holds
+only the attribute distributions of the config file's "workload" section.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +20,10 @@ from .domain import (
     INVALID,
     BusinessProfile,
     Job,
-    ResourceCatalogEntry,
     ResourceDemand,
     SimConfig,
-    default_catalog,
     validate_job,
 )
-
-
-class InvalidRateError(ValueError):
-    """Raised when an arrival rate is not strictly positive."""
 
 
 class ParseError(Exception):
@@ -83,88 +83,78 @@ class Distribution:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Everything needed to generate one reproducible workload."""
+    """How each job's attributes are drawn: the config file's "workload" section.
 
-    rate: float = 1.0
-    class_rates: tuple[float, ...] = field(default_factory=lambda: tuple(1.0 / 6 for _ in range(6)))
-    num_tasks: int = 2000
-    due_dist: Distribution = Distribution("fixed", (700.0,))
-    exec_dist: Distribution = Distribution("fixed", (650.0,))
-    prep_dist: Distribution = Distribution("fixed", (5.0,))
-    catalog: tuple[ResourceCatalogEntry, ...] = field(default_factory=default_catalog)
+    The job count, arrival rate, class rates, catalog and seed are not here:
+    their only home is SimConfig, which generate_arrivals and sample_jobs read
+    them from. fixed(cfg) gives the spec whose due, exec and prep times are
+    fixed at cfg's values; the ranges and uniform demand weights are the
+    defaults below.
+    """
+
+    due_dist: Distribution
+    exec_dist: Distribution
+    prep_dist: Distribution
     demand_weights: tuple[float, ...] | None = None
     order_range: tuple[float, float] = (0.0, 1000.0)
     relationship_range: tuple[float, float] = (0.0, 100.0)
-    seed: int = 1
 
     def __post_init__(self):
-        if self.num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        total = math.fsum(self.class_rates)
-        if not math.isclose(total, self.rate, rel_tol=1e-9):
-            raise ValueError(f"class_rates must sum to rate: sum is {total!r}, rate is {self.rate!r}")
-        if self.demand_weights is not None and len(self.demand_weights) != len(self.catalog):
-            raise ValueError("demand_weights length must match catalog length")
+        weights = self.demand_weights
+        if weights is not None and not (weights and min(weights) >= 0
+                                        and 0 < math.fsum(weights) < math.inf):
+            raise ValueError("demand_weights must be non-negative with a positive sum")
         if self.order_range[0] > self.order_range[1] or self.order_range[0] < 0:
             raise ValueError("order_range must be (lo, hi) with 0 <= lo <= hi")
         if self.relationship_range[0] > self.relationship_range[1] or self.relationship_range[0] < 0:
             raise ValueError("relationship_range must be (lo, hi) with 0 <= lo <= hi")
 
-
-def spec_from_sim(cfg: SimConfig) -> WorkloadSpec:
-    """Build the fixed-attribute workload spec matching a simulation config."""
-    return WorkloadSpec(
-        rate=cfg.arrival_rate,
-        class_rates=cfg.class_rates,
-        num_tasks=cfg.num_tasks,
-        due_dist=Distribution("fixed", (cfg.due_time,)),
-        exec_dist=Distribution("fixed", (cfg.exec_time,)),
-        prep_dist=Distribution("fixed", (cfg.prep_time,)),
-        catalog=cfg.catalog,
-        seed=cfg.seed,
-    )
+    @classmethod
+    def fixed(cls, cfg: SimConfig) -> WorkloadSpec:
+        """The spec with due, exec and prep times fixed at cfg's values."""
+        return cls(due_dist=Distribution("fixed", (cfg.due_time,)),
+                   exec_dist=Distribution("fixed", (cfg.exec_time,)),
+                   prep_dist=Distribution("fixed", (cfg.prep_time,)))
 
 
-def generate_arrivals(spec: WorkloadSpec) -> np.ndarray:
-    """Poisson arrival times: cumulative i.i.d. exponential gaps with mean 1/rate.
+def generate_arrivals(cfg: SimConfig) -> np.ndarray:
+    """cfg.num_tasks Poisson arrival times: cumulative i.i.d. exponential gaps
+    with mean 1/cfg.arrival_rate.
 
-    Same spec and seed give a bit-exact identical array.
+    Same config gives a bit-exact identical array.
     """
-    if spec.rate <= 0:
-        raise InvalidRateError("arrival rate must be > 0")
-    rng = _stream(spec.seed, "arrivals")
-    gaps = rng.exponential(1.0 / spec.rate, spec.num_tasks)
+    rng = _stream(cfg.seed, "arrivals")
+    gaps = rng.exponential(1.0 / cfg.arrival_rate, cfg.num_tasks)
     return np.cumsum(gaps)
 
 
-def sample_jobs(spec: WorkloadSpec, arrivals) -> list[Job]:
-    """Draw one job per arrival time from the spec's attribute distributions."""
+def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> list[Job]:
+    """Draw one job per arrival time from the spec's attribute distributions,
+    with demands from cfg's catalog and random streams from cfg's seed."""
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
         raise ValueError("arrivals must be non-empty")
     n = arrivals.size
-    due = spec.due_dist.sample(_stream(spec.seed, "due"), n)
-    exec_times = spec.exec_dist.sample(_stream(spec.seed, "exec"), n)
-    prep = spec.prep_dist.sample(_stream(spec.seed, "prep"), n)
+    due = spec.due_dist.sample(_stream(cfg.seed, "due"), n)
+    exec_times = spec.exec_dist.sample(_stream(cfg.seed, "exec"), n)
+    prep = spec.prep_dist.sample(_stream(cfg.seed, "prep"), n)
 
-    rng_demand = _stream(spec.seed, "demand")
+    rng_demand = _stream(cfg.seed, "demand")
     if spec.demand_weights is not None:
         w = np.asarray(spec.demand_weights, dtype=float)
         probs = w / w.sum()
     else:
         probs = None
-    shape_idx = rng_demand.choice(len(spec.catalog), size=n, p=probs)
+    shape_idx = rng_demand.choice(len(cfg.catalog), size=n, p=probs)
 
-    rng_business = _stream(spec.seed, "business")
+    rng_business = _stream(cfg.seed, "business")
     orders = rng_business.uniform(spec.order_range[0], spec.order_range[1], n)
     relationships = rng_business.uniform(spec.relationship_range[0],
                                          spec.relationship_range[1], n)
 
     jobs = []
     for i in range(n):
-        entry = spec.catalog[int(shape_idx[i])]
+        entry = cfg.catalog[int(shape_idx[i])]
         jobs.append(Job(
             id=i,
             arrival_time=float(arrivals[i]),
@@ -222,6 +212,11 @@ def _parse_int(value: str, name: str, record: int) -> int:
         raise ParseError(record, f"field {name!r}: cannot parse {value!r} as an integer") from None
 
 
+# An id is read as an int only when it is ASCII digits with an optional minus
+# sign, as generate writes it; any other id stays a string.
+_INT_ID = re.compile(r"-?[0-9]+")
+
+
 def load_jobs(path) -> list[Job]:
     """Read a job CSV file, validating every record.
 
@@ -245,7 +240,7 @@ def load_jobs(path) -> list[Job]:
             if len(row) != len(JOB_FILE_FIELDS):
                 raise ParseError(record, f"expected {len(JOB_FILE_FIELDS)} fields, got {len(row)}")
             raw_id = row[0]
-            job_id: int | str = int(raw_id) if raw_id.lstrip("-").isdigit() else raw_id
+            job_id: int | str = int(raw_id) if _INT_ID.fullmatch(raw_id) else raw_id
             job = Job(
                 id=job_id,
                 arrival_time=_parse_float(row[1], "arrival", record),

@@ -31,7 +31,7 @@ def simulated(tmp_path_factory):
     config.write_text(json.dumps(CONFIG))
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     parsed = cli.parse_config(config)
-    jobs = sample_jobs(parsed.workload, generate_arrivals(parsed.workload))
+    jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
     return out, {mode: run(parsed.sim, jobs, mode=mode) for mode in MODES}
 
 
@@ -67,10 +67,22 @@ class TestSimulateOutputs:
 
 
 class TestTableText:
-    def test_csv_cells(self):
-        text = cli._table_text(("a", "b", "c", "d", "e"),
-                               [(None, 0.1 + 0.2, 3, "x,y", True)], "csv")
-        assert text == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
+    def test_csv_cells(self, tmp_path):
+        path = cli._write_table(tmp_path, "t", ("a", "b", "c", "d", "e"),
+                                [(None, 0.1 + 0.2, 3, "x,y", True)], "csv")
+        with open(path, newline="") as fh:
+            assert fh.read() == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
+
+    @pytest.mark.parametrize("n", [0, 1, simulator._BLOCK_ROWS, simulator._BLOCK_ROWS + 1,
+                                   2 * simulator._BLOCK_ROWS + 1])
+    def test_json_blocks_equal_one_json_dumps(self, tmp_path, n):
+        header = ("a", "b", "c", "d")
+        cells = (None, 0.1 + 0.2, math.nan, "x\ny", -0.0, True, 7, "é")
+        rows = [tuple(cells[(i + j) % len(cells)] for j in range(len(header)))
+                for i in range(n)]
+        path = cli._write_table(tmp_path, "t", header, iter(rows), "json")
+        expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        assert path.read_text() == expected
 
 
 # A 2500-job run: three blocks of job records, with stuck jobs (None cells) on
@@ -118,6 +130,42 @@ class TestMultiBlockBytes:
             after = jobs[boundary:boundary + 16]
             assert any(r.status == "stuck" and r.start is None for r in before)
             assert any(r.status == "stuck" and r.start is None for r in after)
+
+
+# Every workload key set, next to non-default simulation timing that the
+# workload section overrides.
+ALL_WORKLOAD_CONFIG = {
+    "simulation": {"num_tasks": 300, "seed": 3, "due_time": 900.0, "exec_time": 500.0,
+                   "prep_time": 2.5},
+    "workload": {
+        "due": {"kind": "uniform", "params": [660.0, 3600.0]},
+        "exec": {"kind": "exponential", "params": [450.0]},
+        "prep": {"kind": "uniform", "params": [0.0, 10.0]},
+        "demand_weights": [1.0, 2.0, 3.0, 0.5, 1.5],
+        "order_range": [10.0, 500.0],
+        "relationship_range": [5.0, 50.0],
+    },
+}
+# SHA-256 of `--print-config` stdout and of the jobs.csv that `generate --seed
+# 11` writes for ALL_WORKLOAD_CONFIG, as written before WorkloadSpec lost its
+# copies of the SimConfig values.
+PINNED_PRINT_CONFIG_SHA256 = "79d3932db47917b4a86f7e7ed226f1edbce4a497af0a3fbf9c4decf1f33fbca2"
+PINNED_GENERATED_JOBS_SHA256 = "38db1d183c9e5eb498ac56ca6086290a6ce765c2979946db6f38794badb50cd9"
+
+
+class TestWorkloadBytes:
+    def test_print_config_hash_is_pinned(self, tmp_path, capsys):
+        rc, out, _err = _print_config(tmp_path, capsys, ALL_WORKLOAD_CONFIG)
+        assert rc == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PRINT_CONFIG_SHA256
+
+    def test_generated_jobs_hash_is_pinned(self, tmp_path, capsys):
+        path = _config_file(tmp_path, ALL_WORKLOAD_CONFIG)
+        rc = cli.main(["generate", "--config", path, "--seed", "11", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        assert "(seed 11)" in capsys.readouterr().out
+        digest = hashlib.sha256((tmp_path / "jobs.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_GENERATED_JOBS_SHA256
 
 
 JOB_FIELDS = [f.name for f in fields(JobRecord)]
@@ -403,6 +451,20 @@ class TestConfigSchema:
     def test_every_sim_field_has_a_test_value(self):
         assert set(FIELD_VALUES) == {f.name for f in fields(SimConfig)}
 
+    @pytest.mark.parametrize("weights,message", [
+        ([0, 0, 0, 0, 0], "demand_weights must be non-negative with a positive sum"),
+        ([1, -1, 1, 1, 1], "demand_weights must be non-negative with a positive sum"),
+        ([1.0, 2.0], "demand_weights length must match catalog length"),
+    ], ids=["zero-sum", "negative", "wrong-length"])
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_bad_demand_weights_exit_2_naming_the_key(self, tmp_path, capsys, weights,
+                                                      message, command):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20},
+                                       "workload": {"demand_weights": weights}})
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"workload.demand_weights: {message}" in capsys.readouterr().err
+
 
 class TestCatalogEntries:
     @pytest.mark.parametrize("key,value", [("cores", 2.7), ("ecus", "3"), ("arch_bits", True),
@@ -500,3 +562,12 @@ class TestBadReportFile:
         rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
         assert rc == cli.EXIT_CONFIG
         assert f"report error: {path}: missing key 'mode'" in err
+
+    def test_band_waits_not_a_mapping_exits_2_naming_the_file(self, simulated, tmp_path,
+                                                              capsys):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        data["band_waits"] = "ab"
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: not a report" in err

@@ -165,6 +165,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SimConfig(seed=-1)
 
+    @pytest.mark.parametrize("rate", [0, -1.0])
+    def test_non_positive_arrival_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="arrival_rate must be > 0"):
+            SimConfig(arrival_rate=rate)
+
     def test_beta_range(self):
         with pytest.raises(ValueError, match=r"beta must be in \[0,100\]"):
             SimConfig(beta=150)

@@ -19,7 +19,7 @@ from cloudsched.simulator import (
     waiting_time_model,
     window_stats_by_epoch,
 )
-from cloudsched.workload import Distribution, generate_arrivals, sample_jobs, spec_from_sim
+from cloudsched.workload import Distribution, WorkloadSpec, generate_arrivals, sample_jobs
 
 ALL_ONE_BANDS = tuple((lo, lo + 9, 1.0) for lo in range(1, 100, 10))
 
@@ -29,6 +29,11 @@ def make_job(job_id=0, arrival=0.0, due=700.0, exec_time=650.0, prep=5.0,
     return Job(id=job_id, arrival_time=arrival, due_time=due, exec_time=exec_time,
                prep_time=prep, demand=demand or ResourceDemand(1, 1.5, 100.0),
                business=business or BusinessProfile(0.0, 0.0))
+
+
+def fixed_jobs(cfg):
+    """cfg's jobs with due, exec and prep fixed at its times."""
+    return sample_jobs(cfg, WorkloadSpec.fixed(cfg), generate_arrivals(cfg))
 
 
 def small_config(**kwargs):
@@ -261,9 +266,9 @@ class TestRunContract:
         assert report.completed + report.rejected + report.stuck == len(jobs)
 
     def test_causality(self):
-        spec = spec_from_sim(SimConfig(num_tasks=300, seed=11))
-        jobs = sample_jobs(spec, generate_arrivals(spec))
-        report = run(SimConfig(num_tasks=300, seed=11), jobs)
+        cfg = SimConfig(num_tasks=300, seed=11)
+        jobs = fixed_jobs(cfg)
+        report = run(cfg, jobs)
         for rec in report.jobs:
             if rec.status != "completed":
                 continue
@@ -272,16 +277,14 @@ class TestRunContract:
 
     def test_determinism_byte_identical(self):
         cfg = SimConfig(num_tasks=400, seed=21)
-        spec = spec_from_sim(cfg)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = fixed_jobs(cfg)
         a = run(cfg, jobs)
         b = run(cfg, jobs)
         assert a.to_json() == b.to_json()
 
     def test_utilization_bounded(self):
         cfg = SimConfig(num_tasks=500, seed=2)
-        spec = spec_from_sim(cfg)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = fixed_jobs(cfg)
         report = run(cfg, jobs)
         assert 0.0 < report.utilization <= 1.0
         assert report.total_cost > 0.0
@@ -340,8 +343,7 @@ class TestRunContract:
 class TestPairedModes:
     def test_boosted_jobs_never_lose_rank(self):
         cfg = SimConfig(num_tasks=300, seed=13)
-        spec = spec_from_sim(cfg)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = fixed_jobs(cfg)
         native = run(cfg, jobs, mode="native")
         resultant = run(cfg, jobs, mode="resultant")
         nat = {r.job_id: r for r in native.jobs}
@@ -352,8 +354,7 @@ class TestPairedModes:
 
     def test_modes_share_technical_scores(self):
         cfg = SimConfig(num_tasks=200, seed=14)
-        spec = spec_from_sim(cfg)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = fixed_jobs(cfg)
         native = run(cfg, jobs, mode="native")
         resultant = run(cfg, jobs, mode="resultant")
         for a, b in zip(native.jobs, resultant.jobs):
@@ -479,7 +480,7 @@ def _scenario(name):
     cfg = SimConfig(num_tasks=300, seed=7)
     if name == "saturated":
         cfg = replace(cfg, num_vms=60)
-    spec = spec_from_sim(cfg)
+    spec = WorkloadSpec.fixed(cfg)
     if name == "mixed":
         spec = replace(spec, due_dist=Distribution("uniform", (660.0, 3600.0)),
                        exec_dist=Distribution("exponential", (650.0,)),
@@ -505,19 +506,19 @@ class TestReportBytes:
     @pytest.mark.parametrize("name,mode", sorted(PINNED_REPORT_SHA256))
     def test_to_json_hash_is_pinned(self, name, mode):
         cfg, spec = _scenario(name)
-        report = run(cfg, sample_jobs(spec, generate_arrivals(spec)), mode=mode)
+        report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)), mode=mode)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == PINNED_REPORT_SHA256[(name, mode)]
 
     def test_mixed_scenario_reaches_every_band(self):
         cfg, spec = _scenario("mixed")
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
         for mode in ("native", "resultant"):
             assert len(run(cfg, jobs, mode=mode).band_waits) == len(cfg.allocation_bands)
 
     def test_saturated_scenario_queues(self):
         cfg, spec = _scenario("saturated")
-        report = run(cfg, sample_jobs(spec, generate_arrivals(spec)))
+        report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)))
         assert not report.unstable
         assert max(r.wait for r in report.jobs) >= cfg.exec_time
 
@@ -549,7 +550,7 @@ class TestJobStreams:
     def test_certain_bands_build_no_generator(self, monkeypatch):
         cfg, spec = _scenario("mixed")
         cfg = replace(cfg, allocation_bands=ALL_ONE_BANDS)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
         built = _count_generators(monkeypatch)
         report = run(cfg, jobs)
         assert report.completed == cfg.num_tasks
@@ -559,7 +560,7 @@ class TestJobStreams:
     @pytest.mark.parametrize("name", ["reference", "mixed", "saturated"])
     def test_no_generator_and_equal_to_eager_streams(self, monkeypatch, name, mode):
         cfg, spec = _scenario(name)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
         built = _count_generators(monkeypatch)
         report = run(cfg, jobs, mode=mode)
         assert built == []

@@ -1,4 +1,6 @@
+import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,65 +11,65 @@ from cloudsched.priority import business_priority
 from cloudsched.workload import (
     Distribution,
     InvalidJobError,
-    InvalidRateError,
     ParseError,
     WorkloadSpec,
     generate_arrivals,
     load_jobs,
     sample_jobs,
     save_jobs,
-    spec_from_sim,
 )
 
 
-def fixed_spec(**kwargs):
-    defaults = dict(rate=1.0, class_rates=(1.0,), num_tasks=100, seed=7)
-    defaults.update(kwargs)
-    return WorkloadSpec(**defaults)
+def config(num_tasks=100, seed=7):
+    """A one-class config at 1 job/s."""
+    return SimConfig(num_tasks=num_tasks, seed=seed, class_rates=(1.0,))
+
+
+def jobs_of(num_tasks=100, seed=7, **spec_values):
+    """config()'s jobs, drawn from its fixed-timing spec with spec_values set."""
+    cfg = config(num_tasks, seed)
+    spec = replace(WorkloadSpec.fixed(cfg), **spec_values)
+    return sample_jobs(cfg, spec, generate_arrivals(cfg))
 
 
 class TestGenerateArrivals:
     def test_mean_gap_matches_rate(self):
-        spec = fixed_spec(num_tasks=10_000)
-        arrivals = generate_arrivals(spec)
+        cfg = config(num_tasks=10_000)
+        arrivals = generate_arrivals(cfg)
         gaps = np.diff(np.concatenate([[0.0], arrivals]))
         # independent check of the sample mean, not numpy's
         mean_gap = statistics.fmean(float(g) for g in gaps)
         assert abs(mean_gap - 1.0) <= 0.05
 
     def test_single_task(self):
-        spec = fixed_spec(num_tasks=1)
-        arrivals = generate_arrivals(spec)
+        cfg = config(num_tasks=1)
+        arrivals = generate_arrivals(cfg)
         assert len(arrivals) == 1
         assert arrivals[0] >= 0.0
 
     def test_non_decreasing(self):
-        arrivals = generate_arrivals(fixed_spec(num_tasks=500))
+        arrivals = generate_arrivals(config(num_tasks=500))
         assert (np.diff(arrivals) >= 0).all()
 
     def test_determinism_bit_exact(self):
-        spec = fixed_spec(num_tasks=1000)
-        a = generate_arrivals(spec)
-        b = generate_arrivals(spec)
+        cfg = config(num_tasks=1000)
+        a = generate_arrivals(cfg)
+        b = generate_arrivals(cfg)
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        a = generate_arrivals(fixed_spec(seed=1))
-        b = generate_arrivals(fixed_spec(seed=2))
+        a = generate_arrivals(config(seed=1))
+        b = generate_arrivals(config(seed=2))
         assert a.tobytes() != b.tobytes()
-
-    def test_invalid_rate(self):
-        with pytest.raises(InvalidRateError):
-            generate_arrivals(fixed_spec(rate=0.0, class_rates=(0.0,)))
 
     def test_window_counts_fit_poisson(self):
         # chi-square goodness of fit of per-window arrival counts
-        spec = fixed_spec(num_tasks=10_000, seed=3)
-        arrivals = generate_arrivals(spec)
+        cfg = config(num_tasks=10_000, seed=3)
+        arrivals = generate_arrivals(cfg)
         w = 10.0
         n_windows = int(arrivals[-1] // w)
         counts = np.histogram(arrivals, bins=n_windows, range=(0.0, n_windows * w))[0]
-        lam = spec.rate * w
+        lam = cfg.arrival_rate * w
         lo, hi = 4, 17  # merge tails so every expected bin count is >= 5
         edges = list(range(lo, hi + 1))
         observed = [np.sum(counts <= lo)]
@@ -84,50 +86,39 @@ class TestGenerateArrivals:
 
 class TestSampleJobs:
     def test_reference_fixed_spec_all_valid(self):
-        spec = fixed_spec(num_tasks=200)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = jobs_of(num_tasks=200)
         assert all(validate_job(j).status == OK for j in jobs)
         assert all((j.due_time, j.exec_time, j.prep_time) == (700.0, 650.0, 5.0)
                    for j in jobs)
 
     def test_zero_business_ranges(self):
-        spec = fixed_spec(num_tasks=50, order_range=(0.0, 0.0),
-                          relationship_range=(0.0, 0.0))
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = jobs_of(num_tasks=50, order_range=(0.0, 0.0), relationship_range=(0.0, 0.0))
         assert all(business_priority(j.business, SimConfig()) == 0.0 for j in jobs)
 
     def test_requested_count(self):
-        spec = fixed_spec(num_tasks=2000)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
-        assert len(jobs) == 2000
+        assert len(jobs_of(num_tasks=2000)) == 2000
 
     def test_demand_comes_from_catalog_shapes(self):
-        spec = fixed_spec(num_tasks=300)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
-        shapes = {(e.cores, e.ram, e.disk) for e in spec.catalog}
+        jobs = jobs_of(num_tasks=300)
+        shapes = {(e.cores, e.ram, e.disk) for e in config().catalog}
         assert all((j.demand.processors, j.demand.memory, j.demand.storage) in shapes
                    for j in jobs)
 
     def test_demand_weights_bias(self):
         weights = (1.0, 0.0, 0.0, 0.0, 0.0)
         # a zero weight means that shape never appears
-        spec = fixed_spec(num_tasks=200, demand_weights=weights)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = jobs_of(num_tasks=200, demand_weights=weights)
         assert all(j.demand.processors == 1 for j in jobs)
 
     def test_determinism(self):
-        spec = fixed_spec(num_tasks=100)
-        a = sample_jobs(spec, generate_arrivals(spec))
-        b = sample_jobs(spec, generate_arrivals(spec))
-        assert a == b
+        assert jobs_of(num_tasks=100) == jobs_of(num_tasks=100)
 
-    def test_spec_from_sim_matches_config(self):
-        cfg = SimConfig()
-        spec = spec_from_sim(cfg)
-        assert spec.num_tasks == cfg.num_tasks
-        assert spec.rate == cfg.arrival_rate
-        assert spec.due_dist == Distribution("fixed", (700.0,))
-        assert spec.seed == cfg.seed
+    def test_fixed_spec_takes_the_config_timing(self):
+        spec = WorkloadSpec.fixed(SimConfig(due_time=800.0, exec_time=600.0, prep_time=2.0))
+        assert (spec.due_dist, spec.exec_dist, spec.prep_dist) == (
+            Distribution("fixed", (800.0,)), Distribution("fixed", (600.0,)),
+            Distribution("fixed", (2.0,)))
+        assert spec == WorkloadSpec(spec.due_dist, spec.exec_dist, spec.prep_dist)
 
 
 class TestDistribution:
@@ -151,23 +142,23 @@ class TestDistribution:
 
 
 class TestWorkloadSpecInvariants:
-    def test_class_rates_must_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            fixed_spec(class_rates=(0.4, 0.4))
+    @pytest.mark.parametrize("weights", [(0.0,) * 5, (1.0, -1.0, 1.0, 1.0, 1.0), (),
+                                         (1.0, math.nan, 1.0, 1.0, 1.0),
+                                         (1.0, math.inf, 1.0, 1.0, 1.0)])
+    def test_demand_weights_must_be_non_negative_with_a_positive_sum(self, weights):
+        with pytest.raises(ValueError, match="demand_weights must be non-negative"):
+            replace(WorkloadSpec.fixed(SimConfig()), demand_weights=weights)
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            fixed_spec(seed=-1)
-
-    def test_weights_length_must_match_catalog(self):
-        with pytest.raises(ValueError):
-            fixed_spec(demand_weights=(1.0, 2.0))
+    @pytest.mark.parametrize("name", ["order_range", "relationship_range"])
+    @pytest.mark.parametrize("bounds", [(2.0, 1.0), (-1.0, 1.0)])
+    def test_ranges_must_be_ordered_and_non_negative(self, name, bounds):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            replace(WorkloadSpec.fixed(SimConfig()), **{name: bounds})
 
 
 class TestJobFile:
     def test_round_trip(self, tmp_path):
-        spec = fixed_spec(num_tasks=25)
-        jobs = sample_jobs(spec, generate_arrivals(spec))
+        jobs = jobs_of(num_tasks=25)
         path = tmp_path / "jobs.csv"
         save_jobs(path, jobs)
         assert load_jobs(path) == jobs
@@ -263,6 +254,10 @@ class TestJobFile:
         path = tmp_path / "jobs.csv"
         path.write_text(
             "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
-            "job-a,0.0,700,650,5,1,1.7,160,100,5\n")
-        jobs = load_jobs(path)
-        assert jobs[0].id == "job-a"
+            "job-a,0.0,700,650,5,1,1.7,160,100,5\n"
+            "--5,1.0,700,650,5,1,1.7,160,100,5\n"
+            "\u00b2,2.0,700,650,5,1,1.7,160,100,5\n"
+            "\u0663,3.0,700,650,5,1,1.7,160,100,5\n"
+            "-5,4.0,700,650,5,1,1.7,160,100,5\n")
+        # Only ASCII digits with an optional minus sign make an int id.
+        assert [j.id for j in load_jobs(path)] == ["job-a", "--5", "\u00b2", "\u0663", -5]
