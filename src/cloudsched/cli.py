@@ -7,10 +7,12 @@ its built-in default and is echoed. All outputs are written atomically:
 to a .tmp file that replaces the output when complete, and is removed if
 writing fails. Each report_<mode>.json holds the compact SimReport.to_json()
 text plus a newline. It is streamed one block of job records at a time
-(SimReport.json_chunks), and with --format csv jobs_<mode>.csv is written in
-the same pass from the same formatted cells, so neither file is held whole in
-memory. With --format json each table is written one block of rows at a time.
-load_report reads a report back.
+(SimReport.json_chunks, which slices the report's job columns), and
+jobs_<mode>.csv or jobs_<mode>.json is written in the same pass from the same
+formatted cells, so neither file is held whole in memory. Other --format json
+tables are written one block of rows at a time. comparison.json comes from
+one pass over both reports' columns. No command builds a JobRecord. load_report
+reads a report back.
 """
 
 from __future__ import annotations
@@ -373,38 +375,45 @@ _JOB_TABLE_HEADER = ("job_id", "arrival", "ack", "allocation", "start", "complet
                      "status", "retries")
 
 
-def _job_rows(report: SimReport):
-    for r in report.jobs:
-        yield (r.job_id, r.arrival, r.ack, r.allocation, r.start, r.completion, r.wait,
-               r.rank, r.tp_score, r.bp_score, r.resultant, r.class_index,
-               r.chain_position, r.instance, r.cost, r.sls, r.deadline_met, r.status,
-               r.retries)
+# One job of a --format json job table, as json.dumps(rows, indent=2) writes
+# a row's dict, with a %s for each cell's JSON text.
+_JOB_JSON_ROW = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s"
+                                              for name in _JOB_TABLE_HEADER)
 
 
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
     """Write report_<mode>.json, jobs_<mode>.<fmt> and bands_<mode>.<fmt>.
 
-    The report and, with csv, the job table are written in one pass over the
-    report's blocks. A block's finite floats and ints reach csv.writer as
+    The report and its job table are written in one pass over the report's
+    blocks. With csv, a block's finite floats and ints reach csv.writer as
     their JSON text, which is the text csv.writer writes for them; every other
     cell reaches it as the value, so csv keeps its quoting and its nan/inf.
+    With json, the table is json.dumps([dict(zip(_JOB_TABLE_HEADER, row)) for
+    each job], indent=2) and a newline, written from the same JSON texts of
+    the cells that the report holds.
     """
     mode = report.mode
-    paths = [out_dir / f"report_{mode}.json"]
-    if fmt == "csv":
-        paths.append(out_dir / f"jobs_{mode}.csv")
-    with _atomic_files(*paths) as files:
-        table = None
+    with _atomic_files(out_dir / f"report_{mode}.json",
+                       out_dir / f"jobs_{mode}.{fmt}") as (report_file, table_file):
         if fmt == "csv":
-            table = csv.writer(files[1])
+            table = csv.writer(table_file)
             table.writerow(_JOB_TABLE_HEADER)
-        for text, columns in report.json_chunks():
-            files[0].write(text)
-            if table is not None and columns is not None:
-                table.writerows(zip(*[columns[name] for name in _JOB_TABLE_HEADER]))
-        files[0].write("\n")
-    if fmt != "csv":
-        _write_table(out_dir, f"jobs_{mode}", _JOB_TABLE_HEADER, _job_rows(report), fmt)
+        else:
+            table_file.write("[")
+        sep = "\n"
+        for text, texts, cells in report.json_chunks():
+            report_file.write(text)
+            if cells is None:
+                continue
+            if fmt == "csv":
+                table.writerows(zip(*[cells[name] for name in _JOB_TABLE_HEADER]))
+            else:
+                rows = zip(*[texts[name] for name in _JOB_TABLE_HEADER])
+                table_file.write(sep + ",\n".join(map(_JOB_JSON_ROW.__mod__, rows)))
+                sep = ",\n"
+        report_file.write("\n")
+        if fmt != "csv":
+            table_file.write("]\n" if sep == "\n" else "\n]\n")
     _write_table(out_dir, f"bands_{mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)
 
@@ -446,6 +455,41 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _comparison(native: SimReport, resultant: SimReport, beta: float) -> dict:
+    """comparison.json of two runs over the same jobs, in one pass over their
+    columns: row i of both reports is the same job.
+
+    A boosted job has a technical score above beta and a positive business
+    score in the resultant run. Mean waits are over the boosted jobs that
+    completed in both runs, added left to right from the int 0 as _summary
+    adds them.
+    """
+    nat, res = native.columns, resultant.columns
+    boosted = both_done = 0
+    never_worse = True
+    total_nat = total_res = 0
+    for tp, bp, rank_res, rank_nat, status_res, status_nat, wait_res, wait_nat in zip(
+            res["tp_score"], res["bp_score"], res["rank"], nat["rank"], res["status"],
+            nat["status"], res["wait"], nat["wait"]):
+        if tp is None or not tp > beta or bp is None or not bp > 0:
+            continue
+        boosted += 1
+        never_worse = never_worse and rank_res <= rank_nat
+        if status_nat == "completed" and status_res == "completed":
+            total_nat += wait_nat
+            total_res += wait_res
+            both_done += 1
+    mean_nat = total_nat / both_done if both_done else 0.0
+    mean_res = total_res / both_done if both_done else 0.0
+    return {
+        "boosted_jobs": boosted,
+        "rank_never_worse": never_worse,
+        "mean_wait_native": mean_nat,
+        "mean_wait_resultant": mean_res,
+        "mean_wait_not_increased": mean_res <= mean_nat,
+    }
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
@@ -462,29 +506,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_report(out, native, args.format)
     _write_report(out, resultant, args.format)
 
-    beta = parsed.sim.beta
-    nat_by_id = {r.job_id: r for r in native.jobs}
-    boosted = [(nat_by_id[r.job_id], r) for r in resultant.jobs
-               if r.tp_score is not None and r.tp_score > beta
-               and r.bp_score is not None and r.bp_score > 0]
-    boosted_done = [(n, r) for n, r in boosted
-                    if n.status == "completed" and r.status == "completed"]
-    mean_nat = (sum(n.wait for n, _ in boosted_done) / len(boosted_done)
-                if boosted_done else 0.0)
-    mean_res = (sum(r.wait for _, r in boosted_done) / len(boosted_done)
-                if boosted_done else 0.0)
-    comparison = {
-        "boosted_jobs": len(boosted),
-        "rank_never_worse": all(r.rank <= n.rank for n, r in boosted),
-        "mean_wait_native": mean_nat,
-        "mean_wait_resultant": mean_res,
-        "mean_wait_not_increased": mean_res <= mean_nat,
-    }
+    comparison = _comparison(native, resultant, parsed.sim.beta)
     _write_atomic(out / "comparison.json",
                   json.dumps(comparison, sort_keys=True, indent=2) + "\n")
     print(f"simulated {len(jobs)} jobs twice (native, resultant) -> {out}")
     print(f"boosted jobs: {comparison['boosted_jobs']}, "
-          f"mean wait native {mean_nat:.4f}s vs resultant {mean_res:.4f}s")
+          f"mean wait native {comparison['mean_wait_native']:.4f}s vs resultant "
+          f"{comparison['mean_wait_resultant']:.4f}s")
     if native.unstable or resultant.unstable:
         print("warning: run flagged unstable; reports are partial", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -518,7 +546,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
     out = _ensure_out(args.out)
-    rows = replication_bundle(parsed.sim)
+    rows = replication_bundle(parsed.sim, parsed.workload)
     _write_table(out, "replication", ("series", "x", "value", "provenance"),
                  [(r.series, r.x, r.value, r.provenance) for r in rows], args.format)
     series = sorted({r.series for r in rows})

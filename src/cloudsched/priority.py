@@ -5,6 +5,7 @@ weights, normalizers, business cap, blank time) are read from SimConfig."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -156,13 +157,16 @@ def priority_columns(jobs, windows, cfg: SimConfig, apply_business: bool = True)
     score) raises ValueError, as score_to_rank does.
     """
     n = len(jobs)
-    due, exec_time, prep, processors, memory, storage, order, relationship = np.array(
-        [(j.due_time, j.exec_time, j.prep_time, j.demand.processors, j.demand.memory,
-          j.demand.storage, j.business.order_amount, j.business.relationship)
-         for j in jobs], dtype=float).reshape(n, 8).T
-    t_min, t_max, weight_max = np.array(
-        [(w.t_start_min, w.t_start_max, w.demand_weight_max) for w in windows],
-        dtype=float).reshape(n, 3).T
+
+    def column(items, name):
+        return np.fromiter(map(attrgetter(name), items), float, n)
+
+    due, exec_time, prep, processors, memory, storage, order, relationship = (
+        column(jobs, name) for name in (
+            "due_time", "exec_time", "prep_time", "demand.processors", "demand.memory",
+            "demand.storage", "business.order_amount", "business.relationship"))
+    t_min, t_max, weight_max = (column(windows, name) for name in (
+        "t_start_min", "t_start_max", "demand_weight_max"))
 
     t_start = due - exec_time - prep - cfg.blank_time
     weight = processors + memory + storage

@@ -7,8 +7,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Protocol
 
 from .domain import (
     DEFAULT_ALLOCATION_BANDS,
@@ -121,17 +120,25 @@ def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None
     return best
 
 
+class Draws(Protocol):
+    """A job's allocation stream: uniform doubles in [0, 1), one per call."""
+
+    def random(self) -> float: ...
+
+
 def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
-                 pool: ResourcePool, rng: np.random.Generator, clock: float = 0.0,
+                 pool: ResourcePool, rng: Draws | None, clock: float = 0.0,
                  retry_interval: float = 1.0) -> Allocated | Deferred:
     """One allocation attempt for the job.
 
     instance is the job's cheapest fitting catalog entry (see cheapest_fit),
     None when nothing fits, and p the admission probability of its rank band.
     A full pool always defers, without drawing. Otherwise admission is a
-    Bernoulli draw at p from rng; on success the instance is granted and the
-    pool occupancy incremented, on failure the job is deferred until
-    clock + retry_interval. At p = 1 it always admits and draws nothing.
+    Bernoulli draw at p from rng, the job's allocation stream (a numpy
+    Generator will do); on success the instance is granted and the pool
+    occupancy incremented, on failure the job is deferred until
+    clock + retry_interval. At p = 1 it always admits and draws nothing, so
+    rng may be None.
     """
     if instance is None:
         raise UnsatisfiableDemandError(

@@ -1,6 +1,11 @@
 """Discrete-event engine tying workload, priority, and queueing together,
 plus report building, the affine waiting-time reference model, and the
-replication bundle of reference curves."""
+replication bundle of reference curves.
+
+run() keeps each job's state in per-field lists indexed by the job's place
+in id order, and its SimReport holds the job records as columns, one list
+per JobRecord field; the report writer formats slices of those columns.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ import functools
 import heapq
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
@@ -39,16 +43,6 @@ from .workload import WorkloadSpec, generate_arrivals, sample_jobs
 COMPLETION, ARRIVAL, RETRY_ALLOCATION = 0, 1, 2
 
 
-def _id_sort_key(job_id) -> tuple:
-    if isinstance(job_id, int):
-        return (0, job_id, "")
-    return (1, 0, str(job_id))
-
-
-# The JobRecord fields from ack to deadline_met of a job that never arrived.
-_UNSEEN = (None,) * 17
-
-
 class InsufficientSamplesError(ValueError):
     """Too few completed jobs in a class for a meaningful analytic comparison."""
 
@@ -57,7 +51,9 @@ class InsufficientSamplesError(ValueError):
 class JobRecord:
     """Everything observed about one job during a run.
 
-    Not frozen: a frozen dataclass sets each of the 23 fields through
+    A report keeps its job records as columns (SimReport.columns); a
+    JobRecord is one row of them, built when SimReport.jobs is read. Not
+    frozen: a frozen dataclass sets each of the 23 fields through
     object.__setattr__, which made building a run's records about 6x slower.
     """
 
@@ -90,12 +86,13 @@ class JobRecord:
         return cls(**d)
 
 
+# JobRecord fields in declaration order, the order of its constructor's arguments.
+_RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
 # Job records are written in blocks of this many rows: each distinct value of
 # a block is formatted once, and only one block's text is held at a time.
 _BLOCK_ROWS = 1024
 # JobRecord fields in the order json.dumps(sort_keys=True) writes them.
-_JOB_FIELDS = tuple(sorted(f.name for f in fields(JobRecord)))
-_job_values = operator.attrgetter(*_JOB_FIELDS)
+_JOB_FIELDS = tuple(sorted(_RECORD_FIELDS))
 _ROW_TEMPLATE = "{%s}" % ",".join(encode_basestring_ascii(name) + ":%s" for name in _JOB_FIELDS)
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -158,41 +155,49 @@ class _FloatTexts(_Texts):
         return "null" if value is None else _float_text(value)
 
 
-def _format_block(records) -> tuple[str, dict]:
-    """The JSON text of a block of job records, rows joined by commas, and the
-    block's columns by field name with each finite float and int replaced by
-    its JSON text (a CSV writer writes the same text for them).
+def _format_block(columns) -> tuple[dict, dict]:
+    """The cells of a block of job records, given as its column slices in
+    _JOB_FIELDS order.
 
-    A column whose values other than None share one type is formatted through
-    that type's table; a column that mixes types is encoded value by value.
+    Returns (texts, cells), each a dict by field name in _JOB_FIELDS order:
+    texts holds each cell's JSON text, and cells the column with each finite
+    float and int replaced by its JSON text (a CSV writer writes the same text
+    for them). A column whose values other than None share one type is
+    formatted through that type's table; a column that mixes types is encoded
+    value by value.
     """
     nulls = _Texts(None)
     nulls[None] = "null"  # a column of None only: every lookup finds it
     tables = {float: _FloatTexts(), int: _Texts(int.__repr__),
               str: _Texts(encode_basestring_ascii), bool: _Texts(_bool_text),
               type(None): nulls}
-    texts = []
-    columns = {}
-    for name, column in zip(_JOB_FIELDS, zip(*map(_job_values, records))):
+    texts = {}
+    cells = {}
+    for name, column in zip(_JOB_FIELDS, columns):
         kinds = set(map(type, column))
         if len(kinds) == 2:
             kinds.discard(type(None))
         kind = kinds.pop() if len(kinds) == 1 else None
         table = tables.get(kind)
-        texts.append(list(map(_encode, column)) if table is None
-                     else table.format_column(column))
-        columns[name] = (list(map(table.get, column, column)) if kind is float or kind is int
-                         else column)
-    return ",".join(map(_ROW_TEMPLATE.__mod__, zip(*texts))), columns
+        texts[name] = (list(map(_encode, column)) if table is None
+                       else table.format_column(column))
+        cells[name] = (list(map(table.get, column, column)) if kind is float or kind is int
+                       else column)
+    return texts, cells
 
 
 @dataclass(frozen=True)
 class SimReport:
-    """Per-run metrics: job records, band waits, class satisfaction, totals."""
+    """Per-run metrics: job records, band waits, class satisfaction, totals.
+
+    columns maps each JobRecord field name to the list of its values, one
+    per job in the order of the run's job list. The JobRecords themselves are
+    built only when jobs is read.
+    """
 
     mode: str
     seed: int
-    jobs: tuple[JobRecord, ...]
+    columns: dict
     band_waits: dict = field(default_factory=dict)
     class_sls: dict = field(default_factory=dict)
     deadline_hit_rate: float = 0.0
@@ -205,11 +210,19 @@ class SimReport:
     makespan: float = 0.0
     config: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        """The job records, one per row of columns."""
+        return tuple(map(JobRecord, *map(self.columns.__getitem__, _RECORD_FIELDS)))
+
     @classmethod
     def from_dict(cls, d: dict) -> "SimReport":
+        rows = d["jobs"]
+        columns = {name: [row[name] for row in rows] for name in _RECORD_FIELDS}
+        if any(len(row) != len(_RECORD_FIELDS) for row in rows):
+            raise ValueError("a job record has keys that are not JobRecord fields")
         return cls(
-            mode=d["mode"], seed=d["seed"],
-            jobs=tuple(JobRecord.from_dict(j) for j in d["jobs"]),
+            mode=d["mode"], seed=d["seed"], columns=columns,
             band_waits=dict(d["band_waits"]), class_sls=dict(d["class_sls"]),
             deadline_hit_rate=d["deadline_hit_rate"], utilization=d["utilization"],
             total_cost=d["total_cost"], completed=d["completed"], rejected=d["rejected"],
@@ -218,28 +231,33 @@ class SimReport:
         )
 
     def json_chunks(self):
-        """The to_json() text in pieces, each with the job columns it holds.
+        """The to_json() text in pieces, each with the job cells it holds.
 
-        Yields (text, columns): the fields before "jobs", then one piece per
-        block of _BLOCK_ROWS job records with its columns from _format_block,
-        then the fields after "jobs"; columns is None outside the job blocks.
+        Yields (text, texts, cells): the fields before "jobs", then one piece
+        per block of _BLOCK_ROWS job records with its texts and cells from
+        _format_block, then the fields after "jobs"; texts and cells are None
+        outside the job blocks.
         """
-        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
+        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
         tail = _encode({k: v for k, v in rest.items() if k > "jobs"})
-        yield head[:-1] + ',"jobs":[', None
-        for start in range(0, len(self.jobs), _BLOCK_ROWS):
-            text, columns = _format_block(self.jobs[start:start + _BLOCK_ROWS])
-            yield ("," + text if start else text), columns
-        yield "]," + tail[1:], None
+        yield head[:-1] + ',"jobs":[', None, None
+        columns = [self.columns[name] for name in _JOB_FIELDS]
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            texts, cells = _format_block([column[start:start + _BLOCK_ROWS]
+                                          for column in columns])
+            text = ",".join(map(_ROW_TEMPLATE.__mod__, zip(*texts.values())))
+            yield ("," + text if start else text), texts, cells
+        yield "]," + tail[1:], None, None
 
     def to_json(self) -> str:
         """Compact JSON with sorted keys, as json.dumps(sort_keys=True,
-        separators=(",", ":")) writes the report's fields; every job record is
-        an object of its fields. `cloudsched simulate` streams the same text,
-        block by block (json_chunks), to the report file and adds a newline.
+        separators=(",", ":")) writes the report's fields with "jobs" in place
+        of columns; every job record is an object of its fields. `cloudsched
+        simulate` streams the same text, block by block (json_chunks), to the
+        report file and adds a newline.
         """
-        return "".join(text for text, _columns in self.json_chunks())
+        return "".join(text for text, _texts, _cells in self.json_chunks())
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
@@ -305,29 +323,22 @@ def _job_streams(seed: int, indices) -> list:
         value = value * hash_const
         state.append((value ^ value >> 16).astype(np.uint64))
     words = [(state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4)]
-    return list(map(_PCG64Stream, zip(*words)))
+    return list(map(_PCG64Stream, *words))
 
 
 class _PCG64Stream:
-    """numpy's PCG64 (128-bit LCG, XSL-RR output) from four 64-bit seed words.
+    """numpy's PCG64 (128-bit LCG, XSL-RR output) from four 64-bit seed words."""
 
-    Seeding waits for the first draw, because most jobs never draw.
-    """
+    __slots__ = ("_state", "_inc")
 
-    __slots__ = ("_words", "_state", "_inc")
-
-    def __init__(self, words: tuple):
-        self._words = words
-        self._state = None
+    def __init__(self, w0: int, w1: int, w2: int, w3: int):
+        # numpy's pcg64_set_seed
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self._state = ((w0 << 64 | w1) + self._inc) * _PCG64_MULT + self._inc
 
     def random(self) -> float:
         """The next double in [0, 1), as Generator.random() computes it."""
-        state = self._state
-        if state is None:  # numpy's pcg64_set_seed
-            w0, w1, w2, w3 = self._words
-            self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((w0 << 64 | w1) + self._inc) * _PCG64_MULT + self._inc
-        state = (state * _PCG64_MULT + self._inc) & _MASK128
+        state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         self._state = state
         low = (state >> 64 ^ state) & _MASK64
         rot = state >> 122
@@ -359,11 +370,14 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     a byte-identical report. Allocation draws come from one stream per job,
     numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,)) and
     computed without building a numpy Generator (see _job_streams), so paired
-    native/resultant runs see common random numbers. Each job is validated
+    native/resultant runs see common random numbers; a job whose band admits
+    with probability 1 never draws and gets no stream. Each job is validated
     once, up front: an invalid job is recorded as rejected with its reason and
     never enters the event queue. Duplicate job ids raise ValueError.
     Priorities are computed up front too, from each job's epoch window (see
     window_stats_by_epoch), so an arrival only classifies and enqueues the job.
+    Per-job state lives in lists, and the report holds its job records as
+    columns (SimReport.columns).
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,10 +401,15 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
 
     windows = window_stats_by_epoch([jobs[i] for i in admitted], config.epoch_length,
                                     config.blank_time)
-    # Admitted jobs are numbered k = 0.. in job id order, so k breaks the ties
-    # between same-time events of the same kind.
-    order = sorted(admitted, key=lambda i: _id_sort_key(jobs[i].id))
+    # Admitted jobs are numbered k = 0.. in job id order, int ids by value
+    # before the others by their text, so k breaks the ties between same-time
+    # events of the same kind.
+    int_ids = [i for i in admitted if isinstance(jobs[i].id, int)]
+    other_ids = [i for i in admitted if not isinstance(jobs[i].id, int)]
+    order = (sorted(int_ids, key=lambda i: jobs[i].id)
+             + sorted(other_ids, key=lambda i: str(jobs[i].id)))
     adm = [jobs[i] for i in order]
+    m_jobs = len(adm)
     t_start, weight, tp, bp, resultant, rank = priority_columns(
         adm, [windows[_epoch_of(job.arrival_time, config.epoch_length)] for job in adm],
         config, apply_business=mode == "resultant")
@@ -401,23 +420,29 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     fit = functools.cache(functools.partial(cheapest_fit, pool.catalog))
     fits = [fit(job.demand) for job in adm]
     probs = [band_probability[r] for r in rank]
-    streams = _job_streams(config.seed, order)
+    streams: list = [None] * m_jobs
+    drawing = [k for k in range(m_jobs) if probs[k] != 1.0]
+    for k, stream in zip(drawing, _job_streams(config.seed, [order[k] for k in drawing])):
+        streams[k] = stream
     n_classes = len(config.class_rates)
-    classes = [QueueClass(m + 1) for m in range(n_classes)]
+    classes = [QueueClass(c + 1) for c in range(n_classes)]
 
-    m_jobs = len(adm)
-    start: list = [None] * m_jobs
-    completion: list = [None] * m_jobs
-    chain: list = [None] * m_jobs
-    instance: list = [None] * m_jobs
-    status: list = [None] * m_jobs
-    stuck_reason: list = [None] * m_jobs
-    retries = [0] * m_jobs
+    # Per-job state, indexed by k. Each column the report reads has two more
+    # rows, which the event loop never writes: row m_jobs for rejected jobs
+    # and row m_jobs + 1 for jobs yet to arrive when an unstable run stopped.
+    arrival = [job.arrival_time for job in adm]
+    exec_time = [job.exec_time for job in adm]
+    deadline = [job.arrival_time + job.due_time for job in adm]
+    (start, completion, wait, class_index, chain_position, instance, cost,
+     deadline_met) = ([None] * (m_jobs + 2) for _ in range(8))
+    status = ["pending"] * m_jobs + ["rejected", "pending"]
+    retries = [0] * (m_jobs + 2)
     pending_retry = [False] * m_jobs
+    stuck_reason = f"exceeded max_retries ({config.max_retries})"
 
-    # Arrivals are known up front: a sorted list merged with the heap, which
-    # holds only completions and retries. Events are (time, kind, k).
-    arrivals = sorted((job.arrival_time, ARRIVAL, k) for k, job in enumerate(adm))
+    # Arrivals are known up front: the k in arrival order, ties by k, merged
+    # with the heap, which holds only completions and retries as (time, kind, k).
+    arrivals = sorted(range(m_jobs), key=arrival.__getitem__)
     heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
     capacity, retry_interval = pool.capacity, config.retry_interval
@@ -445,16 +470,17 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     qc.pop()
                     in_queue -= 1
                     in_service += 1
-                    instance[k] = outcome.instance
+                    instance[k] = outcome.instance.name
                     start[k] = now
-                    heappush(heap, (now + adm[k].exec_time, COMPLETION, k))
+                    wait[k] = now - arrival[k]
+                    heappush(heap, (now + exec_time[k], COMPLETION, k))
                 else:
                     retries[k] += 1
                     if retries[k] > max_retries:
                         qc.pop()
                         in_queue -= 1
                         status[k] = "stuck"
-                        stuck_reason[k] = f"exceeded max_retries ({max_retries})"
+                        reasons[order[k]] = stuck_reason
                         stuck += 1
                         continue
                     pending_retry[k] = True
@@ -464,26 +490,32 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                 return
 
     next_arrival = 0
-    while True:
-        if next_arrival < m_jobs and (not heap or arrivals[next_arrival] < heap[0]):
-            now, kind, k = arrivals[next_arrival]
-            next_arrival += 1
-        elif heap:
-            now, kind, k = heappop(heap)
+    while next_arrival < m_jobs or heap:
+        if next_arrival < m_jobs:
+            k = arrivals[next_arrival]
+            now = arrival[k]
+            # The heap's first event goes first if it is earlier, or a
+            # completion at the same instant.
+            if heap and (heap[0][0] < now or (heap[0][0] == now and heap[0][1] < ARRIVAL)):
+                now, kind, k = heappop(heap)
+            else:
+                next_arrival += 1
+                kind = ARRIVAL
         else:
-            break
+            now, kind, k = heappop(heap)
         last_time = now
         if kind == ARRIVAL:
             collected += 1
-            m = classify(rank[k], n_classes)
-            chain[k] = (m, classes[m - 1].enqueue(k))
+            c = classify(rank[k], n_classes)
+            class_index[k] = c
+            chain_position[k] = classes[c - 1].enqueue(k)
             in_queue += 1
             if in_queue > max_queue_length:
                 unstable = True
                 break
             pump(now)
         elif kind == RETRY_ALLOCATION:
-            if status[k] is not None:
+            if status[k] != "pending":
                 continue
             pending_retry[k] = False
             pump(now)
@@ -491,60 +523,60 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             release(pool)
             completion[k] = now
             status[k] = "completed"
+            cost[k] = exec_time[k] / 3600.0 * fits[k].cost
+            deadline_met[k] = now <= deadline[k]
             completed += 1
             in_service -= 1
-            busy_time += adm[k].exec_time
+            busy_time += exec_time[k]
             pump(now)
         # Conservation: every collected job is accounted for at every instant.
         assert collected == completed + stuck + in_queue + in_service
 
-    k_of = [None] * len(jobs)
+    # The report row of each job: its k, or one of the two trailing rows.
+    row = [m_jobs] * len(jobs)
     for k, i in enumerate(order):
-        k_of[i] = k
-    records = []
-    for i, job in enumerate(jobs):
-        k = k_of[i]
-        c = None if k is None else chain[k]
-        if c is None:
-            # Rejected, or yet to arrive when an unstable run stopped: no
-            # priority either.
-            records.append(JobRecord(job.id, job.arrival_time, job.due_time, *_UNSEEN,
-                                     "pending" if k is not None else "rejected", 0,
-                                     reasons[i]))
-            continue
-        s = start[k]
-        inst = instance[k]
-        is_done = status[k] == "completed"
-        records.append(JobRecord(
-            job.id, job.arrival_time, job.due_time,
-            job.arrival_time, s, s, completion[k],  # ack, allocation, start, completion
-            None if s is None else s - job.arrival_time,  # wait
-            t_start[k], weight[k], tp[k], bp[k], resultant[k], rank[k],
-            c[0], c[1], inst and inst.name,  # class, chain position, instance
-            job.exec_time / 3600.0 * inst.cost if is_done else None,  # cost
-            resultant[k],  # sls, numerically the resultant score
-            completion[k] <= job.arrival_time + job.due_time if is_done else None,
-            status[k] or "pending", retries[k], stuck_reason[k]))
+        row[i] = k
+    for k in arrivals[next_arrival:]:
+        row[order[k]] = m_jobs + 1
+    for column in (arrival, t_start, weight, tp, bp, resultant, rank):
+        column += (None, None)
 
-    done = [r for r in records if r.status == "completed"]
-    band_waits = {}
-    for lo, hi, _p in table.bands:
-        waits = [r.wait for r in done if lo <= r.rank <= hi]
-        if waits:
-            band_waits[f"{lo}-{hi}"] = sum(waits) / len(waits)
-    class_sls = {}
-    for i in range(1, n_classes + 1):
-        scores = [r.sls for r in done if r.class_index == i]
-        if scores:
-            class_sls[str(i)] = sum(scores) / len(scores)
-    hit_rate = (sum(1 for r in done if r.deadline_met) / len(done)) if done else 0.0
+    def by_job(column) -> list:
+        return list(map(column.__getitem__, row))
+
+    start_column, resultant_column = by_job(start), by_job(resultant)
+    columns = {
+        "job_id": [job.id for job in jobs],
+        "arrival": [job.arrival_time for job in jobs],
+        "due": [job.due_time for job in jobs],
+        "ack": by_job(arrival),
+        "allocation": start_column,
+        "start": start_column,
+        "completion": by_job(completion),
+        "wait": by_job(wait),
+        "t_start": by_job(t_start),
+        "demand_weight": by_job(weight),
+        "tp_score": by_job(tp),
+        "bp_score": by_job(bp),
+        "resultant": resultant_column,
+        "rank": by_job(rank),
+        "class_index": by_job(class_index),
+        "chain_position": by_job(chain_position),
+        "instance": by_job(instance),
+        "cost": by_job(cost),
+        "sls": resultant_column,  # numerically the resultant score
+        "deadline_met": by_job(deadline_met),
+        "status": by_job(status),
+        "retries": by_job(retries),
+        "reason": reasons,
+    }
+    band_waits, class_sls, hit_rate, total_cost = _summary(columns, table.bands, n_classes)
     utilization = busy_time / (config.num_vms * last_time) if last_time > 0 else 0.0
-    total_cost = sum(r.cost for r in done)
 
     return SimReport(
         mode=mode,
         seed=config.seed,
-        jobs=tuple(records),
+        columns=columns,
         band_waits=band_waits,
         class_sls=class_sls,
         deadline_hit_rate=hit_rate,
@@ -557,6 +589,41 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         makespan=last_time,
         config=config.to_dict(),
     )
+
+
+def _summary(columns: dict, bands, n_classes: int) -> tuple[dict, dict, float, float]:
+    """Band waits, class SLS, deadline hit rate and total cost of the
+    completed jobs in a run's report columns, in one pass.
+
+    Each total adds its values left to right, starting at the int 0 as sum()
+    does, so an empty total is 0. sum() itself compensates float sums from
+    Python 3.12 on, which would make the report depend on the interpreter.
+    """
+    band_of = [None] * 101
+    for b, (lo, hi, _p) in enumerate(bands):
+        band_of[lo:hi + 1] = [b] * (hi - lo + 1)
+    wait_total, wait_count = [0] * len(bands), [0] * len(bands)
+    sls_total, sls_count = [0] * n_classes, [0] * n_classes
+    done = met = 0
+    total_cost = 0
+    for status, wait, rank, class_index, sls, deadline_met, cost in zip(
+            *map(columns.__getitem__,
+                 ("status", "wait", "rank", "class_index", "sls", "deadline_met", "cost"))):
+        if status == "completed":
+            b = band_of[rank]
+            wait_total[b] += wait
+            wait_count[b] += 1
+            sls_total[class_index - 1] += sls
+            sls_count[class_index - 1] += 1
+            met += deadline_met
+            total_cost += cost
+            done += 1
+    band_waits = {f"{lo}-{hi}": wait_total[b] / wait_count[b]
+                  for b, (lo, hi, _p) in enumerate(bands) if wait_count[b]}
+    class_sls = {str(c + 1): sls_total[c] / sls_count[c]
+                 for c in range(n_classes) if sls_count[c]}
+    hit_rate = met / done if done else 0.0
+    return band_waits, class_sls, hit_rate, total_cost
 
 
 def waiting_time_model(priority: float, mode: str = "native") -> float:
@@ -586,13 +653,14 @@ class ReplicationRow:
     provenance: str
 
 
-def replication_bundle(config: SimConfig) -> list[ReplicationRow]:
+def replication_bundle(config: SimConfig, spec: WorkloadSpec) -> list[ReplicationRow]:
     """All reference curves plus a simulated waiting curve at the configured scale.
 
     Series: priority_boost (technical score -> boosted score at the configured
     cap), sls_native / sls_resultant, allocation_band (rank band -> admission
     probability), wait_model_native / wait_model_resultant (hours), and
-    wait_simulated (mean simulated wait hours per rank band).
+    wait_simulated (mean simulated wait hours per rank band) of config's jobs
+    drawn from spec.
     """
     rows = []
     for tp in (80, 78, 76, 74, 72, 70, 60, 58):
@@ -610,7 +678,7 @@ def replication_bundle(config: SimConfig) -> list[ReplicationRow]:
     for p in range(8, 99, 10):
         rows.append(ReplicationRow("wait_model_resultant", str(p),
                                    waiting_time_model(p, "resultant"), "model"))
-    jobs = sample_jobs(config, WorkloadSpec.fixed(config), generate_arrivals(config))
+    jobs = sample_jobs(config, spec, generate_arrivals(config))
     report = run(config, jobs, mode="resultant")
     for band, wait in report.band_waits.items():
         rows.append(ReplicationRow("wait_simulated", band, wait / 3600.0, "simulated"))
@@ -621,17 +689,26 @@ def compare_analytic(report: SimReport, class_moments, min_samples: int = 10_000
     """Relative error of simulated class waits against the closed-form prediction.
 
     class_moments is the (rate, mean service, mean squared service) list fed to
-    the analytic formula, one entry per class in class order.
+    the analytic formula, one entry per class in class order. Each class's
+    waits are added left to right, as _summary adds them.
     """
     from .queueing import mg1_waiting
 
     analytic = mg1_waiting(class_moments)
+    columns = report.columns
+    totals: dict = {}
+    counts: dict = {}
+    for status, class_index, wait in zip(columns["status"], columns["class_index"],
+                                         columns["wait"]):
+        if status == "completed":
+            totals[class_index] = totals.get(class_index, 0) + wait
+            counts[class_index] = counts.get(class_index, 0) + 1
     errors = []
     for i, w_analytic in enumerate(analytic, start=1):
-        waits = [r.wait for r in report.jobs if r.status == "completed" and r.class_index == i]
-        if len(waits) < min_samples:
+        count = counts.get(i, 0)
+        if count < min_samples:
             raise InsufficientSamplesError(
-                f"class {i} has {len(waits)} completed jobs, need {min_samples}")
-        w_sim = sum(waits) / len(waits)
+                f"class {i} has {count} completed jobs, need {min_samples}")
+        w_sim = totals.get(i, 0) / count
         errors.append(abs(w_sim - w_analytic) / w_analytic)
     return errors

@@ -5,15 +5,21 @@ import json
 import math
 import os
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cloudsched import cli, simulator
 from cloudsched.domain import SimConfig
-from cloudsched.simulator import JobRecord, SimReport, run
-from cloudsched.workload import Distribution, generate_arrivals, sample_jobs
+from cloudsched.simulator import JobRecord, SimReport, compare_analytic, run
+from cloudsched.workload import (
+    JOB_FILE_FIELDS,
+    Distribution,
+    WorkloadSpec,
+    generate_arrivals,
+    sample_jobs,
+)
 
 # Low admission odds and few retries leave some jobs stuck, so the job table
 # has empty (None) cells next to completed rows.
@@ -59,7 +65,7 @@ class TestSimulateOutputs:
         with open(out / f"jobs_{mode}.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert tuple(header) == cli._JOB_TABLE_HEADER
-        expected = [[_cell(v) for v in row] for row in cli._job_rows(reports[mode])]
+        expected = [[_cell(v) for v in row] for row in _job_rows(reports[mode])]
         assert rows == expected
         statuses = {r.status for r in reports[mode].jobs}
         assert {"completed", "stuck"} <= statuses
@@ -183,9 +189,23 @@ REPORT_LENGTHS = (0, 1, 1023, 1024, 1025)
 
 
 def _report(rows) -> SimReport:
-    return SimReport(mode="native", seed=5, jobs=tuple(JobRecord(**row) for row in rows),
+    rows = list(rows)
+    return SimReport(mode="native", seed=5,
+                     columns={name: [row[name] for row in rows] for name in JOB_FIELDS},
                      band_waits={"1-100": 0.5}, class_sls={"1": -0.0},
                      deadline_hit_rate=math.nan, config={"seed": 5, "beta": 60.0})
+
+
+def _report_dict(report: SimReport) -> dict:
+    """The report's fields, with its job records as dicts under "jobs"."""
+    d = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "columns"}
+    d["jobs"] = [asdict(r) for r in report.jobs]
+    return d
+
+
+def _job_rows(report: SimReport) -> list:
+    """The job table's rows, one per job record, in _JOB_TABLE_HEADER order."""
+    return [[getattr(r, name) for name in cli._JOB_TABLE_HEADER] for r in report.jobs]
 
 
 # Six rows, repeated: zeros of both signs in one float column and block, 1,
@@ -240,16 +260,21 @@ class TestStreamedWriter:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(report=reports())
     def test_report_and_job_table_equal_json_and_csv_modules(self, tmp_path, report):
-        expected_json = json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
+        expected_json = json.dumps(_report_dict(report), sort_keys=True, separators=(",", ":"))
         _assert_same_text(report.to_json(), expected_json)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(cli._JOB_TABLE_HEADER)
-        writer.writerows(cli._job_rows(report))
+        writer.writerows(_job_rows(report))
         cli._write_report(tmp_path, report, "csv")
         _assert_same_text((tmp_path / "report_native.json").read_text(), expected_json + "\n")
         with open(tmp_path / "jobs_native.csv", newline="") as fh:
             _assert_same_text(fh.read(), buf.getvalue())
+        expected_table = json.dumps([dict(zip(cli._JOB_TABLE_HEADER, row))
+                                     for row in _job_rows(report)], indent=2) + "\n"
+        cli._write_report(tmp_path, report, "json")
+        _assert_same_text((tmp_path / "report_native.json").read_text(), expected_json + "\n")
+        _assert_same_text((tmp_path / "jobs_native.json").read_text(), expected_table)
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_failure_in_second_block_leaves_old_files(self, tmp_path, monkeypatch, fmt):
@@ -258,11 +283,11 @@ class TestStreamedWriter:
         calls = []
         format_block = simulator._format_block
 
-        def failing(records):
-            calls.append(len(records))
+        def failing(columns):
+            calls.append(len(columns[0]))
             if len(calls) == 2:
                 raise RuntimeError("formatter failed")
-            return format_block(records)
+            return format_block(columns)
 
         monkeypatch.setattr(simulator, "_format_block", failing)
         with pytest.raises(RuntimeError, match="formatter failed"):
@@ -571,3 +596,159 @@ class TestBadReportFile:
         rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
         assert rc == cli.EXIT_CONFIG
         assert f"report error: {path}: not a report" in err
+
+
+# A generated workload whose run has every job status: jobs with a negative
+# prep time are rejected, low admission odds with few retries leave jobs
+# stuck, and the queue overflows, so the run stops unstable with jobs pending
+# in the queue and jobs yet to arrive.
+ALL_STATUS_CONFIG = {
+    "simulation": {"num_tasks": 400, "num_vms": 7, "seed": 4, "max_retries": 3,
+                   "max_queue_length": 60},
+    "allocation_bands": [[1, 30, 0.6], [31, 100, 0.3]],
+    "workload": {"prep": {"kind": "uniform", "params": [-2.0, 5.0]},
+                 "due": {"kind": "uniform", "params": [30.0, 300.0]},
+                 "exec": {"kind": "exponential", "params": [20.0]}},
+}
+# The same odds for a job file whose ids mix ints with strings (a job file
+# holds valid jobs only, so none is rejected).
+MIXED_ID_CONFIG = {
+    "simulation": {"num_vms": 8, "max_retries": 3, "max_queue_length": 100},
+    "allocation_bands": [[1, 30, 0.6], [31, 100, 0.3]],
+}
+
+
+def _write_mixed_id_jobs(path) -> None:
+    """300 short jobs: every third id an int, the others strings, some of which
+    csv must quote and some of which read back as ints ("2", "-4")."""
+    names = ["b", "a,1", 'q"x', "10", "2", "-4", "é", "z z"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(JOB_FILE_FIELDS)
+        for i in range(300):
+            job_id = 1000 - i if i % 3 == 0 else names[i % 8] + ("" if i < 8 else f"-{i}")
+            writer.writerow([job_id, i * 0.7, 60.0 + i * 37 % 200, 5.0 + i * 53 % 40,
+                             float(i % 6), 1 + i % 2, 1.0 + i % 5 * 0.5, float(i * 13 % 160),
+                             float(i * 71 % 1000), float(i * 7 % 100)])
+
+
+# SHA-256 of every file `simulate` writes for each scenario and format,
+# computed before the reports held their job records as columns. A change to
+# any of them is a change in output bytes and must be recorded in CHANGES.md.
+PINNED_SCENARIO_SHA256 = {
+    ("generated", "csv"): {
+        "bands_native.csv": "ca09f749054b07bd9d5ffcd8d6883a302e2300d4f99336ea9fc8bd132a29c8f2",
+        "bands_resultant.csv": "93f27a2d871cad5843fffa731313690e6092e667751b3092889cdc13fc6dc221",
+        "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
+        "jobs_native.csv": "bf930bb9e9e841f07b86a72241e1839f69988084758df950b8b18a605197c230",
+        "jobs_resultant.csv": "1809419146bf8b0832ac6d8171c859b6dffa50b2520ea9b8159815a4d88d22d1",
+        "report_native.json": "fe4ecc043de3777c2a2588889e074db490352dfa6f9b6ad252af556d34241a39",
+        "report_resultant.json": "c94b966aebda92a3485bf1e5f5ad6db7ff583f632693cc67564f45f30ae21e7b",
+    },
+    ("generated", "json"): {
+        "bands_native.json": "00f5e77fe24fca1656e2dcf55fa66a3dae55527fc711aaf43934fbfbdd3e9e70",
+        "bands_resultant.json": "a1adeafa79f6ae80bc8fc8cb336cd4be40204d18f757da2ee75c4df821b2ab14",
+        "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
+        "jobs_native.json": "3a161471a453e1e997a67351abb19e8c0083e154883311f19caaa35be051b087",
+        "jobs_resultant.json": "7a4ba326863164f162a8c9e6868295ae386ff599d93d771a556144b59053ecac",
+        "report_native.json": "fe4ecc043de3777c2a2588889e074db490352dfa6f9b6ad252af556d34241a39",
+        "report_resultant.json": "c94b966aebda92a3485bf1e5f5ad6db7ff583f632693cc67564f45f30ae21e7b",
+    },
+    ("job-file", "csv"): {
+        "bands_native.csv": "8a6c8ce2642687d77884578dadf7ddba70834f4ba3ce7e5d8e2d094fae8be14d",
+        "bands_resultant.csv": "0c69ed1982d344e6e04b3ef1132a5b4d2f21f3feac6c89321557ee6d4c36e216",
+        "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
+        "jobs_native.csv": "050fadc6e6c4b8e9edc34f99664ae755915011e2f1e49f6866dc40aa49c32646",
+        "jobs_resultant.csv": "fa01353bdcf360a98ca45b601f4092baf4074ad076dc51aa74dbe056ff66f0f5",
+        "report_native.json": "ee1058bfc7c7f963569154a20753d79abd043f79eab22bf7fee80b68ea7109aa",
+        "report_resultant.json": "07e9b6815859c5fdd26c045b800ab755f000028907fa41f2cfc3680bfa05c8c4",
+    },
+    ("job-file", "json"): {
+        "bands_native.json": "9040bd65c3021561623c9fdbfe1bc499cb538c6bd40d006f6af178681d3ba6d4",
+        "bands_resultant.json": "8b4702e72eddeb0096d78b898af61152674d4fcff604793a1c7b72ed17025a8a",
+        "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
+        "jobs_native.json": "d008ac60eed2314c365530f19cf239203f09b4abdec325c5fea3740fcee65561",
+        "jobs_resultant.json": "c0076451c0fbd66df79f6b78d9f39da088835d6461c913461b3a6fdb8239af6b",
+        "report_native.json": "ee1058bfc7c7f963569154a20753d79abd043f79eab22bf7fee80b68ea7109aa",
+        "report_resultant.json": "07e9b6815859c5fdd26c045b800ab755f000028907fa41f2cfc3680bfa05c8c4",
+    },
+}
+
+
+class TestScenarioBytes:
+    @pytest.mark.parametrize("scenario,fmt", sorted(PINNED_SCENARIO_SHA256))
+    def test_every_output_file_hash_is_pinned(self, tmp_path, capsys, scenario, fmt):
+        out = tmp_path / "out"
+        argv = ["simulate", "--out", str(out), "--format", fmt]
+        if scenario == "generated":
+            argv += ["--config", _config_file(tmp_path, ALL_STATUS_CONFIG)]
+        else:
+            _write_mixed_id_jobs(tmp_path / "jobs.csv")
+            argv += ["--config", _config_file(tmp_path, MIXED_ID_CONFIG),
+                     "--jobs", str(tmp_path / "jobs.csv")]
+        assert cli.main(argv) == cli.EXIT_UNSTABLE
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == PINNED_SCENARIO_SHA256[(scenario, fmt)]
+
+        for mode in MODES:
+            jobs = cli.load_report(out / f"report_{mode}.json").jobs
+            statuses = {r.status for r in jobs}
+            assert {"completed", "stuck", "pending"} <= statuses
+            assert ("rejected" in statuses) == (scenario == "generated")
+            assert any(r.status == "pending" and r.start is not None for r in jobs)
+            assert any(r.status == "pending" and r.ack is None for r in jobs)
+            if scenario == "job-file":
+                assert {type(r.job_id) for r in jobs} == {int, str}
+
+
+class TestNoJobRecords:
+    def test_simulate_analyze_and_compare_build_none(self, tmp_path, monkeypatch, capsys):
+        def built(*args, **kwargs):
+            raise AssertionError("a JobRecord was built")
+
+        monkeypatch.setattr(simulator.JobRecord, "__init__", built)
+        path = _config_file(tmp_path, {**CONFIG, **ANALYSIS_CONFIG})
+        for fmt in ("csv", "json"):
+            rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / fmt),
+                           "--format", fmt])
+            assert rc == cli.EXIT_OK
+        report_path = tmp_path / "csv" / "report_native.json"
+        rc = cli.main(["analyze", "--config", path, "--out", str(tmp_path / "analysis"),
+                       "--report", str(report_path)])
+        assert rc == cli.EXIT_CONFIG  # too few samples for the default floor
+        report = cli.load_report(report_path)
+        assert len(compare_analytic(report, [(0.2, 1.0, 2.0)], min_samples=1)) == 1
+        with pytest.raises(AssertionError, match="a JobRecord was built"):
+            report.jobs
+
+
+class TestReplicate:
+    def test_wait_simulated_draws_from_the_workload_section(self, tmp_path, capsys):
+        path = _config_file(tmp_path, ALL_WORKLOAD_CONFIG)
+        rc = cli.main(["replicate", "--config", path, "--seed", "11", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        with open(tmp_path / "replication.csv", newline="") as fh:
+            simulated = {row["x"]: float(row["value"]) for row in csv.DictReader(fh)
+                         if row["series"] == "wait_simulated"}
+        sim = replace(cli.parse_config(path).sim, seed=11)
+
+        def hours_by_band(spec):
+            report = run(sim, sample_jobs(sim, spec, generate_arrivals(sim)), mode="resultant")
+            return {band: wait / 3600.0 for band, wait in report.band_waits.items()}
+
+        assert simulated == hours_by_band(cli.parse_config(path).workload)
+        assert simulated != hours_by_band(WorkloadSpec.fixed(sim))
+
+
+class TestComparison:
+    def test_mean_waits_add_left_to_right(self):
+        # The left-to-right sum of these waits is 0.0; a compensated one is 2.0.
+        waits = [0.1] * 10 + [1e16, 1.0, -1e16]
+        n = len(waits)
+        columns = {name: [None] * n for name in JOB_FIELDS}
+        columns.update(tp_score=[80] * n, bp_score=[5.0] * n, rank=[11] * n,
+                       status=["completed"] * n, wait=waits)
+        report = SimReport(mode="native", seed=1, columns=columns)
+        comparison = cli._comparison(report, report, beta=60.0)
+        assert comparison["boosted_jobs"] == n
+        assert comparison["mean_wait_native"] == comparison["mean_wait_resultant"] == 0.0

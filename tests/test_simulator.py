@@ -391,7 +391,7 @@ class TestWaitingTimeModel:
 @pytest.fixture(scope="module")
 def bundle():
     cfg = SimConfig(num_tasks=150, num_vms=200, seed=5)
-    return replication_bundle(cfg)
+    return replication_bundle(cfg, WorkloadSpec.fixed(cfg))
 
 
 class TestReplicationBundle:
@@ -566,11 +566,21 @@ class TestJobStreams:
         assert built == []
         assert sum(r.retries for r in report.jobs) > 0  # some draws failed
 
-        monkeypatch.setattr(simulator, "_job_streams",
-                            lambda seed, indices: [EagerStream(seed, i) for i in indices])
+        streamed = []
+
+        def eager_streams(seed, indices):
+            streamed.extend(indices)
+            return [EagerStream(seed, i) for i in indices]
+
+        monkeypatch.setattr(simulator, "_job_streams", eager_streams)
         eager = run(cfg, jobs, mode=mode)
         assert eager.jobs == report.jobs
         assert eager.to_json() == report.to_json()
+        # Only the jobs whose band admits with p < 1 get a stream.
+        table = AllocationTable(cfg.allocation_bands)
+        assert sorted(streamed) == [i for i, r in enumerate(report.jobs)
+                                    if table.probability(r.rank) < 1.0]
+        assert 0 < len(streamed) < len(jobs)
 
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1),
                           st.integers(2**128, 2**256)),
@@ -586,3 +596,35 @@ class TestJobStreams:
             reference = EagerStream(seed, i)
             assert [stream.random() for _ in range(6)] == [reference.random()
                                                            for _ in range(6)]
+
+
+# Values whose left-to-right float sum (0.0) differs from a compensated one
+# (2.0, what sum() gives from Python 3.12 on).
+UNCOMPENSATED = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+
+def _columns(n: int, **values) -> dict:
+    """Report columns of n job records: every field None except those given."""
+    columns = {name: [None] * n for name in simulator._RECORD_FIELDS}
+    columns.update(values)
+    return columns
+
+
+class TestLeftToRightSums:
+    def test_summary_adds_left_to_right(self):
+        assert math.fsum(UNCOMPENSATED) == 2.0  # the values tell the two sums apart
+        n = len(UNCOMPENSATED)
+        columns = _columns(n, status=["completed"] * n, wait=UNCOMPENSATED, rank=[5] * n,
+                           class_index=[1] * n, sls=UNCOMPENSATED, deadline_met=[True] * n,
+                           cost=UNCOMPENSATED)
+        bands = AllocationTable(((1, 10, 1.0), (11, 100, 0.5))).bands
+        band_waits, class_sls, hit_rate, total_cost = simulator._summary(columns, bands, 2)
+        assert band_waits == {"1-10": 0.0}
+        assert class_sls == {"1": 0.0}
+        assert (hit_rate, total_cost) == (1.0, 0.0)
+
+    def test_compare_analytic_adds_left_to_right(self):
+        n = len(UNCOMPENSATED)
+        report = SimReport(mode="native", seed=1, columns=_columns(
+            n, status=["completed"] * n, class_index=[1] * n, wait=UNCOMPENSATED))
+        assert compare_analytic(report, [(0.5, 1.0, 2.0)], min_samples=n) == [1.0]
