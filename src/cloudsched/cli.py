@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .domain import ResourceCatalogEntry, SimConfig, jsonable
-from .queueing import UnstableError, mg1_waiting
+from .queueing import UnsatisfiableDemandError, UnstableError, mg1_waiting
 from .simulator import (
     _BLOCK_ROWS,
     InsufficientSamplesError,
@@ -460,9 +460,10 @@ def _comparison(native: SimReport, resultant: SimReport, beta: float) -> dict:
     columns: row i of both reports is the same job.
 
     A boosted job has a technical score above beta and a positive business
-    score in the resultant run. Mean waits are over the boosted jobs that
-    completed in both runs, added left to right from the int 0 as _summary
-    adds them.
+    score in the resultant run. Its ranks are compared only when the native
+    run ranked it too: an unstable native run may stop before the job
+    arrives. Mean waits are over the boosted jobs that completed in both
+    runs, added left to right from the int 0 as _summary adds them.
     """
     nat, res = native.columns, resultant.columns
     boosted = both_done = 0
@@ -474,7 +475,8 @@ def _comparison(native: SimReport, resultant: SimReport, beta: float) -> dict:
         if tp is None or not tp > beta or bp is None or not bp > 0:
             continue
         boosted += 1
-        never_worse = never_worse and rank_res <= rank_nat
+        if rank_nat is not None:
+            never_worse = never_worse and rank_res <= rank_nat
         if status_nat == "completed" and status_res == "completed":
             total_nat += wait_nat
             total_res += wait_res
@@ -614,6 +616,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnsatisfiableDemandError as exc:
+        print(f"unsatisfiable demand: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnstableError as exc:
         print(str(exc), file=sys.stderr)

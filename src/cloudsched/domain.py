@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from operator import attrgetter
+
+import numpy as np
 
 
 def jsonable(value):
@@ -103,6 +106,36 @@ def validate_job(job: Job) -> ValidationResult:
     if job.exec_time + job.prep_time > job.due_time:
         return ValidationResult(INFEASIBLE, "exec_time + prep_time exceeds due_time")
     return _VALID
+
+
+# The numeric fields of a Job, as attribute paths, in the row order of job_columns.
+JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.processors",
+               "demand.memory", "demand.storage", "business.order_amount",
+               "business.relationship")
+# The rows of job_columns that validate_job requires to be finite.
+_FINITE_ROWS = [r for r, name in enumerate(JOB_COLUMNS)
+                if name.rpartition(".")[2] in _FLOAT_FIELDS]
+
+
+def job_columns(jobs) -> np.ndarray:
+    """The JOB_COLUMNS of a job list as float64 rows: field r of job i at [r, i]."""
+    columns = np.empty((len(JOB_COLUMNS), len(jobs)))
+    for row, name in zip(columns, JOB_COLUMNS):
+        row[:] = np.fromiter(map(attrgetter(name), jobs), float, len(jobs))
+    return columns
+
+
+def valid_mask(columns: np.ndarray) -> np.ndarray:
+    """validate_job over job_columns(jobs): True where a job is not invalid.
+
+    Each term negates the check validate_job makes, so a value that no
+    comparison holds for (a NaN processor count) passes here as it does there.
+    """
+    arrival, due, exec_time, prep, processors, memory, storage, order, relationship = columns
+    return (np.isfinite(columns[_FINITE_ROWS]).all(axis=0)
+            & ~(arrival < 0) & ~(due <= 0) & ~(exec_time <= 0) & ~(prep < 0)
+            & ~(processors < 1) & ~(memory <= 0) & ~(storage < 0)
+            & ~(order < 0) & ~(relationship < 0))
 
 
 @dataclass(frozen=True)

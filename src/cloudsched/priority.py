@@ -5,7 +5,6 @@ weights, normalizers, business cap, blank time) are read from SimConfig."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -146,30 +145,29 @@ def _clamp(x, lo, hi):
     return np.where(hi < x, hi, x)
 
 
-def priority_columns(jobs, windows, cfg: SimConfig, apply_business: bool = True):
+def start_and_weight(columns, blank_time: float = 0.0):
+    """compute_start_time and demand_weight of each job of job_columns(jobs),
+    as float64 arrays: the same operations in the same order, so equal bit
+    for bit when the job's values are floats."""
+    _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = columns
+    return due - exec_time - prep - blank_time, processors + memory + storage
+
+
+def priority_columns(columns, windows, cfg: SimConfig, apply_business: bool = True):
     """build_record's priority fields for many jobs at once, equal bit for bit.
 
-    windows[i] is the WindowStats of jobs[i]. Returns the lists (t_start,
+    columns holds the jobs' job_columns, and windows their (t_start_min,
+    t_start_max, demand_weight_max) arrays, one value per job, as
+    window_stats_by_epoch gives them. Returns the lists (t_start,
     demand_weight, tp_score, bp_score, resultant, rank), one entry per job,
     with the types build_record gives them when the job's values are floats.
     Every column repeats the scalar operations in the same order; np.rint
     rounds half to even, as round() does. A resultant outside [0, 100] (a NaN
     score) raises ValueError, as score_to_rank does.
     """
-    n = len(jobs)
-
-    def column(items, name):
-        return np.fromiter(map(attrgetter(name), items), float, n)
-
-    due, exec_time, prep, processors, memory, storage, order, relationship = (
-        column(jobs, name) for name in (
-            "due_time", "exec_time", "prep_time", "demand.processors", "demand.memory",
-            "demand.storage", "business.order_amount", "business.relationship"))
-    t_min, t_max, weight_max = (column(windows, name) for name in (
-        "t_start_min", "t_start_max", "demand_weight_max"))
-
-    t_start = due - exec_time - prep - cfg.blank_time
-    weight = processors + memory + storage
+    t_start, weight = start_and_weight(columns, cfg.blank_time)
+    order, relationship = columns[7], columns[8]
+    t_min, t_max, weight_max = windows
     spread = t_max - t_min
     has_spread, has_weight = spread > 0, weight_max > 0
     u = np.where(has_spread, (t_max - t_start) / np.where(has_spread, spread, 1.0), 1.0)

@@ -2,9 +2,13 @@
 plus report building, the affine waiting-time reference model, and the
 replication bundle of reference curves.
 
-run() keeps each job's state in per-field lists indexed by the job's place
-in id order, and its SimReport holds the job records as columns, one list
-per JobRecord field; the report writer formats slices of those columns.
+run() prepares every per-job input of its event loop in one pass over
+numpy columns of the jobs' numeric fields (domain.job_columns): the
+validity mask, the epoch windows, the priority fields, the cheapest fits and
+the admission probabilities. The loop keeps each job's state in per-field
+lists indexed by the job's place in id order, and its SimReport holds the
+job records as columns, one list per JobRecord field; the report writer
+formats slices of those columns.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .domain import INVALID, SimConfig, validate_job
+from .domain import SimConfig, job_columns, valid_mask, validate_job
 from .priority import (
-    WindowStats,
     priority_columns,
     resultant_priority,
     service_level_satisfaction,
+    start_and_weight,
 )
 from .queueing import (
     Allocated,
@@ -346,20 +350,43 @@ class _PCG64Stream:
         return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _epoch_of(t: float, epoch_length: float) -> int:
-    return int(t // epoch_length)
+def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0):
+    """Each job's normalization stats over the jobs of its arrival epoch.
 
-
-def window_stats_by_epoch(jobs, epoch_length: float, blank_time: float = 0.0) -> dict:
-    """Group jobs into arrival epochs and compute normalization stats per epoch.
-
-    run() passes only the jobs that pass validation: rejected jobs never reach
-    the prioritizer.
+    columns holds the jobs' job_columns; run() passes only the jobs that pass
+    validation: rejected jobs never reach the prioritizer. A job's epoch is
+    int(arrival // epoch_length), which np.floor_divide computes as Python
+    does. Returns the arrays (t_start_min, t_start_max, demand_weight_max),
+    one value per job, equal to the fields of WindowStats.from_jobs over the
+    jobs of its epoch in the order given. Python's min and max keep a NaN
+    only when it comes first, so a NaN is ignored unless it is the epoch's
+    first value.
     """
-    buckets: dict[int, list] = {}
-    for job in jobs:
-        buckets.setdefault(_epoch_of(job.arrival_time, epoch_length), []).append(job)
-    return {e: WindowStats.from_jobs(batch, blank_time) for e, batch in buckets.items()}
+    t_start, weight = start_and_weight(columns, blank_time)
+    _epochs, first, epoch = np.unique(np.floor_divide(columns[0], epoch_length),
+                                      return_index=True, return_inverse=True)
+    stats = []
+    for values, reduce, initial in ((t_start, np.fmin, np.inf), (t_start, np.fmax, -np.inf),
+                                    (weight, np.fmax, -np.inf)):
+        by_epoch = np.full(len(first), initial)
+        reduce.at(by_epoch, epoch, values)
+        by_epoch[np.isnan(values[first])] = np.nan
+        stats.append(by_epoch[epoch])
+    return tuple(stats)
+
+
+def _cheapest_fits(catalog, jobs, demand) -> list:
+    """cheapest_fit(catalog, job.demand) of each job, called once per distinct
+    row of demand, the jobs' (processors, memory, storage) float64 rows.
+
+    Rows are told apart by their bytes, and each call gets the demand of the
+    first job with that row: demands that read as the same floats compare
+    alike against every catalog entry.
+    """
+    rows = np.ascontiguousarray(demand.T).view(np.dtype((np.void, demand.itemsize * 3)))
+    _rows, first, row = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
+    fits = [cheapest_fit(catalog, jobs[k].demand) for k in first.tolist()]
+    return list(map(fits.__getitem__, row.reshape(-1).tolist()))
 
 
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
@@ -371,13 +398,23 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,)) and
     computed without building a numpy Generator (see _job_streams), so paired
     native/resultant runs see common random numbers; a job whose band admits
-    with probability 1 never draws and gets no stream. Each job is validated
-    once, up front: an invalid job is recorded as rejected with its reason and
-    never enters the event queue. Duplicate job ids raise ValueError.
-    Priorities are computed up front too, from each job's epoch window (see
-    window_stats_by_epoch), so an arrival only classifies and enqueues the job.
-    Per-job state lives in lists, and the report holds its job records as
-    columns (SimReport.columns).
+    with probability 1 never draws and gets no stream. Duplicate job ids
+    raise ValueError.
+
+    Every per-job input is prepared up front, in one pass over the float64
+    columns of the jobs' numeric fields (domain.job_columns):
+    - domain.valid_mask validates every job at once. An invalid job is
+      recorded as rejected with the reason validate_job gives it, and never
+      enters the event queue; validate_job runs for those jobs only.
+    - window_stats_by_epoch reduces the admitted jobs' columns to each job's
+      epoch window, and priority_columns scores every admitted job against
+      it, so an arrival only classifies and enqueues the job.
+    - cheapest_fit runs once per distinct demand, and each job's admission
+      probability is that of its rank's band.
+    The columns are released before the event loop. A demand that no catalog
+    entry fits raises UnsatisfiableDemandError at the job's first allocation
+    attempt. Per-job state lives in lists, and the report holds its job
+    records as columns (SimReport.columns).
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -385,41 +422,50 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not jobs:
         raise ValueError("jobs must be non-empty")
 
-    reasons: list = [None] * len(jobs)
-    seen_ids = set()
-    admitted = []
-    for i, job in enumerate(jobs):
-        if job.id in seen_ids:
-            raise ValueError(f"duplicate job id {job.id!r}")
-        seen_ids.add(job.id)
-        result = validate_job(job)
-        if result.status == INVALID:
-            reasons[i] = result.reason
-        else:
-            admitted.append(i)
-    rejected = len(jobs) - len(admitted)
+    ids = [job.id for job in jobs]
+    if len(set(ids)) < len(ids):
+        seen_ids = set()
+        for job_id in ids:
+            if job_id in seen_ids:
+                raise ValueError(f"duplicate job id {job_id!r}")
+            seen_ids.add(job_id)
 
-    windows = window_stats_by_epoch([jobs[i] for i in admitted], config.epoch_length,
-                                    config.blank_time)
+    # The column pass: every per-job input of the event loop comes from the
+    # jobs' numeric fields, read once into float64 columns. Only the jobs the
+    # mask rejects are validated one by one, for their reasons.
+    columns = job_columns(jobs)
+    valid = valid_mask(columns)
+    reasons: list = [None] * len(jobs)
+    for i in np.flatnonzero(~valid).tolist():
+        reasons[i] = validate_job(jobs[i]).reason
+    admitted = np.flatnonzero(valid).tolist()
+    rejected = len(jobs) - len(admitted)
+    columns = columns[:, admitted]
+    windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
+
     # Admitted jobs are numbered k = 0.. in job id order, int ids by value
     # before the others by their text, so k breaks the ties between same-time
-    # events of the same kind.
-    int_ids = [i for i in admitted if isinstance(jobs[i].id, int)]
-    other_ids = [i for i in admitted if not isinstance(jobs[i].id, int)]
-    order = (sorted(int_ids, key=lambda i: jobs[i].id)
-             + sorted(other_ids, key=lambda i: str(jobs[i].id)))
+    # events of the same kind. by_id[k] is job k's place among the admitted.
+    adm_ids = [ids[i] for i in admitted]
+    int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
+    other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
+    by_id = (sorted(int_ids, key=adm_ids.__getitem__)
+             + sorted(other_ids, key=lambda p: str(adm_ids[p])))
+    order = [admitted[p] for p in by_id]
     adm = [jobs[i] for i in order]
     m_jobs = len(adm)
+    by_id = np.array(by_id, dtype=np.intp)
+    columns = columns[:, by_id]
     t_start, weight, tp, bp, resultant, rank = priority_columns(
-        adm, [windows[_epoch_of(job.arrival_time, config.epoch_length)] for job in adm],
-        config, apply_business=mode == "resultant")
+        columns, [stat[by_id] for stat in windows], config,
+        apply_business=mode == "resultant")
 
     pool = ResourcePool(config.num_vms, config.catalog)
     table = AllocationTable(config.allocation_bands)
     band_probability = [None] + [table.probability(r) for r in range(1, 101)]
-    fit = functools.cache(functools.partial(cheapest_fit, pool.catalog))
-    fits = [fit(job.demand) for job in adm]
-    probs = [band_probability[r] for r in rank]
+    fits = _cheapest_fits(pool.catalog, adm, columns[4:7])  # processors, memory, storage
+    del columns, valid, windows, by_id  # the loop needs none of the arrays
+    probs = list(map(band_probability.__getitem__, rank))
     streams: list = [None] * m_jobs
     drawing = [k for k in range(m_jobs) if probs[k] != 1.0]
     for k, stream in zip(drawing, _job_streams(config.seed, [order[k] for k in drawing])):

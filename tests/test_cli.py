@@ -540,6 +540,18 @@ class TestSimulateJobFile:
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_unsatisfiable_demand_exits_2_naming_the_job(self, tmp_path, capsys):
+        # No catalog entry has 100 processors; the run stops at the job's
+        # first allocation attempt.
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text(JOB_FILE_HEADER + "0,0.0,700,650,5,1,1.7,160,100,5\n"
+                        "big,1.0,700,650,5,100,1.7,160,100,5\n")
+        rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unsatisfiable demand: job 'big'" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyzeReport:
     def test_too_few_samples_exits_2_naming_the_class(self, tmp_path, capsys):
@@ -741,6 +753,27 @@ class TestReplicate:
 
 
 class TestComparison:
+    def test_native_run_stopped_before_a_boosted_job(self, tmp_path, capsys):
+        # The native run overflows its queue and stops before jobs arrive
+        # that the resultant run ranks and boosts: those jobs have no native
+        # rank, and only the jobs ranked in both runs are compared.
+        config = {**ALL_STATUS_CONFIG, "simulation": {
+            **ALL_STATUS_CONFIG["simulation"], "num_vms": 6, "max_retries": 5,
+            "max_queue_length": 80}}
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, config),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_UNSTABLE
+        native, resultant = (cli.load_report(out / f"report_{mode}.json").columns
+                             for mode in MODES)
+        unranked = [i for i, (tp, bp, rank) in enumerate(zip(
+            resultant["tp_score"], resultant["bp_score"], native["rank"]))
+            if tp is not None and tp > 60 and bp > 0 and rank is None]
+        assert unranked
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["rank_never_worse"] is True
+        assert comparison["boosted_jobs"] > len(unranked)
+
     def test_mean_waits_add_left_to_right(self):
         # The left-to-right sum of these waits is 0.0; a compensated one is 2.0.
         waits = [0.1] * 10 + [1e16, 1.0, -1e16]

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
+from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig, job_columns
 from cloudsched.priority import (
     EmptyWindowError,
     WindowStats,
@@ -17,7 +18,6 @@ from cloudsched.priority import (
     service_level_satisfaction,
     technical_priority,
 )
-from cloudsched.simulator import window_stats_by_epoch
 
 CFG = SimConfig()
 
@@ -213,8 +213,19 @@ class TestBuildRecord:
 
 
 def _window_of_each(jobs, cfg):
-    windows = window_stats_by_epoch(jobs, cfg.epoch_length, cfg.blank_time)
-    return [windows[int(j.arrival_time // cfg.epoch_length)] for j in jobs]
+    """Each job's WindowStats.from_jobs over the jobs of its arrival epoch."""
+    def epoch(job):
+        return int(job.arrival_time // cfg.epoch_length)
+
+    windows = {e: WindowStats.from_jobs(list(batch), cfg.blank_time)
+               for e, batch in itertools.groupby(sorted(jobs, key=epoch), key=epoch)}
+    return [windows[epoch(j)] for j in jobs]
+
+
+def _window_arrays(windows):
+    """The (t_start_min, t_start_max, demand_weight_max) arrays of WindowStats."""
+    return [np.array([getattr(w, name) for w in windows])
+            for name in ("t_start_min", "t_start_max", "demand_weight_max")]
 
 
 def _exact(values):
@@ -297,7 +308,8 @@ class TestPriorityColumns:
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_half_step"], apply_business=False)
     def test_columns_equal_build_record(self, jobs, cfg, apply_business):
         windows = _window_of_each(jobs, cfg)
-        columns = priority_columns(jobs, windows, cfg, apply_business=apply_business)
+        columns = priority_columns(job_columns(jobs), _window_arrays(windows), cfg,
+                                   apply_business=apply_business)
         for i, (job, window) in enumerate(zip(jobs, windows)):
             rec = build_record(job, window, cfg, apply_business=apply_business)
             expected = (rec.t_start, rec.demand_weight, rec.tp_score, rec.bp_score,
@@ -307,7 +319,8 @@ class TestPriorityColumns:
     def test_corner_examples_reach_their_corners(self):
         def columns(name):
             cfg = CORNER_CFGS[name]
-            return priority_columns(CORNER_JOBS, _window_of_each(CORNER_JOBS, cfg), cfg)
+            return priority_columns(job_columns(CORNER_JOBS),
+                                    _window_arrays(_window_of_each(CORNER_JOBS, cfg)), cfg)
 
         t_start, _w, tp, bp, resultant, rank = columns("half_step")
         windows = _window_of_each(CORNER_JOBS, CORNER_CFGS["half_step"])

@@ -2,14 +2,26 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cloudsched import simulator
-from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
-from cloudsched.queueing import AllocationTable
+from cloudsched.domain import (
+    INVALID,
+    BusinessProfile,
+    Job,
+    ResourceCatalogEntry,
+    ResourceDemand,
+    SimConfig,
+    job_columns,
+    valid_mask,
+    validate_job,
+)
+from cloudsched.priority import WindowStats
+from cloudsched.queueing import AllocationTable, cheapest_fit
 from cloudsched.simulator import (
     InsufficientSamplesError,
     SimReport,
@@ -222,12 +234,15 @@ class TestRunContract:
         assert report.jobs[1].reason == "exec_time must be > 0"
 
     def test_non_finite_jobs_are_rejected_before_the_queue(self, monkeypatch):
+        # The column pass validates every job at once; validate_job runs only
+        # for the jobs it rejects, to give their reasons, and the window
+        # reduction sees the columns of the admitted jobs only.
         windowed, validated = [], []
         real_windows, real_validate = simulator.window_stats_by_epoch, simulator.validate_job
 
-        def windows(jobs, *args):
-            windowed.extend(job.id for job in jobs)
-            return real_windows(jobs, *args)
+        def windows(columns, *args):
+            windowed.append(columns.copy())
+            return real_windows(columns, *args)
 
         def validate(job):
             validated.append(job.id)
@@ -244,8 +259,9 @@ class TestRunContract:
             "due_time must be finite", "arrival_time must be finite",
             "arrival_time must be finite"]
         assert all(r.ack is None and r.class_index is None for r in report.jobs[1:])
-        assert windowed == [0]
-        assert validated == [0, 1, 2, 3]  # once per job
+        assert len(windowed) == 1
+        assert windowed[0].tolist() == job_columns(jobs[:1]).tolist()  # job 0 only
+        assert validated == [1, 2, 3]  # once per rejected job
 
     def test_rejected_arrival_does_not_extend_makespan(self):
         jobs = [make_job(job_id=0), make_job(job_id=1, arrival=5000.0, exec_time=0.0)]
@@ -455,14 +471,163 @@ class TestCompareAnalytic:
         assert errors[0] <= 0.10
 
 
+# Epoch lengths that binary floats do not hold exactly (0.1, 0.3, 7.7) and
+# ones they do.
+EPOCH_LENGTHS = (0.1, 0.3, 7.7, 1.0, 60.0)
+# Values a job field may take besides its valid ones: non-finite, zeros of
+# both signs, negatives, a fraction below the processor minimum and huge
+# floats, whose sums overflow.
+_ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -1.5, 0.5,
+                               1e308, -1e308])
+_POSITIVE = st.sampled_from([1, 2, 5.0, 650, 700.0]) | st.floats(1e-3, 1e4)
+_NON_NEGATIVE = st.sampled_from([0, 0.0, -0.0]) | _POSITIVE
+_JOB_FIELDS = {"due_time": _POSITIVE, "exec_time": _POSITIVE, "prep_time": _NON_NEGATIVE,
+               "processors": st.integers(1, 8), "memory": _POSITIVE,
+               "storage": _NON_NEGATIVE, "order_amount": _NON_NEGATIVE,
+               "relationship": _NON_NEGATIVE}
+
+
+def _arrivals(epoch_length):
+    """Arrivals on or next to the k-th epoch boundary: k times the decimal
+    epoch length (an int when whole), the float product k * epoch_length and
+    one float step to either side of it; or anywhere."""
+    def near_boundary(k):
+        decimal = Fraction(k) * Fraction(str(epoch_length))
+        product = k * epoch_length
+        return st.sampled_from([int(decimal) if decimal.denominator == 1 else float(decimal),
+                                float(decimal), product, math.nextafter(product, math.inf),
+                                math.nextafter(product, -math.inf)])
+
+    return st.integers(0, 30).flatmap(near_boundary) | st.floats(0.0, 30 * epoch_length)
+
+
+@st.composite
+def _job_lists(draw, epoch_length, odd_values=_ODD_VALUES):
+    """Job lists in which each job has up to two fields (arrival included) set
+    to an odd value, so most jobs are valid and the rest fail one check."""
+    jobs = []
+    for i in range(draw(st.integers(1, 25))):
+        values = {"arrival_time": draw(_arrivals(epoch_length))}
+        values.update((name, draw(strategy)) for name, strategy in _JOB_FIELDS.items())
+        for name in draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
+            values[name] = draw(odd_values)
+        jobs.append(Job(i, values["arrival_time"], values["due_time"], values["exec_time"],
+                        values["prep_time"],
+                        ResourceDemand(values["processors"], values["memory"],
+                                       values["storage"]),
+                        BusinessProfile(values["order_amount"], values["relationship"])))
+    return jobs
+
+
+def _cases(odd_values=_ODD_VALUES):
+    """(epoch_length, jobs) pairs."""
+    return st.sampled_from(EPOCH_LENGTHS).flatmap(
+        lambda length: st.tuples(st.just(length), _job_lists(length, odd_values)))
+
+
+def _float_reprs(values) -> list[str]:
+    """repr of each value as a float: tells every two floats apart, NaN equal to NaN."""
+    return [repr(float(v)) for v in values]
+
+
+# Python's 77 // 7.7 is 9.0, although 77 / 7.7 rounds to 10.0: job 1 shares
+# epoch 9 with job 0, not epoch 10 with job 2.
+BOUNDARY_JOBS = [make_job(job_id=0, arrival=70.0), make_job(job_id=1, arrival=77, due=800.0),
+                 make_job(job_id=2, arrival=78.0, due=900.0)]
+# Job 1's processor count is NaN, which validate_job lets pass; first in its
+# epoch, it makes the epoch's max demand weight NaN, as max() does.
+NAN_WEIGHT_JOBS = [
+    make_job(job_id=0, arrival=0.0),
+    make_job(job_id=1, arrival=60.0, demand=ResourceDemand(math.nan, 1.5, 100.0)),
+    make_job(job_id=2, arrival=61.0),
+    make_job(job_id=3, arrival=62.0, demand=ResourceDemand(math.nan, 1.0, 1.0)),
+]
+
+
+class TestColumnPass:
+    """run()'s column pass against the scalar rules it replaces."""
+
+    @given(case=_cases())
+    @example(case=(60.0, NAN_WEIGHT_JOBS))
+    def test_mask_agrees_with_validate_job(self, case):
+        _length, jobs = case
+        assert valid_mask(job_columns(jobs)).tolist() == [
+            validate_job(job).status != INVALID for job in jobs]
+
+    @given(case=_cases(st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, -1])))
+    def test_run_rejects_what_validate_job_rejects_with_its_reason(self, case):
+        # A non-finite processor count passes validate_job but fits no entry.
+        epoch_length, jobs = case
+        jobs = [job for job in jobs if math.isfinite(job.demand.processors)]
+        if not jobs:
+            return
+        catalog = (ResourceCatalogEntry("huge", 8, 1, 1e6, 64, 1e6, 1.0),)
+        report = run(small_config(num_vms=len(jobs), epoch_length=epoch_length,
+                                  catalog=catalog), jobs)
+        verdicts = [validate_job(job) for job in jobs]
+        assert [r.status == "rejected" for r in report.jobs] == [
+            v.status == INVALID for v in verdicts]
+        assert report.columns["reason"] == [v.reason if v.status == INVALID else None
+                                            for v in verdicts]
+
+    @given(case=_cases(), blank_time=st.sampled_from([0.0, -0.0, 5.0, 0.3]))
+    @example(case=(7.7, BOUNDARY_JOBS), blank_time=0.0)
+    @example(case=(60.0, NAN_WEIGHT_JOBS), blank_time=0.0)
+    def test_window_stats_equal_window_stats_from_jobs(self, case, blank_time):
+        epoch_length, jobs = case
+        jobs = [job for job in jobs if validate_job(job).status != INVALID]
+        if not jobs:
+            return
+
+        def epoch(job):  # int(arrival // epoch_length), but defined when that is inf
+            return job.arrival_time // epoch_length
+
+        batches: dict = {}
+        for job in jobs:
+            batches.setdefault(epoch(job), []).append(job)
+        stats = window_stats_by_epoch(job_columns(jobs), epoch_length, blank_time)
+        for i, job in enumerate(jobs):
+            window = WindowStats.from_jobs(batches[epoch(job)], blank_time)
+            assert _float_reprs(stat[i] for stat in stats) == _float_reprs(
+                (window.t_start_min, window.t_start_max, window.demand_weight_max))
+
+    @given(entries=st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1.0, 1.7, 2, 8.0]),
+                                      st.sampled_from([10, 100.0, 500.0]),
+                                      st.sampled_from([0.1, 0.2, 0.4])),
+                            min_size=1, max_size=6),
+           demands=st.lists(st.builds(
+               ResourceDemand, st.sampled_from([math.nan, math.inf, 0, 1, 1.0, 2, 3, 5]),
+               st.sampled_from([math.nan, 0.0, -0.0, 1, 1.0, 1.7, 2.0, 9.0]),
+               st.sampled_from([math.nan, math.inf, -0.0, 0.0, 0, 10, 10.0, 100, 600.0])),
+               min_size=1, max_size=30))
+    @example(entries=[(1, 1.7, 100.0, 0.2), (2, 8.0, 500.0, 0.2), (4, 8.0, 500.0, 0.1)],
+             demands=[ResourceDemand(1, 1.0, 10), ResourceDemand(2, 2.0, 10.0)])
+    def test_fits_equal_cheapest_fit(self, entries, demands):
+        catalog = tuple(ResourceCatalogEntry(f"e{i}", cores, 1, ram, 64, disk, cost)
+                        for i, (cores, ram, disk, cost) in enumerate(entries))
+        jobs = [Job(i, 0.0, 1.0, 1.0, 0.0, demand, BusinessProfile(0.0, 0.0))
+                for i, demand in enumerate(demands)]
+        fits = simulator._cheapest_fits(catalog, jobs, job_columns(jobs)[4:7])
+        # The entry itself: of equal-cost entries, the first listed.
+        assert [id(fit) for fit in fits] == [id(cheapest_fit(catalog, job.demand))
+                                             for job in jobs]
+
+    def test_every_job_rejected(self):
+        jobs = [make_job(job_id=0, exec_time=0.0), make_job(job_id=1, arrival=math.nan)]
+        report = run(small_config(), jobs)
+        assert [r.status for r in report.jobs] == ["rejected", "rejected"]
+        assert report.makespan == 0.0
+
+
 class TestWindowStats:
     def test_epoch_grouping(self):
-        jobs = [make_job(job_id=0, arrival=10.0), make_job(job_id=1, arrival=59.9),
+        # Jobs 0 and 1 (start slack 45 and 145) share epoch 0; job 2 is alone.
+        jobs = [make_job(job_id=0, arrival=10.0), make_job(job_id=1, arrival=59.9, due=800.0),
                 make_job(job_id=2, arrival=61.0)]
-        windows = window_stats_by_epoch(jobs, 60.0)
-        assert set(windows) == {0, 1}
-        assert windows[0].count == 2
-        assert windows[1].count == 1
+        t_min, t_max, weight_max = window_stats_by_epoch(job_columns(jobs), 60.0)
+        assert t_min.tolist() == [45.0, 45.0, 45.0]
+        assert t_max.tolist() == [145.0, 145.0, 45.0]
+        assert weight_max.tolist() == [102.5] * 3
 
     def test_invalid_jobs_excluded(self):
         # Job 1 would start earlier than job 0, so in job 0's window it would
@@ -488,6 +653,37 @@ def _scenario(name):
     return cfg, spec
 
 
+def _library_scenario():
+    """A library run() over 120 hand-built jobs, as (config, jobs): int-typed
+    job fields, string ids, 7.7 s epochs with arrivals on their boundaries
+    (computed three ways), a few rejected jobs (prep -1), and two catalog
+    entries of equal cost, of which the first listed wins."""
+    catalog = (ResourceCatalogEntry("small", 1, 1, 2.0, 64, 100, 0.1),
+               ResourceCatalogEntry("tie-a", 2, 4, 8.0, 64, 500, 0.3),
+               ResourceCatalogEntry("tie-b", 2, 4, 8.0, 64, 500, 0.3),
+               ResourceCatalogEntry("big", 8, 20, 32.0, 64, 2000, 0.9))
+    cfg = SimConfig(num_tasks=120, num_vms=5, epoch_length=7.7, catalog=catalog, seed=9,
+                    allocation_bands=((1, 30, 1.0), (31, 60, 0.7), (61, 100, 0.4)))
+    jobs = []
+    for i in range(120):
+        k = i // 4
+        arrival = (k * 7.7, 77 * k // 10, k * 77 / 10, k)[i % 4]
+        demand = (ResourceDemand(1, 2, 50), ResourceDemand(2, 8, 400))[i % 3 == 0]
+        jobs.append(Job(id=f"job-{i * 37 % 120}", arrival_time=arrival, due_time=60 + i * 7 % 90,
+                        exec_time=5 + i * 11 % 30, prep_time=-1 if i % 17 == 5 else i % 6,
+                        demand=demand, business=BusinessProfile(i * 13 % 1000, i % 7)))
+    return cfg, jobs
+
+
+
+def _scenario_jobs(name):
+    """The config and job list of a pinned scenario: a _scenario or "library"."""
+    if name == "library":
+        return _library_scenario()
+    cfg, spec = _scenario(name)
+    return cfg, sample_jobs(cfg, spec, generate_arrivals(cfg))
+
+
 # SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
 # is a change in report bytes and must be recorded in CHANGES.md.
 PINNED_REPORT_SHA256 = {
@@ -499,14 +695,16 @@ PINNED_REPORT_SHA256 = {
     ("saturated", "native"): "2679eda13a63cd40f773b1769856e04f0cd292b48a62d6064b4cecaa6a44e547",
     ("saturated", "resultant"):
         "c27bf0305dbddb52a181e9e723dd07b370f35d70983d5ba6c30dbf403fcaa522",
+    ("library", "native"): "c1ff4c24f2b059bca7424d6e2598e7350404dc49387135cd41ee82cfe2090b23",
+    ("library", "resultant"): "f068e56f5a1c6ccc0ce4d246d166895b11ae2a72fb0709142e24f656894b86ba",
 }
 
 
 class TestReportBytes:
     @pytest.mark.parametrize("name,mode", sorted(PINNED_REPORT_SHA256))
     def test_to_json_hash_is_pinned(self, name, mode):
-        cfg, spec = _scenario(name)
-        report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)), mode=mode)
+        cfg, jobs = _scenario_jobs(name)
+        report = run(cfg, jobs, mode=mode)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == PINNED_REPORT_SHA256[(name, mode)]
 
