@@ -5,14 +5,11 @@ Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
 its built-in default and is echoed. All outputs are written atomically:
 to a .tmp file that replaces the output when complete, and is removed if
-writing fails. Each report_<mode>.json holds the compact SimReport.to_json()
-text plus a newline. It is streamed one block of job records at a time
-(SimReport.json_chunks, which slices the report's job columns), and
-jobs_<mode>.csv or jobs_<mode>.json is written in the same pass from the same
-formatted cells, so neither file is held whole in memory. Other --format json
-tables are written one block of rows at a time. comparison.json comes from
-one pass over both reports' columns. No command builds a JobRecord. load_report
-reads a report back.
+writing fails. simulate writes each report_<mode>.json, SimReport.to_json()
+in schema 2 and a newline, one job column at a time, and its job table from
+the same columns zipped into rows; a --format json table is written one block
+of rows at a time. No command builds a JobRecord. load_report reads a report
+of schema 2 or 1 back.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
@@ -31,7 +27,6 @@ from pathlib import Path
 from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnsatisfiableDemandError, UnstableError, mg1_waiting
 from .simulator import (
-    _BLOCK_ROWS,
     InsufficientSamplesError,
     SimReport,
     compare_analytic,
@@ -317,28 +312,50 @@ def _write_atomic(path: Path, text: str) -> None:
             fh.write(text[i:i + _WRITE_SLICE])
 
 
-def _write_json_table(fh, header, rows) -> None:
-    """Write json.dumps([dict(zip(header, row)) for row in rows], indent=2)
-    and a newline, _BLOCK_ROWS rows at a time: each block's text without its
-    opening "[\n" and closing "\n]", the blocks joined by ",\n"."""
-    rows = iter(rows)
-    sep = "\n"
+# --format json tables are written in blocks of this many rows; only one
+# block's text is held at a time.
+_BLOCK_ROWS = 1024
+# Encodes a list with a newline between items. No scalar's JSON text holds a
+# newline (a str's is escaped), so the text splits at its newlines into the
+# texts of its items.
+_encode_lines = json.JSONEncoder(separators=("\n", ":")).encode
+_JSON_SCALARS = {type(None), bool, int, float, str}
+
+
+def _write_columns(fh, header, columns, fmt: str) -> None:
+    """Write a table, given as one sequence per column, as csv.writer writes
+    its rows, or as json.dumps([dict(zip(header, row)) for row in
+    zip(*columns)], indent=2) and a newline.
+
+    The json is written _BLOCK_ROWS rows at a time. A block of a column of
+    scalars is encoded by one call to the encoder, any other value by one call
+    each; a column given twice is encoded once.
+    """
+    if fmt == "csv":
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+        return
+    template = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
+    distinct = {id(column): column for column in columns}
+    scalars = {key: set(map(type, column)) <= _JSON_SCALARS for key, column in distinct.items()}
+    n = len(columns[0]) if columns else 0
     fh.write("[")
-    while block := [dict(zip(header, row)) for row in itertools.islice(rows, _BLOCK_ROWS)]:
-        fh.write(sep + json.dumps(block, indent=2)[2:-2])
-        sep = ",\n"
-    fh.write("]\n" if sep == "\n" else "\n]\n")
+    for start in range(0, n, _BLOCK_ROWS):
+        texts = {}
+        for key, column in distinct.items():
+            block = column[start:start + _BLOCK_ROWS]
+            texts[key] = (_encode_lines(block)[1:-1].split("\n") if scalars[key]
+                          else list(map(_encode_lines, block)))
+        rows = zip(*[texts[id(column)] for column in columns])
+        fh.write(("," if start else "") + "\n" + ",\n".join(map(template.__mod__, rows)))
+    fh.write("\n]\n" if n else "]\n")
 
 
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     path = out_dir / f"{name}.{fmt}"
     with _atomic_files(path) as (fh,):
-        if fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            _write_json_table(fh, header, rows)
+        _write_columns(fh, header, list(zip(*rows)), fmt)
     return path
 
 
@@ -375,45 +392,22 @@ _JOB_TABLE_HEADER = ("job_id", "arrival", "ack", "allocation", "start", "complet
                      "status", "retries")
 
 
-# One job of a --format json job table, as json.dumps(rows, indent=2) writes
-# a row's dict, with a %s for each cell's JSON text.
-_JOB_JSON_ROW = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s"
-                                              for name in _JOB_TABLE_HEADER)
-
-
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
     """Write report_<mode>.json, jobs_<mode>.<fmt> and bands_<mode>.<fmt>.
 
-    The report and its job table are written in one pass over the report's
-    blocks. With csv, a block's finite floats and ints reach csv.writer as
-    their JSON text, which is the text csv.writer writes for them; every other
-    cell reaches it as the value, so csv keeps its quoting and its nan/inf.
-    With json, the table is json.dumps([dict(zip(_JOB_TABLE_HEADER, row)) for
-    each job], indent=2) and a newline, written from the same JSON texts of
-    the cells that the report holds.
+    The report is written one job column at a time (SimReport.json_texts).
+    The job table's rows are its columns zipped, one row per job; its
+    allocation column is the start column, and sls the resultant column.
     """
     mode = report.mode
+    columns = dict(report.columns, allocation=report.columns["start"],
+                   sls=report.columns["resultant"])
     with _atomic_files(out_dir / f"report_{mode}.json",
                        out_dir / f"jobs_{mode}.{fmt}") as (report_file, table_file):
-        if fmt == "csv":
-            table = csv.writer(table_file)
-            table.writerow(_JOB_TABLE_HEADER)
-        else:
-            table_file.write("[")
-        sep = "\n"
-        for text, texts, cells in report.json_chunks():
-            report_file.write(text)
-            if cells is None:
-                continue
-            if fmt == "csv":
-                table.writerows(zip(*[cells[name] for name in _JOB_TABLE_HEADER]))
-            else:
-                rows = zip(*[texts[name] for name in _JOB_TABLE_HEADER])
-                table_file.write(sep + ",\n".join(map(_JOB_JSON_ROW.__mod__, rows)))
-                sep = ",\n"
+        report_file.writelines(report.json_texts())
         report_file.write("\n")
-        if fmt != "csv":
-            table_file.write("]\n" if sep == "\n" else "\n]\n")
+        _write_columns(table_file, _JOB_TABLE_HEADER,
+                       list(map(columns.__getitem__, _JOB_TABLE_HEADER)), fmt)
     _write_table(out_dir, f"bands_{mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)
 
@@ -423,9 +417,10 @@ class ReportError(ValueError):
 
 
 def load_report(path) -> SimReport:
-    """Read back a structured report written by cmd_simulate.
+    """Read back a report written by cmd_simulate, in schema 2 or 1.
 
-    Raises ReportError naming the file when it is not JSON or not a report.
+    Raises ReportError naming the file when it is not JSON, not a report or
+    of another schema.
     """
     with open(path) as fh:
         try:

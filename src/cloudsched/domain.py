@@ -67,24 +67,26 @@ class ValidationResult:
 
 
 _VALID = ValidationResult(OK)
-_FLOAT_FIELDS = ("arrival_time", "due_time", "exec_time", "prep_time", "memory", "storage",
-                 "order_amount", "relationship")
+# The numeric fields of a Job, as attribute paths, in the row order of job_columns.
+JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.processors",
+               "demand.memory", "demand.storage", "business.order_amount",
+               "business.relationship")
 
 
 def validate_job(job: Job) -> ValidationResult:
     """Check a job's invariants.
 
-    Returns invalid with a reason when any field constraint fails (every float
-    field must be finite), infeasible when the required work cannot fit before
-    the due time, ok otherwise. Infeasible jobs are still admissible; they
-    simply miss their deadline.
+    Returns invalid with a reason when any field constraint fails (every
+    numeric field must be finite), infeasible when the required work cannot
+    fit before the due time, ok otherwise. Infeasible jobs are still
+    admissible; they simply miss their deadline.
     """
     demand, business = job.demand, job.business
-    values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.memory,
-              demand.storage, business.order_amount, business.relationship)
+    values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.processors,
+              demand.memory, demand.storage, business.order_amount, business.relationship)
     if not all(map(math.isfinite, values)):
-        name = next(n for n, v in zip(_FLOAT_FIELDS, values) if not math.isfinite(v))
-        return ValidationResult(INVALID, f"{name} must be finite")
+        name = next(n for n, v in zip(JOB_COLUMNS, values) if not math.isfinite(v))
+        return ValidationResult(INVALID, f"{name.rpartition('.')[2]} must be finite")
     if job.arrival_time < 0:
         return ValidationResult(INVALID, "arrival_time must be >= 0")
     if job.due_time <= 0:
@@ -108,15 +110,6 @@ def validate_job(job: Job) -> ValidationResult:
     return _VALID
 
 
-# The numeric fields of a Job, as attribute paths, in the row order of job_columns.
-JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.processors",
-               "demand.memory", "demand.storage", "business.order_amount",
-               "business.relationship")
-# The rows of job_columns that validate_job requires to be finite.
-_FINITE_ROWS = [r for r, name in enumerate(JOB_COLUMNS)
-                if name.rpartition(".")[2] in _FLOAT_FIELDS]
-
-
 def job_columns(jobs) -> np.ndarray:
     """The JOB_COLUMNS of a job list as float64 rows: field r of job i at [r, i]."""
     columns = np.empty((len(JOB_COLUMNS), len(jobs)))
@@ -128,11 +121,11 @@ def job_columns(jobs) -> np.ndarray:
 def valid_mask(columns: np.ndarray) -> np.ndarray:
     """validate_job over job_columns(jobs): True where a job is not invalid.
 
-    Each term negates the check validate_job makes, so a value that no
-    comparison holds for (a NaN processor count) passes here as it does there.
+    Each term negates the check validate_job makes, under the same rule that
+    every numeric field is finite.
     """
     arrival, due, exec_time, prep, processors, memory, storage, order, relationship = columns
-    return (np.isfinite(columns[_FINITE_ROWS]).all(axis=0)
+    return (np.isfinite(columns).all(axis=0)
             & ~(arrival < 0) & ~(due <= 0) & ~(exec_time <= 0) & ~(prep < 0)
             & ~(processors < 1) & ~(memory <= 0) & ~(storage < 0)
             & ~(order < 0) & ~(relationship < 0))
@@ -268,11 +261,13 @@ class SimConfig:
     exec_time: float = 650.0
     prep_time: float = 5.0
     epoch_length: float = 60.0
-    mu_base: float = 1.0
     max_retries: int = 1_000_000
     max_queue_length: int = 1_000_000
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
         if self.num_vms < 1:
@@ -305,8 +300,6 @@ class SimConfig:
             raise ValueError("retry_interval must be > 0")
         if self.epoch_length <= 0:
             raise ValueError("epoch_length must be > 0")
-        if self.mu_base <= 0:
-            raise ValueError("mu_base must be > 0")
 
     def to_dict(self) -> dict:
         return jsonable(self)

@@ -7,8 +7,9 @@ numpy columns of the jobs' numeric fields (domain.job_columns): the
 validity mask, the epoch windows, the priority fields, the cheapest fits and
 the admission probabilities. The loop keeps each job's state in per-field
 lists indexed by the job's place in id order, and its SimReport holds the
-job records as columns, one list per JobRecord field; the report writer
-formats slices of those columns.
+job records as columns, one list per JobRecord field. A report is written in
+schema 2 as those columns: compact JSON with sorted keys, one call to the C
+JSON encoder per column.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-import math
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -56,8 +55,9 @@ class JobRecord:
     """Everything observed about one job during a run.
 
     A report keeps its job records as columns (SimReport.columns); a
-    JobRecord is one row of them, built when SimReport.jobs is read. Not
-    frozen: a frozen dataclass sets each of the 23 fields through
+    JobRecord is one row of them, built when SimReport.jobs is read. ack is
+    the arrival time of a job that reached the queue, None for one that did
+    not. Not frozen: a frozen dataclass sets each field through
     object.__setattr__, which made building a run's records about 6x slower.
     """
 
@@ -65,7 +65,6 @@ class JobRecord:
     arrival: float
     due: float
     ack: float | None
-    allocation: float | None
     start: float | None
     completion: float | None
     wait: float | None
@@ -79,115 +78,31 @@ class JobRecord:
     chain_position: int | None
     instance: str | None
     cost: float | None
-    sls: float | None
     deadline_met: bool | None
     status: str
     retries: int
     reason: str | None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobRecord":
-        return cls(**d)
+    @property
+    def allocation(self) -> float | None:
+        """The allocation instant, which is the start of service."""
+        return self.start
+
+    @property
+    def sls(self) -> float | None:
+        """The service level satisfaction, numerically the resultant score."""
+        return self.resultant
 
 
 # JobRecord fields in declaration order, the order of its constructor's arguments.
 _RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
-# Job records are written in blocks of this many rows: each distinct value of
-# a block is formatted once, and only one block's text is held at a time.
-_BLOCK_ROWS = 1024
 # JobRecord fields in the order json.dumps(sort_keys=True) writes them.
 _JOB_FIELDS = tuple(sorted(_RECORD_FIELDS))
-_ROW_TEMPLATE = "{%s}" % ",".join(encode_basestring_ascii(name) + ":%s" for name in _JOB_FIELDS)
+# The keys of a schema 1 job record: the JobRecord fields, allocation and sls.
+_V1_KEYS = {*_RECORD_FIELDS, "allocation", "sls"}
+# The report file's schema: 2 writes "jobs" as one list per JobRecord field.
+_SCHEMA = 2
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _float_text(value: float) -> str:
-    """A float as json.dumps writes it: its repr, NaN, Infinity or -Infinity."""
-    if value - value == 0.0:
-        return float.__repr__(value)
-    if value != value:
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
-
-
-class _Texts(dict):
-    """JSON texts of one type's values, keyed by value.
-
-    format_column() formats each value of a column that is not stored yet
-    once and stores it. None is never stored: it is written as null on each
-    lookup, so .get(value, value) gives None back as itself.
-    """
-
-    __slots__ = ("_format",)
-
-    def __init__(self, format_value):
-        super().__init__()
-        self._format = format_value
-
-    def _storable(self, values):
-        return values
-
-    def format_column(self, column) -> list:
-        new = set(column).difference(self)
-        new.discard(None)
-        new = self._storable(new)
-        self.update(zip(new, map(self._format, new)))
-        return list(map(self.__getitem__, column))
-
-    def __missing__(self, value):
-        return "null" if value is None else self._format(value)
-
-
-class _FloatTexts(_Texts):
-    """Zeros and non-finite floats are formatted on every lookup and never
-    stored: 0.0 and -0.0 are equal keys, and a NaN key is found only by
-    identity."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__(float.__repr__)
-
-    def _storable(self, values):
-        return list(filter(None, filter(math.isfinite, values)))
-
-    def __missing__(self, value):
-        return "null" if value is None else _float_text(value)
-
-
-def _format_block(columns) -> tuple[dict, dict]:
-    """The cells of a block of job records, given as its column slices in
-    _JOB_FIELDS order.
-
-    Returns (texts, cells), each a dict by field name in _JOB_FIELDS order:
-    texts holds each cell's JSON text, and cells the column with each finite
-    float and int replaced by its JSON text (a CSV writer writes the same text
-    for them). A column whose values other than None share one type is
-    formatted through that type's table; a column that mixes types is encoded
-    value by value.
-    """
-    nulls = _Texts(None)
-    nulls[None] = "null"  # a column of None only: every lookup finds it
-    tables = {float: _FloatTexts(), int: _Texts(int.__repr__),
-              str: _Texts(encode_basestring_ascii), bool: _Texts(_bool_text),
-              type(None): nulls}
-    texts = {}
-    cells = {}
-    for name, column in zip(_JOB_FIELDS, columns):
-        kinds = set(map(type, column))
-        if len(kinds) == 2:
-            kinds.discard(type(None))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        table = tables.get(kind)
-        texts[name] = (list(map(_encode, column)) if table is None
-                       else table.format_column(column))
-        cells[name] = (list(map(table.get, column, column)) if kind is float or kind is int
-                       else column)
-    return texts, cells
 
 
 @dataclass(frozen=True)
@@ -221,47 +136,47 @@ class SimReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimReport":
-        rows = d["jobs"]
-        columns = {name: [row[name] for row in rows] for name in _RECORD_FIELDS}
-        if any(len(row) != len(_RECORD_FIELDS) for row in rows):
-            raise ValueError("a job record has keys that are not JobRecord fields")
-        return cls(
-            mode=d["mode"], seed=d["seed"], columns=columns,
-            band_waits=dict(d["band_waits"]), class_sls=dict(d["class_sls"]),
-            deadline_hit_rate=d["deadline_hit_rate"], utilization=d["utilization"],
-            total_cost=d["total_cost"], completed=d["completed"], rejected=d["rejected"],
-            stuck=d["stuck"], unstable=d["unstable"], makespan=d["makespan"],
-            config=d["config"],
-        )
+        """The report of a parsed report file: schema 2, or schema 1, which has
+        no "schema" key and holds "jobs" as one object per job record. Any
+        other schema raises ValueError."""
+        jobs = d["jobs"]
+        schema = d.get("schema")
+        if schema is None:
+            columns = {name: [row[name] for row in jobs] for name in _RECORD_FIELDS}
+            if any(row.keys() != _V1_KEYS for row in jobs):
+                raise ValueError("a job record has keys that are not schema 1 fields")
+        elif schema == _SCHEMA:
+            columns = {name: jobs[name] for name in _RECORD_FIELDS}
+            n = len(columns["job_id"])
+            if len(jobs) != len(columns) or not all(
+                    isinstance(column, list) and len(column) == n for column in columns.values()):
+                raise ValueError("jobs must hold one list per JobRecord field, all of one length")
+        else:
+            raise ValueError(f"unknown report schema {schema!r}")
+        values = {f.name: d[f.name] for f in fields(cls) if f.name != "columns"}
+        values.update(band_waits=dict(values["band_waits"]),
+                      class_sls=dict(values["class_sls"]))
+        return cls(columns=columns, **values)
 
-    def json_chunks(self):
-        """The to_json() text in pieces, each with the job cells it holds.
-
-        Yields (text, texts, cells): the fields before "jobs", then one piece
-        per block of _BLOCK_ROWS job records with its texts and cells from
-        _format_block, then the fields after "jobs"; texts and cells are None
-        outside the job blocks.
-        """
+    def json_texts(self):
+        """The to_json() text in pieces: the fields before "jobs", one piece
+        per job column, each from one call to the C encoder, then the fields
+        after "jobs"."""
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
+        rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
-        tail = _encode({k: v for k, v in rest.items() if k > "jobs"})
-        yield head[:-1] + ',"jobs":[', None, None
-        columns = [self.columns[name] for name in _JOB_FIELDS]
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            texts, cells = _format_block([column[start:start + _BLOCK_ROWS]
-                                          for column in columns])
-            text = ",".join(map(_ROW_TEMPLATE.__mod__, zip(*texts.values())))
-            yield ("," + text if start else text), texts, cells
-        yield "]," + tail[1:], None, None
+        sep = head[:-1] + ',"jobs":{'
+        for name in _JOB_FIELDS:
+            yield f'{sep}"{name}":{_encode(self.columns[name])}'
+            sep = ","
+        yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
     def to_json(self) -> str:
-        """Compact JSON with sorted keys, as json.dumps(sort_keys=True,
-        separators=(",", ":")) writes the report's fields with "jobs" in place
-        of columns; every job record is an object of its fields. `cloudsched
-        simulate` streams the same text, block by block (json_chunks), to the
-        report file and adds a newline.
-        """
-        return "".join(text for text, _texts, _cells in self.json_chunks())
+        """The report in schema 2: json.dumps(sort_keys=True, separators=(",",
+        ":")) of its fields with "schema": 2, and "jobs" in place of columns.
+        `cloudsched simulate` writes the same text piece by piece (json_texts)
+        and a newline."""
+        return "".join(self.json_texts())
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
@@ -590,27 +505,24 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     def by_job(column) -> list:
         return list(map(column.__getitem__, row))
 
-    start_column, resultant_column = by_job(start), by_job(resultant)
     columns = {
         "job_id": [job.id for job in jobs],
         "arrival": [job.arrival_time for job in jobs],
         "due": [job.due_time for job in jobs],
         "ack": by_job(arrival),
-        "allocation": start_column,
-        "start": start_column,
+        "start": by_job(start),
         "completion": by_job(completion),
         "wait": by_job(wait),
         "t_start": by_job(t_start),
         "demand_weight": by_job(weight),
         "tp_score": by_job(tp),
         "bp_score": by_job(bp),
-        "resultant": resultant_column,
+        "resultant": by_job(resultant),
         "rank": by_job(rank),
         "class_index": by_job(class_index),
         "chain_position": by_job(chain_position),
         "instance": by_job(instance),
         "cost": by_job(cost),
-        "sls": resultant_column,  # numerically the resultant score
         "deadline_met": by_job(deadline_met),
         "status": by_job(status),
         "retries": by_job(retries),
@@ -638,8 +550,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
 
 
 def _summary(columns: dict, bands, n_classes: int) -> tuple[dict, dict, float, float]:
-    """Band waits, class SLS, deadline hit rate and total cost of the
-    completed jobs in a run's report columns, in one pass.
+    """Band waits, class SLS (the mean resultant), deadline hit rate and
+    total cost of the completed jobs in a run's report columns, in one pass.
 
     Each total adds its values left to right, starting at the int 0 as sum()
     does, so an empty total is 0. sum() itself compensates float sums from
@@ -654,7 +566,7 @@ def _summary(columns: dict, bands, n_classes: int) -> tuple[dict, dict, float, f
     total_cost = 0
     for status, wait, rank, class_index, sls, deadline_met, cost in zip(
             *map(columns.__getitem__,
-                 ("status", "wait", "rank", "class_index", "sls", "deadline_met", "cost"))):
+                 ("status", "wait", "rank", "class_index", "resultant", "deadline_met", "cost"))):
         if status == "completed":
             b = band_of[rank]
             wait_total[b] += wait

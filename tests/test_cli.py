@@ -5,13 +5,14 @@ import json
 import math
 import os
 
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cloudsched import cli, simulator
-from cloudsched.domain import SimConfig
+from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig
 from cloudsched.simulator import JobRecord, SimReport, compare_analytic, run
 from cloudsched.workload import (
     JOB_FILE_FIELDS,
@@ -79,8 +80,8 @@ class TestTableText:
         with open(path, newline="") as fh:
             assert fh.read() == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
 
-    @pytest.mark.parametrize("n", [0, 1, simulator._BLOCK_ROWS, simulator._BLOCK_ROWS + 1,
-                                   2 * simulator._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                   2 * cli._BLOCK_ROWS + 1])
     def test_json_blocks_equal_one_json_dumps(self, tmp_path, n):
         header = ("a", "b", "c", "d")
         cells = (None, 0.1 + 0.2, math.nan, "x\ny", -0.0, True, 7, "é")
@@ -91,23 +92,25 @@ class TestTableText:
         assert path.read_text() == expected
 
 
-# A 2500-job run: three blocks of job records, with stuck jobs (None cells) on
-# both sides of each block boundary.
+# A 2500-job run: three blocks of _BLOCK_ROWS rows, the block size of a
+# --format json table, with stuck jobs (None cells) on both sides of each
+# block boundary.
 MULTI_BLOCK_CONFIG = {
     "simulation": {"num_tasks": 2500, "num_vms": 40, "seed": 4, "max_retries": 2},
     "allocation_bands": [[1, 100, 0.3]],
 }
-# SHA-256 of every file `simulate` writes for MULTI_BLOCK_CONFIG, as written
-# before reports were streamed in blocks. A change to any of them is a change
-# in output bytes and must be recorded in CHANGES.md.
+# SHA-256 of every file `simulate` writes for MULTI_BLOCK_CONFIG: the job
+# tables, bands and comparison as written before reports were streamed, the
+# reports in schema 2. A change to any of them is a change in output bytes and
+# must be recorded in CHANGES.md.
 PINNED_OUTPUT_SHA256 = {
     "bands_native.csv": "622f95214c75f6bf872c30002b37ac1a66897673087354334200b1ebf651c223",
     "bands_resultant.csv": "b1710167a5f72712a7f4c4bb8c92054fcf05e9138427e44ab4af292daf218017",
     "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
     "jobs_native.csv": "420dfc6b404bea3a471d3ef46ab56c4c52f7b409ac228a7441cc9b84c0dfd06e",
     "jobs_resultant.csv": "7cf4dd6e8a7edc6d0da6c051794e806500c3d2b49ff420b989ad9274dd019483",
-    "report_native.json": "fe0ccf4ad36cadb8be5ece2e29312ab80e174970889baf080fcaf653bd9a7151",
-    "report_resultant.json": "933f7917aeccd8bf972bd2c3c6328e1d7d723407c7f726c80cedf6fef5c325d6",
+    "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
+    "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
 }
 
 
@@ -129,7 +132,7 @@ class TestMultiBlockBytes:
     @pytest.mark.parametrize("mode", MODES)
     def test_none_cells_on_both_sides_of_each_block_boundary(self, multi_block, mode):
         jobs = cli.load_report(multi_block / f"report_{mode}.json").jobs
-        rows = simulator._BLOCK_ROWS
+        rows = cli._BLOCK_ROWS
         assert 2 * rows < len(jobs) <= 3 * rows
         for boundary in (rows, 2 * rows):
             before = jobs[boundary - 16:boundary]
@@ -152,10 +155,10 @@ ALL_WORKLOAD_CONFIG = {
         "relationship_range": [5.0, 50.0],
     },
 }
-# SHA-256 of `--print-config` stdout and of the jobs.csv that `generate --seed
-# 11` writes for ALL_WORKLOAD_CONFIG, as written before WorkloadSpec lost its
-# copies of the SimConfig values.
-PINNED_PRINT_CONFIG_SHA256 = "79d3932db47917b4a86f7e7ed226f1edbce4a497af0a3fbf9c4decf1f33fbca2"
+# SHA-256 of `--print-config` stdout for ALL_WORKLOAD_CONFIG, as printed once
+# mu_base was deleted, and of the jobs.csv that `generate --seed 11` writes for
+# it, as written before WorkloadSpec lost its copies of the SimConfig values.
+PINNED_PRINT_CONFIG_SHA256 = "57af322c1c0b5321f38d2ae230d478e6bfa72aed4e08d8d61223750c778eb7db"
 PINNED_GENERATED_JOBS_SHA256 = "38db1d183c9e5eb498ac56ca6086290a6ce765c2979946db6f38794badb50cd9"
 
 
@@ -197,10 +200,16 @@ def _report(rows) -> SimReport:
 
 
 def _report_dict(report: SimReport) -> dict:
-    """The report's fields, with its job records as dicts under "jobs"."""
+    """The report's fields in schema 2: "schema": 2, and its columns under "jobs"."""
     d = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "columns"}
-    d["jobs"] = [asdict(r) for r in report.jobs]
+    d.update(schema=2, jobs=report.columns)
     return d
+
+
+def _typed(columns: dict) -> dict:
+    """Each column's values as (type, repr): tells -0.0 from 0.0 and 1 from 1.0
+    and True, with NaN equal to NaN."""
+    return {name: [(type(v), repr(v)) for v in column] for name, column in columns.items()}
 
 
 def _job_rows(report: SimReport) -> list:
@@ -253,7 +262,7 @@ def _with_examples(test):
 
 
 class TestStreamedWriter:
-    """The block writer against json.dumps and csv.writer on the same values."""
+    """The column writer against json.dumps and csv.writer on the same values."""
 
     @_with_examples
     @settings(max_examples=40, deadline=None,
@@ -267,32 +276,49 @@ class TestStreamedWriter:
         writer.writerow(cli._JOB_TABLE_HEADER)
         writer.writerows(_job_rows(report))
         cli._write_report(tmp_path, report, "csv")
-        _assert_same_text((tmp_path / "report_native.json").read_text(), expected_json + "\n")
+        path = tmp_path / "report_native.json"
+        _assert_same_text(path.read_text(), expected_json + "\n")
+        assert _typed(cli.load_report(path).columns) == _typed(report.columns)
         with open(tmp_path / "jobs_native.csv", newline="") as fh:
             _assert_same_text(fh.read(), buf.getvalue())
         expected_table = json.dumps([dict(zip(cli._JOB_TABLE_HEADER, row))
                                      for row in _job_rows(report)], indent=2) + "\n"
         cli._write_report(tmp_path, report, "json")
-        _assert_same_text((tmp_path / "report_native.json").read_text(), expected_json + "\n")
+        _assert_same_text(path.read_text(), expected_json + "\n")
         _assert_same_text((tmp_path / "jobs_native.json").read_text(), expected_table)
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
-    def test_failure_in_second_block_leaves_old_files(self, tmp_path, monkeypatch, fmt):
+    def test_failure_in_job_table_leaves_old_files(self, tmp_path, monkeypatch, fmt):
+        # The report is written whole, and the job table fails after its
+        # first _BLOCK_ROWS + 1 rows.
         cli._write_report(tmp_path, _edge_report(3), fmt)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        calls = []
-        format_block = simulator._format_block
+        write_columns = cli._write_columns
 
-        def failing(columns):
-            calls.append(len(columns[0]))
-            if len(calls) == 2:
-                raise RuntimeError("formatter failed")
-            return format_block(columns)
+        def failing(fh, header, columns, fmt):
+            write_columns(fh, header, [column[:cli._BLOCK_ROWS + 1] for column in columns], fmt)
+            raise RuntimeError("table failed")
 
-        monkeypatch.setattr(simulator, "_format_block", failing)
-        with pytest.raises(RuntimeError, match="formatter failed"):
-            cli._write_report(tmp_path, _edge_report(2 * simulator._BLOCK_ROWS), fmt)
-        assert calls == [simulator._BLOCK_ROWS] * 2
+        monkeypatch.setattr(cli, "_write_columns", failing)
+        with pytest.raises(RuntimeError, match="table failed"):
+            cli._write_report(tmp_path, _edge_report(2 * cli._BLOCK_ROWS), fmt)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_failure_mid_report_leaves_old_files(self, tmp_path, monkeypatch, fmt):
+        cli._write_report(tmp_path, _edge_report(3), fmt)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        report = _edge_report(5)
+        encode = simulator._encode
+
+        def failing(value):
+            if value is report.columns["status"]:
+                raise RuntimeError("encoder failed")
+            return encode(value)
+
+        monkeypatch.setattr(simulator, "_encode", failing)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            cli._write_report(tmp_path, report, fmt)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -340,7 +366,6 @@ FIELD_VALUES = {
     "exec_time": (600.0, {}),
     "prep_time": (1.0, {}),
     "epoch_length": (30.0, {}),
-    "mu_base": (2.0, {}),
     "max_retries": (17, {}),
     "max_queue_length": (23, {}),
 }
@@ -374,7 +399,6 @@ EMPTY_CONFIG_DEFAULTS = {
     "simulation.exec_time=650.0",
     "simulation.prep_time=5.0",
     "simulation.epoch_length=60.0",
-    "simulation.mu_base=1.0",
     "simulation.max_retries=1000000",
     "simulation.max_queue_length=1000000",
     "priority.beta=60.0",
@@ -403,6 +427,7 @@ class TestConfigSchema:
         ({"catalog": [dict(CATALOG_ENTRY, bogus=1)]}, "catalog[0].bogus"),
         ({"workload": {"due": {"kind": "fixed", "params": [700.0], "bogus": 1}}},
          "workload.due.bogus"),
+        ({"simulation": {"mu_base": 1.0}}, "simulation.mu_base"),
     ])
     def test_unknown_key_names_its_path(self, tmp_path, capsys, config, keypath):
         rc, _out, err = _print_config(tmp_path, capsys, config)
@@ -609,6 +634,56 @@ class TestBadReportFile:
         assert rc == cli.EXIT_CONFIG
         assert f"report error: {path}: not a report" in err
 
+    def test_unknown_schema_exits_2_naming_it(self, simulated, tmp_path, capsys):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        data["schema"] = 3
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: not a report: unknown report schema 3" in err
+
+
+# tests/data/report_v1.json is the schema 1 report of V1_CONFIG's resultant
+# run over _v1_jobs(), as SimReport.to_json() wrote it before schema 2, with
+# one object per job and allocation, sls and mu_base in it.
+V1_REPORT = Path(__file__).parent / "data" / "report_v1.json"
+V1_CONFIG = SimConfig(num_tasks=12, num_vms=1, seed=7, max_retries=3, max_queue_length=2,
+                      allocation_bands=((1, 100, 0.5),))
+
+
+def _v1_jobs() -> list:
+    """Twelve jobs for one VM: ids that mix ints with strings, an arrival of
+    -0.0, two rejected jobs with a NaN and an inf arrival, low admission odds
+    with few retries (a stuck job) and a burst that overflows the queue
+    (pending jobs)."""
+    arrivals = [-0.0, 10.0, math.nan, 20.0, 30.0, 40.0, math.inf, 50.0, 50.0, 50.0, 50.0, 90.0]
+    ids = [0, "a,b", 2, 'q"x', 4, "é", 6, 7, "z z", 9, 10, "last"]
+    return [Job(job_id, arrival, 30.0 + 7 * i, 2.0 + i % 4, 0.5 * (i % 3),
+                ResourceDemand(1 + i % 2, 1.0 + 0.25 * i, 10.0 * i),
+                BusinessProfile(100.0 * i, 5.0 * (i % 5)))
+            for i, (job_id, arrival) in enumerate(zip(ids, arrivals))]
+
+
+class TestSchemaOne:
+    def test_v1_report_loads_to_the_columns_of_a_new_run(self):
+        old = cli.load_report(V1_REPORT)
+        new = run(V1_CONFIG, _v1_jobs(), mode="resultant")
+        assert {"completed", "rejected", "stuck", "pending"} == set(new.columns["status"])
+        assert _typed(old.columns) == _typed(new.columns)
+        rows = json.loads(V1_REPORT.read_text())["jobs"]
+        assert [row["allocation"] for row in rows] == old.columns["start"]
+        assert [row["sls"] for row in rows] == old.columns["resultant"]
+        assert old.config.pop("mu_base") == 1.0
+        assert replace(old, columns=new.columns) == new
+
+    def test_v1_report_with_a_stray_job_key_is_not_a_report(self, tmp_path):
+        data = json.loads(V1_REPORT.read_text())
+        data["jobs"][0]["bogus"] = 1
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(cli.ReportError, match="not schema 1 fields"):
+            cli.load_report(path)
+
 
 # A generated workload whose run has every job status: jobs with a negative
 # prep time are rejected, low admission odds with few retries leave jobs
@@ -644,9 +719,10 @@ def _write_mixed_id_jobs(path) -> None:
                              float(i * 71 % 1000), float(i * 7 % 100)])
 
 
-# SHA-256 of every file `simulate` writes for each scenario and format,
-# computed before the reports held their job records as columns. A change to
-# any of them is a change in output bytes and must be recorded in CHANGES.md.
+# SHA-256 of every file `simulate` writes for each scenario and format: the
+# job tables, bands and comparison as computed before the reports held their
+# job records as columns, the reports in schema 2. A change to any of them is
+# a change in output bytes and must be recorded in CHANGES.md.
 PINNED_SCENARIO_SHA256 = {
     ("generated", "csv"): {
         "bands_native.csv": "ca09f749054b07bd9d5ffcd8d6883a302e2300d4f99336ea9fc8bd132a29c8f2",
@@ -654,8 +730,8 @@ PINNED_SCENARIO_SHA256 = {
         "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
         "jobs_native.csv": "bf930bb9e9e841f07b86a72241e1839f69988084758df950b8b18a605197c230",
         "jobs_resultant.csv": "1809419146bf8b0832ac6d8171c859b6dffa50b2520ea9b8159815a4d88d22d1",
-        "report_native.json": "fe4ecc043de3777c2a2588889e074db490352dfa6f9b6ad252af556d34241a39",
-        "report_resultant.json": "c94b966aebda92a3485bf1e5f5ad6db7ff583f632693cc67564f45f30ae21e7b",
+        "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
+        "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
     },
     ("generated", "json"): {
         "bands_native.json": "00f5e77fe24fca1656e2dcf55fa66a3dae55527fc711aaf43934fbfbdd3e9e70",
@@ -663,8 +739,8 @@ PINNED_SCENARIO_SHA256 = {
         "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
         "jobs_native.json": "3a161471a453e1e997a67351abb19e8c0083e154883311f19caaa35be051b087",
         "jobs_resultant.json": "7a4ba326863164f162a8c9e6868295ae386ff599d93d771a556144b59053ecac",
-        "report_native.json": "fe4ecc043de3777c2a2588889e074db490352dfa6f9b6ad252af556d34241a39",
-        "report_resultant.json": "c94b966aebda92a3485bf1e5f5ad6db7ff583f632693cc67564f45f30ae21e7b",
+        "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
+        "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
     },
     ("job-file", "csv"): {
         "bands_native.csv": "8a6c8ce2642687d77884578dadf7ddba70834f4ba3ce7e5d8e2d094fae8be14d",
@@ -672,8 +748,8 @@ PINNED_SCENARIO_SHA256 = {
         "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
         "jobs_native.csv": "050fadc6e6c4b8e9edc34f99664ae755915011e2f1e49f6866dc40aa49c32646",
         "jobs_resultant.csv": "fa01353bdcf360a98ca45b601f4092baf4074ad076dc51aa74dbe056ff66f0f5",
-        "report_native.json": "ee1058bfc7c7f963569154a20753d79abd043f79eab22bf7fee80b68ea7109aa",
-        "report_resultant.json": "07e9b6815859c5fdd26c045b800ab755f000028907fa41f2cfc3680bfa05c8c4",
+        "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
+        "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
     },
     ("job-file", "json"): {
         "bands_native.json": "9040bd65c3021561623c9fdbfe1bc499cb538c6bd40d006f6af178681d3ba6d4",
@@ -681,8 +757,8 @@ PINNED_SCENARIO_SHA256 = {
         "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
         "jobs_native.json": "d008ac60eed2314c365530f19cf239203f09b4abdec325c5fea3740fcee65561",
         "jobs_resultant.json": "c0076451c0fbd66df79f6b78d9f39da088835d6461c913461b3a6fdb8239af6b",
-        "report_native.json": "ee1058bfc7c7f963569154a20753d79abd043f79eab22bf7fee80b68ea7109aa",
-        "report_resultant.json": "07e9b6815859c5fdd26c045b800ab755f000028907fa41f2cfc3680bfa05c8c4",
+        "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
+        "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
     },
 }
 

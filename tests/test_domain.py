@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,10 +81,10 @@ class TestValidateJob:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [
         "arrival_time", "due_time", "exec_time", "prep_time", "memory", "storage",
-        "order_amount", "relationship"])
+        "order_amount", "relationship", "processors"])
     def test_non_finite_float_is_invalid(self, field, value):
         job = make_job()
-        if field in ("memory", "storage"):
+        if field in ("processors", "memory", "storage"):
             job = replace(job, demand=replace(job.demand, **{field: value}))
         elif field in ("order_amount", "relationship"):
             job = replace(job, business=replace(job.business, **{field: value}))
@@ -147,6 +147,12 @@ class TestDefaultCatalog:
         assert not small.fits(ResourceDemand(1, 2.0, 100.0))
 
 
+# The float fields of SimConfig.
+SIM_FLOAT_FIELDS = ("arrival_rate", "beta", "blank_time", "w_urgency", "w_demand", "order_norm",
+                    "relationship_norm", "business_cap", "retry_interval", "due_time",
+                    "exec_time", "prep_time", "epoch_length")
+
+
 class TestSimConfig:
     def test_defaults_match_reference_scenario(self):
         cfg = SimConfig()
@@ -164,6 +170,15 @@ class TestSimConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SimConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", SIM_FLOAT_FIELDS)
+    def test_non_finite_float_field_rejected_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SimConfig(**{name: value})
+
+    def test_every_float_field_is_checked(self):
+        assert set(SIM_FLOAT_FIELDS) == {f.name for f in fields(SimConfig) if f.type == "float"}
 
     @pytest.mark.parametrize("rate", [0, -1.0])
     def test_non_positive_arrival_rate_rejected(self, rate):
@@ -252,7 +267,7 @@ class TestRoundTrip:
         job = make_job(business=BusinessProfile(400.0, 0.0))
         rec = build_record(job, WindowStats.from_jobs([job]), cfg)
         report = run(cfg, [job])
-        again = JobRecord.from_dict(json.loads(json.dumps(asdict(report.jobs[0]))))
+        again = JobRecord(**json.loads(json.dumps(asdict(report.jobs[0]))))
         assert again == report.jobs[0]
         assert ((again.t_start, again.demand_weight, again.tp_score, again.bp_score,
                  again.resultant, again.rank) == (rec.t_start, rec.demand_weight,
@@ -264,7 +279,7 @@ class TestRoundTrip:
         # A rejected job never gets a priority record or a chain key.
         cfg = SimConfig(num_tasks=1, class_rates=(1.0,))
         report = run(cfg, [make_job(exec_time=0.0)])
-        again = JobRecord.from_dict(json.loads(json.dumps(asdict(report.jobs[0]))))
+        again = JobRecord(**json.loads(json.dumps(asdict(report.jobs[0]))))
         assert again == report.jobs[0]
         assert (again.rank, again.class_index, again.chain_position) == (None, None, None)
 

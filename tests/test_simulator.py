@@ -269,6 +269,14 @@ class TestRunContract:
         assert report.rejected == 1
         assert report.makespan == 650.0
 
+    @pytest.mark.parametrize("processors", [math.nan, math.inf, -math.inf])
+    def test_non_finite_processor_count_rejected_with_reason(self, processors):
+        jobs = [make_job(job_id=0), make_job(job_id=1, arrival=1.0,
+                                             demand=ResourceDemand(processors, 1.5, 100.0))]
+        report = run(small_config(num_vms=2), jobs)
+        assert report.columns["status"] == ["completed", "rejected"]
+        assert report.columns["reason"] == [None, "processors must be finite"]
+
     def test_duplicate_job_id_rejected(self):
         jobs = [make_job(job_id="a"), make_job(job_id="b"), make_job(job_id="a")]
         with pytest.raises(ValueError, match="duplicate job id 'a'"):
@@ -534,8 +542,8 @@ def _float_reprs(values) -> list[str]:
 # epoch 9 with job 0, not epoch 10 with job 2.
 BOUNDARY_JOBS = [make_job(job_id=0, arrival=70.0), make_job(job_id=1, arrival=77, due=800.0),
                  make_job(job_id=2, arrival=78.0, due=900.0)]
-# Job 1's processor count is NaN, which validate_job lets pass; first in its
-# epoch, it makes the epoch's max demand weight NaN, as max() does.
+# Jobs 1 and 3 have a NaN processor count, which validate_job and valid_mask
+# both reject; job 1 is the first of its epoch.
 NAN_WEIGHT_JOBS = [
     make_job(job_id=0, arrival=0.0),
     make_job(job_id=1, arrival=60.0, demand=ResourceDemand(math.nan, 1.5, 100.0)),
@@ -556,11 +564,7 @@ class TestColumnPass:
 
     @given(case=_cases(st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, -1])))
     def test_run_rejects_what_validate_job_rejects_with_its_reason(self, case):
-        # A non-finite processor count passes validate_job but fits no entry.
         epoch_length, jobs = case
-        jobs = [job for job in jobs if math.isfinite(job.demand.processors)]
-        if not jobs:
-            return
         catalog = (ResourceCatalogEntry("huge", 8, 1, 1e6, 64, 1e6, 1.0),)
         report = run(small_config(num_vms=len(jobs), epoch_length=epoch_length,
                                   catalog=catalog), jobs)
@@ -687,16 +691,16 @@ def _scenario_jobs(name):
 # SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
 # is a change in report bytes and must be recorded in CHANGES.md.
 PINNED_REPORT_SHA256 = {
-    ("reference", "native"): "d0ff9ce94ca8c22c06f834f9c6776b9ebf2bbf3bbdc852695469036c90d5c120",
+    ("reference", "native"): "d66001f50f60e73576ae49795af8539c9dc22589bd684e393a815bfc8feaef31",
     ("reference", "resultant"):
-        "54b8b87033e8515db46674573446c4d91b42e0f12f1f2bf51072cc99ca7bc0a6",
-    ("mixed", "native"): "f8d87a2002913817c3c82ef5f3468f95c38730690936bcb926bc25a2556e3ca7",
-    ("mixed", "resultant"): "74d73461228d2eca1a012bb12ba95e5e66257f40e33b08a8ddf33173771d8a0e",
-    ("saturated", "native"): "2679eda13a63cd40f773b1769856e04f0cd292b48a62d6064b4cecaa6a44e547",
+        "4a4c4af3cc0c59ec6fd7cb7b9476540656df378b64af93903329146b935de7a8",
+    ("mixed", "native"): "6d66aee32ee519ed1d06cb0e685af49a371624173d3da1eb7f90691e7622b75b",
+    ("mixed", "resultant"): "5feea951673ad010e9add0a2673c7376020a97c3c8dbee329acc7d425f6f78f5",
+    ("saturated", "native"): "0fd7738580da9994d5412c9d0294ce1c3763725a1b96a876c140f328d26689da",
     ("saturated", "resultant"):
-        "c27bf0305dbddb52a181e9e723dd07b370f35d70983d5ba6c30dbf403fcaa522",
-    ("library", "native"): "c1ff4c24f2b059bca7424d6e2598e7350404dc49387135cd41ee82cfe2090b23",
-    ("library", "resultant"): "f068e56f5a1c6ccc0ce4d246d166895b11ae2a72fb0709142e24f656894b86ba",
+        "2ba26fbfe85c7c9d2adec1c1d7b2e7cc677f2b1554a96d4470f8cab9b5ed5220",
+    ("library", "native"): "db22ebff327a134494bc709c8d5f0b30609f1b18f2c4fe9b284eb82a8b0358bf",
+    ("library", "resultant"): "2a1636508f3eee64b9a32715d1d8fea71311b501e65da1c4e6825b85603dd269",
 }
 
 
@@ -813,7 +817,7 @@ class TestLeftToRightSums:
         assert math.fsum(UNCOMPENSATED) == 2.0  # the values tell the two sums apart
         n = len(UNCOMPENSATED)
         columns = _columns(n, status=["completed"] * n, wait=UNCOMPENSATED, rank=[5] * n,
-                           class_index=[1] * n, sls=UNCOMPENSATED, deadline_met=[True] * n,
+                           class_index=[1] * n, resultant=UNCOMPENSATED, deadline_met=[True] * n,
                            cost=UNCOMPENSATED)
         bands = AllocationTable(((1, 10, 1.0), (11, 100, 0.5))).bands
         band_waits, class_sls, hit_rate, total_cost = simulator._summary(columns, bands, 2)
