@@ -5,18 +5,19 @@ Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
 its built-in default and is echoed. All outputs are written atomically:
 to a .tmp file that replaces the output when complete, and is removed if
-writing fails. simulate writes each report_<mode>.json, SimReport.to_json()
-in schema 2 and a newline, one job column at a time, and its job table from
-the same columns zipped into rows; a --format json table is written one block
-of rows at a time. No command builds a JobRecord. load_report reads a report
-of schema 2 or 1 back.
+writing fails. Every table is written by one writer, _write_columns, in
+blocks of rows: each block of a column is encoded once by the C JSON encoder,
+and its cell texts feed the csv or json table. simulate writes each
+report_<mode>.json, SimReport.to_json() in schema 2 and a newline, and its
+job table from the same pass: the report's float columns reuse the pass's
+texts, so each value is formatted once. No command builds a JobRecord.
+load_report reads a report of schema 2 or 1 back.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -312,44 +313,97 @@ def _write_atomic(path: Path, text: str) -> None:
             fh.write(text[i:i + _WRITE_SLICE])
 
 
-# --format json tables are written in blocks of this many rows; only one
-# block's text is held at a time.
+# Tables are formatted in blocks of this many rows; only one block's cell
+# texts are held at a time.
 _BLOCK_ROWS = 1024
 # Encodes a list with a newline between items. No scalar's JSON text holds a
 # newline (a str's is escaped), so the text splits at its newlines into the
 # texts of its items.
 _encode_lines = json.JSONEncoder(separators=("\n", ":")).encode
-_JSON_SCALARS = {type(None), bool, int, float, str}
+_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
+# The JSON texts that csv.writer writes otherwise, and the words of them that
+# the values of a type have ("-Infinity" becomes "-inf" by the "Infinity" rule).
+_CSV_WORD = {"null": "", "true": "True", "false": "False", "NaN": "nan", "Infinity": "inf",
+             "-Infinity": "-inf"}
+_WORDS = {type(None): ("null",), bool: ("true", "false"), float: ("NaN", "Infinity")}
+# csv.QUOTE_MINIMAL quotes a str that holds one of these. A JSON text shows a
+# str's quote, CR and LF escaped.
+_QUOTE_CHARS = (",", '"', "\r", "\n")
+_QUOTE_MARKS = (",", '\\"', "\\r", "\\n")
 
 
-def _write_columns(fh, header, columns, fmt: str) -> None:
-    """Write a table, given as one sequence per column, as csv.writer writes
-    its rows, or as json.dumps([dict(zip(header, row)) for row in
-    zip(*columns)], indent=2) and a newline.
+def _csv_str(value: str) -> str:
+    """A str cell as csv.writer writes it."""
+    if any(c in value for c in _QUOTE_CHARS):
+        return '"%s"' % value.replace('"', '""')
+    return value
 
-    The json is written _BLOCK_ROWS rows at a time. A block of a column of
-    scalars is encoded by one call to the encoder, any other value by one call
-    each; a column given twice is encoded once.
+
+def _csv_cells(block, text: str, kinds) -> list:
+    """The csv.writer cells of a block of values of the types kinds, from the
+    block's JSON text (_encode_lines without its brackets)."""
+    if str not in kinds:
+        for kind in kinds:
+            for word in _WORDS.get(kind, ()):
+                text = text.replace(word, _CSV_WORD[word])
+        return text.split("\n")
+    # Only a block whose text shows a mark has a str to quote; str() is a no-op.
+    quote = _csv_str if any(mark in text for mark in _QUOTE_MARKS) else str
+    return [quote(value) if value.__class__ is str else _CSV_WORD.get(cell, cell)
+            for value, cell in zip(block, text.split("\n"))]
+
+
+def _write_columns(fh, header, columns, fmt: str, keep=None) -> dict:
+    """Write a table, given as one sequence of JSON scalars (None, bool, int,
+    float, str) per column, as csv.writer writes its rows, or as
+    json.dumps([dict(zip(header, row)) for row in zip(*columns)], indent=2)
+    and a newline. Return the JSON texts of the table's float columns in keep.
+
+    The table is formatted _BLOCK_ROWS rows at a time, in one pass. Each block
+    of a distinct column (a column given twice is encoded once) is encoded by
+    one call to the C encoder and split into the JSON texts of its cells. A
+    csv cell is the cell's JSON text as csv.writer writes it: a str is the
+    value itself, quoted when need be; null, true/false, NaN and Infinity are
+    the csv texts of None, bools and non-finite floats.
+
+    keep maps names to columns whose JSON text the caller wants. For each one
+    that is a table column holding a float, the text is joined from the
+    pass's block texts and returned by name: json.dumps(column,
+    separators=(",", ":")). Other columns cost more memory to hold than time
+    to encode again, so their texts are not kept.
     """
-    if fmt == "csv":
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-        return
-    template = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
+    keep = keep or {}
     distinct = {id(column): column for column in columns}
-    scalars = {key: set(map(type, column)) <= _JSON_SCALARS for key, column in distinct.items()}
+    kinds = {key: set(map(type, column)) for key, column in distinct.items()}
+    if not all(k <= _JSON_SCALARS for k in kinds.values()):
+        raise TypeError("a table column holds a value that is not a JSON scalar")
+    kept = {id(column): [] for column in keep.values() if float in kinds.get(id(column), ())}
+    if fmt == "csv":
+        # csv.writer writes a row of one empty field as "".
+        join = ",".join if len(header) != 1 else lambda row: row[0] or '""'
+        fh.write(join([_csv_str(name) for name in header]) + "\r\n")
+    else:
+        template = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
+        fh.write("[")
     n = len(columns[0]) if columns else 0
-    fh.write("[")
     for start in range(0, n, _BLOCK_ROWS):
-        texts = {}
+        cells = {}
         for key, column in distinct.items():
             block = column[start:start + _BLOCK_ROWS]
-            texts[key] = (_encode_lines(block)[1:-1].split("\n") if scalars[key]
-                          else list(map(_encode_lines, block)))
-        rows = zip(*[texts[id(column)] for column in columns])
-        fh.write(("," if start else "") + "\n" + ",\n".join(map(template.__mod__, rows)))
-    fh.write("\n]\n" if n else "]\n")
+            text = _encode_lines(block)[1:-1]
+            if key in kept:
+                kept[key].append(text.replace("\n", ","))
+            cells[key] = _csv_cells(block, text, kinds[key]) if fmt == "csv" else text.split("\n")
+        rows = zip(*[cells[id(column)] for column in columns])
+        if fmt == "csv":
+            fh.write("\r\n".join(map(join, rows)) + "\r\n")
+        else:
+            fh.write(("," if start else "") + "\n" + ",\n".join(map(template.__mod__, rows)))
+    if fmt != "csv":
+        fh.write("\n]\n" if n else "]\n")
+    for key, parts in kept.items():  # each column's blocks are released as it is joined
+        kept[key] = "[%s]" % ",".join(parts)
+    return {name: kept[id(column)] for name, column in keep.items() if id(column) in kept}
 
 
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
@@ -392,22 +446,30 @@ _JOB_TABLE_HEADER = ("job_id", "arrival", "ack", "allocation", "start", "complet
                      "status", "retries")
 
 
+# The report column of each job table column: allocation is the start column,
+# and sls the resultant column.
+_JOB_TABLE_COLUMNS = tuple({"allocation": "start", "sls": "resultant"}.get(name, name)
+                           for name in _JOB_TABLE_HEADER)
+
+
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
     """Write report_<mode>.json, jobs_<mode>.<fmt> and bands_<mode>.<fmt>.
 
-    The report is written one job column at a time (SimReport.json_texts).
-    The job table's rows are its columns zipped, one row per job; its
-    allocation column is the start column, and sls the resultant column.
+    One formatting pass (_write_columns) writes the job table, one row per
+    job, and encodes every report column that holds a float, so each value is
+    formatted once: its JSON text feeds the report, and its csv or json
+    table cell. The report is then written one column at a time
+    (SimReport.json_texts), with its other columns encoded there.
     """
     mode = report.mode
-    columns = dict(report.columns, allocation=report.columns["start"],
-                   sls=report.columns["resultant"])
+    columns = report.columns
     with _atomic_files(out_dir / f"report_{mode}.json",
                        out_dir / f"jobs_{mode}.{fmt}") as (report_file, table_file):
-        report_file.writelines(report.json_texts())
+        texts = _write_columns(table_file, _JOB_TABLE_HEADER,
+                               list(map(columns.__getitem__, _JOB_TABLE_COLUMNS)), fmt,
+                               keep=columns)
+        report_file.writelines(report.json_texts(texts))
         report_file.write("\n")
-        _write_columns(table_file, _JOB_TABLE_HEADER,
-                       list(map(columns.__getitem__, _JOB_TABLE_HEADER)), fmt)
     _write_table(out_dir, f"bands_{mode}", ("band", "mean_wait"),
                  list(report.band_waits.items()), fmt)
 
@@ -500,13 +562,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     native = run(parsed.sim, jobs, mode="native")
     resultant = run(parsed.sim, jobs, mode="resultant")
+    n_jobs = len(jobs)
+    del jobs  # the writes need only the reports
+    comparison = _comparison(native, resultant, parsed.sim.beta)
     _write_report(out, native, args.format)
     _write_report(out, resultant, args.format)
-
-    comparison = _comparison(native, resultant, parsed.sim.beta)
     _write_atomic(out / "comparison.json",
                   json.dumps(comparison, sort_keys=True, indent=2) + "\n")
-    print(f"simulated {len(jobs)} jobs twice (native, resultant) -> {out}")
+    print(f"simulated {n_jobs} jobs twice (native, resultant) -> {out}")
     print(f"boosted jobs: {comparison['boosted_jobs']}, "
           f"mean wait native {comparison['mean_wait_native']:.4f}s vs resultant "
           f"{comparison['mean_wait_resultant']:.4f}s")

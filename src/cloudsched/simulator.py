@@ -9,7 +9,8 @@ the admission probabilities. The loop keeps each job's state in per-field
 lists indexed by the job's place in id order, and its SimReport holds the
 job records as columns, one list per JobRecord field. A report is written in
 schema 2 as those columns: compact JSON with sorted keys, one call to the C
-JSON encoder per column.
+JSON encoder per column, or the column's text as the caller already encoded
+it (SimReport.json_texts).
 """
 
 from __future__ import annotations
@@ -158,16 +159,23 @@ class SimReport:
                       class_sls=dict(values["class_sls"]))
         return cls(columns=columns, **values)
 
-    def json_texts(self):
-        """The to_json() text in pieces: the fields before "jobs", one piece
-        per job column, each from one call to the C encoder, then the fields
-        after "jobs"."""
+    def json_texts(self, encoded=None):
+        """The to_json() text in pieces: the fields before "jobs", each job
+        column's key and list, then the fields after "jobs".
+
+        encoded maps column names to the JSON texts of their columns, as the
+        caller already made them (cli._write_report passes those of its table
+        pass); every other column is encoded here, by one call to the C
+        encoder.
+        """
+        encoded = encoded or {}
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
         sep = head[:-1] + ',"jobs":{'
         for name in _JOB_FIELDS:
-            yield f'{sep}"{name}":{_encode(self.columns[name])}'
+            yield f'{sep}"{name}":'
+            yield encoded.get(name) or _encode(self.columns[name])
             sep = ","
         yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
@@ -273,19 +281,15 @@ def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0)
     int(arrival // epoch_length), which np.floor_divide computes as Python
     does. Returns the arrays (t_start_min, t_start_max, demand_weight_max),
     one value per job, equal to the fields of WindowStats.from_jobs over the
-    jobs of its epoch in the order given. Python's min and max keep a NaN
-    only when it comes first, so a NaN is ignored unless it is the epoch's
-    first value.
+    jobs of its epoch in the order given.
     """
     t_start, weight = start_and_weight(columns, blank_time)
-    _epochs, first, epoch = np.unique(np.floor_divide(columns[0], epoch_length),
-                                      return_index=True, return_inverse=True)
+    epochs, epoch = np.unique(np.floor_divide(columns[0], epoch_length), return_inverse=True)
     stats = []
     for values, reduce, initial in ((t_start, np.fmin, np.inf), (t_start, np.fmax, -np.inf),
                                     (weight, np.fmax, -np.inf)):
-        by_epoch = np.full(len(first), initial)
+        by_epoch = np.full(len(epochs), initial)
         reduce.at(by_epoch, epoch, values)
-        by_epoch[np.isnan(values[first])] = np.nan
         stats.append(by_epoch[epoch])
     return tuple(stats)
 

@@ -206,10 +206,17 @@ def _parse_float(value: str, name: str, record: int) -> float:
 
 
 def _parse_int(value: str, name: str, record: int) -> int:
+    """value as an int, which must also convert to a float: jobs are
+    validated and simulated on float64 columns of their fields."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ParseError(record, f"field {name!r}: cannot parse {value!r} as an integer") from None
+    try:
+        float(number)
+    except OverflowError:
+        raise ParseError(record, f"field {name!r}: integer too large for a float") from None
+    return number
 
 
 # An id is read as an int only when it is ASCII digits with an optional minus

@@ -112,6 +112,19 @@ PINNED_OUTPUT_SHA256 = {
     "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
     "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
 }
+# The same for `simulate --format json`, as written before each value was
+# formatted once for the report and the table: the job tables' cells of a
+# column given twice (allocation is start, sls is resultant) cross each block
+# boundary.
+PINNED_JSON_OUTPUT_SHA256 = {
+    "bands_native.json": "0a2121d9e04fb7717c657958fdb7fb9a2664efa61b6b9308c33a9dd24d84b766",
+    "bands_resultant.json": "0310d9c669905e5a75b23f202996ebac38a6dc32550f4fe075e517de27ff287a",
+    "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
+    "jobs_native.json": "864272494d0320aa0c81f004c0253f961844be0b84a5d4b8f02d7e2282445dee",
+    "jobs_resultant.json": "7ba47cffc548f624718cc49aac839da9d60cb73b646d655b1f54f42c88b6b344",
+    "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
+    "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
+}
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +136,20 @@ def multi_block(tmp_path_factory):
     return out / "o"
 
 
+def _digests(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 class TestMultiBlockBytes:
     def test_every_output_file_hash_is_pinned(self, multi_block):
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in multi_block.iterdir()}
-        assert digests == PINNED_OUTPUT_SHA256
+        assert _digests(multi_block) == PINNED_OUTPUT_SHA256
+
+    def test_every_json_format_output_file_hash_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, MULTI_BLOCK_CONFIG),
+                       "--out", str(out), "--format", "json"])
+        assert rc == cli.EXIT_OK
+        assert _digests(out) == PINNED_JSON_OUTPUT_SHA256
 
     @pytest.mark.parametrize("mode", MODES)
     def test_none_cells_on_both_sides_of_each_block_boundary(self, multi_block, mode):
@@ -189,6 +211,57 @@ _CELLS = {
     "mixed": st.one_of(_FLOATS, st.integers(), _TEXTS, st.booleans()),
 }
 REPORT_LENGTHS = (0, 1, 1023, 1024, 1025)
+_SCALARS = st.one_of(st.none(), *_CELLS.values())
+TABLE_LENGTHS = (0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS + 1)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, distinct columns): 1 to 4 columns, some of them the
+    same column object, of mixed scalars."""
+    n = draw(st.sampled_from(TABLE_LENGTHS))
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_TEXTS, min_size=width, max_size=width, unique=True))
+    distinct = []
+    for _ in range(draw(st.integers(1, width))):
+        pool = draw(st.lists(_SCALARS, min_size=1, max_size=5))
+        distinct.append([pool[i % len(pool)] for i in range(n)])
+    columns = [distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(width)]
+    return header, columns, distinct
+
+
+class TestTableOracle:
+    """_write_columns against csv.writer and json.dumps on the same values."""
+
+    @example(table=(["a"], [[None, "", 1, ""]], [[None, "", 1, ""]]))
+    @example(table=([""], [[""]], [[""]]))
+    @example(table=(["a", "b"], [[None, ""]] * 2, [[None, ""]]))
+    @example(table=(["a,b", "c"], [["x,y", None, "z"], [1.5, True, -0.0]],
+                    [["x,y", None, "z"], [1.5, True, -0.0]]))
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_csv_and_json_equal_the_modules(self, table):
+        header, columns, distinct = table
+        rows = list(zip(*columns))
+        oracle = io.StringIO()
+        writer = csv.writer(oracle)
+        writer.writerow(header)
+        writer.writerows(rows)
+        keep = {f"c{i}": column for i, column in enumerate(distinct)}
+        for fmt, expected in (("csv", oracle.getvalue()),
+                              ("json", json.dumps([dict(zip(header, row)) for row in rows],
+                                                  indent=2) + "\n")):
+            buf = io.StringIO(newline="")
+            texts = cli._write_columns(buf, header, columns, fmt, keep=keep)
+            _assert_same_text(buf.getvalue(), expected)
+            assert texts == {name: json.dumps(column, separators=(",", ":"))
+                             for name, column in keep.items()
+                             if any(column is c for c in columns)
+                             and any(type(v) is float for v in column)}
+
+    def test_a_column_of_other_values_is_refused(self):
+        with pytest.raises(TypeError, match="not a JSON scalar"):
+            cli._write_columns(io.StringIO(), ("a",), [[(1, 2)]], "csv")
 
 
 def _report(rows) -> SimReport:
@@ -289,19 +362,23 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_failure_in_job_table_leaves_old_files(self, tmp_path, monkeypatch, fmt):
-        # The report is written whole, and the job table fails after its
-        # first _BLOCK_ROWS + 1 rows.
+        # The job table's first _BLOCK_ROWS rows are written, and encoding its
+        # second block, the last row, fails before the report is written.
         cli._write_report(tmp_path, _edge_report(3), fmt)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        write_columns = cli._write_columns
+        encode_lines = cli._encode_lines
+        blocks = []
 
-        def failing(fh, header, columns, fmt):
-            write_columns(fh, header, [column[:cli._BLOCK_ROWS + 1] for column in columns], fmt)
-            raise RuntimeError("table failed")
+        def failing(block):
+            blocks.append(len(block))
+            if len(block) < cli._BLOCK_ROWS:
+                raise RuntimeError("table failed")
+            return encode_lines(block)
 
-        monkeypatch.setattr(cli, "_write_columns", failing)
+        monkeypatch.setattr(cli, "_encode_lines", failing)
         with pytest.raises(RuntimeError, match="table failed"):
-            cli._write_report(tmp_path, _edge_report(2 * cli._BLOCK_ROWS), fmt)
+            cli._write_report(tmp_path, _edge_report(cli._BLOCK_ROWS + 1), fmt)
+        assert blocks[0] == cli._BLOCK_ROWS and blocks[-1] == 1
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -557,6 +634,9 @@ class TestSimulateJobFile:
          "record 2: arrival_time must be finite"),
         (["0,0.0,700,650,5,1,1.7,160,100,5", "0,1.0,700,650,5,1,1.7,160,100,5"],
          "record 2: duplicate job id 0"),
+        # A processor count that no float can hold.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
+         "record 2: field 'pn': integer too large for a float"),
     ])
     def test_bad_job_file_exits_2(self, tmp_path, capsys, rows, message):
         jobs = tmp_path / "jobs.csv"
