@@ -11,7 +11,7 @@ from .domain import (
     validate_job,
 )
 from .queueing import mg1_waiting
-from .simulator import JobRecord, SimReport, compare_analytic, replication_bundle, run
+from .simulator import JobRecord, JobSet, SimReport, compare_analytic, replication_bundle, run
 from .workload import (
     Distribution,
     WorkloadSpec,

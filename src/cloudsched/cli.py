@@ -29,6 +29,7 @@ from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnsatisfiableDemandError, UnstableError, mg1_waiting
 from .simulator import (
     InsufficientSamplesError,
+    JobSet,
     SimReport,
     compare_analytic,
     replication_bundle,
@@ -383,7 +384,9 @@ def _write_columns(fh, header, columns, fmt: str, keep=None) -> dict:
         join = ",".join if len(header) != 1 else lambda row: row[0] or '""'
         fh.write(join([_csv_str(name) for name in header]) + "\r\n")
     else:
-        template = "  {\n%s\n  }" % ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
+        # A name's % is doubled, so that the template fills only the value slots.
+        template = "  {\n%s\n  }" % ",\n".join(
+            f"    {json.dumps(name).replace('%', '%%')}: %s" for name in header)
         fh.write("[")
     n = len(columns[0]) if columns else 0
     for start in range(0, n, _BLOCK_ROWS):
@@ -560,6 +563,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
 
+    # The second run reuses the inputs the first prepares in the job set.
+    jobs = JobSet(jobs)
     native = run(parsed.sim, jobs, mode="native")
     resultant = run(parsed.sim, jobs, mode="resultant")
     n_jobs = len(jobs)

@@ -153,17 +153,18 @@ def start_and_weight(columns, blank_time: float = 0.0):
     return due - exec_time - prep - blank_time, processors + memory + storage
 
 
-def priority_columns(columns, windows, cfg: SimConfig, apply_business: bool = True):
-    """build_record's priority fields for many jobs at once, equal bit for bit.
+def technical_columns(columns, windows, cfg: SimConfig):
+    """build_record's mode-free priority fields for many jobs at once, equal bit
+    for bit: the lists (t_start, demand_weight, tp_score, bp_score), one entry
+    per job, with the types build_record gives them when the job's values are
+    floats.
 
     columns holds the jobs' job_columns, and windows their (t_start_min,
     t_start_max, demand_weight_max) arrays, one value per job, as
-    window_stats_by_epoch gives them. Returns the lists (t_start,
-    demand_weight, tp_score, bp_score, resultant, rank), one entry per job,
-    with the types build_record gives them when the job's values are floats.
-    Every column repeats the scalar operations in the same order; np.rint
-    rounds half to even, as round() does. A resultant outside [0, 100] (a NaN
-    score) raises ValueError, as score_to_rank does.
+    window_stats_by_epoch gives them. Every column repeats the scalar
+    operations in the same order; np.rint rounds half to even, as round()
+    does. A NaN technical score raises ValueError, as score_to_rank does for
+    the resultant it becomes in either mode.
     """
     t_start, weight = start_and_weight(columns, cfg.blank_time)
     order, relationship = columns[7], columns[8]
@@ -175,15 +176,26 @@ def priority_columns(columns, windows, cfg: SimConfig, apply_business: bool = Tr
     score = np.rint(100.0 * (cfg.w_urgency * _clamp(u, 0.0, 1.0)
                              + cfg.w_demand * _clamp(v, 0.0, 1.0)))
     tp = _clamp(score, 0.0, 100.0)
+    if np.isnan(tp).any():
+        raise ValueError("score must be in [0,100]")
     raw = cfg.order_norm * order + cfg.relationship_norm * relationship
     bp = _clamp(raw, 0.0, cfg.business_cap)
+    return t_start.tolist(), weight.tolist(), tp.astype(np.int64).tolist(), bp.tolist()
+
+
+def resultant_columns(tp, bp, cfg: SimConfig, apply_business: bool = True):
+    """build_record's resultant and rank for many jobs at once, equal bit for
+    bit, from the tp_score and bp_score lists of technical_columns. Returns
+    the lists (resultant, rank). A resultant outside [0, 100] (a NaN score)
+    raises ValueError, as score_to_rank does.
+    """
+    tp = np.array(tp, dtype=float)
     if apply_business:
-        boosted = tp + bp
+        boosted = tp + np.array(bp, dtype=float)
         resultant = np.where(tp > cfg.beta, np.where(100.0 < boosted, 100.0, boosted), tp)
     else:
         resultant = tp
     if not np.all((resultant >= 0.0) & (resultant <= 100.0)):
         raise ValueError("score must be in [0,100]")
     rank = _clamp(np.rint(101.0 - resultant), 1.0, 100.0)
-    return (t_start.tolist(), weight.tolist(), tp.astype(np.int64).tolist(), bp.tolist(),
-            resultant.tolist(), rank.astype(np.int64).tolist())
+    return resultant.tolist(), rank.astype(np.int64).tolist()

@@ -86,20 +86,6 @@ class QueueClass:
         return self.entries.popleft()
 
 
-@dataclass(frozen=True)
-class Allocated:
-    """Successful allocation outcome: the granted instance type."""
-
-    instance: ResourceCatalogEntry
-
-
-@dataclass(frozen=True)
-class Deferred:
-    """Failed allocation outcome: when to try again."""
-
-    retry_at: float
-
-
 class ResourcePool:
     """Counting pool of identical VM slots plus the instance catalog."""
 
@@ -127,35 +113,26 @@ class Draws(Protocol):
 
 
 def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
-                 pool: ResourcePool, rng: Draws | None, clock: float = 0.0,
-                 retry_interval: float = 1.0) -> Allocated | Deferred:
-    """One allocation attempt for the job.
+                 pool: ResourcePool, rng: Draws | None) -> bool:
+    """One allocation attempt for the job: whether it was admitted.
 
     instance is the job's cheapest fitting catalog entry (see cheapest_fit),
     None when nothing fits, and p the admission probability of its rank band.
     A full pool always defers, without drawing. Otherwise admission is a
     Bernoulli draw at p from rng, the job's allocation stream (a numpy
-    Generator will do); on success the instance is granted and the pool
-    occupancy incremented, on failure the job is deferred until
-    clock + retry_interval. At p = 1 it always admits and draws nothing, so
-    rng may be None.
+    Generator will do); on success the job holds one slot of the pool, whose
+    occupancy is incremented, and the caller grants it the instance. At p = 1
+    it always admits and draws nothing, so rng may be None.
     """
     if instance is None:
         raise UnsatisfiableDemandError(
             f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
     if pool.in_use >= pool.capacity:
-        return Deferred(retry_at=clock + retry_interval)
+        return False
     if p == 1.0 or rng.random() < p:
         pool.in_use += 1
-        return Allocated(instance=instance)
-    return Deferred(retry_at=clock + retry_interval)
-
-
-def release(pool: ResourcePool) -> None:
-    """Return one slot to the pool."""
-    if pool.in_use < 1:
-        raise ValueError("release on empty pool")
-    pool.in_use -= 1
+        return True
+    return False
 
 
 def mg1_waiting(classes) -> list[float]:

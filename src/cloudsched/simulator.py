@@ -2,15 +2,18 @@
 plus report building, the affine waiting-time reference model, and the
 replication bundle of reference curves.
 
-run() prepares every per-job input of its event loop in one pass over
-numpy columns of the jobs' numeric fields (domain.job_columns): the
-validity mask, the epoch windows, the priority fields, the cheapest fits and
-the admission probabilities. The loop keeps each job's state in per-field
-lists indexed by the job's place in id order, and its SimReport holds the
-job records as columns, one list per JobRecord field. A report is written in
-schema 2 as those columns: compact JSON with sorted keys, one call to the C
-JSON encoder per column, or the column's text as the caller already encoded
-it (SimReport.json_texts).
+run() takes its jobs as a JobSet, which holds the per-job inputs that do
+not depend on the mode, prepared by the first run over the set with a config
+in one pass over numpy columns of the jobs' numeric fields
+(domain.job_columns): the validity mask, the epoch windows, the id order,
+the technical and business scores and the cheapest fits. A paired native
+and resultant run prepares them once; each run adds the resultant, rank,
+class and admission probability of its mode. The event loop keeps each
+job's state in per-field lists indexed by the job's place in id order, and
+its SimReport holds the job records as columns, one list per JobRecord
+field. A report is written in schema 2 as those columns: compact JSON with
+sorted keys, one call to the C JSON encoder per column, or the column's text
+as the caller already encoded it (SimReport.json_texts).
 """
 
 from __future__ import annotations
@@ -24,19 +27,18 @@ import numpy as np
 
 from .domain import SimConfig, job_columns, valid_mask, validate_job
 from .priority import (
-    priority_columns,
+    resultant_columns,
     resultant_priority,
     service_level_satisfaction,
     start_and_weight,
+    technical_columns,
 )
 from .queueing import (
-    Allocated,
     AllocationTable,
     QueueClass,
     ResourcePool,
     cheapest_fit,
     classify,
-    release,
     try_allocate,
 )
 from .workload import WorkloadSpec, generate_arrivals, sample_jobs
@@ -103,6 +105,14 @@ _JOB_FIELDS = tuple(sorted(_RECORD_FIELDS))
 _V1_KEYS = {*_RECORD_FIELDS, "allocation", "sls"}
 # The report file's schema: 2 writes "jobs" as one list per JobRecord field.
 _SCHEMA = 2
+# The types of the values each JobRecord field may hold in a report file, from
+# its annotation: a float field also holds ints (a job's times may be ints),
+# and no field but a bool field holds a bool.
+_ANNOTATED_TYPES = {"int": {int}, "float": {float, int}, "str": {str}, "bool": {bool},
+                    "None": {type(None)}}
+_FIELD_TYPES = {f.name: f.type for f in fields(JobRecord)}
+_VALUE_TYPES = {name: frozenset().union(*map(_ANNOTATED_TYPES.get, tp.split(" | ")))
+                for name, tp in _FIELD_TYPES.items()}
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -139,7 +149,8 @@ class SimReport:
     def from_dict(cls, d: dict) -> "SimReport":
         """The report of a parsed report file: schema 2, or schema 1, which has
         no "schema" key and holds "jobs" as one object per job record. Any
-        other schema raises ValueError."""
+        other schema, and a job value whose type its JobRecord field does not
+        allow, raise ValueError."""
         jobs = d["jobs"]
         schema = d.get("schema")
         if schema is None:
@@ -154,6 +165,11 @@ class SimReport:
                 raise ValueError("jobs must hold one list per JobRecord field, all of one length")
         else:
             raise ValueError(f"unknown report schema {schema!r}")
+        for name, column in columns.items():
+            allowed = _VALUE_TYPES[name]
+            if not set(map(type, column)) <= allowed:
+                value = next(v for v in column if type(v) not in allowed)
+                raise ValueError(f"column {name!r} holds {value!r}, not {_FIELD_TYPES[name]}")
         values = {f.name: d[f.name] for f in fields(cls) if f.name != "columns"}
         values.update(band_waits=dict(values["band_waits"]),
                       class_sls=dict(values["class_sls"]))
@@ -308,108 +324,190 @@ def _cheapest_fits(catalog, jobs, demand) -> list:
     return list(map(fits.__getitem__, row.reshape(-1).tolist()))
 
 
+class _Inputs:
+    """The inputs of run() that depend on the jobs and the config, not on the
+    mode, prepared in one pass over the float64 columns of the jobs' numeric
+    fields (domain.job_columns). The columns themselves are not kept.
+
+    Admitted jobs are numbered k = 0.. in job id order, int ids by value
+    before the others by their text, so k breaks the ties between same-time
+    events of the same kind. Lists of admitted jobs are indexed by k; lists
+    of all jobs are in the order of the job list.
+    """
+
+    __slots__ = ("job_id", "arrival_column", "due", "reasons", "rejected", "row", "order",
+                 "adm", "fits", "arrival", "exec_time", "deadline", "instance", "cost",
+                 "arrivals", "t_start", "weight", "tp", "bp")
+
+    def __init__(self, config: SimConfig, jobs):
+        if not jobs:
+            raise ValueError("jobs must be non-empty")
+        ids = [job.id for job in jobs]
+        if len(set(ids)) < len(ids):
+            seen_ids = set()
+            for job_id in ids:
+                if job_id in seen_ids:
+                    raise ValueError(f"duplicate job id {job_id!r}")
+                seen_ids.add(job_id)
+        self.job_id = ids
+        self.arrival_column = [job.arrival_time for job in jobs]
+        self.due = [job.due_time for job in jobs]
+
+        # The mask validates every job at once; only the jobs it rejects are
+        # validated one by one, for their reasons.
+        columns = job_columns(jobs)
+        valid = valid_mask(columns)
+        self.reasons = reasons = [None] * len(jobs)
+        for i in np.flatnonzero(~valid).tolist():
+            reasons[i] = validate_job(jobs[i]).reason
+        admitted = np.flatnonzero(valid).tolist()
+        self.rejected = len(jobs) - len(admitted)
+        columns = columns[:, admitted]
+        windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
+
+        # by_id[k] is job k's place among the admitted, and order[k] in the job list.
+        adm_ids = [ids[i] for i in admitted]
+        int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
+        other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
+        by_id = (sorted(int_ids, key=adm_ids.__getitem__)
+                 + sorted(other_ids, key=lambda p: str(adm_ids[p])))
+        self.order = order = [admitted[p] for p in by_id]
+        self.adm = adm = [jobs[i] for i in order]
+        by_id = np.array(by_id, dtype=np.intp)
+        columns = columns[:, by_id]
+        self.t_start, self.weight, self.tp, self.bp = technical_columns(
+            columns, [stat[by_id] for stat in windows], config)
+        # Rows 4:7 are the processors, memory and storage.
+        self.fits = fits = _cheapest_fits(config.catalog, adm, columns[4:7])
+
+        # The report row of each job: its k, or row m_jobs, that of the rejected
+        # jobs; None when each job's row is its place in the job list.
+        row = [len(adm)] * len(jobs)
+        for k, i in enumerate(order):
+            row[i] = k
+        self.row = None if order == list(range(len(jobs))) else row
+        self.arrival = arrival = [job.arrival_time for job in adm]
+        self.exec_time = exec_time = [job.exec_time for job in adm]
+        self.deadline = [job.arrival_time + job.due_time for job in adm]
+        # The instance and the cost of each job, should it start and complete.
+        self.instance = [None if fit is None else fit.name for fit in fits]
+        self.cost = [None if fit is None else e / 3600.0 * fit.cost
+                     for e, fit in zip(exec_time, fits)]
+        # The k in arrival order, ties by k.
+        self.arrivals = sorted(range(len(adm)), key=arrival.__getitem__)
+
+
+class JobSet:
+    """A job list that run() takes in place of the list, and the inputs
+    run() prepares from it for each config it is run with.
+
+    The inputs that do not depend on the mode (validation, epoch windows, id
+    order, cheapest fits, technical and business scores, and the report's
+    job_id, arrival and due columns) are prepared by the first run() over the
+    set with a config, and reused by every later run() with an equal config,
+    so a paired native and resultant run prepares them once. The set keeps
+    them while it lives: drop it once its runs are done. run() wraps a plain
+    job list in a JobSet of its own. The jobs must not change once prepared.
+    """
+
+    __slots__ = ("jobs", "_prepared")
+
+    def __init__(self, jobs):
+        self.jobs = tuple(jobs)
+        self._prepared: list = []  # (config, _Inputs) pairs; a config need not be hashable
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def inputs(self, config: SimConfig) -> _Inputs:
+        """The prepared inputs for config, prepared on first use."""
+        for prepared_config, inputs in self._prepared:
+            if prepared_config == config:
+                return inputs
+        inputs = _Inputs(config, self.jobs)
+        self._prepared.append((config, inputs))
+        return inputs
+
+
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     """Simulate the full pipeline over a job list until drained.
 
-    mode "resultant" applies the business boost above the threshold; "native"
-    scores jobs by technical priority alone. Same config, jobs, and seed give
-    a byte-identical report. Allocation draws come from one stream per job,
-    numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,)) and
-    computed without building a numpy Generator (see _job_streams), so paired
-    native/resultant runs see common random numbers; a job whose band admits
-    with probability 1 never draws and gets no stream. Duplicate job ids
-    raise ValueError.
+    jobs is a JobSet, or a job list that run() wraps in one. mode "resultant"
+    applies the business boost above the threshold; "native" scores jobs by
+    technical priority alone. Same config, jobs, and seed give a
+    byte-identical report, whether the jobs come as a list or as a JobSet
+    already run in the other mode. Allocation draws come from one stream per
+    job, numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,))
+    and computed without building a numpy Generator (see _job_streams), so
+    paired native/resultant runs see common random numbers; a job whose band
+    admits with probability 1 never draws and gets no stream. Duplicate job
+    ids raise ValueError.
 
-    Every per-job input is prepared up front, in one pass over the float64
-    columns of the jobs' numeric fields (domain.job_columns):
+    The inputs that both modes share are prepared once per JobSet and config
+    (see JobSet), in one pass over the float64 columns of the jobs' numeric
+    fields (domain.job_columns):
     - domain.valid_mask validates every job at once. An invalid job is
       recorded as rejected with the reason validate_job gives it, and never
       enters the event queue; validate_job runs for those jobs only.
     - window_stats_by_epoch reduces the admitted jobs' columns to each job's
-      epoch window, and priority_columns scores every admitted job against
-      it, so an arrival only classifies and enqueues the job.
-    - cheapest_fit runs once per distinct demand, and each job's admission
-      probability is that of its rank's band.
-    The columns are released before the event loop. A demand that no catalog
-    entry fits raises UnsatisfiableDemandError at the job's first allocation
-    attempt. Per-job state lives in lists, and the report holds its job
-    records as columns (SimReport.columns).
+      epoch window, and technical_columns scores every admitted job against
+      it.
+    - cheapest_fit runs once per distinct demand.
+    Each run then computes the resultant and rank of its mode
+    (resultant_columns), and from the rank each job's class, by classify's
+    rule, and its admission probability, that of its rank's band; an arrival
+    only enqueues the job. A demand that no catalog entry fits raises
+    UnsatisfiableDemandError at the job's first allocation attempt.
+
+    The event loop handles only the events that change state. An arrival or
+    a retry can unblock only its own class (every other class is empty, has
+    a head waiting for its retry, or waits for a free slot), so only that
+    class is offered the pool; a completion offers it to every class in class
+    order. Per-job state lives in lists, and a job's instance, wait, cost and
+    deadline flag are computed after the loop from its start and completion.
+    The report holds its job records as columns (SimReport.columns).
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
-    jobs = list(jobs)
-    if not jobs:
-        raise ValueError("jobs must be non-empty")
+    if not isinstance(jobs, JobSet):
+        jobs = JobSet(jobs)
+    inputs = jobs.inputs(config)
+    order, adm, fits, arrival, exec_time = (inputs.order, inputs.adm, inputs.fits,
+                                            inputs.arrival, inputs.exec_time)
+    m_jobs = len(order)
+    resultant, rank = resultant_columns(inputs.tp, inputs.bp, config,
+                                        apply_business=mode == "resultant")
 
-    ids = [job.id for job in jobs]
-    if len(set(ids)) < len(ids):
-        seen_ids = set()
-        for job_id in ids:
-            if job_id in seen_ids:
-                raise ValueError(f"duplicate job id {job_id!r}")
-            seen_ids.add(job_id)
-
-    # The column pass: every per-job input of the event loop comes from the
-    # jobs' numeric fields, read once into float64 columns. Only the jobs the
-    # mask rejects are validated one by one, for their reasons.
-    columns = job_columns(jobs)
-    valid = valid_mask(columns)
-    reasons: list = [None] * len(jobs)
-    for i in np.flatnonzero(~valid).tolist():
-        reasons[i] = validate_job(jobs[i]).reason
-    admitted = np.flatnonzero(valid).tolist()
-    rejected = len(jobs) - len(admitted)
-    columns = columns[:, admitted]
-    windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
-
-    # Admitted jobs are numbered k = 0.. in job id order, int ids by value
-    # before the others by their text, so k breaks the ties between same-time
-    # events of the same kind. by_id[k] is job k's place among the admitted.
-    adm_ids = [ids[i] for i in admitted]
-    int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
-    other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
-    by_id = (sorted(int_ids, key=adm_ids.__getitem__)
-             + sorted(other_ids, key=lambda p: str(adm_ids[p])))
-    order = [admitted[p] for p in by_id]
-    adm = [jobs[i] for i in order]
-    m_jobs = len(adm)
-    by_id = np.array(by_id, dtype=np.intp)
-    columns = columns[:, by_id]
-    t_start, weight, tp, bp, resultant, rank = priority_columns(
-        columns, [stat[by_id] for stat in windows], config,
-        apply_business=mode == "resultant")
-
-    pool = ResourcePool(config.num_vms, config.catalog)
+    # Each job's class (classify's rule), queue and admission probability,
+    # looked up by its rank.
+    n_classes = len(config.class_rates)
+    classes = [QueueClass(c + 1) for c in range(n_classes)]
     table = AllocationTable(config.allocation_bands)
+    class_of_rank = [None] + [classify(r, n_classes) for r in range(1, 101)]
+    queue_of_rank = [None] + [classes[c - 1] for c in class_of_rank[1:]]
     band_probability = [None] + [table.probability(r) for r in range(1, 101)]
-    fits = _cheapest_fits(pool.catalog, adm, columns[4:7])  # processors, memory, storage
-    del columns, valid, windows, by_id  # the loop needs none of the arrays
+    class_index = list(map(class_of_rank.__getitem__, rank))
+    queue = list(map(queue_of_rank.__getitem__, rank))
     probs = list(map(band_probability.__getitem__, rank))
     streams: list = [None] * m_jobs
     drawing = [k for k in range(m_jobs) if probs[k] != 1.0]
     for k, stream in zip(drawing, _job_streams(config.seed, [order[k] for k in drawing])):
         streams[k] = stream
-    n_classes = len(config.class_rates)
-    classes = [QueueClass(c + 1) for c in range(n_classes)]
 
-    # Per-job state, indexed by k. Each column the report reads has two more
-    # rows, which the event loop never writes: row m_jobs for rejected jobs
-    # and row m_jobs + 1 for jobs yet to arrive when an unstable run stopped.
-    arrival = [job.arrival_time for job in adm]
-    exec_time = [job.exec_time for job in adm]
-    deadline = [job.arrival_time + job.due_time for job in adm]
-    (start, completion, wait, class_index, chain_position, instance, cost,
-     deadline_met) = ([None] * (m_jobs + 2) for _ in range(8))
-    status = ["pending"] * m_jobs + ["rejected", "pending"]
-    retries = [0] * (m_jobs + 2)
+    # Per-job state, indexed by k.
+    start, completion, chain_position = ([None] * m_jobs for _ in range(3))
+    status = ["pending"] * m_jobs
+    retries = [0] * m_jobs
     pending_retry = [False] * m_jobs
+    reasons = list(inputs.reasons)
     stuck_reason = f"exceeded max_retries ({config.max_retries})"
 
-    # Arrivals are known up front: the k in arrival order, ties by k, merged
-    # with the heap, which holds only completions and retries as (time, kind, k).
-    arrivals = sorted(range(m_jobs), key=arrival.__getitem__)
+    # Arrivals are known up front, in inputs.arrivals; the heap holds only
+    # completions and retries as (time, kind, k).
+    arrivals = inputs.arrivals
     heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
+    pool = ResourcePool(config.num_vms, config.catalog)
     capacity, retry_interval = pool.capacity, config.retry_interval
     max_retries, max_queue_length = config.max_retries, config.max_queue_length
 
@@ -418,41 +516,6 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     busy_time = 0.0
     last_time = 0.0
     unstable = False
-
-    def pump(now: float) -> None:
-        nonlocal in_queue, in_service, stuck
-        if not in_queue:
-            return
-        for qc in classes:
-            while qc.entries and pool.in_use < capacity:
-                k = qc.peek()
-                if pending_retry[k]:
-                    break
-                outcome = try_allocate(adm[k], fits[k], probs[k], pool, streams[k],
-                                       now, retry_interval)
-                if isinstance(outcome, Allocated):
-                    # Service starts at the allocation instant.
-                    qc.pop()
-                    in_queue -= 1
-                    in_service += 1
-                    instance[k] = outcome.instance.name
-                    start[k] = now
-                    wait[k] = now - arrival[k]
-                    heappush(heap, (now + exec_time[k], COMPLETION, k))
-                else:
-                    retries[k] += 1
-                    if retries[k] > max_retries:
-                        qc.pop()
-                        in_queue -= 1
-                        status[k] = "stuck"
-                        reasons[order[k]] = stuck_reason
-                        stuck += 1
-                        continue
-                    pending_retry[k] = True
-                    heappush(heap, (outcome.retry_at, RETRY_ALLOCATION, k))
-                    break
-            if pool.in_use >= capacity:
-                return
 
     next_arrival = 0
     while next_arrival < m_jobs or heap:
@@ -471,56 +534,86 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         last_time = now
         if kind == ARRIVAL:
             collected += 1
-            c = classify(rank[k], n_classes)
-            class_index[k] = c
-            chain_position[k] = classes[c - 1].enqueue(k)
+            offered = (queue[k],)
+            chain_position[k] = queue[k].enqueue(k)
             in_queue += 1
             if in_queue > max_queue_length:
                 unstable = True
                 break
-            pump(now)
         elif kind == RETRY_ALLOCATION:
-            if status[k] != "pending":
-                continue
+            offered = (queue[k],)
             pending_retry[k] = False
-            pump(now)
         else:
-            release(pool)
+            offered = classes
+            pool.in_use -= 1
             completion[k] = now
             status[k] = "completed"
-            cost[k] = exec_time[k] / 3600.0 * fits[k].cost
-            deadline_met[k] = now <= deadline[k]
             completed += 1
             in_service -= 1
             busy_time += exec_time[k]
-            pump(now)
+        # Offer free slots to the heads of the offered classes, in class
+        # order, until a head waits for its retry or the pool is full.
+        if in_queue:
+            for qc in offered:
+                while qc.entries and pool.in_use < capacity:
+                    k = qc.peek()
+                    if pending_retry[k]:
+                        break
+                    if try_allocate(adm[k], fits[k], probs[k], pool, streams[k]):
+                        # Service starts at the allocation instant.
+                        qc.pop()
+                        in_queue -= 1
+                        in_service += 1
+                        start[k] = now
+                        heappush(heap, (now + exec_time[k], COMPLETION, k))
+                        continue
+                    retries[k] += 1
+                    if retries[k] > max_retries:
+                        qc.pop()
+                        in_queue -= 1
+                        status[k] = "stuck"
+                        reasons[order[k]] = stuck_reason
+                        stuck += 1
+                        continue
+                    pending_retry[k] = True
+                    heappush(heap, (now + retry_interval, RETRY_ALLOCATION, k))
+                    break
+                if pool.in_use >= capacity:
+                    break
         # Conservation: every collected job is accounted for at every instant.
         assert collected == completed + stuck + in_queue + in_service
 
-    # The report row of each job: its k, or one of the two trailing rows.
-    row = [m_jobs] * len(jobs)
-    for k, i in enumerate(order):
-        row[i] = k
-    for k in arrivals[next_arrival:]:
-        row[order[k]] = m_jobs + 1
-    for column in (arrival, t_start, weight, tp, bp, resultant, rank):
-        column += (None, None)
+    wait = [None if t is None else t - a for t, a in zip(start, arrival)]
+    instance = [None if t is None else name for t, name in zip(start, inputs.instance)]
+    cost = [None if t is None else c for t, c in zip(completion, inputs.cost)]
+    deadline_met = [None if t is None else t <= d for t, d in zip(completion, inputs.deadline)]
 
-    def by_job(column) -> list:
-        return list(map(column.__getitem__, row))
+    # The report row of each job: its k, row m_jobs for rejected jobs, or row
+    # m_jobs + 1 for jobs yet to arrive when an unstable run stopped. Each
+    # column the report reads gets those two rows.
+    row = inputs.row
+    if next_arrival < m_jobs:
+        row = list(range(m_jobs)) if row is None else row.copy()
+        for k in arrivals[next_arrival:]:
+            row[order[k]] = m_jobs + 1
+
+    def by_job(column, extra=(None, None)) -> list:
+        if row is None:  # each job's row is its k
+            return column.copy()
+        return list(map([*column, *extra].__getitem__, row))
 
     columns = {
-        "job_id": [job.id for job in jobs],
-        "arrival": [job.arrival_time for job in jobs],
-        "due": [job.due_time for job in jobs],
+        "job_id": inputs.job_id,
+        "arrival": inputs.arrival_column,
+        "due": inputs.due,
         "ack": by_job(arrival),
         "start": by_job(start),
         "completion": by_job(completion),
         "wait": by_job(wait),
-        "t_start": by_job(t_start),
-        "demand_weight": by_job(weight),
-        "tp_score": by_job(tp),
-        "bp_score": by_job(bp),
+        "t_start": by_job(inputs.t_start),
+        "demand_weight": by_job(inputs.weight),
+        "tp_score": by_job(inputs.tp),
+        "bp_score": by_job(inputs.bp),
         "resultant": by_job(resultant),
         "rank": by_job(rank),
         "class_index": by_job(class_index),
@@ -528,8 +621,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         "instance": by_job(instance),
         "cost": by_job(cost),
         "deadline_met": by_job(deadline_met),
-        "status": by_job(status),
-        "retries": by_job(retries),
+        "status": by_job(status, ("rejected", "pending")),
+        "retries": by_job(retries, (0, 0)),
         "reason": reasons,
     }
     band_waits, class_sls, hit_rate, total_cost = _summary(columns, table.bands, n_classes)
@@ -545,7 +638,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         utilization=utilization,
         total_cost=total_cost,
         completed=completed,
-        rejected=rejected,
+        rejected=inputs.rejected,
         stuck=stuck,
         unstable=unstable,
         makespan=last_time,

@@ -152,19 +152,12 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> list[Job]:
     relationships = rng_business.uniform(spec.relationship_range[0],
                                          spec.relationship_range[1], n)
 
-    jobs = []
-    for i in range(n):
-        entry = cfg.catalog[int(shape_idx[i])]
-        jobs.append(Job(
-            id=i,
-            arrival_time=float(arrivals[i]),
-            due_time=float(due[i]),
-            exec_time=float(exec_times[i]),
-            prep_time=float(prep[i]),
-            demand=ResourceDemand(entry.cores, entry.ram, entry.disk),
-            business=BusinessProfile(float(orders[i]), float(relationships[i])),
-        ))
-    return jobs
+    # One ResourceDemand per catalog entry, shared by the jobs of that shape.
+    demands = [ResourceDemand(entry.cores, entry.ram, entry.disk) for entry in cfg.catalog]
+    return [Job(i, arrival, d, e, p, demands[shape], BusinessProfile(order, relationship))
+            for i, (arrival, d, e, p, shape, order, relationship) in enumerate(zip(
+                arrivals.tolist(), due.tolist(), exec_times.tolist(), prep.tolist(),
+                shape_idx.tolist(), orders.tolist(), relationships.tolist()))]
 
 
 JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage",

@@ -238,6 +238,8 @@ class TestTableOracle:
     @example(table=(["a", "b"], [[None, ""]] * 2, [[None, ""]]))
     @example(table=(["a,b", "c"], [["x,y", None, "z"], [1.5, True, -0.0]],
                     [["x,y", None, "z"], [1.5, True, -0.0]]))
+    @example(table=(["%"], [[1.5, None]], [[1.5, None]]))
+    @example(table=(["%a", "b"], [["x", 2], [None, 0.5]], [["x", 2], [None, 0.5]]))
     @settings(max_examples=60, deadline=None)
     @given(table=tables())
     def test_csv_and_json_equal_the_modules(self, table):
@@ -311,11 +313,29 @@ def _edge_report(n: int) -> SimReport:
                    for i in range(n))
 
 
+def _allowed_kind(kind: str, annotation: str) -> bool:
+    """Whether a report file's JobRecord field of this annotation may hold a
+    value of this kind: a float field also holds ints, and only a bool field
+    holds bools."""
+    parts = annotation.split(" | ")
+    return kind in parts or (kind == "int" and "float" in parts)
+
+
+def _allowed(value, annotation: str) -> bool:
+    return _allowed_kind("None" if value is None else type(value).__name__, annotation)
+
+
 @st.composite
-def reports(draw):
-    kinds = {name: draw(st.sampled_from(sorted(_CELLS))) for name in JOB_FIELDS}
-    pool = draw(st.lists(st.fixed_dictionaries(
-        {name: st.none() | _CELLS[kinds[name]] for name in JOB_FIELDS}), min_size=1, max_size=6))
+def reports(draw, typed=False):
+    """Reports whose each column holds None and values of one _CELLS kind;
+    with typed, only the kinds and None that its JobRecord field allows."""
+    cells = {}
+    for f in fields(JobRecord):
+        kinds = [k for k in sorted(_CELLS) if not typed or _allowed_kind(k, f.type)]
+        cells[f.name] = _CELLS[draw(st.sampled_from(kinds))]
+        if not typed or _allowed_kind("None", f.type):
+            cells[f.name] = st.none() | cells[f.name]
+    pool = draw(st.lists(st.fixed_dictionaries(cells), min_size=1, max_size=6))
     n = draw(st.sampled_from(REPORT_LENGTHS))
     return _report(pool[i % len(pool)] for i in range(n))
 
@@ -351,7 +371,14 @@ class TestStreamedWriter:
         cli._write_report(tmp_path, report, "csv")
         path = tmp_path / "report_native.json"
         _assert_same_text(path.read_text(), expected_json + "\n")
-        assert _typed(cli.load_report(path).columns) == _typed(report.columns)
+        assert _typed(json.loads(path.read_text())["jobs"]) == _typed(report.columns)
+        wrong = [f.name for f in fields(JobRecord)
+                 if not all(_allowed(v, f.type) for v in report.columns[f.name])]
+        if wrong:  # load_report names the first column that holds a wrong type
+            with pytest.raises(cli.ReportError, match=f"not a report: column '{wrong[0]}' holds"):
+                cli.load_report(path)
+        else:
+            assert _typed(cli.load_report(path).columns) == _typed(report.columns)
         with open(tmp_path / "jobs_native.csv", newline="") as fh:
             _assert_same_text(fh.read(), buf.getvalue())
         expected_table = json.dumps([dict(zip(cli._JOB_TABLE_HEADER, row))
@@ -359,6 +386,14 @@ class TestStreamedWriter:
         cli._write_report(tmp_path, report, "json")
         _assert_same_text(path.read_text(), expected_json + "\n")
         _assert_same_text((tmp_path / "jobs_native.json").read_text(), expected_table)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=reports(typed=True))
+    def test_report_of_its_field_types_reads_back(self, tmp_path, report):
+        cli._write_report(tmp_path, report, "csv")
+        loaded = cli.load_report(tmp_path / "report_native.json")
+        assert _typed(loaded.columns) == _typed(report.columns)
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_failure_in_job_table_leaves_old_files(self, tmp_path, monkeypatch, fmt):
@@ -713,6 +748,25 @@ class TestBadReportFile:
         rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
         assert rc == cli.EXIT_CONFIG
         assert f"report error: {path}: not a report" in err
+
+    @pytest.mark.parametrize("column, value", [("wait", "x"), ("wait", True),
+                                               ("retries", 1.5), ("status", None)])
+    def test_value_of_a_wrong_type_exits_2_naming_the_column(self, simulated, tmp_path,
+                                                             capsys, column, value):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        data["jobs"][column] = [value] * len(data["jobs"][column])
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: not a report: column {column!r} holds {value!r}" in err
+
+    def test_int_reads_back_in_a_float_column(self, simulated, tmp_path):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        data["jobs"]["wait"] = [None if w is None else round(w) for w in data["jobs"]["wait"]]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.load_report(path).columns["wait"] == data["jobs"]["wait"]
 
     def test_unknown_schema_exits_2_naming_it(self, simulated, tmp_path, capsys):
         out, _reports = simulated

@@ -12,10 +12,11 @@ from cloudsched.priority import (
     business_priority,
     compute_start_time,
     demand_weight,
-    priority_columns,
+    resultant_columns,
     resultant_priority,
     score_to_rank,
     service_level_satisfaction,
+    technical_columns,
     technical_priority,
 )
 
@@ -228,6 +229,13 @@ def _window_arrays(windows):
             for name in ("t_start_min", "t_start_max", "demand_weight_max")]
 
 
+def _record_columns(columns, windows, cfg, apply_business=True):
+    """build_record's six priority fields as lists: technical_columns, then
+    resultant_columns of its scores, as run() computes them."""
+    t_start, weight, tp, bp = technical_columns(columns, windows, cfg)
+    return (t_start, weight, tp, bp, *resultant_columns(tp, bp, cfg, apply_business))
+
+
 def _exact(values):
     """Type and repr of each value: repr tells every two floats apart, -0.0 included."""
     return [(type(v), repr(v)) for v in values]
@@ -296,7 +304,8 @@ def _with_ids(jobs):
 
 
 class TestPriorityColumns:
-    """priority_columns is the batch form of build_record, equal bit for bit."""
+    """technical_columns and resultant_columns are the batch form of
+    build_record, equal bit for bit."""
 
     @given(jobs=st.lists(_job, min_size=1, max_size=30).map(_with_ids), cfg=_cfg,
            apply_business=st.booleans())
@@ -308,8 +317,8 @@ class TestPriorityColumns:
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_half_step"], apply_business=False)
     def test_columns_equal_build_record(self, jobs, cfg, apply_business):
         windows = _window_of_each(jobs, cfg)
-        columns = priority_columns(job_columns(jobs), _window_arrays(windows), cfg,
-                                   apply_business=apply_business)
+        columns = _record_columns(job_columns(jobs), _window_arrays(windows), cfg,
+                                  apply_business=apply_business)
         for i, (job, window) in enumerate(zip(jobs, windows)):
             rec = build_record(job, window, cfg, apply_business=apply_business)
             expected = (rec.t_start, rec.demand_weight, rec.tp_score, rec.bp_score,
@@ -319,8 +328,8 @@ class TestPriorityColumns:
     def test_corner_examples_reach_their_corners(self):
         def columns(name):
             cfg = CORNER_CFGS[name]
-            return priority_columns(job_columns(CORNER_JOBS),
-                                    _window_arrays(_window_of_each(CORNER_JOBS, cfg)), cfg)
+            return _record_columns(job_columns(CORNER_JOBS),
+                                   _window_arrays(_window_of_each(CORNER_JOBS, cfg)), cfg)
 
         t_start, _w, tp, bp, resultant, rank = columns("half_step")
         windows = _window_of_each(CORNER_JOBS, CORNER_CFGS["half_step"])

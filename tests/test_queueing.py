@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from cloudsched.domain import (
     SimConfig,
     default_catalog,
 )
+from cloudsched import simulator
 from cloudsched.queueing import (
-    Allocated,
     AllocationTable,
-    Deferred,
     QueueClass,
     ResourcePool,
     UnsatisfiableDemandError,
@@ -21,7 +21,6 @@ from cloudsched.queueing import (
     cheapest_fit,
     classify,
     mg1_waiting,
-    release,
     try_allocate,
 )
 from cloudsched.simulator import run
@@ -38,6 +37,16 @@ class NoDraws:
 
     def random(self):
         raise AssertionError("unexpected draw")
+
+
+class ScriptedDraws:
+    """A random stream that gives the listed draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
 
 
 def intake_config(num_vms=1):
@@ -188,8 +197,8 @@ class TestTryAllocate:
         pool = ResourcePool(10, default_catalog())
         job = make_job()
         instance = cheapest_fit(pool.catalog, job.demand)
-        outcome = try_allocate(job, instance, 1.0, pool, np.random.default_rng(0))
-        assert outcome == Allocated(instance=SMALL_FIT)
+        assert instance == SMALL_FIT
+        assert try_allocate(job, instance, 1.0, pool, np.random.default_rng(0)) is True
         assert pool.in_use == 1
         # run() grants each job its cheapest fit: m1.large is the cheapest
         # entry with 2 cores and 7 GB.
@@ -210,34 +219,34 @@ class TestTryAllocate:
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(1)
-        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, np.random.default_rng(0),
-                               clock=3.0, retry_interval=2.0)
-        assert outcome == Deferred(retry_at=5.0)
+        assert try_allocate(make_job(), SMALL_FIT, p, pool, np.random.default_rng(0)) is False
         assert pool.in_use == 1
 
     def test_certain_band_draws_nothing(self):
         pool = ResourcePool(10, default_catalog())
         p = AllocationTable().probability(5)
         assert p == 1.0
-        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws())
-        assert isinstance(outcome, Allocated)
+        assert try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws()) is True
 
     def test_full_pool_defers_without_drawing(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(95)
-        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws(),
-                               clock=3.0, retry_interval=2.0)
-        assert outcome == Deferred(retry_at=5.0)
+        assert try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws()) is False
 
-    def test_failed_draw_defers(self):
+    def test_failed_draw_defers(self, monkeypatch):
         pool = ResourcePool(10, default_catalog())
         rng = np.random.default_rng(1)  # first draw is 0.5118216247002567
         p = AllocationTable().probability(95)  # 0.3
-        outcome = try_allocate(make_job(), SMALL_FIT, p, pool, rng,
-                               clock=0.0, retry_interval=1.0)
-        assert outcome == Deferred(retry_at=1.0)
+        assert try_allocate(make_job(), SMALL_FIT, p, pool, rng) is False
         assert pool.in_use == 0
+        # run() retries a deferred job retry_interval after the attempt: the
+        # job arrives at t=3, fails its first draw and is admitted at t=5.
+        monkeypatch.setattr(simulator, "_job_streams", lambda seed, indices: [
+            ScriptedDraws(0.999, 0.0) for _ in indices])
+        cfg = replace(intake_config(), allocation_bands=((1, 100, 0.5),), retry_interval=2.0)
+        rec = run(cfg, [make_job(arrival=3.0)]).jobs[0]
+        assert (rec.retries, rec.start) == (1, 5.0)
 
     def test_success_fraction_tracks_band_probability(self):
         # empirical admission rate over 1e5 draws stays within +/- 0.02
@@ -249,25 +258,13 @@ class TestTryAllocate:
             successes = 0
             n = 100_000
             for _ in range(n):
-                outcome = try_allocate(make_job(), SMALL_FIT, p, pool, rng)
-                if isinstance(outcome, Allocated):
+                if try_allocate(make_job(), SMALL_FIT, p, pool, rng):
                     successes += 1
-                    release(pool)
+                    pool.in_use -= 1
             assert abs(successes / n - p) <= 0.02
 
 
 class TestResourcePool:
-    def test_release_decrements(self):
-        pool = ResourcePool(2, default_catalog())
-        pool.in_use = 1
-        release(pool)
-        assert pool.in_use == 0
-
-    def test_release_on_empty_pool_is_an_error(self):
-        pool = ResourcePool(2, default_catalog())
-        with pytest.raises(ValueError):
-            release(pool)
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ResourcePool(0, default_catalog())

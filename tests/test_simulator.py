@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cloudsched import simulator
 from cloudsched.domain import (
@@ -34,6 +34,7 @@ from cloudsched.simulator import (
 from cloudsched.workload import Distribution, WorkloadSpec, generate_arrivals, sample_jobs
 
 ALL_ONE_BANDS = tuple((lo, lo + 9, 1.0) for lo in range(1, 100, 10))
+MODES = ("native", "resultant")
 
 
 def make_job(job_id=0, arrival=0.0, due=700.0, exec_time=650.0, prep=5.0,
@@ -384,6 +385,124 @@ class TestPairedModes:
         for a, b in zip(native.jobs, resultant.jobs):
             assert a.tp_score == b.tp_score
             assert a.bp_score == b.bp_score
+
+
+# Two entries that fit every valid job of _job_lists, one cheaper for small demands.
+PAIRED_CATALOG = (ResourceCatalogEntry("small", 2, 1, 10.0, 64, 1000.0, 0.1),
+                  ResourceCatalogEntry("huge", 8, 1, 1e6, 64, 1e6, 1.0))
+
+
+@st.composite
+def _paired_cases(draw):
+    """(config, jobs): jobs of _job_lists, some of them rejected, with ids that
+    mix ints and strings, on a config whose queue may overflow (an unstable
+    stop) and whose jobs may draw, retry and get stuck. Under the last bands a
+    boosted job may get stuck in the native run only."""
+    epoch_length = draw(st.sampled_from(EPOCH_LENGTHS))
+    jobs = draw(_job_lists(epoch_length, st.sampled_from([math.nan, math.inf, 0, -1])))
+    ids = draw(st.lists(st.integers(-3, 30) | st.text("ab1", min_size=1, max_size=2),
+                        min_size=len(jobs), max_size=len(jobs), unique=True))
+    config = small_config(
+        num_vms=draw(st.integers(1, 3)), class_rates=(0.5, 0.5), epoch_length=epoch_length,
+        catalog=PAIRED_CATALOG, max_queue_length=draw(st.sampled_from([2, 5, 1_000_000])),
+        max_retries=draw(st.sampled_from([1, 4, 1_000_000])),
+        retry_interval=draw(st.sampled_from([1.0, 2.5])),
+        allocation_bands=draw(st.sampled_from([((1, 100, 0.5),), AllocationTable().bands,
+                                                ((1, 30, 1.0), (31, 100, 0.05))])))
+    return config, [replace(job, id=job_id) for job, job_id in zip(jobs, ids)]
+
+
+PAIRED_EXAMPLES = {
+    # Five jobs at t=0 on one VM with a queue of two: the run stops unstable.
+    # Job 10 is rejected, and the ids mix ints with strings.
+    "unstable": (
+        small_config(num_vms=1, class_rates=(0.5, 0.5), max_queue_length=2, max_retries=3,
+                     allocation_bands=((1, 100, 0.5),), catalog=PAIRED_CATALOG),
+        [make_job(job_id=i, exec_time=0.0 if i == 10 else 650.0,
+                  business=BusinessProfile(100.0 * n, 0.0))
+         for n, i in enumerate(["b", 10, "a", 2, 7])]),
+    # Job 2 ranks 36 natively and 26 boosted: it gets stuck in the native run
+    # only, and job 1 in both.
+    "stuck_in_native": (
+        small_config(num_vms=2, class_rates=(0.5, 0.5), max_retries=1, catalog=PAIRED_CATALOG,
+                     allocation_bands=((1, 30, 1.0), (31, 100, 0.05))),
+        [make_job(job_id=0, due=700.0, exec_time=650.0, prep=0.0),
+         make_job(job_id=1, arrival=1.0, due=750.0, exec_time=650.0, prep=0.0),
+         make_job(job_id=2, arrival=2.0, due=725.0, exec_time=650.0, prep=0.0,
+                  demand=ResourceDemand(2, 4.0, 200.0), business=BusinessProfile(1000.0, 0.0))]),
+}
+
+
+def _with_paired_examples(test):
+    for case in PAIRED_EXAMPLES.values():
+        for native_first in (True, False):
+            test = example(case=case, native_first=native_first)(test)
+    return test
+
+
+class TestJobSet:
+    """A JobSet prepares the inputs both modes share once; runs over it give
+    the reports of runs over the plain job list."""
+
+    @_with_paired_examples
+    @settings(max_examples=60, deadline=None)
+    @given(case=_paired_cases(), native_first=st.booleans())
+    def test_paired_runs_equal_independent_runs(self, case, native_first):
+        config, jobs = case
+        modes = ("native", "resultant") if native_first else ("resultant", "native")
+        job_set = simulator.JobSet(jobs)
+        paired = [run(config, job_set, mode=mode).to_json() for mode in modes]
+        assert paired == [run(config, list(jobs), mode=mode).to_json() for mode in modes]
+
+    def test_examples_reach_their_corners(self):
+        config, jobs = PAIRED_EXAMPLES["unstable"]
+        for mode in ("native", "resultant"):
+            report = run(config, jobs, mode=mode)
+            assert report.unstable and report.rejected == 1
+            assert report.columns["status"].count("pending") >= 2
+        config, jobs = PAIRED_EXAMPLES["stuck_in_native"]
+        assert [run(config, jobs, mode=mode).columns["status"] for mode in MODES] == [
+            ["completed", "stuck", "stuck"], ["completed", "stuck", "completed"]]
+
+    def test_inputs_are_prepared_once_per_config(self, monkeypatch):
+        calls = []
+        real_windows = simulator.window_stats_by_epoch
+
+        def windows(*args):
+            calls.append(args)
+            return real_windows(*args)
+
+        monkeypatch.setattr(simulator, "window_stats_by_epoch", windows)
+        cfg = SimConfig(num_tasks=50, seed=3)
+        job_set = simulator.JobSet(fixed_jobs(cfg))
+        run(cfg, job_set, mode="native")
+        run(replace(cfg), job_set, mode="resultant")  # an equal config
+        assert len(calls) == 1
+        run(replace(cfg, epoch_length=30.0), job_set)
+        assert len(calls) == 2
+        run(cfg, list(job_set.jobs))  # a plain list prepares its own
+        assert len(calls) == 3
+
+    def test_one_try_allocate_call_per_attempt(self, monkeypatch):
+        # Every attempt either allocates the job or counts one retry, in both
+        # modes, with the queue loaded (600 VMs below the offered load).
+        calls = []
+        real_try_allocate = simulator.try_allocate
+
+        def try_allocate(*args):
+            calls.append(args[0].id)
+            return real_try_allocate(*args)
+
+        monkeypatch.setattr(simulator, "try_allocate", try_allocate)
+        cfg = SimConfig(num_tasks=20_000, num_vms=600, seed=7)
+        job_set = simulator.JobSet(fixed_jobs(cfg))
+        for mode in ("native", "resultant"):
+            calls.clear()
+            report = run(cfg, job_set, mode=mode)
+            allocated = sum(start is not None for start in report.columns["start"])
+            retries = sum(report.columns["retries"])
+            assert retries > 0 and allocated == cfg.num_tasks
+            assert len(calls) == allocated + retries
 
 
 class TestWaitingTimeModel:
