@@ -5,12 +5,11 @@ Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
 its built-in default and is echoed. All outputs are written atomically:
 to a .tmp file that replaces the output when complete, and is removed if
-writing fails. Every table is written by one writer, _write_columns, in
-blocks of rows: each block of a column is encoded once by the C JSON encoder,
-and its cell texts feed the csv or json table. simulate writes each
-report_<mode>.json, SimReport.to_json() in schema 2 and a newline, and its
-job table from the same pass: the report's float columns reuse the pass's
-texts, so each value is formatted once. No command builds a JobRecord.
+writing fails. simulate writes report_<mode>.json (SimReport.to_json() in
+schema 2 and a newline) and bands_<mode>.<fmt> for each mode, and
+comparison.json. export writes the job table of a report, jobs_<mode>.<fmt>,
+one row per job. Every table is written by one writer, _write_table, with
+csv.writer or json.dumps. No command builds a JobRecord.
 load_report reads a report of schema 2 or 1 back.
 """
 
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import os
@@ -292,127 +292,39 @@ _WRITE_SLICE = 1 << 20
 
 
 @contextlib.contextmanager
-def _atomic_files(*paths: Path):
-    """Open a tmp file for each path; when the block ends, replace each path
-    with its tmp file. If anything raises, every tmp file is removed."""
-    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+def _atomic_file(path: Path):
+    """Open a tmp file for path; when the block ends, replace path with it.
+    If anything raises, the tmp file is removed."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(tmp, "w", newline="")) for tmp in tmps]
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write text to a tmp file, then replace path with it."""
-    with _atomic_files(path) as (fh,):
+    with _atomic_file(path) as fh:
         for i in range(0, len(text), _WRITE_SLICE):
             fh.write(text[i:i + _WRITE_SLICE])
 
 
-# Tables are formatted in blocks of this many rows; only one block's cell
-# texts are held at a time.
-_BLOCK_ROWS = 1024
-# Encodes a list with a newline between items. No scalar's JSON text holds a
-# newline (a str's is escaped), so the text splits at its newlines into the
-# texts of its items.
-_encode_lines = json.JSONEncoder(separators=("\n", ":")).encode
-_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
-# The JSON texts that csv.writer writes otherwise, and the words of them that
-# the values of a type have ("-Infinity" becomes "-inf" by the "Infinity" rule).
-_CSV_WORD = {"null": "", "true": "True", "false": "False", "NaN": "nan", "Infinity": "inf",
-             "-Infinity": "-inf"}
-_WORDS = {type(None): ("null",), bool: ("true", "false"), float: ("NaN", "Infinity")}
-# csv.QUOTE_MINIMAL quotes a str that holds one of these. A JSON text shows a
-# str's quote, CR and LF escaped.
-_QUOTE_CHARS = (",", '"', "\r", "\n")
-_QUOTE_MARKS = (",", '\\"', "\\r", "\\n")
-
-
-def _csv_str(value: str) -> str:
-    """A str cell as csv.writer writes it."""
-    if any(c in value for c in _QUOTE_CHARS):
-        return '"%s"' % value.replace('"', '""')
-    return value
-
-
-def _csv_cells(block, text: str, kinds) -> list:
-    """The csv.writer cells of a block of values of the types kinds, from the
-    block's JSON text (_encode_lines without its brackets)."""
-    if str not in kinds:
-        for kind in kinds:
-            for word in _WORDS.get(kind, ()):
-                text = text.replace(word, _CSV_WORD[word])
-        return text.split("\n")
-    # Only a block whose text shows a mark has a str to quote; str() is a no-op.
-    quote = _csv_str if any(mark in text for mark in _QUOTE_MARKS) else str
-    return [quote(value) if value.__class__ is str else _CSV_WORD.get(cell, cell)
-            for value, cell in zip(block, text.split("\n"))]
-
-
-def _write_columns(fh, header, columns, fmt: str, keep=None) -> dict:
-    """Write a table, given as one sequence of JSON scalars (None, bool, int,
-    float, str) per column, as csv.writer writes its rows, or as
-    json.dumps([dict(zip(header, row)) for row in zip(*columns)], indent=2)
-    and a newline. Return the JSON texts of the table's float columns in keep.
-
-    The table is formatted _BLOCK_ROWS rows at a time, in one pass. Each block
-    of a distinct column (a column given twice is encoded once) is encoded by
-    one call to the C encoder and split into the JSON texts of its cells. A
-    csv cell is the cell's JSON text as csv.writer writes it: a str is the
-    value itself, quoted when need be; null, true/false, NaN and Infinity are
-    the csv texts of None, bools and non-finite floats.
-
-    keep maps names to columns whose JSON text the caller wants. For each one
-    that is a table column holding a float, the text is joined from the
-    pass's block texts and returned by name: json.dumps(column,
-    separators=(",", ":")). Other columns cost more memory to hold than time
-    to encode again, so their texts are not kept.
-    """
-    keep = keep or {}
-    distinct = {id(column): column for column in columns}
-    kinds = {key: set(map(type, column)) for key, column in distinct.items()}
-    if not all(k <= _JSON_SCALARS for k in kinds.values()):
-        raise TypeError("a table column holds a value that is not a JSON scalar")
-    kept = {id(column): [] for column in keep.values() if float in kinds.get(id(column), ())}
-    if fmt == "csv":
-        # csv.writer writes a row of one empty field as "".
-        join = ",".join if len(header) != 1 else lambda row: row[0] or '""'
-        fh.write(join([_csv_str(name) for name in header]) + "\r\n")
-    else:
-        # A name's % is doubled, so that the template fills only the value slots.
-        template = "  {\n%s\n  }" % ",\n".join(
-            f"    {json.dumps(name).replace('%', '%%')}: %s" for name in header)
-        fh.write("[")
-    n = len(columns[0]) if columns else 0
-    for start in range(0, n, _BLOCK_ROWS):
-        cells = {}
-        for key, column in distinct.items():
-            block = column[start:start + _BLOCK_ROWS]
-            text = _encode_lines(block)[1:-1]
-            if key in kept:
-                kept[key].append(text.replace("\n", ","))
-            cells[key] = _csv_cells(block, text, kinds[key]) if fmt == "csv" else text.split("\n")
-        rows = zip(*[cells[id(column)] for column in columns])
-        if fmt == "csv":
-            fh.write("\r\n".join(map(join, rows)) + "\r\n")
-        else:
-            fh.write(("," if start else "") + "\n" + ",\n".join(map(template.__mod__, rows)))
-    if fmt != "csv":
-        fh.write("\n]\n" if n else "]\n")
-    for key, parts in kept.items():  # each column's blocks are released as it is joined
-        kept[key] = "[%s]" % ",".join(parts)
-    return {name: kept[id(column)] for name, column in keep.items() if id(column) in kept}
-
-
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
+    """Write <name>.<fmt>: the header and rows as csv.writer writes them, or
+    json.dumps([dict(zip(header, row)) for row in rows], indent=2) and a
+    newline."""
     path = out_dir / f"{name}.{fmt}"
-    with _atomic_files(path) as (fh,):
-        _write_columns(fh, header, list(zip(*rows)), fmt)
+    if fmt == "csv":
+        with _atomic_file(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        _write_atomic(path, json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+                      + "\n")
     return path
 
 
@@ -443,38 +355,14 @@ def _load_parsed(args: argparse.Namespace) -> ParsedConfig:
     return parsed
 
 
-_JOB_TABLE_HEADER = ("job_id", "arrival", "ack", "allocation", "start", "completion",
-                     "wait", "rank", "tp_score", "bp_score", "resultant", "class_index",
-                     "chain_position", "instance", "cost", "sls", "deadline_met",
-                     "status", "retries")
-
-
-# The report column of each job table column: allocation is the start column,
-# and sls the resultant column.
-_JOB_TABLE_COLUMNS = tuple({"allocation": "start", "sls": "resultant"}.get(name, name)
-                           for name in _JOB_TABLE_HEADER)
-
-
 def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
-    """Write report_<mode>.json, jobs_<mode>.<fmt> and bands_<mode>.<fmt>.
-
-    One formatting pass (_write_columns) writes the job table, one row per
-    job, and encodes every report column that holds a float, so each value is
-    formatted once: its JSON text feeds the report, and its csv or json
-    table cell. The report is then written one column at a time
-    (SimReport.json_texts), with its other columns encoded there.
-    """
-    mode = report.mode
-    columns = report.columns
-    with _atomic_files(out_dir / f"report_{mode}.json",
-                       out_dir / f"jobs_{mode}.{fmt}") as (report_file, table_file):
-        texts = _write_columns(table_file, _JOB_TABLE_HEADER,
-                               list(map(columns.__getitem__, _JOB_TABLE_COLUMNS)), fmt,
-                               keep=columns)
-        report_file.writelines(report.json_texts(texts))
-        report_file.write("\n")
-    _write_table(out_dir, f"bands_{mode}", ("band", "mean_wait"),
-                 list(report.band_waits.items()), fmt)
+    """Write report_<mode>.json, SimReport.to_json() one column at a time
+    (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>."""
+    with _atomic_file(out_dir / f"report_{report.mode}.json") as fh:
+        fh.writelines(report.json_texts())
+        fh.write("\n")
+    _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
+                 report.band_waits.items(), fmt)
 
 
 class ReportError(ValueError):
@@ -619,11 +507,34 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_JOB_TABLE_HEADER = ("job_id", "arrival", "ack", "allocation", "start", "completion",
+                     "wait", "rank", "tp_score", "bp_score", "resultant", "class_index",
+                     "chain_position", "instance", "cost", "sls", "deadline_met",
+                     "status", "retries")
+
+
+# The report column of each job table column: allocation is the start column,
+# and sls the resultant column.
+_JOB_TABLE_COLUMNS = tuple({"allocation": "start", "sls": "resultant"}.get(name, name)
+                           for name in _JOB_TABLE_HEADER)
+
+
+def cmd_export(args: argparse.Namespace) -> int:
+    report = load_report(args.report)
+    out = _ensure_out(args.out)
+    columns = report.columns
+    path = _write_table(out, f"jobs_{report.mode}", _JOB_TABLE_HEADER,
+                        zip(*map(columns.__getitem__, _JOB_TABLE_COLUMNS)), args.format)
+    print(f"exported {len(columns['job_id'])} jobs ({report.mode}) -> {path}")
+    return EXIT_OK
+
+
 _COMMANDS = {
     "generate": cmd_generate,
     "simulate": cmd_simulate,
     "analyze": cmd_analyze,
     "replicate": cmd_replicate,
+    "export": cmd_export,
 }
 
 
@@ -635,15 +546,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the fully-resolved config as JSON and exit")
     parser.add_argument("--config", dest="root_config", metavar="PATH",
                         help="config file for --print-config")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON config file (defaults apply for omitted keys)")
-    common.add_argument("--out", metavar="DIR",
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--out", metavar="DIR",
                         default=os.environ.get(OUT_DIR_ENV, "."),
                         help=f"output directory (default $'{OUT_DIR_ENV}' or '.')")
+    tables.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="format of the tables the command writes")
+    common = argparse.ArgumentParser(add_help=False, parents=[tables])
+    common.add_argument("--config", metavar="PATH", default=None,
+                        help="JSON config file (defaults apply for omitted keys)")
     common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="tabular output format")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("generate", parents=[common], help="write a synthetic workload file")
     p_sim = sub.add_parser("simulate", parents=[common],
@@ -655,6 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--report", metavar="PATH", default=None,
                        help="simulation report to compare against")
     sub.add_parser("replicate", parents=[common], help="emit the replication bundle")
+    p_exp = sub.add_parser("export", parents=[tables],
+                           help="write a report's job table, one row per job")
+    p_exp.add_argument("report", metavar="REPORT", help="report_<mode>.json to export")
     return parser
 
 

@@ -12,8 +12,7 @@ class and admission probability of its mode. The event loop keeps each
 job's state in per-field lists indexed by the job's place in id order, and
 its SimReport holds the job records as columns, one list per JobRecord
 field. A report is written in schema 2 as those columns: compact JSON with
-sorted keys, one call to the C JSON encoder per column, or the column's text
-as the caller already encoded it (SimReport.json_texts).
+sorted keys, one call to the C JSON encoder per column (SimReport.json_texts).
 """
 
 from __future__ import annotations
@@ -86,15 +85,11 @@ class JobRecord:
     retries: int
     reason: str | None
 
+    # perfbench/sample.py's full check reads this alias.
     @property
     def allocation(self) -> float | None:
         """The allocation instant, which is the start of service."""
         return self.start
-
-    @property
-    def sls(self) -> float | None:
-        """The service level satisfaction, numerically the resultant score."""
-        return self.resultant
 
 
 # JobRecord fields in declaration order, the order of its constructor's arguments.
@@ -149,8 +144,10 @@ class SimReport:
     def from_dict(cls, d: dict) -> "SimReport":
         """The report of a parsed report file: schema 2, or schema 1, which has
         no "schema" key and holds "jobs" as one object per job record. Any
-        other schema, and a job value whose type its JobRecord field does not
-        allow, raise ValueError."""
+        other schema or mode, and a job value whose type its JobRecord field
+        does not allow, raise ValueError."""
+        if d["mode"] not in ("native", "resultant"):
+            raise ValueError(f"unknown mode {d['mode']!r}")
         jobs = d["jobs"]
         schema = d.get("schema")
         if schema is None:
@@ -175,23 +172,17 @@ class SimReport:
                       class_sls=dict(values["class_sls"]))
         return cls(columns=columns, **values)
 
-    def json_texts(self, encoded=None):
+    def json_texts(self):
         """The to_json() text in pieces: the fields before "jobs", each job
-        column's key and list, then the fields after "jobs".
-
-        encoded maps column names to the JSON texts of their columns, as the
-        caller already made them (cli._write_report passes those of its table
-        pass); every other column is encoded here, by one call to the C
-        encoder.
-        """
-        encoded = encoded or {}
+        column's key and list, each list encoded by one call to the C encoder,
+        then the fields after "jobs"."""
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
         sep = head[:-1] + ',"jobs":{'
         for name in _JOB_FIELDS:
             yield f'{sep}"{name}":'
-            yield encoded.get(name) or _encode(self.columns[name])
+            yield _encode(self.columns[name])
             sep = ","
         yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
@@ -295,12 +286,15 @@ def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0)
     columns holds the jobs' job_columns; run() passes only the jobs that pass
     validation: rejected jobs never reach the prioritizer. A job's epoch is
     int(arrival // epoch_length), which np.floor_divide computes as Python
-    does. Returns the arrays (t_start_min, t_start_max, demand_weight_max),
-    one value per job, equal to the fields of WindowStats.from_jobs over the
-    jobs of its epoch in the order given.
+    does: an arrival whose quotient overflows gets the epoch inf, as with //,
+    so all such jobs share one epoch. Returns the arrays (t_start_min,
+    t_start_max, demand_weight_max), one value per job, equal to the fields
+    of WindowStats.from_jobs over the jobs of its epoch in the order given.
     """
     t_start, weight = start_and_weight(columns, blank_time)
-    epochs, epoch = np.unique(np.floor_divide(columns[0], epoch_length), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients = np.floor_divide(columns[0], epoch_length)
+    epochs, epoch = np.unique(quotients, return_inverse=True)
     stats = []
     for values, reduce, initial in ((t_start, np.fmin, np.inf), (t_start, np.fmax, -np.inf),
                                     (weight, np.fmax, -np.inf)):

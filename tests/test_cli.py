@@ -22,8 +22,8 @@ from cloudsched.workload import (
     sample_jobs,
 )
 
-# Low admission odds and few retries leave some jobs stuck, so the job table
-# has empty (None) cells next to completed rows.
+# Low admission odds and few retries leave some jobs stuck, so the exported
+# job table has empty (None) cells next to completed rows.
 CONFIG = {
     "simulation": {"num_tasks": 150, "num_vms": 40, "seed": 4, "max_retries": 2},
     "allocation_bands": [[1, 100, 0.3]],
@@ -61,9 +61,11 @@ class TestSimulateOutputs:
         assert cli.load_report(out / f"report_{mode}.json") == reports[mode]
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_job_table_cells(self, simulated, mode):
+    def test_job_table_cells(self, simulated, tmp_path, mode):
         out, reports = simulated
-        with open(out / f"jobs_{mode}.csv", newline="") as fh:
+        assert cli.main(["export", str(out / f"report_{mode}.json"),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        with open(tmp_path / f"jobs_{mode}.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert tuple(header) == cli._JOB_TABLE_HEADER
         expected = [[_cell(v) for v in row] for row in _job_rows(reports[mode])]
@@ -80,9 +82,9 @@ class TestTableText:
         with open(path, newline="") as fh:
             assert fh.read() == 'a,b,c,d,e\r\n,0.30000000000000004,3,"x,y",True\r\n'
 
-    @pytest.mark.parametrize("n", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
-                                   2 * cli._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2049])
     def test_json_blocks_equal_one_json_dumps(self, tmp_path, n):
+        # An empty table, and tables of one to 2049 rows of edge cells.
         header = ("a", "b", "c", "d")
         cells = (None, 0.1 + 0.2, math.nan, "x\ny", -0.0, True, 7, "é")
         rows = [tuple(cells[(i + j) % len(cells)] for j in range(len(header)))
@@ -92,38 +94,38 @@ class TestTableText:
         assert path.read_text() == expected
 
 
-# A 2500-job run: three blocks of _BLOCK_ROWS rows, the block size of a
-# --format json table, with stuck jobs (None cells) on both sides of each
-# block boundary.
+# A 2500-job run with stuck jobs (None cells) throughout.
 MULTI_BLOCK_CONFIG = {
     "simulation": {"num_tasks": 2500, "num_vms": 40, "seed": 4, "max_retries": 2},
     "allocation_bands": [[1, 100, 0.3]],
 }
-# SHA-256 of every file `simulate` writes for MULTI_BLOCK_CONFIG: the job
-# tables, bands and comparison as written before reports were streamed, the
-# reports in schema 2. A change to any of them is a change in output bytes and
-# must be recorded in CHANGES.md.
+# SHA-256 of every file `simulate` writes for MULTI_BLOCK_CONFIG: the bands
+# and comparison as written before reports were streamed, the reports in
+# schema 2. A change to any of them is a change in output bytes and must be
+# recorded in CHANGES.md.
 PINNED_OUTPUT_SHA256 = {
     "bands_native.csv": "622f95214c75f6bf872c30002b37ac1a66897673087354334200b1ebf651c223",
     "bands_resultant.csv": "b1710167a5f72712a7f4c4bb8c92054fcf05e9138427e44ab4af292daf218017",
     "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
-    "jobs_native.csv": "420dfc6b404bea3a471d3ef46ab56c4c52f7b409ac228a7441cc9b84c0dfd06e",
-    "jobs_resultant.csv": "7cf4dd6e8a7edc6d0da6c051794e806500c3d2b49ff420b989ad9274dd019483",
     "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
     "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
 }
-# The same for `simulate --format json`, as written before each value was
-# formatted once for the report and the table: the job tables' cells of a
-# column given twice (allocation is start, sls is resultant) cross each block
-# boundary.
+# The same for `simulate --format json`.
 PINNED_JSON_OUTPUT_SHA256 = {
     "bands_native.json": "0a2121d9e04fb7717c657958fdb7fb9a2664efa61b6b9308c33a9dd24d84b766",
     "bands_resultant.json": "0310d9c669905e5a75b23f202996ebac38a6dc32550f4fe075e517de27ff287a",
     "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
-    "jobs_native.json": "864272494d0320aa0c81f004c0253f961844be0b84a5d4b8f02d7e2282445dee",
-    "jobs_resultant.json": "7ba47cffc548f624718cc49aac839da9d60cb73b646d655b1f54f42c88b6b344",
     "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
     "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
+}
+# SHA-256 of the job tables that `export` writes from those reports, in each
+# format: the bytes `simulate` wrote as jobs_<mode>.<fmt> before the job
+# tables moved to `export`.
+PINNED_EXPORT_SHA256 = {
+    "jobs_native.csv": "420dfc6b404bea3a471d3ef46ab56c4c52f7b409ac228a7441cc9b84c0dfd06e",
+    "jobs_resultant.csv": "7cf4dd6e8a7edc6d0da6c051794e806500c3d2b49ff420b989ad9274dd019483",
+    "jobs_native.json": "864272494d0320aa0c81f004c0253f961844be0b84a5d4b8f02d7e2282445dee",
+    "jobs_resultant.json": "7ba47cffc548f624718cc49aac839da9d60cb73b646d655b1f54f42c88b6b344",
 }
 
 
@@ -140,6 +142,16 @@ def _digests(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
+def _export_digests(reports: Path, out: Path, formats=("csv", "json")) -> dict:
+    """The digests of the job tables that `export` writes into out, in each
+    format, from the two reports in the directory reports."""
+    for mode in MODES:
+        for fmt in formats:
+            assert cli.main(["export", str(reports / f"report_{mode}.json"), "--out", str(out),
+                             "--format", fmt]) == cli.EXIT_OK
+    return _digests(out)
+
+
 class TestMultiBlockBytes:
     def test_every_output_file_hash_is_pinned(self, multi_block):
         assert _digests(multi_block) == PINNED_OUTPUT_SHA256
@@ -151,16 +163,8 @@ class TestMultiBlockBytes:
         assert rc == cli.EXIT_OK
         assert _digests(out) == PINNED_JSON_OUTPUT_SHA256
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_none_cells_on_both_sides_of_each_block_boundary(self, multi_block, mode):
-        jobs = cli.load_report(multi_block / f"report_{mode}.json").jobs
-        rows = cli._BLOCK_ROWS
-        assert 2 * rows < len(jobs) <= 3 * rows
-        for boundary in (rows, 2 * rows):
-            before = jobs[boundary - 16:boundary]
-            after = jobs[boundary:boundary + 16]
-            assert any(r.status == "stuck" and r.start is None for r in before)
-            assert any(r.status == "stuck" and r.start is None for r in after)
+    def test_exported_job_table_hashes_are_pinned(self, multi_block, tmp_path, capsys):
+        assert _export_digests(multi_block, tmp_path) == PINNED_EXPORT_SHA256
 
 
 # Every workload key set, next to non-default simulation timing that the
@@ -211,61 +215,6 @@ _CELLS = {
     "mixed": st.one_of(_FLOATS, st.integers(), _TEXTS, st.booleans()),
 }
 REPORT_LENGTHS = (0, 1, 1023, 1024, 1025)
-_SCALARS = st.one_of(st.none(), *_CELLS.values())
-TABLE_LENGTHS = (0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS + 1)
-
-
-@st.composite
-def tables(draw):
-    """(header, columns, distinct columns): 1 to 4 columns, some of them the
-    same column object, of mixed scalars."""
-    n = draw(st.sampled_from(TABLE_LENGTHS))
-    width = draw(st.integers(1, 4))
-    header = draw(st.lists(_TEXTS, min_size=width, max_size=width, unique=True))
-    distinct = []
-    for _ in range(draw(st.integers(1, width))):
-        pool = draw(st.lists(_SCALARS, min_size=1, max_size=5))
-        distinct.append([pool[i % len(pool)] for i in range(n)])
-    columns = [distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(width)]
-    return header, columns, distinct
-
-
-class TestTableOracle:
-    """_write_columns against csv.writer and json.dumps on the same values."""
-
-    @example(table=(["a"], [[None, "", 1, ""]], [[None, "", 1, ""]]))
-    @example(table=([""], [[""]], [[""]]))
-    @example(table=(["a", "b"], [[None, ""]] * 2, [[None, ""]]))
-    @example(table=(["a,b", "c"], [["x,y", None, "z"], [1.5, True, -0.0]],
-                    [["x,y", None, "z"], [1.5, True, -0.0]]))
-    @example(table=(["%"], [[1.5, None]], [[1.5, None]]))
-    @example(table=(["%a", "b"], [["x", 2], [None, 0.5]], [["x", 2], [None, 0.5]]))
-    @settings(max_examples=60, deadline=None)
-    @given(table=tables())
-    def test_csv_and_json_equal_the_modules(self, table):
-        header, columns, distinct = table
-        rows = list(zip(*columns))
-        oracle = io.StringIO()
-        writer = csv.writer(oracle)
-        writer.writerow(header)
-        writer.writerows(rows)
-        keep = {f"c{i}": column for i, column in enumerate(distinct)}
-        for fmt, expected in (("csv", oracle.getvalue()),
-                              ("json", json.dumps([dict(zip(header, row)) for row in rows],
-                                                  indent=2) + "\n")):
-            buf = io.StringIO(newline="")
-            texts = cli._write_columns(buf, header, columns, fmt, keep=keep)
-            _assert_same_text(buf.getvalue(), expected)
-            assert texts == {name: json.dumps(column, separators=(",", ":"))
-                             for name, column in keep.items()
-                             if any(column is c for c in columns)
-                             and any(type(v) is float for v in column)}
-
-    def test_a_column_of_other_values_is_refused(self):
-        with pytest.raises(TypeError, match="not a JSON scalar"):
-            cli._write_columns(io.StringIO(), ("a",), [[(1, 2)]], "csv")
-
-
 def _report(rows) -> SimReport:
     rows = list(rows)
     return SimReport(mode="native", seed=5,
@@ -288,8 +237,11 @@ def _typed(columns: dict) -> dict:
 
 
 def _job_rows(report: SimReport) -> list:
-    """The job table's rows, one per job record, in _JOB_TABLE_HEADER order."""
-    return [[getattr(r, name) for name in cli._JOB_TABLE_HEADER] for r in report.jobs]
+    """The job table's rows, one per job record, in _JOB_TABLE_HEADER order:
+    allocation is the record's start, and sls its resultant."""
+    aliases = {"allocation": "start", "sls": "resultant"}
+    return [[getattr(r, aliases.get(name, name)) for name in cli._JOB_TABLE_HEADER]
+            for r in report.jobs]
 
 
 # Six rows, repeated: zeros of both signs in one float column and block, 1,
@@ -348,6 +300,24 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"!= {want[at - 80:at + 80]!r}")
 
 
+def _assert_export_equals_modules(report_path: Path, report: SimReport, out: Path) -> None:
+    """`export` of report_path writes report's job table as csv.writer writes
+    its rows, and as json.dumps(indent=2) of one object per row and a newline."""
+    rows = _job_rows(report)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cli._JOB_TABLE_HEADER)
+    writer.writerows(rows)
+    expected = {"csv": buf.getvalue(),
+                "json": json.dumps([dict(zip(cli._JOB_TABLE_HEADER, row)) for row in rows],
+                                   indent=2) + "\n"}
+    for fmt, text in expected.items():
+        argv = ["export", str(report_path), "--out", str(out), "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_OK
+        with open(out / f"jobs_{report.mode}.{fmt}", newline="") as fh:
+            _assert_same_text(fh.read(), text)
+
+
 def _with_examples(test):
     for n in REPORT_LENGTHS:
         test = example(report=_edge_report(n))(test)
@@ -355,37 +325,34 @@ def _with_examples(test):
 
 
 class TestStreamedWriter:
-    """The column writer against json.dumps and csv.writer on the same values."""
+    """The report writer against json.dumps, and export's job table against
+    csv.writer and json.dumps, on the same values."""
 
     @_with_examples
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(report=reports())
-    def test_report_and_job_table_equal_json_and_csv_modules(self, tmp_path, report):
+    def test_report_and_job_table_equal_json_and_csv_modules(self, tmp_path, capsys, report):
         expected_json = json.dumps(_report_dict(report), sort_keys=True, separators=(",", ":"))
         _assert_same_text(report.to_json(), expected_json)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(cli._JOB_TABLE_HEADER)
-        writer.writerows(_job_rows(report))
-        cli._write_report(tmp_path, report, "csv")
-        path = tmp_path / "report_native.json"
-        _assert_same_text(path.read_text(), expected_json + "\n")
+        for fmt in ("csv", "json"):
+            cli._write_report(tmp_path, report, fmt)
+            path = tmp_path / "report_native.json"
+            _assert_same_text(path.read_text(), expected_json + "\n")
         assert _typed(json.loads(path.read_text())["jobs"]) == _typed(report.columns)
         wrong = [f.name for f in fields(JobRecord)
                  if not all(_allowed(v, f.type) for v in report.columns[f.name])]
         if wrong:  # load_report names the first column that holds a wrong type
             with pytest.raises(cli.ReportError, match=f"not a report: column '{wrong[0]}' holds"):
                 cli.load_report(path)
+            capsys.readouterr()
+            assert cli.main(["export", str(path), "--out", str(tmp_path / "export")]) == (
+                cli.EXIT_CONFIG)
+            assert f"report error: {path}: not a report: column '{wrong[0]}'" in (
+                capsys.readouterr().err)
         else:
             assert _typed(cli.load_report(path).columns) == _typed(report.columns)
-        with open(tmp_path / "jobs_native.csv", newline="") as fh:
-            _assert_same_text(fh.read(), buf.getvalue())
-        expected_table = json.dumps([dict(zip(cli._JOB_TABLE_HEADER, row))
-                                     for row in _job_rows(report)], indent=2) + "\n"
-        cli._write_report(tmp_path, report, "json")
-        _assert_same_text(path.read_text(), expected_json + "\n")
-        _assert_same_text((tmp_path / "jobs_native.json").read_text(), expected_table)
+            _assert_export_equals_modules(path, report, tmp_path / "export")
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -394,26 +361,34 @@ class TestStreamedWriter:
         cli._write_report(tmp_path, report, "csv")
         loaded = cli.load_report(tmp_path / "report_native.json")
         assert _typed(loaded.columns) == _typed(report.columns)
+        _assert_export_equals_modules(tmp_path / "report_native.json", report,
+                                      tmp_path / "export")
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
-    def test_failure_in_job_table_leaves_old_files(self, tmp_path, monkeypatch, fmt):
-        # The job table's first _BLOCK_ROWS rows are written, and encoding its
-        # second block, the last row, fails before the report is written.
-        cli._write_report(tmp_path, _edge_report(3), fmt)
+    def test_failure_in_job_table_leaves_old_files(self, simulated, tmp_path, monkeypatch,
+                                                   capsys, fmt):
+        # Reading the table's status column fails at its last row: after the
+        # other rows of a csv table are written, before a json table is.
+        out, _reports = simulated
+        argv = ["export", str(out / "report_native.json"), "--out", str(tmp_path),
+                "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_OK
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        encode_lines = cli._encode_lines
-        blocks = []
+        load_report = cli.load_report
 
-        def failing(block):
-            blocks.append(len(block))
-            if len(block) < cli._BLOCK_ROWS:
+        class FailingColumn(list):
+            def __iter__(self):
+                yield from self[:-1]
                 raise RuntimeError("table failed")
-            return encode_lines(block)
 
-        monkeypatch.setattr(cli, "_encode_lines", failing)
+        def failing_load(path):
+            report = load_report(path)
+            report.columns["status"] = FailingColumn(report.columns["status"])
+            return report
+
+        monkeypatch.setattr(cli, "load_report", failing_load)
         with pytest.raises(RuntimeError, match="table failed"):
-            cli._write_report(tmp_path, _edge_report(cli._BLOCK_ROWS + 1), fmt)
-        assert blocks[0] == cli._BLOCK_ROWS and blocks[-1] == 1
+            cli.main(argv)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -768,6 +743,28 @@ class TestBadReportFile:
         path.write_text(json.dumps(data))
         assert cli.load_report(path).columns["wait"] == data["jobs"]["wait"]
 
+    def test_export_of_a_truncated_report_exits_2(self, simulated, tmp_path, capsys):
+        out, _reports = simulated
+        report = tmp_path / "report.json"
+        report.write_text((out / "report_native.json").read_text()[:1000])
+        rc = cli.main(["export", str(report), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {report}: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_export_of_a_missing_report_exits_3(self, tmp_path, capsys):
+        rc = cli.main(["export", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
+        assert rc == cli.EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_unknown_mode_exits_2_naming_it(self, simulated, tmp_path, capsys):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        data["mode"] = "../x"
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
+        assert rc == cli.EXIT_CONFIG
+        assert f"report error: {path}: not a report: unknown mode '../x'" in err
+
     def test_unknown_schema_exits_2_naming_it(self, simulated, tmp_path, capsys):
         out, _reports = simulated
         data = json.loads((out / "report_native.json").read_text())
@@ -809,6 +806,19 @@ class TestSchemaOne:
         assert [row["sls"] for row in rows] == old.columns["resultant"]
         assert old.config.pop("mu_base") == 1.0
         assert replace(old, columns=new.columns) == new
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_v1_report_exports_as_a_new_run_does(self, tmp_path, capsys, fmt):
+        new = tmp_path / "new"
+        new.mkdir()
+        cli._write_report(new, run(V1_CONFIG, _v1_jobs(), mode="resultant"), fmt)
+        tables = []
+        for report in (V1_REPORT, new / "report_resultant.json"):
+            out = tmp_path / f"export_{len(tables)}"
+            assert cli.main(["export", str(report), "--out", str(out),
+                             "--format", fmt]) == cli.EXIT_OK
+            tables.append((out / f"jobs_resultant.{fmt}").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_v1_report_with_a_stray_job_key_is_not_a_report(self, tmp_path):
         data = json.loads(V1_REPORT.read_text())
@@ -854,16 +864,14 @@ def _write_mixed_id_jobs(path) -> None:
 
 
 # SHA-256 of every file `simulate` writes for each scenario and format: the
-# job tables, bands and comparison as computed before the reports held their
-# job records as columns, the reports in schema 2. A change to any of them is
-# a change in output bytes and must be recorded in CHANGES.md.
+# bands and comparison as computed before the reports held their job records
+# as columns, the reports in schema 2. A change to any of them is a change in
+# output bytes and must be recorded in CHANGES.md.
 PINNED_SCENARIO_SHA256 = {
     ("generated", "csv"): {
         "bands_native.csv": "ca09f749054b07bd9d5ffcd8d6883a302e2300d4f99336ea9fc8bd132a29c8f2",
         "bands_resultant.csv": "93f27a2d871cad5843fffa731313690e6092e667751b3092889cdc13fc6dc221",
         "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
-        "jobs_native.csv": "bf930bb9e9e841f07b86a72241e1839f69988084758df950b8b18a605197c230",
-        "jobs_resultant.csv": "1809419146bf8b0832ac6d8171c859b6dffa50b2520ea9b8159815a4d88d22d1",
         "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
         "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
     },
@@ -871,8 +879,6 @@ PINNED_SCENARIO_SHA256 = {
         "bands_native.json": "00f5e77fe24fca1656e2dcf55fa66a3dae55527fc711aaf43934fbfbdd3e9e70",
         "bands_resultant.json": "a1adeafa79f6ae80bc8fc8cb336cd4be40204d18f757da2ee75c4df821b2ab14",
         "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
-        "jobs_native.json": "3a161471a453e1e997a67351abb19e8c0083e154883311f19caaa35be051b087",
-        "jobs_resultant.json": "7a4ba326863164f162a8c9e6868295ae386ff599d93d771a556144b59053ecac",
         "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
         "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
     },
@@ -880,8 +886,6 @@ PINNED_SCENARIO_SHA256 = {
         "bands_native.csv": "8a6c8ce2642687d77884578dadf7ddba70834f4ba3ce7e5d8e2d094fae8be14d",
         "bands_resultant.csv": "0c69ed1982d344e6e04b3ef1132a5b4d2f21f3feac6c89321557ee6d4c36e216",
         "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
-        "jobs_native.csv": "050fadc6e6c4b8e9edc34f99664ae755915011e2f1e49f6866dc40aa49c32646",
-        "jobs_resultant.csv": "fa01353bdcf360a98ca45b601f4092baf4074ad076dc51aa74dbe056ff66f0f5",
         "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
         "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
     },
@@ -889,28 +893,53 @@ PINNED_SCENARIO_SHA256 = {
         "bands_native.json": "9040bd65c3021561623c9fdbfe1bc499cb538c6bd40d006f6af178681d3ba6d4",
         "bands_resultant.json": "8b4702e72eddeb0096d78b898af61152674d4fcff604793a1c7b72ed17025a8a",
         "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
-        "jobs_native.json": "d008ac60eed2314c365530f19cf239203f09b4abdec325c5fea3740fcee65561",
-        "jobs_resultant.json": "c0076451c0fbd66df79f6b78d9f39da088835d6461c913461b3a6fdb8239af6b",
         "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
         "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
     },
 }
 
 
+# SHA-256 of the job tables that `export` writes from each scenario's
+# reports in its format: the bytes `simulate` wrote as jobs_<mode>.<fmt>
+# before the job tables moved to `export`.
+PINNED_SCENARIO_EXPORT_SHA256 = {
+    ("generated", "csv"): {
+        "jobs_native.csv": "bf930bb9e9e841f07b86a72241e1839f69988084758df950b8b18a605197c230",
+        "jobs_resultant.csv": "1809419146bf8b0832ac6d8171c859b6dffa50b2520ea9b8159815a4d88d22d1",
+    },
+    ("generated", "json"): {
+        "jobs_native.json": "3a161471a453e1e997a67351abb19e8c0083e154883311f19caaa35be051b087",
+        "jobs_resultant.json": "7a4ba326863164f162a8c9e6868295ae386ff599d93d771a556144b59053ecac",
+    },
+    ("job-file", "csv"): {
+        "jobs_native.csv": "050fadc6e6c4b8e9edc34f99664ae755915011e2f1e49f6866dc40aa49c32646",
+        "jobs_resultant.csv": "fa01353bdcf360a98ca45b601f4092baf4074ad076dc51aa74dbe056ff66f0f5",
+    },
+    ("job-file", "json"): {
+        "jobs_native.json": "d008ac60eed2314c365530f19cf239203f09b4abdec325c5fea3740fcee65561",
+        "jobs_resultant.json": "c0076451c0fbd66df79f6b78d9f39da088835d6461c913461b3a6fdb8239af6b",
+    },
+}
+
+
+def _simulate_scenario(tmp_path, scenario: str, fmt: str) -> Path:
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out), "--format", fmt]
+    if scenario == "generated":
+        argv += ["--config", _config_file(tmp_path, ALL_STATUS_CONFIG)]
+    else:
+        _write_mixed_id_jobs(tmp_path / "jobs.csv")
+        argv += ["--config", _config_file(tmp_path, MIXED_ID_CONFIG),
+                 "--jobs", str(tmp_path / "jobs.csv")]
+    assert cli.main(argv) == cli.EXIT_UNSTABLE
+    return out
+
+
 class TestScenarioBytes:
     @pytest.mark.parametrize("scenario,fmt", sorted(PINNED_SCENARIO_SHA256))
     def test_every_output_file_hash_is_pinned(self, tmp_path, capsys, scenario, fmt):
-        out = tmp_path / "out"
-        argv = ["simulate", "--out", str(out), "--format", fmt]
-        if scenario == "generated":
-            argv += ["--config", _config_file(tmp_path, ALL_STATUS_CONFIG)]
-        else:
-            _write_mixed_id_jobs(tmp_path / "jobs.csv")
-            argv += ["--config", _config_file(tmp_path, MIXED_ID_CONFIG),
-                     "--jobs", str(tmp_path / "jobs.csv")]
-        assert cli.main(argv) == cli.EXIT_UNSTABLE
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert digests == PINNED_SCENARIO_SHA256[(scenario, fmt)]
+        out = _simulate_scenario(tmp_path, scenario, fmt)
+        assert _digests(out) == PINNED_SCENARIO_SHA256[(scenario, fmt)]
 
         for mode in MODES:
             jobs = cli.load_report(out / f"report_{mode}.json").jobs
@@ -922,9 +951,16 @@ class TestScenarioBytes:
             if scenario == "job-file":
                 assert {type(r.job_id) for r in jobs} == {int, str}
 
+    @pytest.mark.parametrize("scenario,fmt", sorted(PINNED_SCENARIO_EXPORT_SHA256))
+    def test_exported_job_table_hashes_are_pinned(self, tmp_path, capsys, scenario, fmt):
+        out = _simulate_scenario(tmp_path, scenario, fmt)
+        digests = _export_digests(out, tmp_path / "export", (fmt,))
+        assert digests == PINNED_SCENARIO_EXPORT_SHA256[(scenario, fmt)]
+
 
 class TestNoJobRecords:
     def test_simulate_analyze_and_compare_build_none(self, tmp_path, monkeypatch, capsys):
+        # Nor does export.
         def built(*args, **kwargs):
             raise AssertionError("a JobRecord was built")
 
@@ -934,6 +970,10 @@ class TestNoJobRecords:
             rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / fmt),
                            "--format", fmt])
             assert rc == cli.EXIT_OK
+            for mode in MODES:
+                rc = cli.main(["export", str(tmp_path / fmt / f"report_{mode}.json"),
+                               "--out", str(tmp_path / fmt), "--format", fmt])
+                assert rc == cli.EXIT_OK
         report_path = tmp_path / "csv" / "report_native.json"
         rc = cli.main(["analyze", "--config", path, "--out", str(tmp_path / "analysis"),
                        "--report", str(report_path)])

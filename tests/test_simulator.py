@@ -354,7 +354,7 @@ class TestRunContract:
         assert later.status == "pending"
         assert (later.ack, later.t_start, later.demand_weight, later.tp_score,
                 later.bp_score, later.resultant, later.rank, later.class_index,
-                later.chain_position, later.sls) == (None,) * 10
+                later.chain_position) == (None,) * 9
         assert '"total_cost":0,' in report.to_json()
 
     def test_report_round_trip(self):
@@ -669,6 +669,10 @@ NAN_WEIGHT_JOBS = [
     make_job(job_id=2, arrival=61.0),
     make_job(job_id=3, arrival=62.0, demand=ResourceDemand(math.nan, 1.0, 1.0)),
 ]
+# Arrivals whose epoch number, arrival // 0.1, overflows to inf: jobs 1 and 2
+# share the epoch inf, as they do under Python's //.
+HUGE_ARRIVAL_JOBS = [make_job(job_id=0, arrival=0.0), make_job(job_id=1, arrival=1e308),
+                     make_job(job_id=2, arrival=1.5e308)]
 
 
 class TestColumnPass:
@@ -696,6 +700,8 @@ class TestColumnPass:
     @given(case=_cases(), blank_time=st.sampled_from([0.0, -0.0, 5.0, 0.3]))
     @example(case=(7.7, BOUNDARY_JOBS), blank_time=0.0)
     @example(case=(60.0, NAN_WEIGHT_JOBS), blank_time=0.0)
+    @example(case=(0.1, HUGE_ARRIVAL_JOBS), blank_time=0.0)
+    @example(case=(0.1, HUGE_ARRIVAL_JOBS[1:2]), blank_time=5.0)
     def test_window_stats_equal_window_stats_from_jobs(self, case, blank_time):
         epoch_length, jobs = case
         jobs = [job for job in jobs if validate_job(job).status != INVALID]
