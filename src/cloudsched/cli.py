@@ -29,7 +29,6 @@ from .domain import ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnsatisfiableDemandError, UnstableError, mg1_waiting
 from .simulator import (
     InsufficientSamplesError,
-    JobSet,
     SimReport,
     compare_analytic,
     replication_bundle,
@@ -452,7 +451,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
 
     # The second run reuses the inputs the first prepares in the job set.
-    jobs = JobSet(jobs)
     native = run(parsed.sim, jobs, mode="native")
     resultant = run(parsed.sim, jobs, mode="resultant")
     n_jobs = len(jobs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 
@@ -67,7 +68,7 @@ class ValidationResult:
 
 
 _VALID = ValidationResult(OK)
-# The numeric fields of a Job, as attribute paths, in the row order of job_columns.
+# The numeric fields of a Job, as attribute paths, in the order of JobSet.values.
 JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.processors",
                "demand.memory", "demand.storage", "business.order_amount",
                "business.relationship")
@@ -110,16 +111,103 @@ def validate_job(job: Job) -> ValidationResult:
     return _VALID
 
 
-def job_columns(jobs) -> np.ndarray:
-    """The JOB_COLUMNS of a job list as float64 rows: field r of job i at [r, i]."""
-    columns = np.empty((len(JOB_COLUMNS), len(jobs)))
-    for row, name in zip(columns, JOB_COLUMNS):
-        row[:] = np.fromiter(map(attrgetter(name), jobs), float, len(jobs))
-    return columns
+def first_repeated(ids: list) -> int | None:
+    """The index of the first id that an earlier id repeats; None if they all differ."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen_ids = set()
+    for i, job_id in enumerate(ids):
+        if job_id in seen_ids:
+            return i
+        seen_ids.add(job_id)
+
+
+class JobSet(Sequence):
+    """A read-only sequence of jobs held as columns.
+
+    ids holds the job ids, and values one list per JOB_COLUMNS field, in that
+    order, with value i of each list belonging to job i. These lists are the
+    source of truth: each value keeps the type it was given, so an int
+    processor count or storage stays an int. columns, the float64 (9, n)
+    array of the same values, is derived from them on first use. Indexing
+    builds a Job on demand, a slice gives a JobSet, and two sets are equal
+    when their ids and values are.
+
+    JobSet(jobs) takes Job objects; from_columns takes the lists themselves,
+    as sample_jobs and load_jobs build them. The set also keeps what a
+    caller prepares from it per config (prepared), so the lists must not
+    change once the set is built.
+    """
+
+    __slots__ = ("ids", "values", "_columns", "_prepared")
+    __hash__ = None
+
+    def __init__(self, jobs=()):
+        jobs = list(jobs)
+        self.ids = [job.id for job in jobs]
+        self.values = tuple(list(map(attrgetter(name), jobs)) for name in JOB_COLUMNS)
+        self._columns = None
+        self._prepared: list = []  # (prepare, config, result); a config need not be hashable
+
+    @classmethod
+    def from_columns(cls, ids: list, values) -> JobSet:
+        """The set of the given lists, which it keeps and does not copy: ids,
+        and one list per JOB_COLUMNS field, each as long as ids."""
+        values = tuple(values)
+        if len(values) != len(JOB_COLUMNS) or any(len(v) != len(ids) for v in values):
+            raise ValueError(f"expected {len(JOB_COLUMNS)} value lists of {len(ids)} values")
+        job_set = cls()
+        job_set.ids, job_set.values = ids, values
+        return job_set
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return JobSet.from_columns(self.ids[index], [v[index] for v in self.values])
+        (arrival, due, exec_time, prep, processors, memory, storage, order,
+         relationship) = [v[index] for v in self.values]
+        return Job(self.ids[index], arrival, due, exec_time, prep,
+                   ResourceDemand(processors, memory, storage),
+                   BusinessProfile(order, relationship))
+
+    def __iter__(self):
+        (arrival, due, exec_time, prep, processors, memory, storage, order,
+         relationship) = self.values
+        return map(Job, self.ids, arrival, due, exec_time, prep,
+                   map(ResourceDemand, processors, memory, storage),
+                   map(BusinessProfile, order, relationship))
+
+    def __eq__(self, other):
+        if not isinstance(other, JobSet):
+            return NotImplemented
+        return self.ids == other.ids and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"JobSet({list(self)!r})"
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The values as read-only float64 rows: field r of job i at [r, i]."""
+        if self._columns is None:
+            self._columns = np.array(self.values, dtype=float)
+            self._columns.flags.writeable = False
+        return self._columns
+
+    def prepared(self, config, prepare):
+        """prepare(config, self), computed by the first call with an equal
+        config and the same prepare, and kept while the set lives."""
+        for known_prepare, known_config, result in self._prepared:
+            if known_prepare is prepare and known_config == config:
+                return result
+        result = prepare(config, self)
+        self._prepared.append((prepare, config, result))
+        return result
 
 
 def valid_mask(columns: np.ndarray) -> np.ndarray:
-    """validate_job over job_columns(jobs): True where a job is not invalid.
+    """validate_job over a JobSet's columns: True where a job is not invalid.
 
     Each term negates the check validate_job makes, under the same rule that
     every numeric field is finite.

@@ -146,7 +146,7 @@ def _clamp(x, lo, hi):
 
 
 def start_and_weight(columns, blank_time: float = 0.0):
-    """compute_start_time and demand_weight of each job of job_columns(jobs),
+    """compute_start_time and demand_weight of each job of a JobSet's columns,
     as float64 arrays: the same operations in the same order, so equal bit
     for bit when the job's values are floats."""
     _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = columns
@@ -159,7 +159,7 @@ def technical_columns(columns, windows, cfg: SimConfig):
     per job, with the types build_record gives them when the job's values are
     floats.
 
-    columns holds the jobs' job_columns, and windows their (t_start_min,
+    columns holds the jobs' JobSet.columns, and windows their (t_start_min,
     t_start_max, demand_weight_max) arrays, one value per job, as
     window_stats_by_epoch gives them. Every column repeats the scalar
     operations in the same order; np.rint rounds half to even, as round()

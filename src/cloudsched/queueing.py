@@ -11,7 +11,6 @@ from typing import Protocol
 
 from .domain import (
     DEFAULT_ALLOCATION_BANDS,
-    Job,
     ResourceCatalogEntry,
     ResourceDemand,
     check_bands,
@@ -112,12 +111,14 @@ class Draws(Protocol):
     def random(self) -> float: ...
 
 
-def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
-                 pool: ResourcePool, rng: Draws | None) -> bool:
-    """One allocation attempt for the job: whether it was admitted.
+def try_allocate(job_id, demand: ResourceDemand, instance: ResourceCatalogEntry | None,
+                 p: float, pool: ResourcePool, rng: Draws | None) -> bool:
+    """One allocation attempt for the job of job_id and demand: whether it
+    was admitted.
 
     instance is the job's cheapest fitting catalog entry (see cheapest_fit),
-    None when nothing fits, and p the admission probability of its rank band.
+    None when nothing fits, which raises UnsatisfiableDemandError naming the
+    job and its demand, and p the admission probability of its rank band.
     A full pool always defers, without drawing. Otherwise admission is a
     Bernoulli draw at p from rng, the job's allocation stream (a numpy
     Generator will do); on success the job holds one slot of the pool, whose
@@ -126,7 +127,7 @@ def try_allocate(job: Job, instance: ResourceCatalogEntry | None, p: float,
     """
     if instance is None:
         raise UnsatisfiableDemandError(
-            f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
+            f"job {job_id!r}: demand {demand} exceeds every catalog entry")
     if pool.in_use >= pool.capacity:
         return False
     if p == 1.0 or rng.random() < p:

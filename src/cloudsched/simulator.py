@@ -2,11 +2,13 @@
 plus report building, the affine waiting-time reference model, and the
 replication bundle of reference curves.
 
-run() takes its jobs as a JobSet, which holds the per-job inputs that do
-not depend on the mode, prepared by the first run over the set with a config
-in one pass over numpy columns of the jobs' numeric fields
-(domain.job_columns): the validity mask, the epoch windows, the id order,
-the technical and business scores and the cheapest fits. A paired native
+run() takes its jobs as a domain.JobSet, which holds them as columns: one
+Python list per job field, as sample_jobs and load_jobs build it, and the
+float64 array of the same values. No Job object is built on the way from
+the workload to the report. The first run over a set with a config prepares
+the per-job inputs that do not depend on the mode from those columns (the
+validity mask, the epoch windows, the id order, the technical and business
+scores and the cheapest fits), and the set keeps them, so a paired native
 and resultant run prepares them once; each run adds the resultant, rank,
 class and admission probability of its mode. The event loop keeps each
 job's state in per-field lists indexed by the job's place in id order, and
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import SimConfig, job_columns, valid_mask, validate_job
+from .domain import JobSet, ResourceDemand, SimConfig, first_repeated, valid_mask, validate_job
 from .priority import (
     resultant_columns,
     resultant_priority,
@@ -304,52 +306,61 @@ def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0)
     return tuple(stats)
 
 
-def _cheapest_fits(catalog, jobs, demand) -> list:
-    """cheapest_fit(catalog, job.demand) of each job, called once per distinct
-    row of demand, the jobs' (processors, memory, storage) float64 rows.
+def _cheapest_fits(catalog, jobs: JobSet, order: list, demand) -> tuple[list, list]:
+    """The cheapest fit and the ResourceDemand of each job jobs[i], i in order,
+    given demand, their (processors, memory, storage) float64 rows.
 
-    Rows are told apart by their bytes, and each call gets the demand of the
-    first job with that row: demands that read as the same floats compare
-    alike against every catalog entry.
+    cheapest_fit runs once per distinct row, on the ResourceDemand of the
+    first of its jobs, which that row's fitting jobs share: rows are told
+    apart by their bytes, and demands that read as the same floats compare
+    alike against every catalog entry. A job that nothing fits gets a
+    ResourceDemand of its own values, which its error message shows.
     """
+    processors, memory, storage = jobs.values[4:7]
+
+    def demand_of(i):
+        return ResourceDemand(processors[i], memory[i], storage[i])
+
     rows = np.ascontiguousarray(demand.T).view(np.dtype((np.void, demand.itemsize * 3)))
     _rows, first, row = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
-    fits = [cheapest_fit(catalog, jobs[k].demand) for k in first.tolist()]
-    return list(map(fits.__getitem__, row.reshape(-1).tolist()))
+    row = row.reshape(-1).tolist()
+    demands = [demand_of(order[k]) for k in first.tolist()]
+    fits = [cheapest_fit(catalog, d) for d in demands]
+    job_demands = list(map(demands.__getitem__, row))
+    job_fits = list(map(fits.__getitem__, row))
+    if any(fit is None for fit in fits):
+        for k, fit in enumerate(job_fits):
+            if fit is None:
+                job_demands[k] = demand_of(order[k])
+    return job_fits, job_demands
 
 
 class _Inputs:
     """The inputs of run() that depend on the jobs and the config, not on the
-    mode, prepared in one pass over the float64 columns of the jobs' numeric
-    fields (domain.job_columns). The columns themselves are not kept.
+    mode, prepared from a JobSet's value lists and its float64 columns. The
+    columns of the admitted jobs are not kept.
 
     Admitted jobs are numbered k = 0.. in job id order, int ids by value
     before the others by their text, so k breaks the ties between same-time
     events of the same kind. Lists of admitted jobs are indexed by k; lists
-    of all jobs are in the order of the job list.
+    of all jobs are in the order of the job set.
     """
 
-    __slots__ = ("job_id", "arrival_column", "due", "reasons", "rejected", "row", "order",
-                 "adm", "fits", "arrival", "exec_time", "deadline", "instance", "cost",
-                 "arrivals", "t_start", "weight", "tp", "bp")
+    __slots__ = ("reasons", "rejected", "row", "order", "ids", "demand", "fits", "arrival",
+                 "exec_time", "deadline", "instance", "cost", "arrivals", "t_start", "weight",
+                 "tp", "bp")
 
-    def __init__(self, config: SimConfig, jobs):
+    def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
             raise ValueError("jobs must be non-empty")
-        ids = [job.id for job in jobs]
-        if len(set(ids)) < len(ids):
-            seen_ids = set()
-            for job_id in ids:
-                if job_id in seen_ids:
-                    raise ValueError(f"duplicate job id {job_id!r}")
-                seen_ids.add(job_id)
-        self.job_id = ids
-        self.arrival_column = [job.arrival_time for job in jobs]
-        self.due = [job.due_time for job in jobs]
+        ids = jobs.ids
+        repeated = first_repeated(ids)
+        if repeated is not None:
+            raise ValueError(f"duplicate job id {ids[repeated]!r}")
 
         # The mask validates every job at once; only the jobs it rejects are
         # validated one by one, for their reasons.
-        columns = job_columns(jobs)
+        columns = jobs.columns
         valid = valid_mask(columns)
         self.reasons = reasons = [None] * len(jobs)
         for i in np.flatnonzero(~valid).tolist():
@@ -359,76 +370,46 @@ class _Inputs:
         columns = columns[:, admitted]
         windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
 
-        # by_id[k] is job k's place among the admitted, and order[k] in the job list.
+        # by_id[k] is job k's place among the admitted, and order[k] in the job set.
         adm_ids = [ids[i] for i in admitted]
         int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
         other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
         by_id = (sorted(int_ids, key=adm_ids.__getitem__)
                  + sorted(other_ids, key=lambda p: str(adm_ids[p])))
         self.order = order = [admitted[p] for p in by_id]
-        self.adm = adm = [jobs[i] for i in order]
+        self.ids = [ids[i] for i in order]
         by_id = np.array(by_id, dtype=np.intp)
         columns = columns[:, by_id]
         self.t_start, self.weight, self.tp, self.bp = technical_columns(
             columns, [stat[by_id] for stat in windows], config)
         # Rows 4:7 are the processors, memory and storage.
-        self.fits = fits = _cheapest_fits(config.catalog, adm, columns[4:7])
+        self.fits, self.demand = _cheapest_fits(config.catalog, jobs, order, columns[4:7])
 
         # The report row of each job: its k, or row m_jobs, that of the rejected
-        # jobs; None when each job's row is its place in the job list.
-        row = [len(adm)] * len(jobs)
+        # jobs; None when each job's row is its place in the job set.
+        row = [len(order)] * len(jobs)
         for k, i in enumerate(order):
             row[i] = k
         self.row = None if order == list(range(len(jobs))) else row
-        self.arrival = arrival = [job.arrival_time for job in adm]
-        self.exec_time = exec_time = [job.exec_time for job in adm]
-        self.deadline = [job.arrival_time + job.due_time for job in adm]
+        arrival_values, due_values, exec_values = jobs.values[:3]
+        self.arrival = arrival = list(map(arrival_values.__getitem__, order))
+        self.exec_time = exec_time = list(map(exec_values.__getitem__, order))
+        self.deadline = [a + due_values[i] for a, i in zip(arrival, order)]
         # The instance and the cost of each job, should it start and complete.
-        self.instance = [None if fit is None else fit.name for fit in fits]
+        self.instance = [None if fit is None else fit.name for fit in self.fits]
         self.cost = [None if fit is None else e / 3600.0 * fit.cost
-                     for e, fit in zip(exec_time, fits)]
+                     for e, fit in zip(exec_time, self.fits)]
         # The k in arrival order, ties by k.
-        self.arrivals = sorted(range(len(adm)), key=arrival.__getitem__)
-
-
-class JobSet:
-    """A job list that run() takes in place of the list, and the inputs
-    run() prepares from it for each config it is run with.
-
-    The inputs that do not depend on the mode (validation, epoch windows, id
-    order, cheapest fits, technical and business scores, and the report's
-    job_id, arrival and due columns) are prepared by the first run() over the
-    set with a config, and reused by every later run() with an equal config,
-    so a paired native and resultant run prepares them once. The set keeps
-    them while it lives: drop it once its runs are done. run() wraps a plain
-    job list in a JobSet of its own. The jobs must not change once prepared.
-    """
-
-    __slots__ = ("jobs", "_prepared")
-
-    def __init__(self, jobs):
-        self.jobs = tuple(jobs)
-        self._prepared: list = []  # (config, _Inputs) pairs; a config need not be hashable
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def inputs(self, config: SimConfig) -> _Inputs:
-        """The prepared inputs for config, prepared on first use."""
-        for prepared_config, inputs in self._prepared:
-            if prepared_config == config:
-                return inputs
-        inputs = _Inputs(config, self.jobs)
-        self._prepared.append((config, inputs))
-        return inputs
+        self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
 
 
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
-    """Simulate the full pipeline over a job list until drained.
+    """Simulate the full pipeline over a set of jobs until drained.
 
-    jobs is a JobSet, or a job list that run() wraps in one. mode "resultant"
-    applies the business boost above the threshold; "native" scores jobs by
-    technical priority alone. Same config, jobs, and seed give a
+    jobs is a JobSet, as sample_jobs and load_jobs return it, or a list of
+    Job objects that run() wraps in one. mode "resultant" applies the
+    business boost above the threshold; "native" scores jobs by technical
+    priority alone. Same config, jobs, and seed give a
     byte-identical report, whether the jobs come as a list or as a JobSet
     already run in the other mode. Allocation draws come from one stream per
     job, numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,))
@@ -438,15 +419,15 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     ids raise ValueError.
 
     The inputs that both modes share are prepared once per JobSet and config
-    (see JobSet), in one pass over the float64 columns of the jobs' numeric
-    fields (domain.job_columns):
+    (JobSet.prepared) from the set's value lists and its float64 columns:
     - domain.valid_mask validates every job at once. An invalid job is
       recorded as rejected with the reason validate_job gives it, and never
       enters the event queue; validate_job runs for those jobs only.
     - window_stats_by_epoch reduces the admitted jobs' columns to each job's
       epoch window, and technical_columns scores every admitted job against
       it.
-    - cheapest_fit runs once per distinct demand.
+    - cheapest_fit runs once per distinct demand, with one ResourceDemand
+      per distinct demand (_cheapest_fits).
     Each run then computes the resultant and rank of its mode
     (resultant_columns), and from the rank each job's class, by classify's
     rule, and its admission probability, that of its rank's band; an arrival
@@ -459,15 +440,17 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     class is offered the pool; a completion offers it to every class in class
     order. Per-job state lives in lists, and a job's instance, wait, cost and
     deadline flag are computed after the loop from its start and completion.
-    The report holds its job records as columns (SimReport.columns).
+    The report holds its job records as columns (SimReport.columns); its
+    job_id, arrival and due columns are copies of the set's lists, so a
+    report's columns never alias the jobs or another report.
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(jobs, JobSet):
         jobs = JobSet(jobs)
-    inputs = jobs.inputs(config)
-    order, adm, fits, arrival, exec_time = (inputs.order, inputs.adm, inputs.fits,
-                                            inputs.arrival, inputs.exec_time)
+    inputs = jobs.prepared(config, _Inputs)
+    order, ids, demand, fits, arrival, exec_time = (
+        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time)
     m_jobs = len(order)
     resultant, rank = resultant_columns(inputs.tp, inputs.bp, config,
                                         apply_business=mode == "resultant")
@@ -553,7 +536,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     k = qc.peek()
                     if pending_retry[k]:
                         break
-                    if try_allocate(adm[k], fits[k], probs[k], pool, streams[k]):
+                    if try_allocate(ids[k], demand[k], fits[k], probs[k], pool, streams[k]):
                         # Service starts at the allocation instant.
                         qc.pop()
                         in_queue -= 1
@@ -597,9 +580,10 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         return list(map([*column, *extra].__getitem__, row))
 
     columns = {
-        "job_id": inputs.job_id,
-        "arrival": inputs.arrival_column,
-        "due": inputs.due,
+        # Copies: a report's columns are its own, not the job set's lists.
+        "job_id": jobs.ids.copy(),
+        "arrival": jobs.values[0].copy(),
+        "due": jobs.values[1].copy(),
         "ack": by_job(arrival),
         "start": by_job(start),
         "completion": by_job(completion),

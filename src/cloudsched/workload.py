@@ -3,6 +3,11 @@
 A workload is drawn from two values: the SimConfig, which holds the job count,
 arrival rate, class rates, catalog and seed, and the WorkloadSpec, which holds
 only the attribute distributions of the config file's "workload" section.
+
+sample_jobs and load_jobs return a domain.JobSet, which holds the jobs as
+one Python list per field: sample_jobs fills the lists from its numpy draws,
+and load_jobs parses a job file into them a column at a time. Neither builds
+a Job object; jobs_to_csv writes a job file from the lists.
 """
 
 from __future__ import annotations
@@ -12,18 +17,10 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .domain import (
-    INVALID,
-    BusinessProfile,
-    Job,
-    ResourceDemand,
-    SimConfig,
-    validate_job,
-)
+from .domain import JobSet, SimConfig, first_repeated, valid_mask, validate_job
 
 
 class ParseError(Exception):
@@ -128,9 +125,15 @@ def generate_arrivals(cfg: SimConfig) -> np.ndarray:
     return np.cumsum(gaps)
 
 
-def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> list[Job]:
+def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
     """Draw one job per arrival time from the spec's attribute distributions,
-    with demands from cfg's catalog and random streams from cfg's seed."""
+    with demands from cfg's catalog and random streams from cfg's seed.
+
+    Returns a JobSet whose ids are 0.. in the order of arrivals. Its value
+    lists are filled from the draws; each demand value is the catalog entry's
+    own, picked by shape index, so an int in the catalog (the default
+    catalog's disk) stays an int.
+    """
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
         raise ValueError("arrivals must be non-empty")
@@ -145,43 +148,37 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> list[Job]:
         probs = w / w.sum()
     else:
         probs = None
-    shape_idx = rng_demand.choice(len(cfg.catalog), size=n, p=probs)
+    shapes = rng_demand.choice(len(cfg.catalog), size=n, p=probs).tolist()
 
     rng_business = _stream(cfg.seed, "business")
     orders = rng_business.uniform(spec.order_range[0], spec.order_range[1], n)
     relationships = rng_business.uniform(spec.relationship_range[0],
                                          spec.relationship_range[1], n)
 
-    # One ResourceDemand per catalog entry, shared by the jobs of that shape.
-    demands = [ResourceDemand(entry.cores, entry.ram, entry.disk) for entry in cfg.catalog]
-    return [Job(i, arrival, d, e, p, demands[shape], BusinessProfile(order, relationship))
-            for i, (arrival, d, e, p, shape, order, relationship) in enumerate(zip(
-                arrivals.tolist(), due.tolist(), exec_times.tolist(), prep.tolist(),
-                shape_idx.tolist(), orders.tolist(), relationships.tolist()))]
+    demands = [[getattr(entry, name) for entry in cfg.catalog]
+               for name in ("cores", "ram", "disk")]
+    return JobSet.from_columns(list(range(n)), (
+        arrivals.tolist(), due.tolist(), exec_times.tolist(), prep.tolist(),
+        *(list(map(values.__getitem__, shapes)) for values in demands),
+        orders.tolist(), relationships.tolist()))
 
 
 JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage",
                    "order_amount", "relationship")
+# The column of JobSet.values that holds the processor count, the one int field.
+_PN = JOB_FILE_FIELDS.index("pn") - 1
 
 
 def jobs_to_csv(jobs) -> str:
-    """Render jobs as CSV text with the standard header, shortest round-trip numerals."""
+    """Render jobs (a JobSet or Job objects) as CSV text with the standard
+    header, shortest round-trip numerals."""
+    if not isinstance(jobs, JobSet):
+        jobs = JobSet(jobs)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(JOB_FILE_FIELDS)
-    for job in jobs:
-        writer.writerow([
-            job.id,
-            repr(job.arrival_time),
-            repr(job.due_time),
-            repr(job.exec_time),
-            repr(job.prep_time),
-            job.demand.processors,
-            repr(job.demand.memory),
-            repr(job.demand.storage),
-            repr(job.business.order_amount),
-            repr(job.business.relationship),
-        ])
+    writer.writerows(zip(jobs.ids, *(values if c == _PN else map(repr, values)
+                                     for c, values in enumerate(jobs.values))))
     return buf.getvalue()
 
 
@@ -217,51 +214,91 @@ def _parse_int(value: str, name: str, record: int) -> int:
 _INT_ID = re.compile(r"-?[0-9]+")
 
 
-def load_jobs(path) -> list[Job]:
-    """Read a job CSV file, validating every record.
+def _parse_id(raw_id: str) -> int | str:
+    return int(raw_id) if _INT_ID.fullmatch(raw_id) else raw_id
+
+
+def _parse_row(row: list, record: int) -> tuple:
+    """The id and the JOB_COLUMNS values of one record, parsed field by field."""
+    return (_parse_id(row[0]), *(
+        (_parse_int if c == _PN else _parse_float)(value, name, record)
+        for c, (value, name) in enumerate(zip(row[1:], JOB_FILE_FIELDS[1:]))))
+
+
+def _parse_rows(rows: list, records) -> tuple[list, list, ParseError | None]:
+    """The ids and the JOB_COLUMNS value lists of the rows up to the first one
+    that does not parse, and that row's ParseError, None when all parse.
+
+    Each column is parsed at once, with the float() and int() calls that
+    _parse_row makes. Only when one fails, or a row has the wrong field count,
+    are the rows parsed one by one, in record order, to find the first error.
+    """
+    n_fields = len(JOB_FILE_FIELDS)
+    if set(map(len, rows)) == {n_fields}:
+        raw_ids, *fields = zip(*rows)
+        try:
+            values = [list(map(int if c == _PN else float, column))
+                      for c, column in enumerate(fields)]
+            list(map(float, values[_PN]))  # an int too large for a float fails here
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return list(map(_parse_id, raw_ids)), values, None
+    parsed = []
+    error = None
+    for row, record in zip(rows, records):
+        try:
+            if len(row) != n_fields:
+                raise ParseError(record, f"expected {n_fields} fields, got {len(row)}")
+            parsed.append(_parse_row(row, record))
+        except ParseError as exc:
+            error = exc
+            break
+    ids, *values = map(list, zip(*parsed)) if parsed else [[] for _ in range(n_fields)]
+    return ids, values, error
+
+
+def load_jobs(path) -> JobSet:
+    """Read a job CSV file into a JobSet, validating every record.
 
     Raises ParseError for malformed records and InvalidJobError when a record
     violates a job invariant or repeats an earlier record's id; both carry the
-    1-based data record number. An empty file yields an empty list.
+    1-based data record number, and the error raised is that of the first
+    record in the file with an error. An empty file yields an empty set.
+
+    The values are parsed a column at a time (see _parse_rows) and validated
+    at once by domain.valid_mask; validate_job runs only for the first
+    rejected record, for its reason.
     """
-    path = Path(path)
-    jobs: list[Job] = []
-    seen_ids = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return jobs
+            return JobSet()
         if tuple(h.strip() for h in header) != JOB_FILE_FIELDS:
             raise ParseError(0, f"unexpected header {header!r}")
-        for record, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(JOB_FILE_FIELDS):
-                raise ParseError(record, f"expected {len(JOB_FILE_FIELDS)} fields, got {len(row)}")
-            raw_id = row[0]
-            job_id: int | str = int(raw_id) if _INT_ID.fullmatch(raw_id) else raw_id
-            job = Job(
-                id=job_id,
-                arrival_time=_parse_float(row[1], "arrival", record),
-                due_time=_parse_float(row[2], "due", record),
-                exec_time=_parse_float(row[3], "exec", record),
-                prep_time=_parse_float(row[4], "prep", record),
-                demand=ResourceDemand(
-                    processors=_parse_int(row[5], "pn", record),
-                    memory=_parse_float(row[6], "mem", record),
-                    storage=_parse_float(row[7], "storage", record),
-                ),
-                business=BusinessProfile(
-                    order_amount=_parse_float(row[8], "order_amount", record),
-                    relationship=_parse_float(row[9], "relationship", record),
-                ),
-            )
-            result = validate_job(job)
-            if result.status == INVALID:
-                raise InvalidJobError(record, result.reason or "invalid job")
-            if job_id in seen_ids:
-                raise InvalidJobError(record, f"duplicate job id {job_id!r}")
-            seen_ids.add(job_id)
-            jobs.append(job)
+        rows = list(reader)
+    # Blank lines are skipped, but they keep their record numbers.
+    records = range(1, len(rows) + 1)
+    if [] in rows:
+        records = [record for record, row in enumerate(rows, start=1) if row]
+        rows = [row for row in rows if row]
+    ids, values, error = _parse_rows(rows, records)
+    jobs = JobSet.from_columns(ids, values)
+
+    # The first invalid record and the first that repeats an id, of the
+    # records that parse; a record that is both is reported as invalid.
+    n = len(ids)
+    invalid = np.flatnonzero(~valid_mask(jobs.columns))
+    first_invalid = int(invalid[0]) if invalid.size else n
+    repeated = first_repeated(ids)
+    first_duplicate = n if repeated is None else repeated
+    if first_invalid < n and first_invalid <= first_duplicate:
+        reason = validate_job(jobs[first_invalid]).reason
+        raise InvalidJobError(records[first_invalid], reason or "invalid job")
+    if first_duplicate < n:
+        raise InvalidJobError(records[first_duplicate],
+                              f"duplicate job id {ids[first_duplicate]!r}")
+    if error is not None:
+        raise error
     return jobs

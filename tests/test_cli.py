@@ -186,6 +186,24 @@ ALL_WORKLOAD_CONFIG = {
 # it, as written before WorkloadSpec lost its copies of the SimConfig values.
 PINNED_PRINT_CONFIG_SHA256 = "57af322c1c0b5321f38d2ae230d478e6bfa72aed4e08d8d61223750c778eb7db"
 PINNED_GENERATED_JOBS_SHA256 = "38db1d183c9e5eb498ac56ca6086290a6ce765c2979946db6f38794badb50cd9"
+# ALL_WORKLOAD_CONFIG with a catalog from the config file, whose converters
+# make every ram and disk a float; the default catalog's disks are ints.
+FLOAT_CATALOG_CONFIG = dict(ALL_WORKLOAD_CONFIG, catalog=[
+    {"name": f"x{i}", "cores": cores, "ecus": 3.0, "ram": ram, "arch_bits": 64, "disk": disk,
+     "cost": cost}
+    for i, (cores, ram, disk, cost) in enumerate([(1, 1.7, 160, 0.1), (2, 7.5, 850.0, 0.4),
+                                                  (4, 15, 1690, 0.8), (2, 1.7, 350.5, 0.2),
+                                                  (8, 7.0, 1690.0, 0.8)])])
+# SHA-256 of repr(list(sample_jobs(...))) for each config's own seed, which
+# tells an int value from a float one, and of the jobs.csv that
+# `generate --seed 11` writes for FLOAT_CATALOG_CONFIG; all as they were while
+# sample_jobs built Job objects.
+PINNED_SAMPLED_JOBS_SHA256 = {
+    "default": "ddba324b868ea32b2e1d6cca817d0f2943b4fe6880bdac15b14d13c2df7690c0",
+    "config-file": "98bc8102472f635d226bd41dd051c45fdec0ac6a0321bc06fe15f3815f4abbdb",
+}
+PINNED_GENERATED_FLOAT_CATALOG_JOBS_SHA256 = (
+    "2f257426216bb898a4742abeb8e81a8a73cf1d714edf244f6a3e0d86c9656219")
 
 
 class TestWorkloadBytes:
@@ -201,6 +219,21 @@ class TestWorkloadBytes:
         assert "(seed 11)" in capsys.readouterr().out
         digest = hashlib.sha256((tmp_path / "jobs.csv").read_bytes()).hexdigest()
         assert digest == PINNED_GENERATED_JOBS_SHA256
+
+    def test_generated_jobs_of_a_config_file_catalog_hash_is_pinned(self, tmp_path, capsys):
+        path = _config_file(tmp_path, FLOAT_CATALOG_CONFIG)
+        rc = cli.main(["generate", "--config", path, "--seed", "11", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        digest = hashlib.sha256((tmp_path / "jobs.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_GENERATED_FLOAT_CATALOG_JOBS_SHA256
+
+    @pytest.mark.parametrize("catalog,config", [("default", ALL_WORKLOAD_CONFIG),
+                                                ("config-file", FLOAT_CATALOG_CONFIG)])
+    def test_sampled_job_values_and_types_are_pinned(self, tmp_path, catalog, config):
+        parsed = cli.parse_config(_config_file(tmp_path, config))
+        jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
+        digest = hashlib.sha256(repr(list(jobs)).encode()).hexdigest()
+        assert digest == PINNED_SAMPLED_JOBS_SHA256[catalog]
 
 
 JOB_FIELDS = [f.name for f in fields(JobRecord)]

@@ -247,7 +247,7 @@ class TestRoundTrip:
     def test_job_file_round_trip(self, tmp_path, job):
         path = tmp_path / "jobs.csv"
         save_jobs(path, [job])
-        assert load_jobs(path) == [job]
+        assert list(load_jobs(path)) == [job]
 
     def test_sim_config_round_trip(self):
         cfg = SimConfig(seed=99, beta=55.0, class_rates=(0.25, 0.75))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cloudsched.domain import BusinessProfile, Job, ResourceDemand, SimConfig, job_columns
+from cloudsched.domain import BusinessProfile, Job, JobSet, ResourceDemand, SimConfig
 from cloudsched.priority import (
     EmptyWindowError,
     WindowStats,
@@ -317,7 +317,7 @@ class TestPriorityColumns:
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_half_step"], apply_business=False)
     def test_columns_equal_build_record(self, jobs, cfg, apply_business):
         windows = _window_of_each(jobs, cfg)
-        columns = _record_columns(job_columns(jobs), _window_arrays(windows), cfg,
+        columns = _record_columns(JobSet(jobs).columns, _window_arrays(windows), cfg,
                                   apply_business=apply_business)
         for i, (job, window) in enumerate(zip(jobs, windows)):
             rec = build_record(job, window, cfg, apply_business=apply_business)
@@ -328,7 +328,7 @@ class TestPriorityColumns:
     def test_corner_examples_reach_their_corners(self):
         def columns(name):
             cfg = CORNER_CFGS[name]
-            return _record_columns(job_columns(CORNER_JOBS),
+            return _record_columns(JobSet(CORNER_JOBS).columns,
                                    _window_arrays(_window_of_each(CORNER_JOBS, cfg)), cfg)
 
         t_start, _w, tp, bp, resultant, rank = columns("half_step")

@@ -198,7 +198,8 @@ class TestTryAllocate:
         job = make_job()
         instance = cheapest_fit(pool.catalog, job.demand)
         assert instance == SMALL_FIT
-        assert try_allocate(job, instance, 1.0, pool, np.random.default_rng(0)) is True
+        assert try_allocate(job.id, job.demand, instance, 1.0, pool,
+                            np.random.default_rng(0)) is True
         assert pool.in_use == 1
         # run() grants each job its cheapest fit: m1.large is the cheapest
         # entry with 2 cores and 7 GB.
@@ -208,37 +209,43 @@ class TestTryAllocate:
 
     def test_unsatisfiable_demand(self):
         pool = ResourcePool(10, default_catalog())
-        job = make_job(demand=ResourceDemand(16, 64.0, 5000.0))
-        with pytest.raises(UnsatisfiableDemandError, match="job 0"):
-            try_allocate(job, None, 1.0, pool, np.random.default_rng(0))
-        # run() raises it at the job's first allocation attempt.
-        with pytest.raises(UnsatisfiableDemandError, match="job 0"):
-            run(intake_config(), [job])
+        job = make_job(job_id=1, demand=ResourceDemand(16, 64.0, 5000))
+        message = (r"job 1: demand ResourceDemand\(processors=16, memory=64.0, storage=5000\) "
+                   "exceeds every catalog entry")
+        with pytest.raises(UnsatisfiableDemandError, match=message):
+            try_allocate(job.id, job.demand, None, 1.0, pool, np.random.default_rng(0))
+        # run() raises it at the job's first allocation attempt, naming the
+        # job's own demand, not that of job 0, which arrives later with the
+        # same demand as floats.
+        later = make_job(job_id=0, arrival=5.0, demand=ResourceDemand(16, 64.0, 5000.0))
+        with pytest.raises(UnsatisfiableDemandError, match=message):
+            run(intake_config(), [later, job])
 
     def test_full_pool_defers_even_at_best_rank(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(1)
-        assert try_allocate(make_job(), SMALL_FIT, p, pool, np.random.default_rng(0)) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool,
+                            np.random.default_rng(0)) is False
         assert pool.in_use == 1
 
     def test_certain_band_draws_nothing(self):
         pool = ResourcePool(10, default_catalog())
         p = AllocationTable().probability(5)
         assert p == 1.0
-        assert try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws()) is True
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, NoDraws()) is True
 
     def test_full_pool_defers_without_drawing(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(95)
-        assert try_allocate(make_job(), SMALL_FIT, p, pool, NoDraws()) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, NoDraws()) is False
 
     def test_failed_draw_defers(self, monkeypatch):
         pool = ResourcePool(10, default_catalog())
         rng = np.random.default_rng(1)  # first draw is 0.5118216247002567
         p = AllocationTable().probability(95)  # 0.3
-        assert try_allocate(make_job(), SMALL_FIT, p, pool, rng) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, rng) is False
         assert pool.in_use == 0
         # run() retries a deferred job retry_interval after the attempt: the
         # job arrives at t=3, fails its first draw and is admitted at t=5.
@@ -258,7 +265,7 @@ class TestTryAllocate:
             successes = 0
             n = 100_000
             for _ in range(n):
-                if try_allocate(make_job(), SMALL_FIT, p, pool, rng):
+                if try_allocate(0, make_job().demand, SMALL_FIT, p, pool, rng):
                     successes += 1
                     pool.in_use -= 1
             assert abs(successes / n - p) <= 0.02

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from cloudsched import simulator
 from cloudsched.domain import (
     INVALID,
+    JOB_COLUMNS,
     BusinessProfile,
     Job,
+    JobSet,
     ResourceCatalogEntry,
     ResourceDemand,
     SimConfig,
-    job_columns,
     valid_mask,
     validate_job,
 )
@@ -261,7 +263,7 @@ class TestRunContract:
             "arrival_time must be finite"]
         assert all(r.ack is None and r.class_index is None for r in report.jobs[1:])
         assert len(windowed) == 1
-        assert windowed[0].tolist() == job_columns(jobs[:1]).tolist()  # job 0 only
+        assert windowed[0].tolist() == JobSet(jobs[:1]).columns.tolist()  # job 0 only
         assert validated == [1, 2, 3]  # once per rejected job
 
     def test_rejected_arrival_does_not_extend_makespan(self):
@@ -450,9 +452,45 @@ class TestJobSet:
     def test_paired_runs_equal_independent_runs(self, case, native_first):
         config, jobs = case
         modes = ("native", "resultant") if native_first else ("resultant", "native")
-        job_set = simulator.JobSet(jobs)
-        paired = [run(config, job_set, mode=mode).to_json() for mode in modes]
-        assert paired == [run(config, list(jobs), mode=mode).to_json() for mode in modes]
+        independent = [run(config, list(jobs), mode=mode).to_json() for mode in modes]
+        # The set built from value lists, as sample_jobs and load_jobs build
+        # it, and the set built from its Job objects.
+        from_columns = JobSet.from_columns(
+            [job.id for job in jobs], [list(map(attrgetter(name), jobs)) for name in JOB_COLUMNS])
+        for job_set in (from_columns, JobSet(list(from_columns))):
+            paired = [run(config, job_set, mode=mode).to_json() for mode in modes]
+            assert paired == independent
+
+    @given(case=_paired_cases())
+    @example(case=PAIRED_EXAMPLES["unstable"])
+    def test_jobs_come_back_with_their_types(self, case):
+        _config, jobs = case
+        job_set = JobSet(jobs)
+        # repr tells an int from a float, and -0.0 from 0.0.
+        assert repr(list(job_set)) == repr(jobs)
+        assert [repr(job_set[i]) for i in range(-len(jobs), len(jobs))] == list(
+            map(repr, jobs + jobs))
+        assert list(job_set[1::2]) == jobs[1::2]
+        assert job_set == JobSet(list(job_set)) and len(job_set) == len(jobs)
+
+    def test_from_columns_takes_one_list_per_field_of_one_length(self):
+        with pytest.raises(ValueError, match="expected 9 value lists of 1 values"):
+            JobSet.from_columns([0], [[0.0]] * 8)
+        with pytest.raises(ValueError, match="expected 9 value lists of 2 values"):
+            JobSet.from_columns([0, 1], [[0.0, 1.0]] * 8 + [[0.0]])
+
+    def test_reports_do_not_share_the_job_set_lists(self):
+        cfg = SimConfig(num_tasks=50, seed=3)
+        job_set = fixed_jobs(cfg)
+        jobs = list(job_set)
+        native = run(cfg, job_set, mode="native")
+        resultant = run(cfg, job_set, mode="resultant")
+        texts = [native.to_json(), resultant.to_json()]
+        for name in ("job_id", "arrival", "due"):
+            native.columns[name][0] = 1e9
+        assert resultant.to_json() == texts[1]
+        assert [run(cfg, job_set, mode=mode).to_json() for mode in MODES] == texts
+        assert list(job_set) == jobs
 
     def test_examples_reach_their_corners(self):
         config, jobs = PAIRED_EXAMPLES["unstable"]
@@ -480,7 +518,7 @@ class TestJobSet:
         assert len(calls) == 1
         run(replace(cfg, epoch_length=30.0), job_set)
         assert len(calls) == 2
-        run(cfg, list(job_set.jobs))  # a plain list prepares its own
+        run(cfg, list(job_set))  # a plain list prepares its own
         assert len(calls) == 3
 
     def test_one_try_allocate_call_per_attempt(self, monkeypatch):
@@ -490,7 +528,7 @@ class TestJobSet:
         real_try_allocate = simulator.try_allocate
 
         def try_allocate(*args):
-            calls.append(args[0].id)
+            calls.append(args[0])
             return real_try_allocate(*args)
 
         monkeypatch.setattr(simulator, "try_allocate", try_allocate)
@@ -682,7 +720,7 @@ class TestColumnPass:
     @example(case=(60.0, NAN_WEIGHT_JOBS))
     def test_mask_agrees_with_validate_job(self, case):
         _length, jobs = case
-        assert valid_mask(job_columns(jobs)).tolist() == [
+        assert valid_mask(JobSet(jobs).columns).tolist() == [
             validate_job(job).status != INVALID for job in jobs]
 
     @given(case=_cases(st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, -1])))
@@ -714,7 +752,7 @@ class TestColumnPass:
         batches: dict = {}
         for job in jobs:
             batches.setdefault(epoch(job), []).append(job)
-        stats = window_stats_by_epoch(job_columns(jobs), epoch_length, blank_time)
+        stats = window_stats_by_epoch(JobSet(jobs).columns, epoch_length, blank_time)
         for i, job in enumerate(jobs):
             window = WindowStats.from_jobs(batches[epoch(job)], blank_time)
             assert _float_reprs(stat[i] for stat in stats) == _float_reprs(
@@ -736,10 +774,15 @@ class TestColumnPass:
                         for i, (cores, ram, disk, cost) in enumerate(entries))
         jobs = [Job(i, 0.0, 1.0, 1.0, 0.0, demand, BusinessProfile(0.0, 0.0))
                 for i, demand in enumerate(demands)]
-        fits = simulator._cheapest_fits(catalog, jobs, job_columns(jobs)[4:7])
+        job_set = JobSet(jobs)
+        fits, job_demands = simulator._cheapest_fits(catalog, job_set, list(range(len(jobs))),
+                                                     job_set.columns[4:7])
         # The entry itself: of equal-cost entries, the first listed.
         assert [id(fit) for fit in fits] == [id(cheapest_fit(catalog, job.demand))
                                              for job in jobs]
+        # A job that nothing fits keeps its own demand, for its error message.
+        assert [repr(d) for d, fit in zip(job_demands, fits) if fit is None] == [
+            repr(job.demand) for job, fit in zip(jobs, fits) if fit is None]
 
     def test_every_job_rejected(self):
         jobs = [make_job(job_id=0, exec_time=0.0), make_job(job_id=1, arrival=math.nan)]
@@ -753,7 +796,7 @@ class TestWindowStats:
         # Jobs 0 and 1 (start slack 45 and 145) share epoch 0; job 2 is alone.
         jobs = [make_job(job_id=0, arrival=10.0), make_job(job_id=1, arrival=59.9, due=800.0),
                 make_job(job_id=2, arrival=61.0)]
-        t_min, t_max, weight_max = window_stats_by_epoch(job_columns(jobs), 60.0)
+        t_min, t_max, weight_max = window_stats_by_epoch(JobSet(jobs).columns, 60.0)
         assert t_min.tolist() == [45.0, 45.0, 45.0]
         assert t_max.tolist() == [145.0, 145.0, 45.0]
         assert weight_max.tolist() == [102.5] * 3

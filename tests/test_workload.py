@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cloudsched.domain import OK, SimConfig, validate_job
+from cloudsched.domain import OK, BusinessProfile, Job, ResourceDemand, SimConfig, validate_job
 from cloudsched.priority import business_priority
 from cloudsched.workload import (
     Distribution,
@@ -163,6 +163,62 @@ class TestJobFile:
         save_jobs(path, jobs)
         assert load_jobs(path) == jobs
 
+    @pytest.mark.parametrize("rows,error,record,reason", [
+        # An invalid record 2 before an unparseable record 4.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,0,5,1,1.7,160,100,5",
+          "2,0.0,700,650,5,1,1.7,160,100,5", "3,zzz,700,650,5,1,1.7,160,100,5"],
+         InvalidJobError, 2, "exec_time must be > 0"),
+        # An invalid record before a duplicate id.
+        (["7,0.0,700,650,5,1,1.7,160,100,5", "8,-1,700,650,5,1,1.7,160,100,5",
+          "7,2.0,700,650,5,1,1.7,160,100,5"], InvalidJobError, 2, "arrival_time must be >= 0"),
+        # A record that is invalid and repeats an id is reported as invalid.
+        (["7,0.0,700,650,5,1,1.7,160,100,5", "7,0.0,700,650,5,0,1.7,160,100,5"],
+         InvalidJobError, 2, "processors must be >= 1"),
+        # A duplicate id before an invalid record.
+        (["7,0.0,700,650,5,1,1.7,160,100,5", "7,1.0,700,650,5,1,1.7,160,100,5",
+          "8,0.0,700,650,5,1,1.7,160,100,-1"], InvalidJobError, 2, "duplicate job id 7"),
+        # A blank line keeps the later record numbers.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "", "1,0.0,700,650,5,1,1.7,160,100,5",
+          "2,0.0,nan,650,5,1,1.7,160,100,5"], InvalidJobError, 4, "due_time must be finite"),
+        # A wrong field count after an invalid record.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,-5,1,1.7,160,100,5", "2,0.0,700"],
+         InvalidJobError, 2, "prep_time must be >= 0"),
+        # An unparseable record before an invalid one, and before a wrong
+        # field count; in a record, the first field that does not parse.
+        (["0,0.0,700,650,5,1,x,160,100,5", "1,0.0,700,0,5,1,1.7,160,100,5"],
+         ParseError, 1, "field 'mem': cannot parse 'x' as a number"),
+        (["0,0.0,700,650,5,1,1.7,160,100", "1,zzz,700,650,5,1,1.7,160,100,5"],
+         ParseError, 1, "expected 10 fields, got 9"),
+        (["0,0.0,700,650,5,1.5,1.7,y,100,5"],
+         ParseError, 1, "field 'pn': cannot parse '1.5' as an integer"),
+        # A processor count too large for a float, after a record whose
+        # storage does not parse.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,5,1,1.7,z,100,5",
+          f"2,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
+         ParseError, 2, "field 'storage': cannot parse 'z' as a number"),
+    ])
+    def test_first_error_in_record_order(self, tmp_path, rows, error, record, reason):
+        path = tmp_path / "jobs.csv"
+        path.write_text(
+            "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
+            + "\n".join(rows) + "\n")
+        with pytest.raises(error) as err:
+            load_jobs(path)
+        assert (err.value.record, err.value.reason) == (record, reason)
+
+    def test_values_keep_their_types(self, tmp_path):
+        path = tmp_path / "jobs.csv"
+        path.write_text(
+            "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
+            " 1_0 ,0,700,650,5, 2 ,1_0.5,160,1e2,5\n"
+            "a,1.5,700,650,5,1,1.7,160,100,5\n")
+        jobs = load_jobs(path)
+        assert repr(list(jobs)) == repr([
+            Job(" 1_0 ", 0.0, 700.0, 650.0, 5.0, ResourceDemand(2, 10.5, 160.0),
+                BusinessProfile(100.0, 5.0)),
+            Job("a", 1.5, 700.0, 650.0, 5.0, ResourceDemand(1, 1.7, 160.0),
+                BusinessProfile(100.0, 5.0))])
+
     def test_three_valid_records(self, tmp_path):
         path = tmp_path / "jobs.csv"
         path.write_text(
@@ -235,12 +291,12 @@ class TestJobFile:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "jobs.csv"
         path.write_text("")
-        assert load_jobs(path) == []
+        assert len(load_jobs(path)) == 0
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "jobs.csv"
         path.write_text("id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n")
-        assert load_jobs(path) == []
+        assert len(load_jobs(path)) == 0
 
     def test_infeasible_jobs_are_admitted(self, tmp_path):
         path = tmp_path / "jobs.csv"
