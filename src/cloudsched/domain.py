@@ -381,6 +381,8 @@ class SimConfig:
             raise ValueError("business_cap must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.seed >= 2**128:  # the allocation draws' Philox key has 128 bits
+            raise ValueError("seed must be < 2**128")
         if not self.catalog:
             raise ValueError("catalog must be non-empty")
         check_bands(self.allocation_bands)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol
 
 from .domain import (
     DEFAULT_ALLOCATION_BANDS,
@@ -105,32 +104,26 @@ def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None
     return best
 
 
-class Draws(Protocol):
-    """A job's allocation stream: uniform doubles in [0, 1), one per call."""
-
-    def random(self) -> float: ...
-
-
 def try_allocate(job_id, demand: ResourceDemand, instance: ResourceCatalogEntry | None,
-                 p: float, pool: ResourcePool, rng: Draws | None) -> bool:
+                 p: float, pool: ResourcePool, u: float | None) -> bool:
     """One allocation attempt for the job of job_id and demand: whether it
     was admitted.
 
     instance is the job's cheapest fitting catalog entry (see cheapest_fit),
     None when nothing fits, which raises UnsatisfiableDemandError naming the
     job and its demand, and p the admission probability of its rank band.
-    A full pool always defers, without drawing. Otherwise admission is a
-    Bernoulli draw at p from rng, the job's allocation stream (a numpy
-    Generator will do); on success the job holds one slot of the pool, whose
-    occupancy is incremented, and the caller grants it the instance. At p = 1
-    it always admits and draws nothing, so rng may be None.
+    A full pool always defers. Otherwise the job is admitted when p = 1 or
+    when u, its allocation draw in [0, 1), is below p; u is None at p = 1,
+    where nothing is drawn (run() defines the draws). On success the job
+    holds one slot of the pool, whose occupancy is incremented, and the
+    caller grants it the instance.
     """
     if instance is None:
         raise UnsatisfiableDemandError(
             f"job {job_id!r}: demand {demand} exceeds every catalog entry")
     if pool.in_use >= pool.capacity:
         return False
-    if p == 1.0 or rng.random() < p:
+    if p == 1.0 or u < p:
         pool.in_use += 1
         return True
     return False

@@ -10,9 +10,11 @@ the per-job inputs that do not depend on the mode from those columns (the
 validity mask, the epoch windows, the id order, the technical and business
 scores and the cheapest fits), and the set keeps them, so a paired native
 and resultant run prepares them once; each run adds the resultant, rank,
-class and admission probability of its mode. The event loop keeps each
-job's state in per-field lists indexed by the job's place in id order, and
-its SimReport holds the job records as columns, one list per JobRecord
+class and admission probability of its mode. A job's allocation draws are
+common to both modes: draw d of the set's job i depends on (seed, i, d)
+alone, through numpy's counter-based Philox generator. The event loop keeps
+each job's state in per-field lists indexed by the job's place in id order,
+and its SimReport holds the job records as columns, one list per JobRecord
 field. A report is written in schema 2 as those columns: compact JSON with
 sorted keys, one call to the C JSON encoder per column (SimReport.json_texts).
 """
@@ -196,90 +198,10 @@ class SimReport:
         return "".join(self.json_texts())
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
-# multiplier of its PCG64 generator (PCG_DEFAULT_MULTIPLIER_128).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _job_streams(seed: int, indices) -> list:
-    """One allocation stream per job index, equal draw for draw to
-    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,))).
-
-    The stream depends only on (seed, job index), so paired native and
-    resultant runs draw the same numbers whenever they draw. The SeedSequence
-    hash runs once for all indices, on uint32 arrays whose arithmetic wraps
-    mod 2**32 as numpy's does; only the last entropy word, the index, differs
-    between jobs. TestJobStreams in tests/test_simulator.py checks every stream
-    against numpy, which stays the definition.
-    """
-    entropy = []
-    while True:  # the seed's little-endian 32-bit words; 0 gives [0]
-        entropy.append(np.array([seed & _MASK32], np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))  # padded for the spawn key
-    entropy.append(np.asarray(indices, np.uint32))
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    # SeedSequence.mix_entropy: hash the first four words into the pool, mix
-    # every pool word into every other, then mix in the remaining words.
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # SeedSequence.generate_state(4, np.uint64): eight 32-bit words from the
-    # cycled pool, paired little-endian into 64-bit words.
-    state = []
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ value >> 16).astype(np.uint64))
-    words = [(state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4)]
-    return list(map(_PCG64Stream, *words))
-
-
-class _PCG64Stream:
-    """numpy's PCG64 (128-bit LCG, XSL-RR output) from four 64-bit seed words."""
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, w0: int, w1: int, w2: int, w3: int):
-        # numpy's pcg64_set_seed
-        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        self._state = ((w0 << 64 | w1) + self._inc) * _PCG64_MULT + self._inc
-
-    def random(self) -> float:
-        """The next double in [0, 1), as Generator.random() computes it."""
-        state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        self._state = state
-        low = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        out = (low >> rot | low << (64 - rot)) & _MASK64
-        return (out >> 11) * (1.0 / 9007199254740992.0)
+def _uniforms(seed: int, count: int, counter=None) -> np.ndarray:
+    """Generator(Philox(key=seed, counter=counter)).random(count), computed
+    from the raw words of numpy's Philox4x64-10 without a Generator."""
+    return (np.random.Philox(key=seed, counter=counter).random_raw(count) >> 11) * 2.0**-53
 
 
 def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0):
@@ -337,8 +259,9 @@ def _cheapest_fits(catalog, jobs: JobSet, order: list, demand) -> tuple[list, li
 
 class _Inputs:
     """The inputs of run() that depend on the jobs and the config, not on the
-    mode, prepared from a JobSet's value lists and its float64 columns. The
-    columns of the admitted jobs are not kept.
+    mode, prepared from a JobSet's value lists and its float64 columns, and
+    the allocation draws, built when first needed (draw). The columns of the
+    admitted jobs are not kept.
 
     Admitted jobs are numbered k = 0.. in job id order, int ids by value
     before the others by their text, so k breaks the ties between same-time
@@ -348,11 +271,12 @@ class _Inputs:
 
     __slots__ = ("reasons", "rejected", "row", "order", "ids", "demand", "fits", "arrival",
                  "exec_time", "deadline", "instance", "cost", "arrivals", "t_start", "weight",
-                 "tp", "bp")
+                 "tp", "bp", "seed", "_first", "_blocks")
 
     def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
             raise ValueError("jobs must be non-empty")
+        self.seed, self._first, self._blocks = config.seed, None, {}
         ids = jobs.ids
         repeated = first_repeated(ids)
         if repeated is not None:
@@ -402,6 +326,20 @@ class _Inputs:
         # The k in arrival order, ties by k.
         self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
 
+    def draw(self, i: int, d: int) -> float:
+        """Draw d of the set's job i (see run()). The first draw builds draws
+        0..3 of every job in one Philox call, row i for job i; each later
+        block of four is built once, when a job first reaches it."""
+        if d < 4:
+            if self._first is None:
+                n = len(self.reasons)
+                self._first = _uniforms(self.seed, 4 * n).reshape(n, 4)
+            return self._first[i, d]
+        block = self._blocks.get((i, d >> 2))
+        if block is None:
+            block = self._blocks[i, d >> 2] = _uniforms(self.seed, 4, [i, d >> 2, 0, 0])
+        return block[d & 3]
+
 
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     """Simulate the full pipeline over a set of jobs until drained.
@@ -411,12 +349,16 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     business boost above the threshold; "native" scores jobs by technical
     priority alone. Same config, jobs, and seed give a
     byte-identical report, whether the jobs come as a list or as a JobSet
-    already run in the other mode. Allocation draws come from one stream per
-    job, numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(job index,))
-    and computed without building a numpy Generator (see _job_streams), so
-    paired native/resultant runs see common random numbers; a job whose band
-    admits with probability 1 never draws and gets no stream. Duplicate job
-    ids raise ValueError.
+    already run in the other mode. Duplicate job ids raise ValueError.
+
+    Allocation draws have no state: attempt d of the job at place i of the
+    job set draws u(seed, i, d), and draws 4l..4l+3 of job i are
+    Generator(Philox(key=seed, counter=[i, l, 0, 0])).random(4), from numpy's
+    Philox4x64-10, whose 128-bit key bounds the seed (SimConfig: seed <
+    2**128). Paired native and resultant runs thus see common random numbers.
+    A job whose band admits with p = 1 draws nothing. The draws are built
+    once per JobSet and config, when first needed (_Inputs.draw): draws 0..3
+    of every job in one Philox call, and each later block of four on its own.
 
     The inputs that both modes share are prepared once per JobSet and config
     (JobSet.prepared) from the set's value lists and its float64 columns:
@@ -466,10 +408,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     class_index = list(map(class_of_rank.__getitem__, rank))
     queue = list(map(queue_of_rank.__getitem__, rank))
     probs = list(map(band_probability.__getitem__, rank))
-    streams: list = [None] * m_jobs
-    drawing = [k for k in range(m_jobs) if probs[k] != 1.0]
-    for k, stream in zip(drawing, _job_streams(config.seed, [order[k] for k in drawing])):
-        streams[k] = stream
+    draw = inputs.draw
 
     # Per-job state, indexed by k.
     start, completion, chain_position = ([None] * m_jobs for _ in range(3))
@@ -536,7 +475,10 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     k = qc.peek()
                     if pending_retry[k]:
                         break
-                    if try_allocate(ids[k], demand[k], fits[k], probs[k], pool, streams[k]):
+                    # Attempt d of job k draws u(seed, order[k], d); none at p = 1.
+                    p = probs[k]
+                    u = None if p == 1.0 else draw(order[k], retries[k])
+                    if try_allocate(ids[k], demand[k], fits[k], p, pool, u):
                         # Service starts at the allocation instant.
                         qc.pop()
                         in_queue -= 1

@@ -270,20 +270,29 @@ def load_jobs(path) -> JobSet:
     at once by domain.valid_mask; validate_job runs only for the first
     rejected record, for its reason.
     """
+    # A line the csv module cannot read (a field over its size limit, say)
+    # ends the rows: extend keeps the rows read before it, and the error is
+    # that record's, counting the header as record 0.
+    rows, unread = [], None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return JobSet()
-        if tuple(h.strip() for h in header) != JOB_FILE_FIELDS:
-            raise ParseError(0, f"unexpected header {header!r}")
-        rows = list(reader)
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            unread = ParseError(len(rows), str(exc))
+    if not rows:
+        if unread is not None:
+            raise unread
+        return JobSet()
+    header = rows.pop(0)
+    if tuple(h.strip() for h in header) != JOB_FILE_FIELDS:
+        raise ParseError(0, f"unexpected header {header!r}")
     # Blank lines are skipped, but they keep their record numbers.
     records = range(1, len(rows) + 1)
     if [] in rows:
         records = [record for record, row in enumerate(rows, start=1) if row]
         rows = [row for row in rows if row]
     ids, values, error = _parse_rows(rows, records)
+    error = error or unread
     jobs = JobSet.from_columns(ids, values)
 
     # The first invalid record and the first that repeats an id, of the

@@ -104,28 +104,28 @@ MULTI_BLOCK_CONFIG = {
 # schema 2. A change to any of them is a change in output bytes and must be
 # recorded in CHANGES.md.
 PINNED_OUTPUT_SHA256 = {
-    "bands_native.csv": "622f95214c75f6bf872c30002b37ac1a66897673087354334200b1ebf651c223",
-    "bands_resultant.csv": "b1710167a5f72712a7f4c4bb8c92054fcf05e9138427e44ab4af292daf218017",
-    "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
-    "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
-    "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
+    "bands_native.csv": "6f650bafe17b9ab65f46b80c3459cd1a31a1c8ef3dbf6985598d587f7ef5ab3d",
+    "bands_resultant.csv": "261be2d0d7aafd29ed79ce860a4ed50069567bf2a9906ce90599a0c6d49da5c1",
+    "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
+    "report_native.json": "7f7d2914b27f0b63c854c657c8735ffa4da0db970c0d882eacb588b111aada44",
+    "report_resultant.json": "f43c5104b2547fe80af1d84b65ac41df60d552e1187fb5c03c16dd28cde752ea",
 }
 # The same for `simulate --format json`.
 PINNED_JSON_OUTPUT_SHA256 = {
-    "bands_native.json": "0a2121d9e04fb7717c657958fdb7fb9a2664efa61b6b9308c33a9dd24d84b766",
-    "bands_resultant.json": "0310d9c669905e5a75b23f202996ebac38a6dc32550f4fe075e517de27ff287a",
-    "comparison.json": "431040fd8ca88be27b21e29e2188429f798fd13b3ccaa4cb1b2a62e12b963742",
-    "report_native.json": "ea14d337b083f8bc76918572e69a339e26fe69b0b20af07f95ebdd023afb13f1",
-    "report_resultant.json": "753daf67f5e1063bce12d547d508e14e801625440d42f74ab80abdc7560e6931",
+    "bands_native.json": "ae50eaaca3d457f0969374ee63ab8134761a7a16703a33f5e5acc413632a203a",
+    "bands_resultant.json": "0313c458f2270952955240abd00d6e0121ce5fbca86445639c3c66eaba5d9296",
+    "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
+    "report_native.json": "7f7d2914b27f0b63c854c657c8735ffa4da0db970c0d882eacb588b111aada44",
+    "report_resultant.json": "f43c5104b2547fe80af1d84b65ac41df60d552e1187fb5c03c16dd28cde752ea",
 }
 # SHA-256 of the job tables that `export` writes from those reports, in each
 # format: the bytes `simulate` wrote as jobs_<mode>.<fmt> before the job
 # tables moved to `export`.
 PINNED_EXPORT_SHA256 = {
-    "jobs_native.csv": "420dfc6b404bea3a471d3ef46ab56c4c52f7b409ac228a7441cc9b84c0dfd06e",
-    "jobs_resultant.csv": "7cf4dd6e8a7edc6d0da6c051794e806500c3d2b49ff420b989ad9274dd019483",
-    "jobs_native.json": "864272494d0320aa0c81f004c0253f961844be0b84a5d4b8f02d7e2282445dee",
-    "jobs_resultant.json": "7ba47cffc548f624718cc49aac839da9d60cb73b646d655b1f54f42c88b6b344",
+    "jobs_native.csv": "365a34de012c70e0d9e4b7865a6a4db9c412d94763ec8f3878a0bc13bdec648c",
+    "jobs_resultant.csv": "83e37000031373891a808e426f4ded7f5a2d78ffa17a5e383bcaa78ab3565b9d",
+    "jobs_native.json": "f104b888c4fd3c30f528d3b92ee2ef4fc11cc0283313de1628277ab01627e93f",
+    "jobs_resultant.json": "86415486a5918f29e2254ea041cd3b131e83f6cc352a8e80666a56972039ae6f",
 }
 
 
@@ -668,6 +668,26 @@ class TestNegativeSeed:
         assert "--seed: seed must be >= 0" in capsys.readouterr().err
 
 
+class TestSeedBound:
+    """A seed is a 128-bit Philox key; 2**128 and above exit 2 on each path."""
+
+    def test_config_seed_of_2_to_the_128_exits_2(self, tmp_path, capsys):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20, "seed": 2**128}})
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "seed must be < 2**128" in capsys.readouterr().err
+
+    def test_seed_override_of_2_to_the_128_exits_2(self, tmp_path, capsys):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20}})
+        rc = cli.main(["simulate", "--config", path, "--seed", str(2**128),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "--seed: seed must be < 2**128" in capsys.readouterr().err
+        rc = cli.main(["simulate", "--config", path, "--seed", str(2**128 - 1),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_OK
+
+
 JOB_FILE_HEADER = "id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n"
 
 
@@ -680,6 +700,9 @@ class TestSimulateJobFile:
         # A processor count that no float can hold.
         (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
          "record 2: field 'pn': integer too large for a float"),
+        # A field over the csv module's size limit (131072 characters).
+        (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
+         "record 2: field larger than field limit (131072)"),
     ])
     def test_bad_job_file_exits_2(self, tmp_path, capsys, rows, message):
         jobs = tmp_path / "jobs.csv"
@@ -810,7 +833,11 @@ class TestBadReportFile:
 # tests/data/report_v1.json is the schema 1 report of V1_CONFIG's resultant
 # run over _v1_jobs(), as SimReport.to_json() wrote it before schema 2, with
 # one object per job and allocation, sls and mu_base in it.
+# tests/data/report_v2.json is the schema 2 report of the same run, as
+# to_json() wrote it while allocation draws came from per-job PCG64 streams:
+# it stands for the new run, whose draws now differ.
 V1_REPORT = Path(__file__).parent / "data" / "report_v1.json"
+V2_REPORT = Path(__file__).parent / "data" / "report_v2.json"
 V1_CONFIG = SimConfig(num_tasks=12, num_vms=1, seed=7, max_retries=3, max_queue_length=2,
                       allocation_bands=((1, 100, 0.5),))
 
@@ -831,7 +858,7 @@ def _v1_jobs() -> list:
 class TestSchemaOne:
     def test_v1_report_loads_to_the_columns_of_a_new_run(self):
         old = cli.load_report(V1_REPORT)
-        new = run(V1_CONFIG, _v1_jobs(), mode="resultant")
+        new = cli.load_report(V2_REPORT)
         assert {"completed", "rejected", "stuck", "pending"} == set(new.columns["status"])
         assert _typed(old.columns) == _typed(new.columns)
         rows = json.loads(V1_REPORT.read_text())["jobs"]
@@ -842,11 +869,8 @@ class TestSchemaOne:
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_v1_report_exports_as_a_new_run_does(self, tmp_path, capsys, fmt):
-        new = tmp_path / "new"
-        new.mkdir()
-        cli._write_report(new, run(V1_CONFIG, _v1_jobs(), mode="resultant"), fmt)
         tables = []
-        for report in (V1_REPORT, new / "report_resultant.json"):
+        for report in (V1_REPORT, V2_REPORT):
             out = tmp_path / f"export_{len(tables)}"
             assert cli.main(["export", str(report), "--out", str(out),
                              "--format", fmt]) == cli.EXIT_OK
@@ -902,32 +926,32 @@ def _write_mixed_id_jobs(path) -> None:
 # output bytes and must be recorded in CHANGES.md.
 PINNED_SCENARIO_SHA256 = {
     ("generated", "csv"): {
-        "bands_native.csv": "ca09f749054b07bd9d5ffcd8d6883a302e2300d4f99336ea9fc8bd132a29c8f2",
-        "bands_resultant.csv": "93f27a2d871cad5843fffa731313690e6092e667751b3092889cdc13fc6dc221",
-        "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
-        "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
-        "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
+        "bands_native.csv": "f39e8f73d76c699914e17f36bdd1c30cc814d1be3f501167a076f61ec0d5c5b5",
+        "bands_resultant.csv": "d6a412e433a260ae62bfba7c6ffd8a122e7911b7f16c9a89c4c99b6c4e6de98a",
+        "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
+        "report_native.json": "c9806e7d906f9eacc1806d05cabbeddd839076877fb987612774c2828cee1b60",
+        "report_resultant.json": "580cef309b53f0a98de2e567c0a7d17c452ea6aa9a9684118866f33cf921c3ad",
     },
     ("generated", "json"): {
-        "bands_native.json": "00f5e77fe24fca1656e2dcf55fa66a3dae55527fc711aaf43934fbfbdd3e9e70",
-        "bands_resultant.json": "a1adeafa79f6ae80bc8fc8cb336cd4be40204d18f757da2ee75c4df821b2ab14",
-        "comparison.json": "5e82fd8fcac764f982341790842b81b8813e562a5e251060a2fe2b63f2178259",
-        "report_native.json": "7c8bc9a79b0bee6ab06b39103051c013d505a80d71b60bb4cb5134a622a556fa",
-        "report_resultant.json": "f49ffa8cde94f62ab5de348defe89affc53ce852dd716423a8902a5d1ed97b98",
+        "bands_native.json": "24dfaf7b3f627e823a38d17899e4c836543094f0caa37fd228ec168c5eeba220",
+        "bands_resultant.json": "112f26f6575b25f4cb0dd1345a0593db8be8363f339326ecb7e48e68f88183b8",
+        "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
+        "report_native.json": "c9806e7d906f9eacc1806d05cabbeddd839076877fb987612774c2828cee1b60",
+        "report_resultant.json": "580cef309b53f0a98de2e567c0a7d17c452ea6aa9a9684118866f33cf921c3ad",
     },
     ("job-file", "csv"): {
-        "bands_native.csv": "8a6c8ce2642687d77884578dadf7ddba70834f4ba3ce7e5d8e2d094fae8be14d",
-        "bands_resultant.csv": "0c69ed1982d344e6e04b3ef1132a5b4d2f21f3feac6c89321557ee6d4c36e216",
-        "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
-        "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
-        "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
+        "bands_native.csv": "8da242edee983e4f4aad30ca32eda4892e6779873f3d5ea5f14343a6d08e8e99",
+        "bands_resultant.csv": "3347f86470ee3b95fc594dd6d2517a27097813ca126630cd732fc81383dc288b",
+        "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
+        "report_native.json": "7dd934ccb6701db6c43243655e3fc1569ace3dd99e466465dbbe4090e57787c0",
+        "report_resultant.json": "7cd40d2d888b00dbb0029d988e167960d661ef5a0cac72889575dcacb06ec468",
     },
     ("job-file", "json"): {
-        "bands_native.json": "9040bd65c3021561623c9fdbfe1bc499cb538c6bd40d006f6af178681d3ba6d4",
-        "bands_resultant.json": "8b4702e72eddeb0096d78b898af61152674d4fcff604793a1c7b72ed17025a8a",
-        "comparison.json": "afc0222305e8481060ef09d684d868004f9951b457058c984510d9c73363cabd",
-        "report_native.json": "cf0f4cc1549b50ee380d327f2324aa98218075c3b1ab6bf5500bbad29cea165a",
-        "report_resultant.json": "cfc92784253655965de4a80ca0fb8c85ba52929ef58f0e8cf4971e7aba74902b",
+        "bands_native.json": "7c8b5b6362a761a45af7713f65fab3cf7f34907f240ff635eab24a2c0937b52a",
+        "bands_resultant.json": "1d02beab1d563f87e6de59bf378097279fb867f0052bde6eee7240a8d707615f",
+        "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
+        "report_native.json": "7dd934ccb6701db6c43243655e3fc1569ace3dd99e466465dbbe4090e57787c0",
+        "report_resultant.json": "7cd40d2d888b00dbb0029d988e167960d661ef5a0cac72889575dcacb06ec468",
     },
 }
 
@@ -937,20 +961,20 @@ PINNED_SCENARIO_SHA256 = {
 # before the job tables moved to `export`.
 PINNED_SCENARIO_EXPORT_SHA256 = {
     ("generated", "csv"): {
-        "jobs_native.csv": "bf930bb9e9e841f07b86a72241e1839f69988084758df950b8b18a605197c230",
-        "jobs_resultant.csv": "1809419146bf8b0832ac6d8171c859b6dffa50b2520ea9b8159815a4d88d22d1",
+        "jobs_native.csv": "6a52b618eca60aa0ef1070f0abc8008e6f953d714dadb7bd0f8aee48e7a2379e",
+        "jobs_resultant.csv": "3d1f8fa33bff6727cdd33fad2e5de72c70626ea94e9586e5a3528701380a433d",
     },
     ("generated", "json"): {
-        "jobs_native.json": "3a161471a453e1e997a67351abb19e8c0083e154883311f19caaa35be051b087",
-        "jobs_resultant.json": "7a4ba326863164f162a8c9e6868295ae386ff599d93d771a556144b59053ecac",
+        "jobs_native.json": "dce2112e31f07e3beae313dd6e97f05a25bf65289d985e1dbb9f6faf506b9024",
+        "jobs_resultant.json": "61cde650b649cbb336e803443f9b7c045348747d1d1d0bb904f23dab78085bc3",
     },
     ("job-file", "csv"): {
-        "jobs_native.csv": "050fadc6e6c4b8e9edc34f99664ae755915011e2f1e49f6866dc40aa49c32646",
-        "jobs_resultant.csv": "fa01353bdcf360a98ca45b601f4092baf4074ad076dc51aa74dbe056ff66f0f5",
+        "jobs_native.csv": "42398cb14e6798cf5cfce73fafff51dfbdba0661f2fbe30985b459ef16b9b520",
+        "jobs_resultant.csv": "ae98aac107c5cd069f3376da158bb02ea607c46f7bf5d3b96184b18d9b279ed2",
     },
     ("job-file", "json"): {
-        "jobs_native.json": "d008ac60eed2314c365530f19cf239203f09b4abdec325c5fea3740fcee65561",
-        "jobs_resultant.json": "c0076451c0fbd66df79f6b78d9f39da088835d6461c913461b3a6fdb8239af6b",
+        "jobs_native.json": "71aa5b77ff1bbb9714195c47b4cc5e5a6991ec06062ce1ec33f11100e19cc98b",
+        "jobs_resultant.json": "e43953b1e4d01c8f41a9709e0c53585256d7c0ec32ddada7c9afc625e45464f9",
     },
 }
 
@@ -1042,7 +1066,7 @@ class TestComparison:
         # rank, and only the jobs ranked in both runs are compared.
         config = {**ALL_STATUS_CONFIG, "simulation": {
             **ALL_STATUS_CONFIG["simulation"], "num_vms": 6, "max_retries": 5,
-            "max_queue_length": 80}}
+            "max_queue_length": 80, "seed": 3}}
         out = tmp_path / "out"
         rc = cli.main(["simulate", "--config", _config_file(tmp_path, config),
                        "--out", str(out)])

@@ -171,6 +171,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SimConfig(seed=-1)
 
+    def test_seed_must_fit_the_128_bit_draw_key(self):
+        assert SimConfig(seed=2**128 - 1).seed == 2**128 - 1
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
+            SimConfig(seed=2**128)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", SIM_FLOAT_FIELDS)
     def test_non_finite_float_field_rejected_naming_it(self, name, value):

@@ -7,6 +7,7 @@ import pytest
 from cloudsched.domain import (
     BusinessProfile,
     Job,
+    JobSet,
     ResourceDemand,
     SimConfig,
     default_catalog,
@@ -30,23 +31,6 @@ def make_job(demand=None, due=700.0, exec_time=650.0, prep=5.0, job_id=0, arriva
     return Job(id=job_id, arrival_time=arrival, due_time=due, exec_time=exec_time,
                prep_time=prep, demand=demand or ResourceDemand(1, 1.5, 100.0),
                business=BusinessProfile(0.0, 0.0))
-
-
-class NoDraws:
-    """A random stream that fails the test if anything draws from it."""
-
-    def random(self):
-        raise AssertionError("unexpected draw")
-
-
-class ScriptedDraws:
-    """A random stream that gives the listed draws in turn."""
-
-    def __init__(self, *draws):
-        self.draws = list(draws)
-
-    def random(self):
-        return self.draws.pop(0)
 
 
 def intake_config(num_vms=1):
@@ -198,8 +182,7 @@ class TestTryAllocate:
         job = make_job()
         instance = cheapest_fit(pool.catalog, job.demand)
         assert instance == SMALL_FIT
-        assert try_allocate(job.id, job.demand, instance, 1.0, pool,
-                            np.random.default_rng(0)) is True
+        assert try_allocate(job.id, job.demand, instance, 1.0, pool, None) is True
         assert pool.in_use == 1
         # run() grants each job its cheapest fit: m1.large is the cheapest
         # entry with 2 cores and 7 GB.
@@ -213,7 +196,7 @@ class TestTryAllocate:
         message = (r"job 1: demand ResourceDemand\(processors=16, memory=64.0, storage=5000\) "
                    "exceeds every catalog entry")
         with pytest.raises(UnsatisfiableDemandError, match=message):
-            try_allocate(job.id, job.demand, None, 1.0, pool, np.random.default_rng(0))
+            try_allocate(job.id, job.demand, None, 1.0, pool, None)
         # run() raises it at the job's first allocation attempt, naming the
         # job's own demand, not that of job 0, which arrives later with the
         # same demand as floats.
@@ -225,47 +208,49 @@ class TestTryAllocate:
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(1)
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool,
-                            np.random.default_rng(0)) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is False
         assert pool.in_use == 1
 
+    # A draw of None stands for no draw: comparing it with p raises TypeError.
     def test_certain_band_draws_nothing(self):
         pool = ResourcePool(10, default_catalog())
         p = AllocationTable().probability(5)
         assert p == 1.0
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, NoDraws()) is True
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is True
 
     def test_full_pool_defers_without_drawing(self):
         pool = ResourcePool(1, default_catalog())
         pool.in_use = 1
         p = AllocationTable().probability(95)
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, NoDraws()) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is False
 
     def test_failed_draw_defers(self, monkeypatch):
         pool = ResourcePool(10, default_catalog())
-        rng = np.random.default_rng(1)  # first draw is 0.5118216247002567
         p = AllocationTable().probability(95)  # 0.3
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, rng) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, 0.5118216247002567) is False
         assert pool.in_use == 0
         # run() retries a deferred job retry_interval after the attempt: the
         # job arrives at t=3, fails its first draw and is admitted at t=5.
-        monkeypatch.setattr(simulator, "_job_streams", lambda seed, indices: [
-            ScriptedDraws(0.999, 0.0) for _ in indices])
+        monkeypatch.setattr(simulator, "_uniforms", lambda seed, count, counter=None: np.array(
+            [0.999, 0.0, 0.0, 0.0] * (count // 4)))
         cfg = replace(intake_config(), allocation_bands=((1, 100, 0.5),), retry_interval=2.0)
         rec = run(cfg, [make_job(arrival=3.0)]).jobs[0]
         assert (rec.retries, rec.start) == (1, 5.0)
 
     def test_success_fraction_tracks_band_probability(self):
-        # empirical admission rate over 1e5 draws stays within +/- 0.02
+        # empirical admission rate over 1e5 draws (draws 0..11 of each of
+        # 8334 jobs) stays within +/- 0.02
+        jobs = JobSet([make_job(job_id=i) for i in range(8334)])
+        inputs = simulator._Inputs(SimConfig(num_tasks=1, seed=12345), jobs)
+        n = 100_000
+        draws = [inputs.draw(i, d) for i in range(len(jobs)) for d in range(12)][:n]
         table = AllocationTable()
         for rank, p in ((55, 0.7), (35, 0.9)):
             assert table.probability(rank) == p
             pool = ResourcePool(5, default_catalog())
-            rng = np.random.default_rng(12345)
             successes = 0
-            n = 100_000
-            for _ in range(n):
-                if try_allocate(0, make_job().demand, SMALL_FIT, p, pool, rng):
+            for u in draws:
+                if try_allocate(0, make_job().demand, SMALL_FIT, p, pool, u):
                     successes += 1
                     pool.in_use -= 1
             assert abs(successes / n - p) <= 0.02

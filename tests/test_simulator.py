@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
@@ -23,7 +24,7 @@ from cloudsched.domain import (
     validate_job,
 )
 from cloudsched.priority import WindowStats
-from cloudsched.queueing import AllocationTable, cheapest_fit
+from cloudsched.queueing import AllocationTable, cheapest_fit, try_allocate
 from cloudsched.simulator import (
     InsufficientSamplesError,
     SimReport,
@@ -58,23 +59,15 @@ def small_config(**kwargs):
     return SimConfig(**defaults)
 
 
-class ScriptedStream:
-    """Allocation draws that fail (0.999) a set number of times, then admit (0.0)."""
-
-    def __init__(self, failures: int):
-        self.failures = failures
-
-    def random(self):
-        if self.failures:
-            self.failures -= 1
-            return 0.999
-        return 0.0
-
-
 def _script_draws(monkeypatch, failures: dict) -> None:
-    """Give job index i a stream whose first failures[i] draws fail."""
-    monkeypatch.setattr(simulator, "_job_streams", lambda seed, indices: [
-        ScriptedStream(failures.get(i, 0)) for i in indices])
+    """Make the first failures[i] draws of job index i fail (0.999) and the
+    later ones admit (0.0), in place of the Philox draws."""
+    def scripted(seed, count, counter=None):
+        jobs, block = (range(count // 4), 0) if counter is None else (counter[:1], counter[1])
+        return np.array([0.999 if 4 * block + j < failures.get(i, 0) else 0.0
+                         for i in jobs for j in range(4)])
+
+    monkeypatch.setattr(simulator, "_uniforms", scripted)
 
 
 class TestEventOrdering:
@@ -740,6 +733,7 @@ class TestColumnPass:
     @example(case=(60.0, NAN_WEIGHT_JOBS), blank_time=0.0)
     @example(case=(0.1, HUGE_ARRIVAL_JOBS), blank_time=0.0)
     @example(case=(0.1, HUGE_ARRIVAL_JOBS[1:2]), blank_time=5.0)
+    @example(case=(0.1, [make_job(due=1.0, exec_time=1e308, prep=1e308)]), blank_time=0.0)
     def test_window_stats_equal_window_stats_from_jobs(self, case, blank_time):
         epoch_length, jobs = case
         jobs = [job for job in jobs if validate_job(job).status != INVALID]
@@ -859,16 +853,16 @@ def _scenario_jobs(name):
 # SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
 # is a change in report bytes and must be recorded in CHANGES.md.
 PINNED_REPORT_SHA256 = {
-    ("reference", "native"): "d66001f50f60e73576ae49795af8539c9dc22589bd684e393a815bfc8feaef31",
+    ("reference", "native"): "661937fef8fdb841e1835592ddaa0545bb8a4239911e760c3010ff150e3affb4",
     ("reference", "resultant"):
-        "4a4c4af3cc0c59ec6fd7cb7b9476540656df378b64af93903329146b935de7a8",
-    ("mixed", "native"): "6d66aee32ee519ed1d06cb0e685af49a371624173d3da1eb7f90691e7622b75b",
-    ("mixed", "resultant"): "5feea951673ad010e9add0a2673c7376020a97c3c8dbee329acc7d425f6f78f5",
-    ("saturated", "native"): "0fd7738580da9994d5412c9d0294ce1c3763725a1b96a876c140f328d26689da",
+        "fe8fe2dc1d5495d8f5f66df3bc0d52d614c2af8b2d28ebaab496ae4988ee17a2",
+    ("mixed", "native"): "c06d7a7fa47e8f69a21bdb30b7c0270589bf41840bebbedb5cc5e79d748a086d",
+    ("mixed", "resultant"): "7d0d8ac83e2942d64985f13bdc0a066ab1d0470946a5f398de59205ab0cd324d",
+    ("saturated", "native"): "008887c854d4ab62d8a2f47687cfe0b63189ec301f6ddbcc87dfc9b1aab9b825",
     ("saturated", "resultant"):
-        "2ba26fbfe85c7c9d2adec1c1d7b2e7cc677f2b1554a96d4470f8cab9b5ed5220",
-    ("library", "native"): "db22ebff327a134494bc709c8d5f0b30609f1b18f2c4fe9b284eb82a8b0358bf",
-    ("library", "resultant"): "2a1636508f3eee64b9a32715d1d8fea71311b501e65da1c4e6825b85603dd269",
+        "e45242032ed3933e9d20eb4db96003a93484c8ed7905575b8d499fc1225bbf13",
+    ("library", "native"): "7f6754afb36706879eedee6b23ffc298c6a2e1ed540cd5e53d6ae50603410a9d",
+    ("library", "resultant"): "8964ec094ecb0305f760fd40bcc83898f8c97797aeee2648dcfeada84a5e6a26",
 }
 
 
@@ -893,27 +887,54 @@ class TestReportBytes:
         assert max(r.wait for r in report.jobs) >= cfg.exec_time
 
 
-class EagerStream:
-    """A job stream drawn from a numpy generator built up front: the reference."""
-
-    def __init__(self, seed, index):
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-    def random(self):
-        return self._rng.random()
+def _oracle(seed: int, i: int, d: int) -> float:
+    """Draw d of job i by its definition: numpy's Philox Generator from
+    counter (i, d // 4)."""
+    generator = np.random.Generator(np.random.Philox(key=seed, counter=[i, d // 4, 0, 0]))
+    return generator.random(4)[d % 4]
 
 
 def _count_generators(monkeypatch) -> list:
     """Record every numpy generator, bit generator or seed sequence built from now
     on (workload sampling builds some too)."""
     calls = []
-    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence", "Philox"):
         def counting(*args, _built=getattr(simulator.np.random, name), _name=name, **kwargs):
             calls.append(_name)
             return _built(*args, **kwargs)
 
         monkeypatch.setattr(simulator.np.random, name, counting)
     return calls
+
+
+def _record_draws(monkeypatch) -> list:
+    """Record the job id and the draw of every allocation attempt that draws."""
+    used = []
+
+    def recording(job_id, demand, instance, p, pool, u):
+        if u is not None:
+            used.append((job_id, u))
+        return try_allocate(job_id, demand, instance, p, pool, u)
+
+    monkeypatch.setattr(simulator, "try_allocate", recording)
+    return used
+
+
+def _by_place(used: list, ids) -> dict:
+    """(i, d) -> u of one run's recorded draws, for the job at place i of the
+    job set and its draw d, the number of its earlier draws."""
+    place = {job_id: i for i, job_id in enumerate(ids)}
+    drawn: Counter = Counter()
+    draws = {}
+    for job_id, u in used:
+        i = place[job_id]
+        draws[i, drawn[i]] = u
+        drawn[i] += 1
+    return draws
+
+
+# A job set whose _Inputs gives the draws of job places 0..63.
+DRAW_JOBS = JobSet([make_job(job_id=i) for i in range(64)])
 
 
 class TestJobStreams:
@@ -932,40 +953,69 @@ class TestJobStreams:
         cfg, spec = _scenario(name)
         jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
         built = _count_generators(monkeypatch)
+        used = _record_draws(monkeypatch)
         report = run(cfg, jobs, mode=mode)
-        assert built == []
+        drawn = _by_place(used, report.columns["job_id"])
+        assert set(built) == {"Philox"}  # raw words only, no Generator
         assert sum(r.retries for r in report.jobs) > 0  # some draws failed
 
-        streamed = []
+        # Every draw through a numpy Generator, the definition.
+        blocks = []
 
-        def eager_streams(seed, indices):
-            streamed.extend(indices)
-            return [EagerStream(seed, i) for i in indices]
+        def eager(seed, count, counter=None):
+            blocks.append(counter if counter is None else tuple(counter[:2]))
+            return np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(count)
 
-        monkeypatch.setattr(simulator, "_job_streams", eager_streams)
-        eager = run(cfg, jobs, mode=mode)
-        assert eager.jobs == report.jobs
-        assert eager.to_json() == report.to_json()
-        # Only the jobs whose band admits with p < 1 get a stream.
+        monkeypatch.setattr(simulator, "_uniforms", eager)
+        eager_report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)), mode=mode)
+        assert eager_report.to_json() == report.to_json()
+        # Draws 0..3 of every job come from one call, and a later block of four
+        # is built once, for a job that reaches it.
+        assert blocks.count(None) == 1
+        assert sorted(blocks[1:]) == sorted({(i, d // 4) for i, d in drawn if d >= 4})
+        # Only the jobs whose band admits with p < 1 draw.
         table = AllocationTable(cfg.allocation_bands)
-        assert sorted(streamed) == [i for i, r in enumerate(report.jobs)
-                                    if table.probability(r.rank) < 1.0]
-        assert 0 < len(streamed) < len(jobs)
+        assert {i for i, _d in drawn} == {i for i, r in enumerate(report.jobs)
+                                          if table.probability(r.rank) < 1.0}
+        assert 0 < len({i for i, _d in drawn}) < cfg.num_tasks
 
-    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1),
-                          st.integers(2**128, 2**256)),
-           indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-    @example(seed=0, indices=[0, 1, 2**32 - 1])
-    @example(seed=2**32, indices=[0, 1, 2**32 - 1])
-    @example(seed=2**128, indices=[0, 1, 2**32 - 1])
-    @example(seed=2**200, indices=[0, 1, 2**32 - 1])
-    def test_streams_equal_numpy_draw_for_draw(self, seed, indices):
-        streams = simulator._job_streams(seed, indices)
-        assert len(streams) == len(indices)
-        for i, stream in zip(indices, streams):
-            reference = EagerStream(seed, i)
-            assert [stream.random() for _ in range(6)] == [reference.random()
-                                                           for _ in range(6)]
+    @given(seed=st.integers(0, 2**128 - 1), places=st.lists(st.integers(0, 63), min_size=1,
+                                                            max_size=4))
+    @example(seed=0, places=[0, 1, 63])
+    @example(seed=2**64, places=[0, 63])
+    @example(seed=2**128 - 1, places=[0, 63])
+    def test_streams_equal_numpy_draw_for_draw(self, seed, places):
+        # Draws 0..3 come from the array of every job's first four, the
+        # later ones from a block per (job, block): both paths are checked.
+        inputs = simulator._Inputs(SimConfig(num_tasks=1, seed=seed), DRAW_JOBS)
+        for i in places:
+            assert [inputs.draw(i, d) for d in range(12)] == [_oracle(seed, i, d)
+                                                              for d in range(12)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1))
+    @example(seed=7)
+    def test_paired_runs_use_common_random_numbers(self, seed):
+        # Native and resultant runs of one job set: a job's draw d is the
+        # same number in both runs whenever both make it, and it is u(seed, i, d)
+        # for the job's place i in the set, here the reverse of its id order.
+        cfg, spec = _scenario("mixed")
+        cfg = replace(cfg, num_tasks=80, num_vms=4, seed=seed,
+                      allocation_bands=((1, 40, 0.8), (41, 100, 0.3)))
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))[::-1]
+        runs = []
+        for mode in ("native", "resultant"):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                used = _record_draws(monkeypatch)
+                run(cfg, jobs, mode=mode)
+            runs.append(_by_place(used, jobs.ids))
+        native, resultant = runs
+        common = native.keys() & resultant.keys()
+        assert any(d >= 4 for _i, d in common)
+        for i, d in common:
+            assert native[i, d] == resultant[i, d]
+        for (i, d), u in {**native, **resultant}.items():
+            assert u == _oracle(seed, i, d)
 
 
 # Values whose left-to-right float sum (0.0) differs from a compensated one

@@ -196,6 +196,12 @@ class TestJobFile:
         (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,5,1,1.7,z,100,5",
           f"2,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
          ParseError, 2, "field 'storage': cannot parse 'z' as a number"),
+        # A field over the csv module's size limit, after a blank line and
+        # after an invalid record.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
+         ParseError, 3, "field larger than field limit (131072)"),
+        (["0,0.0,700,0,5,1,1.7,160,100,5", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
+         InvalidJobError, 1, "exec_time must be > 0"),
     ])
     def test_first_error_in_record_order(self, tmp_path, rows, error, record, reason):
         path = tmp_path / "jobs.csv"
@@ -297,6 +303,13 @@ class TestJobFile:
         path = tmp_path / "jobs.csv"
         path.write_text("id,arrival,due,exec,prep,pn,mem,storage,order_amount,relationship\n")
         assert len(load_jobs(path)) == 0
+
+    def test_header_over_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "jobs.csv"
+        path.write_text("id" * 100_000 + ",arrival\n")
+        with pytest.raises(ParseError) as err:
+            load_jobs(path)
+        assert (err.value.record, err.value.reason) == (0, "field larger than field limit (131072)")
 
     def test_infeasible_jobs_are_admitted(self, tmp_path):
         path = tmp_path / "jobs.csv"
