@@ -354,11 +354,14 @@ def _load_parsed(args: argparse.Namespace) -> ParsedConfig:
     return parsed
 
 
-def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
+def _write_report(out_dir: Path, report: SimReport, fmt: str, memo: dict | None = None) -> None:
     """Write report_<mode>.json, SimReport.to_json() one column at a time
-    (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>."""
+    (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>.
+    cmd_simulate passes both reports of a pair one memo, so that a column
+    whose values are the same objects in both (the ids, the times, the
+    technical scores and most others) is encoded once."""
     with _atomic_file(out_dir / f"report_{report.mode}.json") as fh:
-        fh.writelines(report.json_texts())
+        fh.writelines(report.json_texts(memo))
         fh.write("\n")
     _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
                  report.band_waits.items(), fmt)
@@ -456,8 +459,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_jobs = len(jobs)
     del jobs  # the writes need only the reports
     comparison = _comparison(native, resultant, parsed.sim.beta)
-    _write_report(out, native, args.format)
-    _write_report(out, resultant, args.format)
+    memo: dict = {}  # the column texts of the pair (_write_report)
+    _write_report(out, native, args.format, memo)
+    _write_report(out, resultant, args.format, memo)
+    del memo
     _write_atomic(out / "comparison.json",
                   json.dumps(comparison, sort_keys=True, indent=2) + "\n")
     print(f"simulated {n_jobs} jobs twice (native, resultant) -> {out}")

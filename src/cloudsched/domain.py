@@ -74,13 +74,15 @@ JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.pro
                "business.relationship")
 
 
-def validate_job(job: Job) -> ValidationResult:
+def validate_job(job: Job, blank_time: float = 0.0) -> ValidationResult:
     """Check a job's invariants.
 
     Returns invalid with a reason when any field constraint fails (every
-    numeric field must be finite), infeasible when the required work cannot
-    fit before the due time, ok otherwise. Infeasible jobs are still
-    admissible; they simply miss their deadline.
+    numeric field must be finite, and so must the start slack and the demand
+    weight that the prioritizer derives from them in float arithmetic, with
+    the config's blank_time), infeasible when the required work cannot fit
+    before the due time, ok otherwise. Infeasible jobs are still admissible;
+    they simply miss their deadline.
     """
     demand, business = job.demand, job.business
     values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.processors,
@@ -106,6 +108,13 @@ def validate_job(job: Job) -> ValidationResult:
         return ValidationResult(INVALID, "order_amount must be >= 0")
     if business.relationship < 0:
         return ValidationResult(INVALID, "relationship must be >= 0")
+    _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = map(float, values)
+    if not math.isfinite(due - exec_time - prep - blank_time):
+        return ValidationResult(
+            INVALID, "start slack (due_time - exec_time - prep_time - blank_time) must be finite")
+    if not math.isfinite(processors + memory + storage):
+        return ValidationResult(
+            INVALID, "demand weight (processors + memory + storage) must be finite")
     if job.exec_time + job.prep_time > job.due_time:
         return ValidationResult(INFEASIBLE, "exec_time + prep_time exceeds due_time")
     return _VALID
@@ -150,14 +159,19 @@ class JobSet(Sequence):
         self._prepared: list = []  # (prepare, config, result); a config need not be hashable
 
     @classmethod
-    def from_columns(cls, ids: list, values) -> JobSet:
+    def from_columns(cls, ids: list, values, columns: np.ndarray | None = None) -> JobSet:
         """The set of the given lists, which it keeps and does not copy: ids,
-        and one list per JOB_COLUMNS field, each as long as ids."""
+        and one list per JOB_COLUMNS field, each as long as ids. columns, when
+        given, is the float64 array np.array(values, dtype=float) would build,
+        which the set then keeps in its place."""
         values = tuple(values)
         if len(values) != len(JOB_COLUMNS) or any(len(v) != len(ids) for v in values):
             raise ValueError(f"expected {len(JOB_COLUMNS)} value lists of {len(ids)} values")
         job_set = cls()
         job_set.ids, job_set.values = ids, values
+        if columns is not None:
+            job_set._columns = columns
+            columns.flags.writeable = False
         return job_set
 
     def __len__(self) -> int:
@@ -206,14 +220,29 @@ class JobSet(Sequence):
         return result
 
 
-def valid_mask(columns: np.ndarray) -> np.ndarray:
-    """validate_job over a JobSet's columns: True where a job is not invalid.
+def start_and_weight(columns, blank_time: float = 0.0):
+    """The start slack (due - exec - prep - blank_time) and the demand weight
+    (processors + memory + storage) of each job of a JobSet's columns, as
+    float64 arrays: the operations of priority.compute_start_time and
+    priority.demand_weight in the same order, so equal bit for bit when the
+    job's values are floats. A result that overflows is +-inf, as Python's
+    float arithmetic gives it, and one of non-finite values may be NaN, both
+    without a warning."""
+    _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        return due - exec_time - prep - blank_time, processors + memory + storage
+
+
+def valid_mask(columns: np.ndarray, blank_time: float = 0.0) -> np.ndarray:
+    """validate_job(job, blank_time) over a JobSet's columns: True where a job
+    is not invalid.
 
     Each term negates the check validate_job makes, under the same rule that
-    every numeric field is finite.
+    every numeric field, the start slack and the demand weight are finite.
     """
     arrival, due, exec_time, prep, processors, memory, storage, order, relationship = columns
-    return (np.isfinite(columns).all(axis=0)
+    slack, weight = start_and_weight(columns, blank_time)
+    return (np.isfinite(columns).all(axis=0) & np.isfinite(slack) & np.isfinite(weight)
             & ~(arrival < 0) & ~(due <= 0) & ~(exec_time <= 0) & ~(prep < 0)
             & ~(processors < 1) & ~(memory <= 0) & ~(storage < 0)
             & ~(order < 0) & ~(relationship < 0))

@@ -14,6 +14,7 @@ from .domain import (
     PriorityRecord,
     ResourceDemand,
     SimConfig,
+    start_and_weight,
 )
 
 
@@ -143,16 +144,6 @@ def _clamp(x, lo, hi):
     """
     x = np.where(lo > x, lo, x)
     return np.where(hi < x, hi, x)
-
-
-def start_and_weight(columns, blank_time: float = 0.0):
-    """compute_start_time and demand_weight of each job of a JobSet's columns,
-    as float64 arrays: the same operations in the same order, so equal bit
-    for bit when the job's values are floats. A result that overflows is
-    +-inf, as Python's float arithmetic gives it, without a warning."""
-    _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = columns
-    with np.errstate(over="ignore"):
-        return due - exec_time - prep - blank_time, processors + memory + storage
 
 
 def technical_columns(columns, windows, cfg: SimConfig):

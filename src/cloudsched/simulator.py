@@ -17,6 +17,11 @@ each job's state in per-field lists indexed by the job's place in id order,
 and its SimReport holds the job records as columns, one list per JobRecord
 field. A report is written in schema 2 as those columns: compact JSON with
 sorted keys, one call to the C JSON encoder per column (SimReport.json_texts).
+The two reports of a pair hold most of their values as the same objects,
+from the shared inputs, so their writer passes both one memo of column texts:
+a column whose values are, one by one, the objects of a column already
+encoded reuses its text. Identity decides, not equality, as equal values can
+encode differently (0.0 and -0.0, 1 and 1.0) and identical ones cannot.
 """
 
 from __future__ import annotations
@@ -24,16 +29,24 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import JobSet, ResourceDemand, SimConfig, first_repeated, valid_mask, validate_job
+from .domain import (
+    JobSet,
+    ResourceDemand,
+    SimConfig,
+    first_repeated,
+    start_and_weight,
+    valid_mask,
+    validate_job,
+)
 from .priority import (
     resultant_columns,
     resultant_priority,
     service_level_satisfaction,
-    start_and_weight,
     technical_columns,
 )
 from .queueing import (
@@ -176,17 +189,32 @@ class SimReport:
                       class_sls=dict(values["class_sls"]))
         return cls(columns=columns, **values)
 
-    def json_texts(self):
+    def json_texts(self, memo: dict | None = None):
         """The to_json() text in pieces: the fields before "jobs", each job
         column's key and list, each list encoded by one call to the C encoder,
-        then the fields after "jobs"."""
+        then the fields after "jobs".
+
+        memo, when given, maps a column name to (column, text) of the last
+        column encoded under that name. A column whose values are, one by
+        one, the same objects as the memo's column takes its text; identity
+        and not ==, since equal values may encode differently (0.0 and -0.0,
+        1 and 1.0)."""
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
         sep = head[:-1] + ',"jobs":{'
         for name in _JOB_FIELDS:
             yield f'{sep}"{name}":'
-            yield _encode(self.columns[name])
+            column = self.columns[name]
+            known = None if memo is None else memo.get(name)
+            if (known is not None and len(known[0]) == len(column)
+                    and all(map(operator.is_, known[0], column))):
+                yield known[1]
+            else:
+                text = _encode(column)
+                if memo is not None:
+                    memo[name] = (column, text)
+                yield text
             sep = ","
         yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
@@ -285,36 +313,45 @@ class _Inputs:
         # The mask validates every job at once; only the jobs it rejects are
         # validated one by one, for their reasons.
         columns = jobs.columns
-        valid = valid_mask(columns)
+        valid = valid_mask(columns, config.blank_time)
         self.reasons = reasons = [None] * len(jobs)
         for i in np.flatnonzero(~valid).tolist():
-            reasons[i] = validate_job(jobs[i]).reason
+            reasons[i] = validate_job(jobs[i], config.blank_time).reason
         admitted = np.flatnonzero(valid).tolist()
         self.rejected = len(jobs) - len(admitted)
-        columns = columns[:, admitted]
+        if self.rejected:
+            columns = columns[:, admitted]
         windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
 
-        # by_id[k] is job k's place among the admitted, and order[k] in the job set.
+        # order[k] is job k's place in the job set. Int ids already in
+        # increasing order, as sample_jobs and generate's files give them,
+        # are in id order as they stand; otherwise by_id[k] is job k's place
+        # among the admitted.
         adm_ids = [ids[i] for i in admitted]
-        int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
-        other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
-        by_id = (sorted(int_ids, key=adm_ids.__getitem__)
-                 + sorted(other_ids, key=lambda p: str(adm_ids[p])))
-        self.order = order = [admitted[p] for p in by_id]
-        self.ids = [ids[i] for i in order]
-        by_id = np.array(by_id, dtype=np.intp)
-        columns = columns[:, by_id]
-        self.t_start, self.weight, self.tp, self.bp = technical_columns(
-            columns, [stat[by_id] for stat in windows], config)
+        if set(map(type, adm_ids)) == {int} and all(map(operator.lt, adm_ids, adm_ids[1:])):
+            self.order, self.ids = admitted, adm_ids
+        else:
+            int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
+            other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
+            by_id = (sorted(int_ids, key=adm_ids.__getitem__)
+                     + sorted(other_ids, key=lambda p: str(adm_ids[p])))
+            self.order = [admitted[p] for p in by_id]
+            self.ids = [ids[i] for i in self.order]
+            by_id = np.array(by_id, dtype=np.intp)
+            columns = columns[:, by_id]
+            windows = [stat[by_id] for stat in windows]
+        order = self.order
+        self.t_start, self.weight, self.tp, self.bp = technical_columns(columns, windows, config)
         # Rows 4:7 are the processors, memory and storage.
         self.fits, self.demand = _cheapest_fits(config.catalog, jobs, order, columns[4:7])
 
         # The report row of each job: its k, or row m_jobs, that of the rejected
         # jobs; None when each job's row is its place in the job set.
-        row = [len(order)] * len(jobs)
-        for k, i in enumerate(order):
-            row[i] = k
-        self.row = None if order == list(range(len(jobs))) else row
+        self.row = None
+        if order != list(range(len(jobs))):
+            self.row = row = [len(order)] * len(jobs)
+            for k, i in enumerate(order):
+                row[i] = k
         arrival_values, due_values, exec_values = jobs.values[:3]
         self.arrival = arrival = list(map(arrival_values.__getitem__, order))
         self.exec_time = exec_time = list(map(exec_values.__getitem__, order))

@@ -132,7 +132,8 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
     Returns a JobSet whose ids are 0.. in the order of arrivals. Its value
     lists are filled from the draws; each demand value is the catalog entry's
     own, picked by shape index, so an int in the catalog (the default
-    catalog's disk) stays an int.
+    catalog's disk) stays an int. Its float64 columns are built from the same
+    draws, not from the lists.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
@@ -148,7 +149,8 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
         probs = w / w.sum()
     else:
         probs = None
-    shapes = rng_demand.choice(len(cfg.catalog), size=n, p=probs).tolist()
+    shape_index = rng_demand.choice(len(cfg.catalog), size=n, p=probs)
+    shapes = shape_index.tolist()
 
     rng_business = _stream(cfg.seed, "business")
     orders = rng_business.uniform(spec.order_range[0], spec.order_range[1], n)
@@ -157,10 +159,14 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
 
     demands = [[getattr(entry, name) for entry in cfg.catalog]
                for name in ("cores", "ram", "disk")]
+    # The set's float64 columns: the draws, and the catalog's values as floats.
+    columns = np.array([arrivals, due, exec_times, prep,
+                        *(np.array(values, dtype=float)[shape_index] for values in demands),
+                        orders, relationships])
     return JobSet.from_columns(list(range(n)), (
         arrivals.tolist(), due.tolist(), exec_times.tolist(), prep.tolist(),
         *(list(map(values.__getitem__, shapes)) for values in demands),
-        orders.tolist(), relationships.tolist()))
+        orders.tolist(), relationships.tolist()), columns)
 
 
 JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage",

@@ -442,6 +442,124 @@ class TestStreamedWriter:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+# The columns whose values depend only on the jobs and the config, not on the
+# mode: a pair's two reports hold the same objects in them.
+MODE_FREE_COLUMNS = ("job_id", "arrival", "due", "t_start", "demand_weight", "tp_score",
+                     "bp_score")
+
+
+def _spy_encode(monkeypatch) -> list:
+    """The values simulator._encode is called with from now on, in order."""
+    encoded = []
+    encode = simulator._encode
+
+    def spy(value):
+        encoded.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(simulator, "_encode", spy)
+    return encoded
+
+
+def _spy_runs(monkeypatch) -> list:
+    """The reports cli.run returns from now on, in order."""
+    reports = []
+    real_run = cli.run
+
+    def spy(config, jobs, mode="resultant"):
+        reports.append(real_run(config, jobs, mode=mode))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    return reports
+
+
+class TestPairedWrite:
+    """simulate writes the two reports of a pair with one memo (_write_report):
+    a column whose values are the same objects in both is encoded once, and
+    each file is still that report's own to_json() and a newline."""
+
+    @staticmethod
+    def _write_pair(out: Path, native: SimReport, resultant: SimReport) -> dict:
+        memo: dict = {}
+        for report in (native, resultant):
+            cli._write_report(out, report, "csv", memo)
+        return memo
+
+    @staticmethod
+    def _assert_files_are_to_json(out: Path, reports) -> None:
+        for report in reports:
+            assert (out / f"report_{report.mode}.json").read_text() == report.to_json() + "\n"
+
+    def test_equal_values_of_other_objects_are_encoded_again(self, tmp_path, monkeypatch):
+        # 0.0 == -0.0 and 1 == 1.0, but they encode differently; two NaNs
+        # encode alike, but are other objects. Every other column of the
+        # resultant report is a new list of the native report's objects.
+        nan = math.nan
+        native = {name: [None] * 3 for name in JOB_FIELDS}
+        native.update(job_id=[1, "a", 2], arrival=[0.0, 1, nan], wait=[-0.0, 2, 0.5],
+                      status=["completed", "rejected", "pending"])
+        resultant = {name: list(column) for name, column in native.items()}
+        resultant.update(arrival=[-0.0, 1.0, float("nan")], wait=[0.0, 2.0, 0.5])
+        assert resultant["arrival"][:2] == native["arrival"][:2]
+        assert resultant["wait"] == native["wait"]
+        reports = [SimReport(mode=mode, seed=1, columns=columns)
+                   for mode, columns in zip(MODES, (native, resultant))]
+        assert '"arrival":[-0.0,1.0,NaN]' in reports[1].to_json()
+        assert '"wait":[0.0,2.0,0.5]' in reports[1].to_json()
+        encoded = _spy_encode(monkeypatch)
+        self._write_pair(tmp_path, *reports)
+        again = [value for value in encoded
+                 if any(value is column for column in reports[1].columns.values())]
+        assert again == [resultant["arrival"], resultant["wait"]]
+        self._assert_files_are_to_json(tmp_path, reports)
+
+    def test_pair_with_str_ids_rejected_rows_and_an_unstable_stop(self, tmp_path):
+        # Five jobs at t=0 on one VM with a queue of two: both runs stop
+        # unstable with jobs pending. Job 10 is rejected.
+        config = SimConfig(num_tasks=1, num_vms=1, class_rates=(0.5, 0.5), max_queue_length=2,
+                           max_retries=3, allocation_bands=((1, 100, 0.5),), seed=3)
+        jobs = [Job(job_id, 0.0, 700.0, 0.0 if job_id == 10 else 650.0, 5.0,
+                    ResourceDemand(1, 1.5, 100.0), BusinessProfile(100.0 * n, 0.0))
+                for n, job_id in enumerate(["b", 10, "a", 2, 7])]
+        job_set = simulator.JobSet(jobs)
+        native, resultant = (run(config, job_set, mode=mode) for mode in MODES)
+        assert native.unstable and native.rejected == 1
+        assert {"pending", "rejected"} <= set(native.columns["status"])
+        memo = self._write_pair(tmp_path, native, resultant)
+        self._assert_files_are_to_json(tmp_path, (native, resultant))
+        # The resultant report reused the native report's texts of these.
+        for name in MODE_FREE_COLUMNS:
+            assert memo[name][0] is native.columns[name]
+            assert memo[name][0] is not resultant.columns[name]
+
+    def test_simulate_encodes_each_mode_free_column_once(self, tmp_path, monkeypatch):
+        reports = _spy_runs(monkeypatch)
+        encoded = _spy_encode(monkeypatch)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, CONFIG),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        native, resultant = reports
+
+        def times_encoded(name):
+            return sum(value is native.columns[name] or value is resultant.columns[name]
+                       for value in encoded)
+
+        assert {name: times_encoded(name) for name in MODE_FREE_COLUMNS} == dict.fromkeys(
+            MODE_FREE_COLUMNS, 1)
+        assert times_encoded("resultant") == 2  # boosted scores differ by mode
+        self._assert_files_are_to_json(out, reports)
+
+    def test_simulate_runs_each_mode_once(self, tmp_path, monkeypatch):
+        # perfbench times the engine by wrapping cli.run: one call per mode.
+        reports = _spy_runs(monkeypatch)
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, CONFIG),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_OK
+        assert sorted(report.mode for report in reports) == list(MODES)
+
+
 def _config_file(tmp_path, config) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -700,6 +818,12 @@ class TestSimulateJobFile:
         # A processor count that no float can hold.
         (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
          "record 2: field 'pn': integer too large for a float"),
+        # Fields that pass every check, but whose start slack or demand
+        # weight overflows to a float infinity.
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,1e308,1e308,1,1.7,160,100,5"],
+         "record 2: start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
+        (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,5,1,1e308,1e308,100,5"],
+         "record 2: demand weight (processors + memory + storage) must be finite"),
         # A field over the csv module's size limit (131072 characters).
         (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
          "record 2: field larger than field limit (131072)"),

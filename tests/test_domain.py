@@ -12,12 +12,14 @@ from cloudsched.domain import (
     OK,
     BusinessProfile,
     Job,
+    JobSet,
     ResourceCatalogEntry,
     ResourceDemand,
     SimConfig,
     ValidationResult,
     default_catalog,
     jsonable,
+    valid_mask,
     validate_job,
 )
 from cloudsched.priority import WindowStats, build_record
@@ -91,6 +93,22 @@ class TestValidateJob:
         else:
             job = replace(job, **{field: value})
         assert validate_job(job) == ValidationResult(INVALID, f"{field} must be finite")
+
+    @pytest.mark.parametrize("job,blank_time,reason", [
+        (make_job(exec_time=1e308, prep=1e308), 0.0,
+         "start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
+        # Finite without the blank time, -inf with it.
+        (make_job(due=1.0, exec_time=1.7e308, prep=0.0), 1.7e308,
+         "start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
+        (make_job(demand=ResourceDemand(1, 1e308, 1e308)), 0.0,
+         "demand weight (processors + memory + storage) must be finite"),
+    ])
+    def test_overflowing_slack_or_weight_is_invalid(self, job, blank_time, reason):
+        assert validate_job(job, blank_time) == ValidationResult(INVALID, reason)
+        assert validate_job(job, 0.0).status == (INVALID if blank_time == 0.0 else INFEASIBLE)
+        # Like every column pass, valid_mask agrees with validate_job.
+        jobs = JobSet([make_job(), job])
+        assert valid_mask(jobs.columns, blank_time).tolist() == [True, False]
 
     def test_negative_arrival_is_invalid(self):
         assert validate_job(make_job(arrival=-0.5)) == ValidationResult(

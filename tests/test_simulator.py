@@ -240,9 +240,9 @@ class TestRunContract:
             windowed.append(columns.copy())
             return real_windows(columns, *args)
 
-        def validate(job):
+        def validate(job, *args):
             validated.append(job.id)
-            return real_validate(job)
+            return real_validate(job, *args)
 
         monkeypatch.setattr(simulator, "window_stats_by_epoch", windows)
         monkeypatch.setattr(simulator, "validate_job", validate)
@@ -700,6 +700,11 @@ NAN_WEIGHT_JOBS = [
     make_job(job_id=2, arrival=61.0),
     make_job(job_id=3, arrival=62.0, demand=ResourceDemand(math.nan, 1.0, 1.0)),
 ]
+# Valid fields whose start slack (job 1) or demand weight (job 2) overflows to
+# inf: both validators reject them, so the priority columns never see an
+# infinity, and with it the invalid-value warning of inf / inf.
+OVERFLOW_JOBS = [make_job(job_id=0), make_job(job_id=1, exec_time=1e308, prep=1e308),
+                 make_job(job_id=2, demand=ResourceDemand(1, 1e308, 1e308))]
 # Arrivals whose epoch number, arrival // 0.1, overflows to inf: jobs 1 and 2
 # share the epoch inf, as they do under Python's //.
 HUGE_ARRIVAL_JOBS = [make_job(job_id=0, arrival=0.0), make_job(job_id=1, arrival=1e308),
@@ -711,12 +716,14 @@ class TestColumnPass:
 
     @given(case=_cases())
     @example(case=(60.0, NAN_WEIGHT_JOBS))
+    @example(case=(60.0, OVERFLOW_JOBS))
     def test_mask_agrees_with_validate_job(self, case):
         _length, jobs = case
         assert valid_mask(JobSet(jobs).columns).tolist() == [
             validate_job(job).status != INVALID for job in jobs]
 
     @given(case=_cases(st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, -1])))
+    @example(case=(60.0, OVERFLOW_JOBS))
     def test_run_rejects_what_validate_job_rejects_with_its_reason(self, case):
         epoch_length, jobs = case
         catalog = (ResourceCatalogEntry("huge", 8, 1, 1e6, 64, 1e6, 1.0),)

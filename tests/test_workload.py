@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cloudsched.domain import OK, BusinessProfile, Job, ResourceDemand, SimConfig, validate_job
+from cloudsched.domain import (
+    OK,
+    BusinessProfile,
+    Job,
+    ResourceCatalogEntry,
+    ResourceDemand,
+    SimConfig,
+    validate_job,
+)
 from cloudsched.priority import business_priority
 from cloudsched.workload import (
     Distribution,
@@ -112,6 +120,20 @@ class TestSampleJobs:
 
     def test_determinism(self):
         assert jobs_of(num_tasks=100) == jobs_of(num_tasks=100)
+
+    def test_columns_are_the_value_lists_as_floats(self):
+        # sample_jobs builds the set's float64 columns from its draws: bit for
+        # bit the array of its value lists, with the catalog's ints (one of
+        # them with no exact float) converted as float() converts them.
+        catalog = (ResourceCatalogEntry("a", 2**53 + 1, 1, 10**20, 64, 3, 0.5),
+                   ResourceCatalogEntry("b", 2, 1, 1.7, 32, 160.0, 0.1))
+        cfg = replace(config(num_tasks=300), catalog=catalog)
+        spec = replace(WorkloadSpec.fixed(cfg), due_dist=Distribution("uniform", (660.0, 3600.0)),
+                       exec_dist=Distribution("exponential", (650.0,)))
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        assert {type(v) for v in jobs.values[4]} == {int}
+        assert jobs.columns.dtype == np.float64 and not jobs.columns.flags.writeable
+        assert jobs.columns.tobytes() == np.array(jobs.values, dtype=float).tobytes()
 
     def test_fixed_spec_takes_the_config_timing(self):
         spec = WorkloadSpec.fixed(SimConfig(due_time=800.0, exec_time=600.0, prep_time=2.0))
