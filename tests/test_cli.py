@@ -818,15 +818,15 @@ class TestSimulateJobFile:
         # A processor count that no float can hold.
         (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,0.0,700,650,5,{'9' * 400},1.7,160,100,5"],
          "record 2: field 'pn': integer too large for a float"),
+        # A field over the csv module's size limit (131072 characters).
+        (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
+         "record 2: field larger than field limit (131072)"),
         # Fields that pass every check, but whose start slack or demand
         # weight overflows to a float infinity.
         (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,1e308,1e308,1,1.7,160,100,5"],
          "record 2: start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
         (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,5,1,1e308,1e308,100,5"],
          "record 2: demand weight (processors + memory + storage) must be finite"),
-        # A field over the csv module's size limit (131072 characters).
-        (["0,0.0,700,650,5,1,1.7,160,100,5", f"1,{'9' * 200_000},700,650,5,1,1.7,160,100,5"],
-         "record 2: field larger than field limit (131072)"),
     ])
     def test_bad_job_file_exits_2(self, tmp_path, capsys, rows, message):
         jobs = tmp_path / "jobs.csv"
