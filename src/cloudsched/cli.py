@@ -8,8 +8,9 @@ to a .tmp file that replaces the output when complete, and is removed if
 writing fails. simulate writes report_<mode>.json (SimReport.to_json() in
 schema 2 and a newline) and bands_<mode>.<fmt> for each mode, and
 comparison.json. export writes the job table of a report, jobs_<mode>.<fmt>,
-one row per job. Every table is written by one writer, _write_table, with
-csv.writer or json.dumps. No command builds a JobRecord.
+one row per job. Every table is written by one writer, _write_table, as
+csv.writer writes it or as json.dumps(..., indent=2) does. No command builds a
+JobRecord.
 load_report reads a report of schema 2 or 1 back.
 """
 
@@ -33,6 +34,7 @@ from .simulator import (
     compare_analytic,
     replication_bundle,
     run,
+    value_texts,
 )
 from .workload import (
     Distribution,
@@ -311,10 +313,24 @@ def _write_atomic(path: Path, text: str) -> None:
             fh.write(text[i:i + _WRITE_SLICE])
 
 
+def _json_table(header, rows) -> str:
+    """json.dumps([dict(zip(header, row)) for row in rows], indent=2) for
+    rows of scalars under distinct header names, from the C encoder: each
+    column's value texts come from one call (value_texts) and fill a row
+    template. json.dumps with an indent uses the pure-Python encoder."""
+    columns = list(zip(*rows))
+    if not columns:
+        return "[]"
+    keys = (json.dumps(name).replace("%", "%%") + ": %s" for name in header)
+    template = "  {\n    " + ",\n    ".join(keys) + "\n  }"
+    cells = zip(*map(value_texts, columns))
+    return "[\n" + ",\n".join(map(template.__mod__, cells)) + "\n]"
+
+
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     """Write <name>.<fmt>: the header and rows as csv.writer writes them, or
     json.dumps([dict(zip(header, row)) for row in rows], indent=2) and a
-    newline."""
+    newline (_json_table)."""
     path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
         with _atomic_file(path) as fh:
@@ -322,8 +338,7 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
             writer.writerow(header)
             writer.writerows(rows)
     else:
-        _write_atomic(path, json.dumps([dict(zip(header, row)) for row in rows], indent=2)
-                      + "\n")
+        _write_atomic(path, _json_table(header, rows) + "\n")
     return path
 
 

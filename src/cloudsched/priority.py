@@ -4,6 +4,7 @@ weights, normalizers, business cap, blank time) are read from SimConfig."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,20 @@ def technical_priority(job: Job, window: WindowStats, cfg: SimConfig) -> int:
 
     Urgency is 1 for the earliest start slack in the window and 0 for the
     latest (1 when the window has no spread); demand is normalized against the
-    window's maximum. The weighted blend is scaled to 100 and rounded.
+    window's maximum. The weighted blend is scaled to 100 and rounded. Where
+    the window's spread overflows to inf, urgency is computed from the halves
+    of its slacks and the job's.
     """
     if window.count < 1:
         raise EmptyWindowError("window must contain at least one job")
     t_start = compute_start_time(job, cfg.blank_time)
-    spread = window.t_start_max - window.t_start_min
+    t_min, t_max = window.t_start_min, window.t_start_max
+    if math.isinf(t_max - t_min):
+        # A spread of finite slacks that overflows: u from their halves.
+        t_min, t_max, t_start = t_min * 0.5, t_max * 0.5, t_start * 0.5
+    spread = t_max - t_min
     if spread > 0:
-        u = (window.t_start_max - t_start) / spread
+        u = (t_max - t_start) / spread
     else:
         u = 1.0
     u = min(max(u, 0.0), 1.0)
@@ -162,9 +169,14 @@ def technical_columns(columns, windows, cfg: SimConfig):
     t_start, weight = start_and_weight(columns, cfg.blank_time)
     order, relationship = columns[7], columns[8]
     t_min, t_max, weight_max = windows
+    # Where the spread overflows, the slacks are halved, as technical_priority
+    # halves them; times 1.0 elsewhere, which changes no bit.
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isinf(t_max - t_min), 0.5, 1.0)
+    t_min, t_max, scaled_start = t_min * scale, t_max * scale, t_start * scale
     spread = t_max - t_min
     has_spread, has_weight = spread > 0, weight_max > 0
-    u = np.where(has_spread, (t_max - t_start) / np.where(has_spread, spread, 1.0), 1.0)
+    u = np.where(has_spread, (t_max - scaled_start) / np.where(has_spread, spread, 1.0), 1.0)
     v = np.where(has_weight, weight / np.where(has_weight, weight_max, 1.0), 1.0)
     score = np.rint(100.0 * (cfg.w_urgency * _clamp(u, 0.0, 1.0)
                              + cfg.w_demand * _clamp(v, 0.0, 1.0)))

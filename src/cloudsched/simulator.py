@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field, fields
@@ -128,6 +129,86 @@ _VALUE_TYPES = {name: frozenset().union(*map(_ANNOTATED_TYPES.get, tp.split(" | 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# The order in which a memo encodes a report's job columns: arrival first, so
+# that ack and start can take their rows from its text.
+_ENCODE_ORDER = ("arrival", *(name for name in _JOB_FIELDS if name != "arrival"))
+# The rows a reused column probes before it compares them all.
+_PROBES = 16
+
+
+def _row_texts(text: str, n: int) -> list | None:
+    """The n row texts of the JSON text of a list of n scalars, split at its
+    commas, or None when a row text holds a comma (a str, say), which gives
+    more parts than rows."""
+    rows = text[1:-1].split(",")
+    return rows if len(rows) == n else None
+
+
+def value_texts(values) -> list:
+    """The JSON text of each of values, a list or tuple of scalars, as _encode
+    writes it: one _encode call split at its commas, or one call per value
+    when a value's text holds a comma."""
+    texts = _row_texts(_encode(values), len(values))
+    return list(map(_encode, values)) if texts is None else texts
+
+
+def _reused_text(column: list, known: list, text: str) -> str | None:
+    """The JSON text of column from text, that of the column known: text
+    itself when each row of column holds the same object as known's; or,
+    when at most half the rows hold other objects and the probed rows hold
+    floats, text's row texts with those rows encoded in one call. Rows match
+    by identity, not ==, since equal values may encode differently (0.0 and
+    -0.0, 1 and 1.0). None otherwise, or when a row text holds a comma.
+
+    A few spread rows are probed first, so a column that shares little with
+    known costs little. Splitting and joining the row texts costs about as
+    much as encoding ints or bools again, so only a float column, whose
+    values are the slow ones to encode, takes rows from another."""
+    n = len(column)
+    if len(known) != n:
+        return None
+    step = n // _PROBES or 1
+    probed = column[::step]
+    if 2 * sum(map(operator.is_, probed, known[::step])) < len(probed):
+        return None
+    if all(map(operator.is_, column, known)):
+        return text
+    if float not in set(map(type, probed)):
+        return None
+    differ = list(itertools.compress(range(n), map(operator.is_not, column, known)))
+    if 2 * len(differ) > n:
+        return None
+    rows = _row_texts(text, n)
+    if rows is None:
+        return None
+    new = _row_texts(_encode([column[i] for i in differ]), len(differ))
+    if new is None:
+        return None
+    for i, row in zip(differ, new):
+        rows[i] = row
+    return f"[{','.join(rows)}]"
+
+
+def _paired_text(name: str, column: list, memo: dict) -> str:
+    """The JSON text of a report's job column name, reusing the texts in memo
+    (SimReport.json_texts): the rows of the memo's column of the same name,
+    or else of arrival, where enough of them are the same objects
+    (_reused_text); otherwise one _encode call. memo then holds column and
+    its text under name, unless it held a column with the same objects
+    already."""
+    own = memo.get(name)
+    for ref in dict.fromkeys((name, "arrival")):
+        known = memo.get(ref)
+        text = None if known is None else _reused_text(column, *known)
+        if text is not None:
+            break
+    else:
+        text = _encode(column)
+    if own is None or text is not own[1]:
+        memo[name] = (column, text)
+    return text
+
+
 @dataclass(frozen=True)
 class SimReport:
     """Per-run metrics: job records, band waits, class satisfaction, totals.
@@ -191,30 +272,26 @@ class SimReport:
 
     def json_texts(self, memo: dict | None = None):
         """The to_json() text in pieces: the fields before "jobs", each job
-        column's key and list, each list encoded by one call to the C encoder,
-        then the fields after "jobs".
+        column's key and list, then the fields after "jobs". Without a memo,
+        each list is encoded by one call to the C encoder.
 
         memo, when given, maps a column name to (column, text) of the last
-        column encoded under that name. A column whose values are, one by
-        one, the same objects as the memo's column takes its text; identity
-        and not ==, since equal values may encode differently (0.0 and -0.0,
-        1 and 1.0)."""
+        column encoded under that name, and this report's columns are
+        encoded against it (_paired_text), arrival first, since ack and
+        start take their rows from it; the pieces still come in key order."""
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
+        columns = self.columns
+        if memo is None:
+            texts = map(_encode, map(columns.__getitem__, _JOB_FIELDS))
+        else:
+            paired = {name: _paired_text(name, columns[name], memo) for name in _ENCODE_ORDER}
+            texts = map(paired.__getitem__, _JOB_FIELDS)
         sep = head[:-1] + ',"jobs":{'
-        for name in _JOB_FIELDS:
+        for name, text in zip(_JOB_FIELDS, texts):
             yield f'{sep}"{name}":'
-            column = self.columns[name]
-            known = None if memo is None else memo.get(name)
-            if (known is not None and len(known[0]) == len(column)
-                    and all(map(operator.is_, known[0], column))):
-                yield known[1]
-            else:
-                text = _encode(column)
-                if memo is not None:
-                    memo[name] = (column, text)
-                yield text
+            yield text
             sep = ","
         yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
@@ -224,6 +301,10 @@ class SimReport:
         `cloudsched simulate` writes the same text piece by piece (json_texts)
         and a newline."""
         return "".join(self.json_texts())
+
+
+# The jobs whose later allocation draws are built together (_Inputs.draw).
+_DRAW_RUN = 64
 
 
 def _uniforms(seed: int, count: int, counter=None) -> np.ndarray:
@@ -298,8 +379,8 @@ class _Inputs:
     """
 
     __slots__ = ("reasons", "rejected", "row", "order", "ids", "demand", "fits", "arrival",
-                 "exec_time", "deadline", "instance", "cost", "arrivals", "t_start", "weight",
-                 "tp", "bp", "seed", "_first", "_blocks")
+                 "exec_time", "deadline", "instance", "cost", "arrivals", "finish", "t_start",
+                 "weight", "tp", "bp", "seed", "_first", "_blocks")
 
     def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
@@ -362,20 +443,30 @@ class _Inputs:
                      for e, fit in zip(exec_time, self.fits)]
         # The k in arrival order, ties by k.
         self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
+        # finish[k] is arrival[k] + exec_time[k], filled by the first run that
+        # starts job k at its arrival, for every run that does.
+        self.finish = [None] * len(order)
 
     def draw(self, i: int, d: int) -> float:
         """Draw d of the set's job i (see run()). The first draw builds draws
-        0..3 of every job in one Philox call, row i for job i; each later
-        block of four is built once, when a job first reaches it."""
+        0..3 of every job in one Philox call, row i for job i. Later blocks
+        of four are built a run of _DRAW_RUN jobs at a time, jobs
+        r * _DRAW_RUN.. of run r: block l of a run is built in one Philox call
+        when a job of the run first reaches it, as Philox steps the low
+        counter word, the job's, from one block to the next."""
         if d < 4:
             if self._first is None:
                 n = len(self.reasons)
                 self._first = _uniforms(self.seed, 4 * n).reshape(n, 4)
             return self._first[i, d]
-        block = self._blocks.get((i, d >> 2))
+        run, place = divmod(i, _DRAW_RUN)
+        block = self._blocks.get((run, d >> 2))
         if block is None:
-            block = self._blocks[i, d >> 2] = _uniforms(self.seed, 4, [i, d >> 2, 0, 0])
-        return block[d & 3]
+            first = i - place
+            count = min(_DRAW_RUN, len(self.reasons) - first)
+            block = self._blocks[run, d >> 2] = _uniforms(self.seed, 4 * count,
+                                                          [first, d >> 2, 0, 0])
+        return block[4 * place + (d & 3)]
 
 
 def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
@@ -428,8 +519,9 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not isinstance(jobs, JobSet):
         jobs = JobSet(jobs)
     inputs = jobs.prepared(config, _Inputs)
-    order, ids, demand, fits, arrival, exec_time = (
-        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time)
+    order, ids, demand, fits, arrival, exec_time, finish = (
+        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time,
+        inputs.finish)
     m_jobs = len(order)
     resultant, rank = resultant_columns(inputs.tp, inputs.bp, config,
                                         apply_business=mode == "resultant")
@@ -521,7 +613,15 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                         in_queue -= 1
                         in_service += 1
                         start[k] = now
-                        heappush(heap, (now + exec_time[k], COMPLETION, k))
+                        if now is arrival[k]:
+                            # Both runs of a pair complete such a job at one
+                            # float object, which the writer can reuse.
+                            end = finish[k]
+                            if end is None:
+                                end = finish[k] = now + exec_time[k]
+                        else:
+                            end = now + exec_time[k]
+                        heappush(heap, (end, COMPLETION, k))
                         continue
                     retries[k] += 1
                     if retries[k] > max_retries:

@@ -448,6 +448,52 @@ MODE_FREE_COLUMNS = ("job_id", "arrival", "due", "t_start", "demand_weight", "tp
                      "bp_score")
 
 
+# Row values for report pairs: equal ones that encode differently (0.0 and
+# -0.0; 1, 1.0 and True), a float with a 17-digit text, an int no float
+# holds, a str with a comma, and "nan", which stands for a new NaN object
+# each time it is drawn.
+_PAIR_VALUES = st.sampled_from((0.0, -0.0, 1, 1.0, True, False, None, 0.1 + 0.2, 2**70,
+                                "a,b", "nan")) | st.floats()
+# Where a row of a column of a pair takes its object from: the column it is
+# built on ("known", weighted up so that most columns share most rows), the
+# arrival objects, a new object equal to the known one, or a new value.
+_ROW_SOURCES = st.sampled_from(("known",) * 4 + ("arrival", "equal", "new"))
+
+
+def _equal_object(value):
+    """A new object equal to value (or, for NaN, as NaN), where its type makes
+    one; value itself for None, bools and strs, and small ints are cached."""
+    if type(value) in (float, int):
+        return type(value)(repr(value))
+    return value
+
+
+@st.composite
+def report_pairs(draw):
+    """A native and a resultant report of the same length whose columns
+    share random subsets of row objects: each native column is built on
+    the native arrival objects, each resultant column on the native column
+    of its name. The values are of any type in any column, so a float
+    field may hold a str with a comma."""
+    n = draw(st.integers(0, 40))
+
+    def value():
+        v = draw(_PAIR_VALUES)
+        return math.nan * 1.0 if v == "nan" else v
+
+    def column(known, arrival):
+        sources = draw(st.lists(_ROW_SOURCES, min_size=n, max_size=n))
+        return [known[i] if source == "known" else arrival[i] if source == "arrival"
+                else _equal_object(known[i]) if source == "equal" else value()
+                for i, source in enumerate(sources)]
+
+    arrival = [value() for _ in range(n)]
+    native = {name: column(arrival, arrival) for name in JOB_FIELDS}
+    resultant = {name: column(native[name], native["arrival"]) for name in JOB_FIELDS}
+    return [SimReport(mode=mode, seed=1, columns=columns)
+            for mode, columns in zip(MODES, (native, resultant))]
+
+
 def _spy_encode(monkeypatch) -> list:
     """The values simulator._encode is called with from now on, in order."""
     encoded = []
@@ -514,6 +560,13 @@ class TestPairedWrite:
         assert again == [resultant["arrival"], resultant["wait"]]
         self._assert_files_are_to_json(tmp_path, reports)
 
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reports=report_pairs())
+    def test_pairs_that_share_row_objects_write_each_to_json(self, tmp_path, reports):
+        self._write_pair(tmp_path, *reports)
+        self._assert_files_are_to_json(tmp_path, reports)
+
     def test_pair_with_str_ids_rejected_rows_and_an_unstable_stop(self, tmp_path):
         # Five jobs at t=0 on one VM with a queue of two: both runs stop
         # unstable with jobs pending. Job 10 is rejected.
@@ -549,6 +602,44 @@ class TestPairedWrite:
         assert {name: times_encoded(name) for name in MODE_FREE_COLUMNS} == dict.fromkeys(
             MODE_FREE_COLUMNS, 1)
         assert times_encoded("resultant") == 2  # boosted scores differ by mode
+        self._assert_files_are_to_json(out, reports)
+
+    def test_simulate_encodes_only_the_rows_a_pair_does_not_share(self, tmp_path,
+                                                                   monkeypatch):
+        # 150 jobs on 130 VMs, each admitted at its first attempt: the first
+        # 130 start at their arrival in both runs, and the others wait for a
+        # completion, in an order that depends on the mode.
+        config = {"simulation": {"num_tasks": 150, "num_vms": 130, "seed": 4},
+                  "allocation_bands": [[1, 100, 1.0]]}
+        reports = _spy_runs(monkeypatch)
+        encoded = _spy_encode(monkeypatch)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, config),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        native, resultant = reports
+
+        def rows_not_in(report, name, known):
+            return [v for v, k in zip(report.columns[name], known) if v is not k]
+
+        # ack holds the arrival objects, and so does the native start, except
+        # in the rows of the jobs that waited; the resultant start and
+        # completion hold the native objects except in some of those rows.
+        assert native.columns["ack"] == native.columns["arrival"]
+        expected = [rows_not_in(native, "start", native.columns["arrival"]),
+                    rows_not_in(resultant, "completion", native.columns["completion"]),
+                    rows_not_in(resultant, "start", native.columns["start"])]
+        assert [len(rows) for rows in expected] == [20, 20, 11]
+        whole = [value for value in encoded
+                 if any(value is column for report in reports
+                        for column in report.columns.values())]
+        parts = [value for value in encoded
+                 if isinstance(value, list) and not any(value is w for w in whole)]
+        assert [list(map(id, rows)) for rows in parts] == [
+            list(map(id, rows)) for rows in expected]
+        shared = [native.columns["ack"], native.columns["start"], resultant.columns["ack"],
+                  resultant.columns["start"], resultant.columns["completion"]]
+        assert not any(value is column for value in whole for column in shared)
         self._assert_files_are_to_json(out, reports)
 
     def test_simulate_runs_each_mode_once(self, tmp_path, monkeypatch):
@@ -834,6 +925,19 @@ class TestSimulateJobFile:
         rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_start_slack_spread_that_overflows_is_scored(self, tmp_path):
+        # Both jobs pass validation, but their start slacks, about 1.7e308 and
+        # -1.7e308, are one epoch apart by more than a float holds.
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text(JOB_FILE_HEADER + "0,0.0,1.7e308,1,5,1,1.7,160,100,5\n"
+                        "1,0.0,1,1.7e308,5,1,1.7,160,100,5\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--jobs", str(jobs), "--out", str(out)]) == cli.EXIT_OK
+        report = cli.load_report(out / "report_native.json")
+        # The latest slack has urgency 0, the earliest urgency 1.
+        assert report.columns["tp_score"] == [30, 100]
+        assert report.columns["status"] == ["completed", "completed"]
 
     def test_unsatisfiable_demand_exits_2_naming_the_job(self, tmp_path, capsys):
         # No catalog entry has 100 processors; the run stops at the job's

@@ -270,6 +270,13 @@ CORNER_JOBS = [
     _priority_job(6, 3, 0.0, 700.0, 650.0, 5.0, ResourceDemand(1, 4.0, 20.0), 0.0, 0.0),
     _priority_job(7, 3, 1.0, 900.0, 650.0, 5.0, ResourceDemand(1, 9.0, 90.0), 0.0, 0.0),
 ]
+# One epoch whose finite start slacks, about 1.7e308 and -1.7e308, have a
+# spread that overflows to inf.
+SPREAD_OVERFLOW_JOBS = [
+    _priority_job(0, 0, 0.0, 1.7e308, 1.0, 5.0, SMALL, 0.0, 0.0),
+    _priority_job(1, 0, 1.0, 1.0, 1.7e308, 5.0, SMALL, 50.0, 0.0),
+    _priority_job(2, 0, 2.0, 700.0, 650.0, 5.0, SMALL, 0.0, 0.0),
+]
 CORNER_CFGS = {
     "half_step": _priority_cfg(beta=20.0),
     "tp_half_step": _priority_cfg(w_urgency=0.5),
@@ -315,6 +322,7 @@ class TestPriorityColumns:
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["negative_norms"], apply_business=True)
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["half_step"], apply_business=False)
     @example(jobs=CORNER_JOBS, cfg=CORNER_CFGS["tp_half_step"], apply_business=False)
+    @example(jobs=SPREAD_OVERFLOW_JOBS, cfg=CORNER_CFGS["half_step"], apply_business=True)
     def test_columns_equal_build_record(self, jobs, cfg, apply_business):
         windows = _window_of_each(jobs, cfg)
         columns = _record_columns(JobSet(jobs).columns, _window_arrays(windows), cfg,

@@ -63,9 +63,9 @@ def _script_draws(monkeypatch, failures: dict) -> None:
     """Make the first failures[i] draws of job index i fail (0.999) and the
     later ones admit (0.0), in place of the Philox draws."""
     def scripted(seed, count, counter=None):
-        jobs, block = (range(count // 4), 0) if counter is None else (counter[:1], counter[1])
+        first, block = (0, 0) if counter is None else counter[:2]
         return np.array([0.999 if 4 * block + j < failures.get(i, 0) else 0.0
-                         for i in jobs for j in range(4)])
+                         for i in range(first, first + count // 4) for j in range(4)])
 
     monkeypatch.setattr(simulator, "_uniforms", scripted)
 
@@ -942,6 +942,8 @@ def _by_place(used: list, ids) -> dict:
 
 # A job set whose _Inputs gives the draws of job places 0..63.
 DRAW_JOBS = JobSet([make_job(job_id=i) for i in range(64)])
+# Two runs of _DRAW_RUN jobs and a run of five.
+RUN_JOBS = JobSet([make_job(job_id=i) for i in range(2 * simulator._DRAW_RUN + 5)])
 
 
 class TestJobStreams:
@@ -977,9 +979,12 @@ class TestJobStreams:
         eager_report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)), mode=mode)
         assert eager_report.to_json() == report.to_json()
         # Draws 0..3 of every job come from one call, and a later block of four
-        # is built once, for a job that reaches it.
+        # is built once per run of _DRAW_RUN jobs, when a job of the run
+        # reaches it, from the counter of the run's first job.
         assert blocks.count(None) == 1
-        assert sorted(blocks[1:]) == sorted({(i, d // 4) for i, d in drawn if d >= 4})
+        run_of = simulator._DRAW_RUN
+        assert sorted(blocks[1:]) == sorted({(i - i % run_of, d // 4)
+                                             for i, d in drawn if d >= 4})
         # Only the jobs whose band admits with p < 1 draw.
         table = AllocationTable(cfg.allocation_bands)
         assert {i for i, _d in drawn} == {i for i, r in enumerate(report.jobs)
@@ -998,6 +1003,17 @@ class TestJobStreams:
         for i in places:
             assert [inputs.draw(i, d) for d in range(12)] == [_oracle(seed, i, d)
                                                               for d in range(12)]
+
+    @given(seed=st.integers(0, 2**128 - 1),
+           places=st.lists(st.integers(0, len(RUN_JOBS) - 1), min_size=1, max_size=4))
+    @example(seed=7, places=[simulator._DRAW_RUN - 1, simulator._DRAW_RUN, len(RUN_JOBS) - 1])
+    def test_later_blocks_of_each_run_of_jobs_equal_numpy(self, seed, places):
+        # Three runs of jobs, the last one short: a job's later draws come
+        # from its run's blocks, at its place in the run.
+        inputs = simulator._Inputs(SimConfig(num_tasks=1, seed=seed), RUN_JOBS)
+        for i in places:
+            assert [inputs.draw(i, d) for d in range(4, 13)] == [_oracle(seed, i, d)
+                                                                 for d in range(4, 13)]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**128 - 1))
