@@ -374,7 +374,9 @@ def _write_report(out_dir: Path, report: SimReport, fmt: str, memo: dict | None 
     (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>.
     cmd_simulate passes both reports of a pair one memo, so that a column
     whose values are the same objects in both (the ids, the times, the
-    technical scores and most others) is encoded once."""
+    technical scores and most others) is encoded once, and so is each row
+    that the start, completion and ack columns share with the other report
+    or with arrival."""
     with _atomic_file(out_dir / f"report_{report.mode}.json") as fh:
         fh.writelines(report.json_texts(memo))
         fh.write("\n")

@@ -20,8 +20,12 @@ sorted keys, one call to the C JSON encoder per column (SimReport.json_texts).
 The two reports of a pair hold most of their values as the same objects,
 from the shared inputs, so their writer passes both one memo of column texts:
 a column whose values are, one by one, the objects of a column already
-encoded reuses its text. Identity decides, not equality, as equal values can
-encode differently (0.0 and -0.0, 1 and 1.0) and identical ones cannot.
+encoded reuses its text, and a float column that shares most of its rows
+with the other report's column of its name, or with arrival, reuses their
+row texts and encodes only the other rows. Identity decides, not equality,
+as equal values can encode differently (0.0 and -0.0, 1 and 1.0) and
+identical ones cannot. For the same reason, a job that starts at its arrival
+completes at one float object in both runs of a pair.
 """
 
 from __future__ import annotations
@@ -459,13 +463,13 @@ class _Inputs:
                 n = len(self.reasons)
                 self._first = _uniforms(self.seed, 4 * n).reshape(n, 4)
             return self._first[i, d]
-        run, place = divmod(i, _DRAW_RUN)
-        block = self._blocks.get((run, d >> 2))
+        r, place = divmod(i, _DRAW_RUN)
+        block = self._blocks.get((r, d >> 2))
         if block is None:
             first = i - place
             count = min(_DRAW_RUN, len(self.reasons) - first)
-            block = self._blocks[run, d >> 2] = _uniforms(self.seed, 4 * count,
-                                                          [first, d >> 2, 0, 0])
+            block = self._blocks[r, d >> 2] = _uniforms(self.seed, 4 * count,
+                                                        [first, d >> 2, 0, 0])
         return block[4 * place + (d & 3)]
 
 
@@ -486,7 +490,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     2**128). Paired native and resultant runs thus see common random numbers.
     A job whose band admits with p = 1 draws nothing. The draws are built
     once per JobSet and config, when first needed (_Inputs.draw): draws 0..3
-    of every job in one Philox call, and each later block of four on its own.
+    of every job in one Philox call, and each later block of four for a run
+    of _DRAW_RUN jobs in one call.
 
     The inputs that both modes share are prepared once per JobSet and config
     (JobSet.prepared) from the set's value lists and its float64 columns:
