@@ -515,9 +515,9 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     class is offered the pool; a completion offers it to every class in class
     order. Per-job state lives in lists, and a job's instance, wait, cost and
     deadline flag are computed after the loop from its start and completion.
-    The report holds its job records as columns (SimReport.columns); its
-    job_id, arrival and due columns are copies of the set's lists, so a
-    report's columns never alias the jobs or another report.
+    The report holds its job records as columns (SimReport.columns): the
+    run's own lists, and copies of the set's lists and of the shared inputs,
+    so a report's columns never alias the jobs or another report.
     """
     if mode not in ("native", "resultant"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -660,22 +660,24 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
 
     def by_job(column, extra=(None, None)) -> list:
         if row is None:  # each job's row is its k
-            return column.copy()
+            return column
         return list(map([*column, *extra].__getitem__, row))
 
     columns = {
-        # Copies: a report's columns are its own, not the job set's lists.
+        # Copies of the job set's lists and of the inputs, which other runs
+        # read: a report's columns are its own. The other lists are this
+        # run's.
         "job_id": jobs.ids.copy(),
         "arrival": jobs.values[0].copy(),
         "due": jobs.values[1].copy(),
-        "ack": by_job(arrival),
+        "ack": by_job(arrival.copy()),
         "start": by_job(start),
         "completion": by_job(completion),
         "wait": by_job(wait),
-        "t_start": by_job(inputs.t_start),
-        "demand_weight": by_job(inputs.weight),
-        "tp_score": by_job(inputs.tp),
-        "bp_score": by_job(inputs.bp),
+        "t_start": by_job(inputs.t_start.copy()),
+        "demand_weight": by_job(inputs.weight.copy()),
+        "tp_score": by_job(inputs.tp.copy()),
+        "bp_score": by_job(inputs.bp.copy()),
         "resultant": by_job(resultant),
         "rank": by_job(rank),
         "class_index": by_job(class_index),
