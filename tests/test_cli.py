@@ -461,8 +461,9 @@ _ROW_SOURCES = st.sampled_from(("known",) * 4 + ("arrival", "equal", "new"))
 
 
 def _equal_object(value):
-    """A new object equal to value (or, for NaN, as NaN), where its type makes
-    one; value itself for None, bools and strs, and small ints are cached."""
+    """A new object that encodes as value does: a float or an int parsed from
+    its repr (a small int is cached, so it stays the same object); value
+    itself for other types."""
     if type(value) in (float, int):
         return type(value)(repr(value))
     return value
@@ -927,8 +928,8 @@ class TestSimulateJobFile:
         assert message in capsys.readouterr().err
 
     def test_start_slack_spread_that_overflows_is_scored(self, tmp_path):
-        # Both jobs pass validation, but their start slacks, about 1.7e308 and
-        # -1.7e308, are one epoch apart by more than a float holds.
+        # Both jobs pass validation and share an epoch, but their start
+        # slacks, about 1.7e308 and -1.7e308, differ by more than a float holds.
         jobs = tmp_path / "jobs.csv"
         jobs.write_text(JOB_FILE_HEADER + "0,0.0,1.7e308,1,5,1,1.7,160,100,5\n"
                         "1,0.0,1,1.7e308,5,1,1.7,160,100,5\n")
