@@ -9,7 +9,8 @@ writing fails. simulate writes report_<mode>.json (SimReport.to_json() in
 schema 2 and a newline) and bands_<mode>.<fmt> for each mode, and
 comparison.json. export writes the job table of a report, jobs_<mode>.<fmt>,
 one row per job. Every table is written by one writer, _write_table, as
-csv.writer writes it or as json.dumps(..., indent=2) does. No command builds a
+csv.writer writes it or as json.dumps(..., indent=2) does, and a json table
+is encoded and written a slice of rows at a time. No command builds a
 JobRecord.
 load_report reads a report of schema 2 or 1 back.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -313,32 +315,41 @@ def _write_atomic(path: Path, text: str) -> None:
             fh.write(text[i:i + _WRITE_SLICE])
 
 
-def _json_table(header, rows) -> str:
-    """json.dumps([dict(zip(header, row)) for row in rows], indent=2) for
-    rows of scalars under distinct header names, from the C encoder: each
-    column's value texts come from one call (value_texts) and fill a row
-    template. json.dumps with an indent uses the pure-Python encoder."""
-    columns = list(zip(*rows))
-    if not columns:
-        return "[]"
+# A json table is encoded and written this many rows at a time, so that its
+# texts are never all held at once.
+_TABLE_ROWS = 1024
+
+
+def _write_json_table(fh, header, rows) -> None:
+    """Write json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    for rows of scalars under distinct header names, _TABLE_ROWS rows at a
+    time: the value texts of each column of those rows come from one call
+    (value_texts) and fill a row template. json.dumps with an indent uses
+    the pure-Python encoder."""
     keys = (json.dumps(name).replace("%", "%%") + ": %s" for name in header)
     template = "  {\n    " + ",\n    ".join(keys) + "\n  }"
-    cells = zip(*map(value_texts, columns))
-    return "[\n" + ",\n".join(map(template.__mod__, cells)) + "\n]"
+    rows = iter(rows)
+    sep = "[\n"
+    while block := list(itertools.islice(rows, _TABLE_ROWS)):
+        cells = zip(*map(value_texts, zip(*block)))
+        fh.write(sep + ",\n".join(map(template.__mod__, cells)))
+        sep = ",\n"
+    fh.write("[]" if sep == "[\n" else "\n]")
 
 
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     """Write <name>.<fmt>: the header and rows as csv.writer writes them, or
     json.dumps([dict(zip(header, row)) for row in rows], indent=2) and a
-    newline (_json_table)."""
+    newline (_write_json_table)."""
     path = out_dir / f"{name}.{fmt}"
-    if fmt == "csv":
-        with _atomic_file(path) as fh:
+    with _atomic_file(path) as fh:
+        if fmt == "csv":
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-    else:
-        _write_atomic(path, _json_table(header, rows) + "\n")
+        else:
+            _write_json_table(fh, header, rows)
+            fh.write("\n")
     return path
 
 
@@ -369,16 +380,11 @@ def _load_parsed(args: argparse.Namespace) -> ParsedConfig:
     return parsed
 
 
-def _write_report(out_dir: Path, report: SimReport, fmt: str, memo: dict | None = None) -> None:
+def _write_report(out_dir: Path, report: SimReport, fmt: str) -> None:
     """Write report_<mode>.json, SimReport.to_json() one column at a time
-    (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>.
-    cmd_simulate passes both reports of a pair one memo, so that a column
-    whose values are the same objects in both (the ids, the times, the
-    technical scores and most others) is encoded once, and so is each row
-    that the start, completion and ack columns share with the other report
-    or with arrival."""
+    (SimReport.json_texts) and a newline, then bands_<mode>.<fmt>."""
     with _atomic_file(out_dir / f"report_{report.mode}.json") as fh:
-        fh.writelines(report.json_texts(memo))
+        fh.writelines(report.json_texts())
         fh.write("\n")
     _write_table(out_dir, f"bands_{report.mode}", ("band", "mean_wait"),
                  report.band_waits.items(), fmt)
@@ -476,10 +482,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_jobs = len(jobs)
     del jobs  # the writes need only the reports
     comparison = _comparison(native, resultant, parsed.sim.beta)
-    memo: dict = {}  # the column texts of the pair (_write_report)
-    _write_report(out, native, args.format, memo)
-    _write_report(out, resultant, args.format, memo)
-    del memo
+    _write_report(out, native, args.format)
+    _write_report(out, resultant, args.format)
     _write_atomic(out / "comparison.json",
                   json.dumps(comparison, sort_keys=True, indent=2) + "\n")
     print(f"simulated {n_jobs} jobs twice (native, resultant) -> {out}")

@@ -16,23 +16,16 @@ alone, through numpy's counter-based Philox generator. The event loop keeps
 each job's state in per-field lists indexed by the job's place in id order,
 and its SimReport holds the job records as columns, one list per JobRecord
 field. A report is written in schema 2 as those columns: compact JSON with
-sorted keys, one call to the C JSON encoder per column (SimReport.json_texts).
-The two reports of a pair hold most of their values as the same objects,
-from the shared inputs, so their writer passes both one memo of column texts:
-a column whose values are, one by one, the objects of a column already
-encoded reuses its text, and a float column that shares most of its rows
-with the other report's column of its name, or with arrival, reuses their
-row texts and encodes only the other rows. Identity decides, not equality,
-as equal values can encode differently (0.0 and -0.0, 1 and 1.0) and
-identical ones cannot. For the same reason, a job that starts at its arrival
-completes at one float object in both runs of a pair.
+sorted keys, one encoder call per column (SimReport.json_texts). A column is
+encoded by orjson where its text is provably that of the json module's C
+encoder, and by the C encoder otherwise (_column_text), so every byte is the
+json module's.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import json
 import operator
 from dataclasses import dataclass, field, fields
@@ -133,84 +126,73 @@ _VALUE_TYPES = {name: frozenset().union(*map(_ANNOTATED_TYPES.get, tp.split(" | 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-# The order in which a memo encodes a report's job columns: arrival first, so
-# that ack and start can take their rows from its text.
-_ENCODE_ORDER = ("arrival", *(name for name in _JOB_FIELDS if name != "arrival"))
-# The rows a reused column probes before it compares them all.
-_PROBES = 16
+def _column_text(column) -> str:
+    """_encode(column) for a list of JSON scalars, from orjson where its text
+    is provably the same: orjson is about ten times faster.
+
+    orjson writes other text for a str (non-ASCII and \\x7f raw), for NaN and
+    inf (null), and for a float outside 1e-4 <= |x| < 1e16 (1e16, 1e-7 and
+    0.00001 for repr's 1e+16, 1e-07 and 1e-05); it raises on an int past 64
+    bits and on a float subclass. So the column is encoded by _encode when
+    orjson raises, when its text holds a quote, or when it holds another
+    count of null than the column holds None. Each token with an e or
+    0.0000 is respelled as repr spells it (_respelled); the column is
+    encoded by _encode instead when such a token is not a float (true and
+    false hold an e) or more than one token in _RESPELL_SHARE needs it.
+    Every other float is written as its shortest round-trip digits by both,
+    in the same notation."""
+    import orjson  # here, not at the top, so that only a writer pays for it
+
+    try:
+        text = orjson.dumps(column).decode()
+    except TypeError:
+        return _encode(column)
+    if '"' in text or ("null" in text and text.count("null") != column.count(None)):
+        return _encode(column)
+    for mark in ("e", "0.0000"):
+        if mark in text:
+            if text.count(mark) * _RESPELL_SHARE > len(column):
+                return _encode(column)
+            text = _respelled(text, mark)
+            if text is None:
+                return _encode(column)
+    return text
 
 
-def _row_texts(text: str, n: int) -> list | None:
-    """The n row texts of the JSON text of a list of n scalars, split at its
-    commas, or None when a row text holds a comma (a str, say), which gives
-    more parts than rows."""
-    rows = text[1:-1].split(",")
-    return rows if len(rows) == n else None
+# A column's tokens are respelled only where at most one in this many needs
+# it: respelling a token costs several times what encoding it does.
+_RESPELL_SHARE = 16
+
+
+def _respelled(text: str, mark: str) -> str | None:
+    """text, orjson's text of a list of scalars, with each token that holds
+    mark spelled as repr(float(token)), as _encode spells the float that
+    orjson wrote: both are round-trip texts of one double. None when such a
+    token is not a float (true or false)."""
+    pieces, done = [], 0
+    i = text.find(mark)
+    while i >= 0:
+        start = max(text.rfind(",", 0, i), 0) + 1
+        end = text.find(",", i)
+        if end < 0:
+            end = len(text) - 1
+        try:
+            token = repr(float(text[start:end]))
+        except ValueError:
+            return None
+        pieces += text[done:start], token
+        done = end
+        i = text.find(mark, end)
+    pieces.append(text[done:])
+    return "".join(pieces)
 
 
 def value_texts(values) -> list:
     """The JSON text of each of values, a list or tuple of scalars, as _encode
-    writes it: one _encode call split at its commas, or one call per value
-    when a value's text holds a comma."""
-    texts = _row_texts(_encode(values), len(values))
-    return list(map(_encode, values)) if texts is None else texts
-
-
-def _reused_text(column: list, known: list, text: str) -> str | None:
-    """The JSON text of column from text, that of the column known: text
-    itself when each row of column holds the same object as known's; or,
-    when at most half the rows hold other objects and the probed rows hold
-    floats, text's row texts with those rows encoded in one call. Rows match
-    by identity, not ==, since equal values may encode differently (0.0 and
-    -0.0, 1 and 1.0). None otherwise, or when a row text holds a comma.
-
-    A few spread rows are probed first, so a column that shares little with
-    known costs little. Splitting and joining the row texts costs about as
-    much as encoding ints or bools again, so only a float column, whose
-    values are the slow ones to encode, takes rows from another."""
-    n = len(column)
-    if len(known) != n:
-        return None
-    step = n // _PROBES or 1
-    probed = column[::step]
-    if 2 * sum(map(operator.is_, probed, known[::step])) < len(probed):
-        return None
-    if all(map(operator.is_, column, known)):
-        return text
-    if float not in set(map(type, probed)):
-        return None
-    differ = list(itertools.compress(range(n), map(operator.is_not, column, known)))
-    if 2 * len(differ) > n:
-        return None
-    rows = _row_texts(text, n)
-    if rows is None:
-        return None
-    new = _row_texts(_encode([column[i] for i in differ]), len(differ))
-    if new is None:
-        return None
-    for i, row in zip(differ, new):
-        rows[i] = row
-    return f"[{','.join(rows)}]"
-
-
-def _paired_text(name: str, column: list, memo: dict) -> str:
-    """The JSON text of a report's job column name, reusing the texts in memo
-    (SimReport.json_texts): the rows of the memo's column of the same name,
-    or else of arrival, where enough of them are the same objects
-    (_reused_text); otherwise one _encode call. memo then holds column and
-    its text under name, unless it held a column with the same objects
-    already."""
-    own = memo.get(name)
-    for ref in dict.fromkeys((name, "arrival")):
-        known = memo.get(ref)
-        text = None if known is None else _reused_text(column, *known)
-        if text is not None:
-            break
-    else:
-        text = _encode(column)
-    if own is None or text is not own[1]:
-        memo[name] = (column, text)
-    return text
+    writes it: one _column_text call split at its commas, or one _encode call
+    per value when a value's text holds a comma."""
+    texts = _column_text(values)[1:-1].split(",")
+    return list(map(_encode, values)) if len(texts) != len(values) else texts
 
 
 @dataclass(frozen=True)
@@ -274,28 +256,18 @@ class SimReport:
                       class_sls=dict(values["class_sls"]))
         return cls(columns=columns, **values)
 
-    def json_texts(self, memo: dict | None = None):
+    def json_texts(self):
         """The to_json() text in pieces: the fields before "jobs", each job
-        column's key and list, then the fields after "jobs". Without a memo,
-        each list is encoded by one call to the C encoder.
-
-        memo, when given, maps a column name to (column, text) of the last
-        column encoded under that name, and this report's columns are
-        encoded against it (_paired_text), arrival first, since ack and
-        start take their rows from it; the pieces still come in key order."""
+        column's key and list, one _column_text call per list, then the
+        fields after "jobs"."""
         rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         rest["schema"] = _SCHEMA
         head = _encode({k: v for k, v in rest.items() if k < "jobs"})
         columns = self.columns
-        if memo is None:
-            texts = map(_encode, map(columns.__getitem__, _JOB_FIELDS))
-        else:
-            paired = {name: _paired_text(name, columns[name], memo) for name in _ENCODE_ORDER}
-            texts = map(paired.__getitem__, _JOB_FIELDS)
         sep = head[:-1] + ',"jobs":{'
-        for name, text in zip(_JOB_FIELDS, texts):
+        for name in _JOB_FIELDS:
             yield f'{sep}"{name}":'
-            yield text
+            yield _column_text(columns[name])
             sep = ","
         yield "}," + _encode({k: v for k, v in rest.items() if k > "jobs"})[1:]
 
@@ -383,8 +355,8 @@ class _Inputs:
     """
 
     __slots__ = ("reasons", "rejected", "row", "order", "ids", "demand", "fits", "arrival",
-                 "exec_time", "deadline", "instance", "cost", "arrivals", "finish", "t_start",
-                 "weight", "tp", "bp", "seed", "_first", "_blocks")
+                 "exec_time", "deadline", "instance", "cost", "arrivals", "t_start", "weight",
+                 "tp", "bp", "seed", "_first", "_blocks")
 
     def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
@@ -447,9 +419,6 @@ class _Inputs:
                      for e, fit in zip(exec_time, self.fits)]
         # The k in arrival order, ties by k.
         self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
-        # finish[k] is arrival[k] + exec_time[k], filled by the first run that
-        # starts job k at its arrival, for every run that does.
-        self.finish = [None] * len(order)
 
     def draw(self, i: int, d: int) -> float:
         """Draw d of the set's job i (see run()). The first draw builds draws
@@ -524,9 +493,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not isinstance(jobs, JobSet):
         jobs = JobSet(jobs)
     inputs = jobs.prepared(config, _Inputs)
-    order, ids, demand, fits, arrival, exec_time, finish = (
-        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time,
-        inputs.finish)
+    order, ids, demand, fits, arrival, exec_time = (
+        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time)
     m_jobs = len(order)
     resultant, rank = resultant_columns(inputs.tp, inputs.bp, config,
                                         apply_business=mode == "resultant")
@@ -618,15 +586,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                         in_queue -= 1
                         in_service += 1
                         start[k] = now
-                        if now is arrival[k]:
-                            # Both runs of a pair complete such a job at one
-                            # float object, which the writer can reuse.
-                            end = finish[k]
-                            if end is None:
-                                end = finish[k] = now + exec_time[k]
-                        else:
-                            end = now + exec_time[k]
-                        heappush(heap, (end, COMPLETION, k))
+                        heappush(heap, (now + exec_time[k], COMPLETION, k))
                         continue
                     retries[k] += 1
                     if retries[k] > max_retries:

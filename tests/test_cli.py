@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 from dataclasses import fields, replace
 from pathlib import Path
@@ -357,6 +359,16 @@ def _with_examples(test):
     return test
 
 
+def test_setup_does_not_import_orjson():
+    # Only the report writer needs orjson, so importing the cli and parsing a
+    # config, which perfbench times as set-up, do not import it.
+    code = ("import sys\nfrom cloudsched import cli\ncli.parse_config(None)\n"
+            "assert 'orjson' not in sys.modules")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)
+
+
 class TestStreamedWriter:
     """The report writer against json.dumps, and export's job table against
     csv.writer and json.dumps, on the same values."""
@@ -442,12 +454,6 @@ class TestStreamedWriter:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-# The columns whose values depend only on the jobs and the config, not on the
-# mode: a pair's two reports hold the same objects in them.
-MODE_FREE_COLUMNS = ("job_id", "arrival", "due", "t_start", "demand_weight", "tp_score",
-                     "bp_score")
-
-
 # Row values for report pairs: equal ones that encode differently (0.0 and
 # -0.0; 1, 1.0 and True), a float with a 17-digit text, an int no float
 # holds, a str with a comma, and "nan", which stands for a new NaN object
@@ -495,19 +501,6 @@ def report_pairs(draw):
             for mode, columns in zip(MODES, (native, resultant))]
 
 
-def _spy_encode(monkeypatch) -> list:
-    """The values simulator._encode is called with from now on, in order."""
-    encoded = []
-    encode = simulator._encode
-
-    def spy(value):
-        encoded.append(value)
-        return encode(value)
-
-    monkeypatch.setattr(simulator, "_encode", spy)
-    return encoded
-
-
 def _spy_runs(monkeypatch) -> list:
     """The reports cli.run returns from now on, in order."""
     reports = []
@@ -522,44 +515,19 @@ def _spy_runs(monkeypatch) -> list:
 
 
 class TestPairedWrite:
-    """simulate writes the two reports of a pair with one memo (_write_report):
-    a column whose values are the same objects in both is encoded once, and
-    each file is still that report's own to_json() and a newline."""
+    """simulate writes the two reports of a pair (_write_report), and each
+    file is that report's own to_json() and a newline, whatever row objects
+    the two reports share."""
 
     @staticmethod
-    def _write_pair(out: Path, native: SimReport, resultant: SimReport) -> dict:
-        memo: dict = {}
+    def _write_pair(out: Path, native: SimReport, resultant: SimReport) -> None:
         for report in (native, resultant):
-            cli._write_report(out, report, "csv", memo)
-        return memo
+            cli._write_report(out, report, "csv")
 
     @staticmethod
     def _assert_files_are_to_json(out: Path, reports) -> None:
         for report in reports:
             assert (out / f"report_{report.mode}.json").read_text() == report.to_json() + "\n"
-
-    def test_equal_values_of_other_objects_are_encoded_again(self, tmp_path, monkeypatch):
-        # 0.0 == -0.0 and 1 == 1.0, but they encode differently; two NaNs
-        # encode alike, but are other objects. Every other column of the
-        # resultant report is a new list of the native report's objects.
-        nan = math.nan
-        native = {name: [None] * 3 for name in JOB_FIELDS}
-        native.update(job_id=[1, "a", 2], arrival=[0.0, 1, nan], wait=[-0.0, 2, 0.5],
-                      status=["completed", "rejected", "pending"])
-        resultant = {name: list(column) for name, column in native.items()}
-        resultant.update(arrival=[-0.0, 1.0, float("nan")], wait=[0.0, 2.0, 0.5])
-        assert resultant["arrival"][:2] == native["arrival"][:2]
-        assert resultant["wait"] == native["wait"]
-        reports = [SimReport(mode=mode, seed=1, columns=columns)
-                   for mode, columns in zip(MODES, (native, resultant))]
-        assert '"arrival":[-0.0,1.0,NaN]' in reports[1].to_json()
-        assert '"wait":[0.0,2.0,0.5]' in reports[1].to_json()
-        encoded = _spy_encode(monkeypatch)
-        self._write_pair(tmp_path, *reports)
-        again = [value for value in encoded
-                 if any(value is column for column in reports[1].columns.values())]
-        assert again == [resultant["arrival"], resultant["wait"]]
-        self._assert_files_are_to_json(tmp_path, reports)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -580,68 +548,8 @@ class TestPairedWrite:
         native, resultant = (run(config, job_set, mode=mode) for mode in MODES)
         assert native.unstable and native.rejected == 1
         assert {"pending", "rejected"} <= set(native.columns["status"])
-        memo = self._write_pair(tmp_path, native, resultant)
+        self._write_pair(tmp_path, native, resultant)
         self._assert_files_are_to_json(tmp_path, (native, resultant))
-        # The resultant report reused the native report's texts of these.
-        for name in MODE_FREE_COLUMNS:
-            assert memo[name][0] is native.columns[name]
-            assert memo[name][0] is not resultant.columns[name]
-
-    def test_simulate_encodes_each_mode_free_column_once(self, tmp_path, monkeypatch):
-        reports = _spy_runs(monkeypatch)
-        encoded = _spy_encode(monkeypatch)
-        out = tmp_path / "out"
-        rc = cli.main(["simulate", "--config", _config_file(tmp_path, CONFIG),
-                       "--out", str(out)])
-        assert rc == cli.EXIT_OK
-        native, resultant = reports
-
-        def times_encoded(name):
-            return sum(value is native.columns[name] or value is resultant.columns[name]
-                       for value in encoded)
-
-        assert {name: times_encoded(name) for name in MODE_FREE_COLUMNS} == dict.fromkeys(
-            MODE_FREE_COLUMNS, 1)
-        assert times_encoded("resultant") == 2  # boosted scores differ by mode
-        self._assert_files_are_to_json(out, reports)
-
-    def test_simulate_encodes_only_the_rows_a_pair_does_not_share(self, tmp_path,
-                                                                   monkeypatch):
-        # 150 jobs on 130 VMs, each admitted at its first attempt: the first
-        # 130 start at their arrival in both runs, and the others wait for a
-        # completion, in an order that depends on the mode.
-        config = {"simulation": {"num_tasks": 150, "num_vms": 130, "seed": 4},
-                  "allocation_bands": [[1, 100, 1.0]]}
-        reports = _spy_runs(monkeypatch)
-        encoded = _spy_encode(monkeypatch)
-        out = tmp_path / "out"
-        rc = cli.main(["simulate", "--config", _config_file(tmp_path, config),
-                       "--out", str(out)])
-        assert rc == cli.EXIT_OK
-        native, resultant = reports
-
-        def rows_not_in(report, name, known):
-            return [v for v, k in zip(report.columns[name], known) if v is not k]
-
-        # ack holds the arrival objects, and so does the native start, except
-        # in the rows of the jobs that waited; the resultant start and
-        # completion hold the native objects except in some of those rows.
-        assert native.columns["ack"] == native.columns["arrival"]
-        expected = [rows_not_in(native, "start", native.columns["arrival"]),
-                    rows_not_in(resultant, "completion", native.columns["completion"]),
-                    rows_not_in(resultant, "start", native.columns["start"])]
-        assert [len(rows) for rows in expected] == [20, 20, 11]
-        whole = [value for value in encoded
-                 if any(value is column for report in reports
-                        for column in report.columns.values())]
-        parts = [value for value in encoded
-                 if isinstance(value, list) and not any(value is w for w in whole)]
-        assert [list(map(id, rows)) for rows in parts] == [
-            list(map(id, rows)) for rows in expected]
-        shared = [native.columns["ack"], native.columns["start"], resultant.columns["ack"],
-                  resultant.columns["start"], resultant.columns["completion"]]
-        assert not any(value is column for value in whole for column in shared)
-        self._assert_files_are_to_json(out, reports)
 
     def test_simulate_runs_each_mode_once(self, tmp_path, monkeypatch):
         # perfbench times the engine by wrapping cli.run: one call per mode.

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import math
@@ -892,6 +893,53 @@ class TestReportBytes:
         report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)))
         assert not report.unstable
         assert max(r.wait for r in report.jobs) >= cfg.exec_time
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**40
+
+
+# Floats at the edges of the range where orjson and repr write the same
+# notation, 1e-4 <= |x| < 1e16, and those orjson writes as null.
+_EDGE_FLOATS = (1e-4, 1e-5, 9.999999999999999e15, 1e16, 5e-324, 0.0, -0.0, math.nan,
+                math.inf, -math.inf)
+# Every kind of value a column may hold: floats, among them those below 1e-4,
+# which orjson writes as 0.0000... or with an e, ints past 64 bits, which
+# orjson refuses, bools, None, an IntEnum, np.float64, which orjson refuses
+# as a float subclass, and strs with a quote and the characters that orjson
+# writes raw and the json module escapes.
+_COLUMN_VALUES = (st.floats() | st.sampled_from(_EDGE_FLOATS) | st.floats(-1e-4, 1e-4)
+                  | st.sampled_from((2**63 - 1, 2**63, 2**64, -2**63, -2**63 - 1, -2**64))
+                  | st.integers() | st.booleans() | st.none() | st.sampled_from(tuple(_Level))
+                  | st.floats().map(np.float64) | st.text(alphabet='ab"é\x7f,'))
+
+
+@st.composite
+def _columns_of_scalars(draw):
+    """A list of a few values of every kind (_COLUMN_VALUES) among ordinary
+    floats, as report columns hold them, so that the few tokens that orjson
+    writes with an e or as 0.0000... are respelled, not the whole column
+    encoded again."""
+    column = draw(st.lists(st.floats(1e-4, 1e15), min_size=32, max_size=64))
+    for value in draw(st.lists(_COLUMN_VALUES, max_size=4)):
+        column.insert(draw(st.integers(0, len(column))), value)
+    return column
+
+
+class TestColumnText:
+    """The report writer's orjson path against the json module's encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=_columns_of_scalars())
+    @example(column=[0.5] * 20 + [1e16, 1e-7])
+    @example(column=[0.5] * 20 + [1e-5, -1.5e-5])
+    @example(column=[0.5, math.nan, None, -math.inf])
+    @example(column=[0.5, 'a"b'])
+    @example(column=[0.5, "\xe9\x7f"])
+    @example(column=[2**64, np.float64(0.5), _Level.HIGH, True])
+    def test_column_text_equals_encode(self, column):
+        assert simulator._column_text(column) == simulator._encode(column)
 
 
 def _oracle(seed: int, i: int, d: int) -> float:
