@@ -289,8 +289,7 @@ class PriorityRecord:
     """All derived priority quantities for one job.
 
     Scores are on a 0..100 scale where higher is better; rank is the inverse
-    1..100 scale where 1 is best. chain is the (class index, within-class
-    position) key assigned by the classification gate, None until assigned.
+    1..100 scale where 1 is best.
     """
 
     t_start: float
@@ -299,7 +298,6 @@ class PriorityRecord:
     bp_score: float
     resultant: float
     rank: int
-    chain: tuple[int, int] | None = None
 
 
 # Default allocation bands: probability of resource allocation per rank decade.
@@ -319,15 +317,15 @@ DEFAULT_ALLOCATION_BANDS: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def check_bands(bands) -> tuple[tuple[int, int, float], ...]:
-    """Validate allocation bands and return them sorted by their first rank.
+def check_bands(bands) -> None:
+    """Validate allocation bands, given in any order.
 
     The bands must cover ranks 1..100 without gaps or overlaps, and their
     probabilities must lie in (0, 1] and not increase with rank.
     """
     if not bands:
         raise ValueError("allocation_bands must be non-empty")
-    ordered = tuple(sorted(bands, key=lambda b: b[0]))
+    ordered = sorted(bands, key=lambda b: b[0])
     if ordered[0][0] != 1 or ordered[-1][1] != 100:
         raise ValueError("allocation_bands must cover ranks 1..100")
     prev_hi = 0
@@ -342,7 +340,6 @@ def check_bands(bands) -> tuple[tuple[int, int, float], ...]:
         if prev_p is not None and p > prev_p:
             raise ValueError("allocation probabilities must be non-increasing with rank")
         prev_hi, prev_p = hi, p
-    return ordered
 
 
 def _default_class_rates() -> tuple[float, ...]:
@@ -357,6 +354,10 @@ class SimConfig:
     task timing (due 700 s, exec 650 s, prep 5 s), Poisson arrivals at 1 job/s
     split evenly over six priority classes, threshold 60, business boost
     capped at 10.
+
+    run() reads only len(class_rates), the number of priority classes; the
+    rates need only be positive and sum to arrival_rate. allocation_bands may
+    be given in any order.
     """
 
     num_tasks: int = 2000

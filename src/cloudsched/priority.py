@@ -123,8 +123,7 @@ def build_record(job: Job, window: WindowStats, cfg: SimConfig,
     """Compute the full priority record for a job against its window.
 
     With apply_business False the resultant equals the native technical score;
-    the business boost is still computed and recorded for reporting. The chain
-    key is left unassigned until classification.
+    the business boost is still computed and recorded for reporting.
     """
     tp = technical_priority(job, window, cfg)
     bp = business_priority(job.business, cfg)
@@ -139,7 +138,6 @@ def build_record(job: Job, window: WindowStats, cfg: SimConfig,
         bp_score=bp,
         resultant=resultant,
         rank=score_to_rank(resultant),
-        chain=None,
     )
 
 

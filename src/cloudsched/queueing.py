@@ -1,19 +1,15 @@
-"""Intake pipeline: class gate, per-class queues in chain order, probabilistic
-allocation against the instance catalog, and closed-form waiting times for the
-non-preemptive priority single-server queue."""
+"""Intake pipeline pieces that run() composes: the class gate, per-class
+queues in chain order, the cheapest catalog fit of a demand, one probabilistic
+allocation attempt, and closed-form waiting times for the non-preemptive
+priority single-server queue. run() itself holds the count of busy VMs and
+each rank's allocation band."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-from .domain import (
-    DEFAULT_ALLOCATION_BANDS,
-    ResourceCatalogEntry,
-    ResourceDemand,
-    check_bands,
-)
+from .domain import ResourceCatalogEntry, ResourceDemand
 
 
 class UnsatisfiableDemandError(ValueError):
@@ -37,24 +33,6 @@ def classify(rank: int, n_classes: int) -> int:
     return (rank * n_classes + 99) // 100
 
 
-@dataclass(frozen=True)
-class AllocationTable:
-    """Rank-band allocation probabilities covering ranks 1..100."""
-
-    bands: tuple[tuple[int, int, float], ...] = DEFAULT_ALLOCATION_BANDS
-
-    def __post_init__(self):
-        object.__setattr__(self, "bands", check_bands(self.bands))
-
-    def probability(self, rank: int) -> float:
-        if not (1 <= rank <= 100):
-            raise ValueError("rank must be in [1,100]")
-        for lo, hi, p in self.bands:
-            if lo <= rank <= hi:
-                return p
-        raise AssertionError("bands cover [1,100] by construction")
-
-
 class QueueClass:
     """One priority class queue, kept in chain order (position within class).
 
@@ -63,8 +41,7 @@ class QueueClass:
     outside this class, so an empty queue tests false without a method call.
     """
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self):
         self.entries: deque = deque()
         self._next_n = 1
 
@@ -84,17 +61,6 @@ class QueueClass:
         return self.entries.popleft()
 
 
-class ResourcePool:
-    """Counting pool of identical VM slots plus the instance catalog."""
-
-    def __init__(self, capacity: int, catalog):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.catalog = tuple(catalog)
-        self.in_use = 0
-
-
 def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None:
     """Cheapest catalog entry satisfying the demand; None if nothing fits."""
     best = None
@@ -105,26 +71,21 @@ def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None
 
 
 def try_allocate(job_id, demand: ResourceDemand, instance: ResourceCatalogEntry | None,
-                 p: float, pool: ResourcePool, u: float | None) -> bool:
-    """One allocation attempt for the job of job_id and demand: whether it
-    was admitted.
+                 p: float, u: float | None) -> bool:
+    """One allocation attempt for the job of job_id and demand, made while a
+    VM is free: whether it was admitted.
 
     instance is the job's cheapest fitting catalog entry (see cheapest_fit),
     None when nothing fits, which raises UnsatisfiableDemandError naming the
     job and its demand, and p the admission probability of its rank band.
-    A full pool always defers. Otherwise the job is admitted when p = 1 or
-    when u, its allocation draw in [0, 1), is below p; u is None at p = 1,
-    where nothing is drawn (run() defines the draws). On success the job
-    holds one slot of the pool, whose occupancy is incremented, and the
-    caller grants it the instance.
+    The job is admitted when p = 1 or when u, its allocation draw in [0, 1),
+    is below p; u is None at p = 1, where nothing is drawn (run() defines the
+    draws). The caller then grants the job the instance and counts its VM busy.
     """
     if instance is None:
         raise UnsatisfiableDemandError(
             f"job {job_id!r}: demand {demand} exceeds every catalog entry")
-    if pool.in_use >= pool.capacity:
-        return False
-    if p == 1.0 or u < p:
-        pool.in_use += 1
+    if p == 1.0 or u < p:  # a bool, where u < p alone is numpy's for a numpy draw
         return True
     return False
 

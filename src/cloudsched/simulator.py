@@ -47,14 +47,7 @@ from .priority import (
     service_level_satisfaction,
     technical_columns,
 )
-from .queueing import (
-    AllocationTable,
-    QueueClass,
-    ResourcePool,
-    cheapest_fit,
-    classify,
-    try_allocate,
-)
+from .queueing import QueueClass, cheapest_fit, classify, try_allocate
 from .workload import WorkloadSpec, generate_arrivals, sample_jobs
 
 # Event kinds, in the order same-time events resolve; remaining ties go by job
@@ -478,12 +471,15 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     only enqueues the job. A demand that no catalog entry fits raises
     UnsatisfiableDemandError at the job's first allocation attempt.
 
-    The event loop handles only the events that change state. An arrival or
-    a retry can unblock only its own class (every other class is empty, has
-    a head waiting for its retry, or waits for a free slot), so only that
-    class is offered the pool; a completion offers it to every class in class
-    order. Per-job state lives in lists, and a job's instance, wait, cost and
-    deadline flag are computed after the loop from its start and completion.
+    The pool is config.num_vms identical VMs, and the run counts the busy
+    ones; a job is offered a VM, and try_allocate called, only while one is
+    free. The event loop handles only the events that change state. An
+    arrival or a retry can unblock only its own class (every other class is
+    empty, has a head waiting for its retry, or waits for a free VM), so only
+    that class is offered the free VMs; a completion offers them to every
+    class in class order. Per-job state lives in lists, and a job's instance,
+    wait, cost and deadline flag are computed after the loop from its start
+    and completion.
     The report holds its job records as columns (SimReport.columns): the
     run's own lists, and copies of the set's lists and of the shared inputs,
     so a report's columns never alias the jobs or another report.
@@ -500,16 +496,18 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                                         apply_business=mode == "resultant")
 
     # Each job's class (classify's rule), queue and admission probability,
-    # looked up by its rank.
+    # looked up by its rank. SimConfig has validated the bands, which cover
+    # ranks 1..100 once each; band_of_rank[r] is the index of rank r's band.
     n_classes = len(config.class_rates)
-    classes = [QueueClass(c + 1) for c in range(n_classes)]
-    table = AllocationTable(config.allocation_bands)
+    classes = [QueueClass() for _ in range(n_classes)]
+    bands = sorted(config.allocation_bands, key=operator.itemgetter(0))
+    band_of_rank = [None] + [b for b, (lo, hi, _p) in enumerate(bands) for _ in range(lo, hi + 1)]
     class_of_rank = [None] + [classify(r, n_classes) for r in range(1, 101)]
     queue_of_rank = [None] + [classes[c - 1] for c in class_of_rank[1:]]
-    band_probability = [None] + [table.probability(r) for r in range(1, 101)]
+    probability_of_rank = [None] + [bands[b][2] for b in band_of_rank[1:]]
     class_index = list(map(class_of_rank.__getitem__, rank))
     queue = list(map(queue_of_rank.__getitem__, rank))
-    probs = list(map(band_probability.__getitem__, rank))
+    probs = list(map(probability_of_rank.__getitem__, rank))
     draw = inputs.draw
 
     # Per-job state, indexed by k.
@@ -525,8 +523,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     arrivals = inputs.arrivals
     heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
-    pool = ResourcePool(config.num_vms, config.catalog)
-    capacity, retry_interval = pool.capacity, config.retry_interval
+    capacity, retry_interval = config.num_vms, config.retry_interval
     max_retries, max_queue_length = config.max_retries, config.max_queue_length
 
     collected = completed = stuck = 0
@@ -563,24 +560,23 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             pending_retry[k] = False
         else:
             offered = classes
-            pool.in_use -= 1
             completion[k] = now
             status[k] = "completed"
             completed += 1
             in_service -= 1
             busy_time += exec_time[k]
-        # Offer free slots to the heads of the offered classes, in class
-        # order, until a head waits for its retry or the pool is full.
+        # Offer free VMs to the heads of the offered classes, in class
+        # order, until a head waits for its retry or every VM is busy.
         if in_queue:
             for qc in offered:
-                while qc.entries and pool.in_use < capacity:
+                while qc.entries and in_service < capacity:
                     k = qc.peek()
                     if pending_retry[k]:
                         break
                     # Attempt d of job k draws u(seed, order[k], d); none at p = 1.
                     p = probs[k]
                     u = None if p == 1.0 else draw(order[k], retries[k])
-                    if try_allocate(ids[k], demand[k], fits[k], p, pool, u):
+                    if try_allocate(ids[k], demand[k], fits[k], p, u):
                         # Service starts at the allocation instant.
                         qc.pop()
                         in_queue -= 1
@@ -599,7 +595,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     pending_retry[k] = True
                     heappush(heap, (now + retry_interval, RETRY_ALLOCATION, k))
                     break
-                if pool.in_use >= capacity:
+                if in_service >= capacity:
                     break
         # Conservation: every collected job is accounted for at every instant.
         assert collected == completed + stuck + in_queue + in_service
@@ -649,8 +645,9 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         "retries": by_job(retries, (0, 0)),
         "reason": reasons,
     }
-    band_waits, class_sls, hit_rate, total_cost = _summary(columns, table.bands, n_classes)
-    utilization = busy_time / (config.num_vms * last_time) if last_time > 0 else 0.0
+    band_waits, class_sls, hit_rate, total_cost = _summary(columns, bands, band_of_rank,
+                                                           n_classes)
+    utilization = busy_time / (capacity * last_time) if last_time > 0 else 0.0
 
     return SimReport(
         mode=mode,
@@ -670,17 +667,17 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     )
 
 
-def _summary(columns: dict, bands, n_classes: int) -> tuple[dict, dict, float, float]:
+def _summary(columns: dict, bands, band_of_rank: list,
+             n_classes: int) -> tuple[dict, dict, float, float]:
     """Band waits, class SLS (the mean resultant), deadline hit rate and
     total cost of the completed jobs in a run's report columns, in one pass.
+    bands are the allocation bands sorted by rank, and band_of_rank[r] is the
+    index of rank r's band.
 
     Each total adds its values left to right, starting at the int 0 as sum()
     does, so an empty total is 0. sum() itself compensates float sums from
     Python 3.12 on, which would make the report depend on the interpreter.
     """
-    band_of = [None] * 101
-    for b, (lo, hi, _p) in enumerate(bands):
-        band_of[lo:hi + 1] = [b] * (hi - lo + 1)
     wait_total, wait_count = [0] * len(bands), [0] * len(bands)
     sls_total, sls_count = [0] * n_classes, [0] * n_classes
     done = met = 0
@@ -689,7 +686,7 @@ def _summary(columns: dict, bands, n_classes: int) -> tuple[dict, dict, float, f
             *map(columns.__getitem__,
                  ("status", "wait", "rank", "class_index", "resultant", "deadline_met", "cost"))):
         if status == "completed":
-            b = band_of[rank]
+            b = band_of_rank[rank]
             wait_total[b] += wait
             wait_count[b] += 1
             sls_total[class_index - 1] += sls
@@ -749,7 +746,7 @@ def replication_bundle(config: SimConfig, spec: WorkloadSpec) -> list[Replicatio
                                    service_level_satisfaction(tp), "model"))
         rows.append(ReplicationRow("sls_resultant", str(tp),
                                    service_level_satisfaction(boosted), "model"))
-    for lo, hi, p in AllocationTable(config.allocation_bands).bands:
+    for lo, hi, p in sorted(config.allocation_bands, key=operator.itemgetter(0)):
         rows.append(ReplicationRow("allocation_band", f"{lo}-{hi}", p, "model"))
     for p in range(10, 101, 10):
         rows.append(ReplicationRow("wait_model_native", str(p),

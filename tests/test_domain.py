@@ -237,6 +237,34 @@ class TestSimConfig:
         assert DEFAULT_ALLOCATION_BANDS[-1] == (91, 100, 0.3)
         assert sum(hi - lo + 1 for lo, hi, _ in DEFAULT_ALLOCATION_BANDS) == 100
 
+    def test_reference_band_values(self):
+        assert [_band_probability(r) for r in (5, 35, 55)] == [1.0, 0.9, 0.7]
+
+    def test_extension_band(self):
+        assert _band_probability(75) == 0.5
+
+    def test_non_increasing_over_full_scale(self):
+        probs = [_band_probability(r) for r in range(1, 101)]
+        assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    def test_invalid_tables_rejected(self):
+        with pytest.raises(ValueError, match="must cover ranks 1..100"):
+            SimConfig(allocation_bands=((1, 50, 0.9),))
+        with pytest.raises(ValueError, match="must not overlap"):
+            SimConfig(allocation_bands=((1, 60, 0.9), (50, 100, 0.8)))
+        with pytest.raises(ValueError, match="non-increasing"):
+            SimConfig(allocation_bands=((1, 50, 0.5), (51, 100, 0.9)))
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="^num_vms must be >= 1$"):
+            SimConfig(num_vms=0)
+
+
+def _band_probability(rank: int) -> float:
+    """The admission probability of rank's band in DEFAULT_ALLOCATION_BANDS."""
+    (p,) = [p for lo, hi, p in DEFAULT_ALLOCATION_BANDS if lo <= rank <= hi]
+    return p
+
 
 demands = st.builds(
     ResourceDemand,

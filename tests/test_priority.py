@@ -193,7 +193,6 @@ class TestBuildRecord:
         assert rec.bp_score == 10.0
         assert rec.resultant == 100.0  # capped
         assert rec.rank == score_to_rank(rec.resultant)
-        assert rec.chain is None
 
     def test_native_mode_ignores_boost(self):
         job = Job(id=0, arrival_time=0.0, due_time=700.0, exec_time=650.0,

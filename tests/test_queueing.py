@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cloudsched.domain import (
+    DEFAULT_ALLOCATION_BANDS,
     BusinessProfile,
     Job,
     JobSet,
@@ -14,9 +15,7 @@ from cloudsched.domain import (
 )
 from cloudsched import simulator
 from cloudsched.queueing import (
-    AllocationTable,
     QueueClass,
-    ResourcePool,
     UnsatisfiableDemandError,
     UnstableError,
     cheapest_fit,
@@ -96,40 +95,9 @@ class TestClassify:
             classify(0, 6)
 
 
-class TestAllocationTable:
-    def test_reference_band_values(self):
-        table = AllocationTable()
-        assert table.probability(5) == 1.0
-        assert table.probability(35) == 0.9
-        assert table.probability(55) == 0.7
-
-    def test_extension_band(self):
-        assert AllocationTable().probability(75) == 0.5
-
-    def test_rank_domain(self):
-        table = AllocationTable()
-        with pytest.raises(ValueError):
-            table.probability(0)
-        with pytest.raises(ValueError):
-            table.probability(101)
-
-    def test_non_increasing_over_full_scale(self):
-        table = AllocationTable()
-        probs = [table.probability(r) for r in range(1, 101)]
-        assert all(a >= b for a, b in zip(probs, probs[1:]))
-
-    def test_invalid_tables_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationTable(((1, 50, 0.9),))  # does not reach 100
-        with pytest.raises(ValueError):
-            AllocationTable(((1, 60, 0.9), (50, 100, 0.8)))  # overlap
-        with pytest.raises(ValueError):
-            AllocationTable(((1, 50, 0.5), (51, 100, 0.9)))  # increasing
-
-
 class TestQueueClass:
     def test_enqueue_assigns_sequential_positions(self):
-        qc = QueueClass(1)
+        qc = QueueClass()
         assert [qc.enqueue(f"job{i}") for i in range(4)] == [1, 2, 3, 4]
         assert [qc.pop() for _ in range(4)] == ["job0", "job1", "job2", "job3"]
 
@@ -137,7 +105,7 @@ class TestQueueClass:
         # Enqueues and pops interleave at random; items leave in position order.
         rng = random.Random(42)
         for _ in range(20):
-            qc = QueueClass(2)
+            qc = QueueClass()
             positions, drained = {}, []
             for i in range(60):
                 if qc.entries and rng.random() < 0.4:
@@ -149,7 +117,7 @@ class TestQueueClass:
             assert drained == sorted(positions, key=positions.get)
 
     def test_peek_and_empty_errors(self):
-        qc = QueueClass(1)
+        qc = QueueClass()
         with pytest.raises(IndexError):
             qc.peek()
         with pytest.raises(IndexError):
@@ -178,12 +146,10 @@ SMALL_FIT = default_catalog()[0]  # m1.small, the cheapest fit of make_job's dem
 
 class TestTryAllocate:
     def test_certain_band_allocates_cheapest_fit(self):
-        pool = ResourcePool(10, default_catalog())
         job = make_job()
-        instance = cheapest_fit(pool.catalog, job.demand)
+        instance = cheapest_fit(default_catalog(), job.demand)
         assert instance == SMALL_FIT
-        assert try_allocate(job.id, job.demand, instance, 1.0, pool, None) is True
-        assert pool.in_use == 1
+        assert try_allocate(job.id, job.demand, instance, 1.0, None) is True
         # run() grants each job its cheapest fit: m1.large is the cheapest
         # entry with 2 cores and 7 GB.
         big = make_job(job_id=1, demand=ResourceDemand(2, 7.0, 300.0))
@@ -191,12 +157,11 @@ class TestTryAllocate:
         assert [r.instance for r in report.jobs] == ["m1.small", "m1.large"]
 
     def test_unsatisfiable_demand(self):
-        pool = ResourcePool(10, default_catalog())
         job = make_job(job_id=1, demand=ResourceDemand(16, 64.0, 5000))
         message = (r"job 1: demand ResourceDemand\(processors=16, memory=64.0, storage=5000\) "
                    "exceeds every catalog entry")
         with pytest.raises(UnsatisfiableDemandError, match=message):
-            try_allocate(job.id, job.demand, None, 1.0, pool, None)
+            try_allocate(job.id, job.demand, None, 1.0, None)
         # run() raises it at the job's first allocation attempt, naming the
         # job's own demand, not that of job 0, which arrives later with the
         # same demand as floats.
@@ -204,31 +169,16 @@ class TestTryAllocate:
         with pytest.raises(UnsatisfiableDemandError, match=message):
             run(intake_config(), [later, job])
 
-    def test_full_pool_defers_even_at_best_rank(self):
-        pool = ResourcePool(1, default_catalog())
-        pool.in_use = 1
-        p = AllocationTable().probability(1)
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is False
-        assert pool.in_use == 1
-
     # A draw of None stands for no draw: comparing it with p raises TypeError.
     def test_certain_band_draws_nothing(self):
-        pool = ResourcePool(10, default_catalog())
-        p = AllocationTable().probability(5)
+        p = DEFAULT_ALLOCATION_BANDS[0][2]  # ranks 1..10
         assert p == 1.0
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is True
-
-    def test_full_pool_defers_without_drawing(self):
-        pool = ResourcePool(1, default_catalog())
-        pool.in_use = 1
-        p = AllocationTable().probability(95)
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, None) is False
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, None) is True
 
     def test_failed_draw_defers(self, monkeypatch):
-        pool = ResourcePool(10, default_catalog())
-        p = AllocationTable().probability(95)  # 0.3
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, pool, 0.5118216247002567) is False
-        assert pool.in_use == 0
+        p = DEFAULT_ALLOCATION_BANDS[-1][2]  # ranks 91..100
+        assert p == 0.3
+        assert try_allocate(0, make_job().demand, SMALL_FIT, p, 0.5118216247002567) is False
         # run() retries a deferred job retry_interval after the attempt: the
         # job arrives at t=3, fails its first draw and is admitted at t=5.
         monkeypatch.setattr(simulator, "_uniforms", lambda seed, count, counter=None: np.array(
@@ -244,22 +194,9 @@ class TestTryAllocate:
         inputs = simulator._Inputs(SimConfig(num_tasks=1, seed=12345), jobs)
         n = 100_000
         draws = [inputs.draw(i, d) for i in range(len(jobs)) for d in range(12)][:n]
-        table = AllocationTable()
-        for rank, p in ((55, 0.7), (35, 0.9)):
-            assert table.probability(rank) == p
-            pool = ResourcePool(5, default_catalog())
-            successes = 0
-            for u in draws:
-                if try_allocate(0, make_job().demand, SMALL_FIT, p, pool, u):
-                    successes += 1
-                    pool.in_use -= 1
+        for p in (0.7, 0.9):  # the bands of ranks 51..60 and 31..40
+            successes = sum(try_allocate(0, make_job().demand, SMALL_FIT, p, u) for u in draws)
             assert abs(successes / n - p) <= 0.02
-
-
-class TestResourcePool:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ResourcePool(0, default_catalog())
 
 
 class TestMg1Waiting:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cloudsched import simulator
 from cloudsched.domain import (
+    DEFAULT_ALLOCATION_BANDS,
     INVALID,
     JOB_COLUMNS,
     BusinessProfile,
@@ -25,7 +26,7 @@ from cloudsched.domain import (
     validate_job,
 )
 from cloudsched.priority import WindowStats
-from cloudsched.queueing import AllocationTable, cheapest_fit, try_allocate
+from cloudsched.queueing import cheapest_fit, try_allocate
 from cloudsched.simulator import (
     InsufficientSamplesError,
     SimReport,
@@ -152,6 +153,19 @@ class TestSingleJob:
 
 
 class TestCapacitySerialization:
+    def test_full_pool_defers_without_drawing(self, monkeypatch):
+        # Job 1 arrives at t=1 while job 0 holds the only VM until t=650, and
+        # every draw admits. While the VM is busy, job 1 is not offered it:
+        # it uses no draw and counts no retry. Its first draw is made at the
+        # completion.
+        _script_draws(monkeypatch, failures={})
+        used = _record_draws(monkeypatch)
+        first, queued = run(small_config(allocation_bands=((1, 100, 0.5),)),
+                            [make_job(job_id=0), make_job(job_id=1, arrival=1.0)]).jobs
+        assert first.completion == queued.start == 650.0
+        assert queued.retries == 0
+        assert used == [(0, 0.0), (1, 0.0)]
+
     def test_second_identical_job_waits_at_least_one_service(self):
         jobs = [make_job(job_id=0), make_job(job_id=1)]
         report = run(small_config(), jobs)
@@ -220,6 +234,22 @@ class TestRunContract:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run(small_config(), [make_job()], mode="hybrid")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bands_in_any_order_give_the_same_run(self, mode):
+        # The mixed scenario's jobs fill all ten default bands and retry, so
+        # each band's probability and wait must land on its own ranks. The
+        # reversed bands are lists and tuples, as a library caller may mix them.
+        cfg, spec = _scenario("mixed")
+        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        mixed = [list(band) if i % 2 else band
+                 for i, band in enumerate(DEFAULT_ALLOCATION_BANDS[::-1])]
+        ordered, reversed_ = [run(replace(cfg, allocation_bands=bands), jobs, mode=mode)
+                              for bands in (DEFAULT_ALLOCATION_BANDS, mixed)]
+        assert len(ordered.band_waits) == 10 and sum(ordered.columns["retries"]) > 0
+        assert reversed_.columns == ordered.columns
+        assert list(reversed_.band_waits.items()) == list(ordered.band_waits.items())
+        assert list(reversed_.class_sls.items()) == list(ordered.class_sls.items())
 
     def test_invalid_jobs_are_rejected_not_simulated(self):
         jobs = [make_job(job_id=0), make_job(job_id=1, exec_time=0.0)]
@@ -403,7 +433,7 @@ def _paired_cases(draw):
         catalog=PAIRED_CATALOG, max_queue_length=draw(st.sampled_from([2, 5, 1_000_000])),
         max_retries=draw(st.sampled_from([1, 4, 1_000_000])),
         retry_interval=draw(st.sampled_from([1.0, 2.5])),
-        allocation_bands=draw(st.sampled_from([((1, 100, 0.5),), AllocationTable().bands,
+        allocation_bands=draw(st.sampled_from([((1, 100, 0.5),), DEFAULT_ALLOCATION_BANDS,
                                                 ((1, 30, 1.0), (31, 100, 0.05))])))
     return config, [replace(job, id=job_id) for job, job_id in zip(jobs, ids)]
 
@@ -966,10 +996,10 @@ def _record_draws(monkeypatch) -> list:
     """Record the job id and the draw of every allocation attempt that draws."""
     used = []
 
-    def recording(job_id, demand, instance, p, pool, u):
+    def recording(job_id, demand, instance, p, u):
         if u is not None:
             used.append((job_id, u))
-        return try_allocate(job_id, demand, instance, p, pool, u)
+        return try_allocate(job_id, demand, instance, p, u)
 
     monkeypatch.setattr(simulator, "try_allocate", recording)
     return used
@@ -1034,9 +1064,9 @@ class TestJobStreams:
         assert sorted(blocks[1:]) == sorted({(i - i % run_of, d // 4)
                                              for i, d in drawn if d >= 4})
         # Only the jobs whose band admits with p < 1 draw.
-        table = AllocationTable(cfg.allocation_bands)
+        certain = {r for lo, hi, p in cfg.allocation_bands if p == 1.0 for r in range(lo, hi + 1)}
         assert {i for i, _d in drawn} == {i for i, r in enumerate(report.jobs)
-                                          if table.probability(r.rank) < 1.0}
+                                          if r.rank not in certain}
         assert 0 < len({i for i, _d in drawn}) < cfg.num_tasks
 
     @given(seed=st.integers(0, 2**128 - 1), places=st.lists(st.integers(0, 63), min_size=1,
@@ -1108,8 +1138,9 @@ class TestLeftToRightSums:
         columns = _columns(n, status=["completed"] * n, wait=UNCOMPENSATED, rank=[5] * n,
                            class_index=[1] * n, resultant=UNCOMPENSATED, deadline_met=[True] * n,
                            cost=UNCOMPENSATED)
-        bands = AllocationTable(((1, 10, 1.0), (11, 100, 0.5))).bands
-        band_waits, class_sls, hit_rate, total_cost = simulator._summary(columns, bands, 2)
+        bands, band_of_rank = ((1, 10, 1.0), (11, 100, 0.5)), [None] + [0] * 10 + [1] * 90
+        band_waits, class_sls, hit_rate, total_cost = simulator._summary(columns, bands,
+                                                                         band_of_rank, 2)
         assert band_waits == {"1-10": 0.0}
         assert class_sls == {"1": 0.0}
         assert (hit_rate, total_cost) == (1.0, 0.0)
