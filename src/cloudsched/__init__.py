@@ -18,7 +18,6 @@ from .workload import (
     generate_arrivals,
     load_jobs,
     sample_jobs,
-    save_jobs,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,6 @@ from .workload import (
     InvalidJobError,
     ParseError,
     WorkloadSpec,
-    generate_arrivals,
     jobs_to_csv,
     load_jobs,
     sample_jobs,
@@ -420,7 +419,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     _echo_defaults(parsed)
     out = _ensure_out(args.out)
     sim = parsed.sim
-    jobs = sample_jobs(sim, parsed.workload, generate_arrivals(sim))
+    jobs = sample_jobs(sim, parsed.workload)
     path = out / "jobs.csv"
     _write_atomic(path, jobs_to_csv(jobs))
     print(f"generated {len(jobs)} jobs at rate {sim.arrival_rate:g}/s (seed {sim.seed}) "
@@ -474,7 +473,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not jobs:
             raise ConfigError(f"workload file {args.jobs} contains no jobs")
     else:
-        jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
+        jobs = sample_jobs(parsed.sim, parsed.workload)
 
     # The second run reuses the inputs the first prepares in the job set.
     native = run(parsed.sim, jobs, mode="native")
@@ -570,18 +569,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the fully-resolved config as JSON and exit")
     parser.add_argument("--config", dest="root_config", metavar="PATH",
                         help="config file for --print-config")
-    tables = argparse.ArgumentParser(add_help=False)
-    tables.add_argument("--out", metavar="DIR",
-                        default=os.environ.get(OUT_DIR_ENV, "."),
-                        help=f"output directory (default $'{OUT_DIR_ENV}' or '.')")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", default=os.environ.get(OUT_DIR_ENV, "."),
+                     help=f"output directory (default $'{OUT_DIR_ENV}' or '.')")
+    tables = argparse.ArgumentParser(add_help=False, parents=[out])
     tables.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="format of the tables the command writes")
-    common = argparse.ArgumentParser(add_help=False, parents=[tables])
-    common.add_argument("--config", metavar="PATH", default=None,
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", default=None,
                         help="JSON config file (defaults apply for omitted keys)")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
+    config.add_argument("--seed", type=int, default=None, help="seed override")
+    common = argparse.ArgumentParser(add_help=False, parents=[tables, config])
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("generate", parents=[common], help="write a synthetic workload file")
+    sub.add_parser("generate", parents=[out, config], help="write a synthetic workload file")
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run paired native/resultant simulations")
     p_sim.add_argument("--jobs", metavar="PATH", default=None,

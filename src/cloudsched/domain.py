@@ -420,6 +420,10 @@ class SimConfig:
             raise ValueError("retry_interval must be > 0")
         if self.epoch_length <= 0:
             raise ValueError("epoch_length must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.max_queue_length < 1:
+            raise ValueError("max_queue_length must be >= 1")
 
     def to_dict(self) -> dict:
         return jsonable(self)

@@ -1,8 +1,8 @@
 """Intake pipeline pieces that run() composes: the class gate, per-class
-queues in chain order, the cheapest catalog fit of a demand, one probabilistic
-allocation attempt, and closed-form waiting times for the non-preemptive
-priority single-server queue. run() itself holds the count of busy VMs and
-each rank's allocation band."""
+queues in chain order, the cheapest catalog fit of a demand, the admission
+test of one allocation attempt, and closed-form waiting times for the
+non-preemptive priority single-server queue. run() itself holds the count of
+busy VMs, each rank's allocation band and the check that every job fits."""
 
 from __future__ import annotations
 
@@ -70,21 +70,15 @@ def cheapest_fit(catalog, demand: ResourceDemand) -> ResourceCatalogEntry | None
     return best
 
 
-def try_allocate(job_id, demand: ResourceDemand, instance: ResourceCatalogEntry | None,
-                 p: float, u: float | None) -> bool:
-    """One allocation attempt for the job of job_id and demand, made while a
-    VM is free: whether it was admitted.
+def try_allocate(p: float, u: float | None) -> bool:
+    """One allocation attempt, made while a VM is free: whether the job is
+    admitted, with p the admission probability of its rank band.
 
-    instance is the job's cheapest fitting catalog entry (see cheapest_fit),
-    None when nothing fits, which raises UnsatisfiableDemandError naming the
-    job and its demand, and p the admission probability of its rank band.
     The job is admitted when p = 1 or when u, its allocation draw in [0, 1),
     is below p; u is None at p = 1, where nothing is drawn (run() defines the
-    draws). The caller then grants the job the instance and counts its VM busy.
+    draws). run() has checked that the catalog fits every job, and grants an
+    admitted job its cheapest fit.
     """
-    if instance is None:
-        raise UnsatisfiableDemandError(
-            f"job {job_id!r}: demand {demand} exceeds every catalog entry")
     if p == 1.0 or u < p:  # a bool, where u < p alone is numpy's for a numpy draw
         return True
     return False

@@ -4,22 +4,23 @@ replication bundle of reference curves.
 
 run() takes its jobs as a domain.JobSet, which holds them as columns: one
 Python list per job field, as sample_jobs and load_jobs build it, and the
-float64 array of the same values. No Job object is built on the way from
-the workload to the report. The first run over a set with a config prepares
-the per-job inputs that do not depend on the mode from those columns (the
+float64 array of the same values. No Job object is built on the way from the
+workload to the report. The first run over a set with a config prepares the
+per-job inputs that do not depend on the mode from those columns (the
 validity mask, the epoch windows, the id order, the technical and business
 scores and the cheapest fits), and the set keeps them, so a paired native
-and resultant run prepares them once; each run adds the resultant, rank,
-class and admission probability of its mode. A job's allocation draws are
-common to both modes: draw d of the set's job i depends on (seed, i, d)
-alone, through numpy's counter-based Philox generator. The event loop keeps
-each job's state in per-field lists indexed by the job's place in id order,
-and its SimReport holds the job records as columns, one list per JobRecord
-field. A report is written in schema 2 as those columns: compact JSON with
-sorted keys, one encoder call per column (SimReport.json_texts). A column is
-encoded by orjson where its text is provably that of the json module's C
-encoder, and by the C encoder otherwise (_column_text), so every byte is the
-json module's.
+and resultant run prepares them once. A job that nothing in the catalog fits
+is rejected there, so the event loop only schedules; each run adds the
+resultant, rank, class and admission probability of its mode. A job's
+allocation draws are common to both modes: draw d of the set's job i depends
+on (seed, i, d) alone, through numpy's counter-based Philox generator. The
+event loop keeps each job's state in per-field lists indexed by the job's
+place in id order, and its SimReport holds the job records as columns, one
+list per JobRecord field. A report is written in schema 2 as those columns:
+compact JSON with sorted keys, one encoder call per column
+(SimReport.json_texts). A column is encoded by orjson where its text is
+provably that of the json module's C encoder, and by the C encoder otherwise
+(_column_text), so every byte is the json module's.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .priority import (
     service_level_satisfaction,
     technical_columns,
 )
-from .queueing import QueueClass, cheapest_fit, classify, try_allocate
-from .workload import WorkloadSpec, generate_arrivals, sample_jobs
+from .queueing import QueueClass, UnsatisfiableDemandError, cheapest_fit, classify, try_allocate
+from .workload import WorkloadSpec, sample_jobs
 
 # Event kinds, in the order same-time events resolve; remaining ties go by job
 # id. Completions free capacity before new arrivals see the pool, and retries
@@ -306,40 +307,28 @@ def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0)
     return tuple(stats)
 
 
-def _cheapest_fits(catalog, jobs: JobSet, order: list, demand) -> tuple[list, list]:
-    """The cheapest fit and the ResourceDemand of each job jobs[i], i in order,
-    given demand, their (processors, memory, storage) float64 rows.
+def _cheapest_fits(catalog, jobs: JobSet, order: list, demand) -> list:
+    """The cheapest fit of each job jobs[i], i in order, None where nothing
+    fits, given demand, their (processors, memory, storage) float64 rows.
 
     cheapest_fit runs once per distinct row, on the ResourceDemand of the
-    first of its jobs, which that row's fitting jobs share: rows are told
-    apart by their bytes, and demands that read as the same floats compare
-    alike against every catalog entry. A job that nothing fits gets a
-    ResourceDemand of its own values, which its error message shows.
+    first of its jobs: rows are told apart by their bytes, and demands that
+    read as the same floats compare alike against every catalog entry.
     """
     processors, memory, storage = jobs.values[4:7]
-
-    def demand_of(i):
-        return ResourceDemand(processors[i], memory[i], storage[i])
-
     rows = np.ascontiguousarray(demand.T).view(np.dtype((np.void, demand.itemsize * 3)))
     _rows, first, row = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
-    row = row.reshape(-1).tolist()
-    demands = [demand_of(order[k]) for k in first.tolist()]
-    fits = [cheapest_fit(catalog, d) for d in demands]
-    job_demands = list(map(demands.__getitem__, row))
-    job_fits = list(map(fits.__getitem__, row))
-    if any(fit is None for fit in fits):
-        for k, fit in enumerate(job_fits):
-            if fit is None:
-                job_demands[k] = demand_of(order[k])
-    return job_fits, job_demands
+    fits = [cheapest_fit(catalog, ResourceDemand(processors[i], memory[i], storage[i]))
+            for i in map(order.__getitem__, first.tolist())]
+    return list(map(fits.__getitem__, row.reshape(-1).tolist()))
 
 
 class _Inputs:
     """The inputs of run() that depend on the jobs and the config, not on the
     mode, prepared from a JobSet's value lists and its float64 columns, and
     the allocation draws, built when first needed (draw). The columns of the
-    admitted jobs are not kept.
+    admitted jobs are not kept. When nothing in the catalog fits an admitted
+    job, UnsatisfiableDemandError names the first such job to arrive.
 
     Admitted jobs are numbered k = 0.. in job id order, int ids by value
     before the others by their text, so k breaks the ties between same-time
@@ -347,9 +336,8 @@ class _Inputs:
     of all jobs are in the order of the job set.
     """
 
-    __slots__ = ("reasons", "rejected", "row", "order", "ids", "demand", "fits", "arrival",
-                 "exec_time", "deadline", "instance", "cost", "arrivals", "t_start", "weight",
-                 "tp", "bp", "seed", "_first", "_blocks")
+    __slots__ = ("reasons", "row", "order", "arrival", "exec_time", "deadline", "instance",
+                 "cost", "arrivals", "t_start", "weight", "tp", "bp", "seed", "_first", "_blocks")
 
     def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
@@ -368,8 +356,7 @@ class _Inputs:
         for i in np.flatnonzero(~valid).tolist():
             reasons[i] = validate_job(jobs[i], config.blank_time).reason
         admitted = np.flatnonzero(valid).tolist()
-        self.rejected = len(jobs) - len(admitted)
-        if self.rejected:
+        if len(admitted) < len(jobs):
             columns = columns[:, admitted]
         windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
 
@@ -379,21 +366,20 @@ class _Inputs:
         # among the admitted.
         adm_ids = [ids[i] for i in admitted]
         if set(map(type, adm_ids)) == {int} and all(map(operator.lt, adm_ids, adm_ids[1:])):
-            self.order, self.ids = admitted, adm_ids
+            self.order = admitted
         else:
             int_ids = [p for p, job_id in enumerate(adm_ids) if isinstance(job_id, int)]
             other_ids = [p for p, job_id in enumerate(adm_ids) if not isinstance(job_id, int)]
             by_id = (sorted(int_ids, key=adm_ids.__getitem__)
                      + sorted(other_ids, key=lambda p: str(adm_ids[p])))
             self.order = [admitted[p] for p in by_id]
-            self.ids = [ids[i] for i in self.order]
             by_id = np.array(by_id, dtype=np.intp)
             columns = columns[:, by_id]
             windows = [stat[by_id] for stat in windows]
         order = self.order
         self.t_start, self.weight, self.tp, self.bp = technical_columns(columns, windows, config)
         # Rows 4:7 are the processors, memory and storage.
-        self.fits, self.demand = _cheapest_fits(config.catalog, jobs, order, columns[4:7])
+        fits = _cheapest_fits(config.catalog, jobs, order, columns[4:7])
 
         # The report row of each job: its k, or row m_jobs, that of the rejected
         # jobs; None when each job's row is its place in the job set.
@@ -406,12 +392,17 @@ class _Inputs:
         self.arrival = arrival = list(map(arrival_values.__getitem__, order))
         self.exec_time = exec_time = list(map(exec_values.__getitem__, order))
         self.deadline = [a + due_values[i] for a, i in zip(arrival, order)]
-        # The instance and the cost of each job, should it start and complete.
-        self.instance = [None if fit is None else fit.name for fit in self.fits]
-        self.cost = [None if fit is None else e / 3600.0 * fit.cost
-                     for e, fit in zip(exec_time, self.fits)]
         # The k in arrival order, ties by k.
         self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
+        # The first job to arrive that nothing fits is named, with its own demand.
+        unfit = next((k for k in self.arrivals if fits[k] is None), None)
+        if unfit is not None:
+            job = jobs[order[unfit]]
+            raise UnsatisfiableDemandError(
+                f"job {job.id!r}: demand {job.demand} exceeds every catalog entry")
+        # The instance and the cost of each job, should it start and complete.
+        self.instance = [fit.name for fit in fits]
+        self.cost = [e / 3600.0 * fit.cost for e, fit in zip(exec_time, fits)]
 
     def draw(self, i: int, d: int) -> float:
         """Draw d of the set's job i (see run()). The first draw builds draws
@@ -463,23 +454,24 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     - window_stats_by_epoch reduces the admitted jobs' columns to each job's
       epoch window, and technical_columns scores every admitted job against
       it.
-    - cheapest_fit runs once per distinct demand, with one ResourceDemand
-      per distinct demand (_cheapest_fits).
+    - cheapest_fit runs once per distinct demand (_cheapest_fits); an unfit
+      demand raises UnsatisfiableDemandError before any event, naming the
+      first such job to arrive, ties by id, and the job's own demand.
     Each run then computes the resultant and rank of its mode
     (resultant_columns), and from the rank each job's class, by classify's
     rule, and its admission probability, that of its rank's band; an arrival
-    only enqueues the job. A demand that no catalog entry fits raises
-    UnsatisfiableDemandError at the job's first allocation attempt.
+    only enqueues the job.
 
     The pool is config.num_vms identical VMs, and the run counts the busy
-    ones; a job is offered a VM, and try_allocate called, only while one is
-    free. The event loop handles only the events that change state. An
-    arrival or a retry can unblock only its own class (every other class is
-    empty, has a head waiting for its retry, or waits for a free VM), so only
-    that class is offered the free VMs; a completion offers them to every
-    class in class order. Per-job state lives in lists, and a job's instance,
-    wait, cost and deadline flag are computed after the loop from its start
-    and completion.
+    ones; a job is offered a VM, and its admission tested (try_allocate),
+    only while one is free, and it is granted its cheapest fit. The event
+    loop handles only the events that change state. An arrival or a retry
+    can unblock only its own class (every other class is empty, has a head
+    waiting for its retry, or waits for a free VM), so only that class is
+    offered the free VMs; a completion offers them to every class in class
+    order. Per-job state lives in lists, and a job's instance, wait, cost
+    and deadline flag are computed after the loop from its start and
+    completion.
     The report holds its job records as columns (SimReport.columns): the
     run's own lists, and copies of the set's lists and of the shared inputs,
     so a report's columns never alias the jobs or another report.
@@ -489,8 +481,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     if not isinstance(jobs, JobSet):
         jobs = JobSet(jobs)
     inputs = jobs.prepared(config, _Inputs)
-    order, ids, demand, fits, arrival, exec_time = (
-        inputs.order, inputs.ids, inputs.demand, inputs.fits, inputs.arrival, inputs.exec_time)
+    order, arrival, exec_time = inputs.order, inputs.arrival, inputs.exec_time
     m_jobs = len(order)
     resultant, rank = resultant_columns(inputs.tp, inputs.bp, config,
                                         apply_business=mode == "resultant")
@@ -526,7 +517,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     capacity, retry_interval = config.num_vms, config.retry_interval
     max_retries, max_queue_length = config.max_retries, config.max_queue_length
 
-    collected = completed = stuck = 0
+    completed = stuck = 0
     in_queue = in_service = 0
     busy_time = 0.0
     last_time = 0.0
@@ -548,7 +539,6 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
             now, kind, k = heappop(heap)
         last_time = now
         if kind == ARRIVAL:
-            collected += 1
             offered = (queue[k],)
             chain_position[k] = queue[k].enqueue(k)
             in_queue += 1
@@ -576,7 +566,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     # Attempt d of job k draws u(seed, order[k], d); none at p = 1.
                     p = probs[k]
                     u = None if p == 1.0 else draw(order[k], retries[k])
-                    if try_allocate(ids[k], demand[k], fits[k], p, u):
+                    if try_allocate(p, u):
                         # Service starts at the allocation instant.
                         qc.pop()
                         in_queue -= 1
@@ -597,8 +587,8 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     break
                 if in_service >= capacity:
                     break
-        # Conservation: every collected job is accounted for at every instant.
-        assert collected == completed + stuck + in_queue + in_service
+        # Conservation: every arrived job is accounted for at every instant.
+        assert next_arrival == completed + stuck + in_queue + in_service
 
     wait = [None if t is None else t - a for t, a in zip(start, arrival)]
     instance = [None if t is None else name for t, name in zip(start, inputs.instance)]
@@ -659,7 +649,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
         utilization=utilization,
         total_cost=total_cost,
         completed=completed,
-        rejected=inputs.rejected,
+        rejected=len(jobs) - m_jobs,
         stuck=stuck,
         unstable=unstable,
         makespan=last_time,
@@ -754,7 +744,7 @@ def replication_bundle(config: SimConfig, spec: WorkloadSpec) -> list[Replicatio
     for p in range(8, 99, 10):
         rows.append(ReplicationRow("wait_model_resultant", str(p),
                                    waiting_time_model(p, "resultant"), "model"))
-    jobs = sample_jobs(config, spec, generate_arrivals(config))
+    jobs = sample_jobs(config, spec)
     report = run(config, jobs, mode="resultant")
     for band, wait in report.band_waits.items():
         rows.append(ReplicationRow("wait_simulated", band, wait / 3600.0, "simulated"))

@@ -125,9 +125,10 @@ def generate_arrivals(cfg: SimConfig) -> np.ndarray:
     return np.cumsum(gaps)
 
 
-def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
-    """Draw one job per arrival time from the spec's attribute distributions,
-    with demands from cfg's catalog and random streams from cfg's seed.
+def sample_jobs(cfg: SimConfig, spec: WorkloadSpec) -> JobSet:
+    """Draw cfg.num_tasks jobs: arrival times from generate_arrivals(cfg), and
+    one job per arrival from the spec's attribute distributions, with demands
+    from cfg's catalog and random streams from cfg's seed.
 
     Returns a JobSet whose ids are 0.. in the order of arrivals. Its value
     lists are filled from the draws; each demand value is the catalog entry's
@@ -135,9 +136,7 @@ def sample_jobs(cfg: SimConfig, spec: WorkloadSpec, arrivals) -> JobSet:
     catalog's disk) stays an int. Its float64 columns are built from the same
     draws, not from the lists.
     """
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.size == 0:
-        raise ValueError("arrivals must be non-empty")
+    arrivals = generate_arrivals(cfg)
     n = arrivals.size
     due = spec.due_dist.sample(_stream(cfg.seed, "due"), n)
     exec_times = spec.exec_dist.sample(_stream(cfg.seed, "exec"), n)
@@ -186,12 +185,6 @@ def jobs_to_csv(jobs) -> str:
     writer.writerows(zip(jobs.ids, *(values if c == _PN else map(repr, values)
                                      for c, values in enumerate(jobs.values))))
     return buf.getvalue()
-
-
-def save_jobs(path, jobs) -> None:
-    """Write jobs as a CSV file."""
-    with open(path, "w", newline="") as fh:
-        fh.write(jobs_to_csv(jobs))
 
 
 def _parse_float(value: str, name: str, record: int) -> float:

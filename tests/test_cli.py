@@ -20,7 +20,6 @@ from cloudsched.workload import (
     JOB_FILE_FIELDS,
     Distribution,
     WorkloadSpec,
-    generate_arrivals,
     sample_jobs,
 )
 
@@ -40,7 +39,7 @@ def simulated(tmp_path_factory):
     config.write_text(json.dumps(CONFIG))
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     parsed = cli.parse_config(config)
-    jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
+    jobs = sample_jobs(parsed.sim, parsed.workload)
     return out, {mode: run(parsed.sim, jobs, mode=mode) for mode in MODES}
 
 
@@ -233,7 +232,7 @@ class TestWorkloadBytes:
                                                 ("config-file", FLOAT_CATALOG_CONFIG)])
     def test_sampled_job_values_and_types_are_pinned(self, tmp_path, catalog, config):
         parsed = cli.parse_config(_config_file(tmp_path, config))
-        jobs = sample_jobs(parsed.sim, parsed.workload, generate_arrivals(parsed.sim))
+        jobs = sample_jobs(parsed.sim, parsed.workload)
         digest = hashlib.sha256(repr(list(jobs)).encode()).hexdigest()
         assert digest == PINNED_SAMPLED_JOBS_SHA256[catalog]
 
@@ -786,6 +785,30 @@ class TestNegativeSeed:
         assert "--seed: seed must be >= 0" in capsys.readouterr().err
 
 
+class TestRunLimits:
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_retries", -3, "max_retries must be >= 0"),
+        ("max_queue_length", 0, "max_queue_length must be >= 1"),
+    ])
+    def test_out_of_range_limit_exits_2_naming_the_key(self, tmp_path, capsys, key, value,
+                                                       message):
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20, key: value}})
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestGenerateOptions:
+    def test_format_is_rejected(self, tmp_path, capsys):
+        # generate writes jobs.csv whatever the format, so it takes none.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "jobs.csv").exists()
+
+
 class TestSeedBound:
     """A seed is a 128-bit Philox key; 2**128 and above exit 2 on each path."""
 
@@ -849,8 +872,8 @@ class TestSimulateJobFile:
         assert report.columns["status"] == ["completed", "completed"]
 
     def test_unsatisfiable_demand_exits_2_naming_the_job(self, tmp_path, capsys):
-        # No catalog entry has 100 processors; the run stops at the job's
-        # first allocation attempt.
+        # No catalog entry has 100 processors; the run stops before it
+        # simulates anything.
         jobs = tmp_path / "jobs.csv"
         jobs.write_text(JOB_FILE_HEADER + "0,0.0,700,650,5,1,1.7,160,100,5\n"
                         "big,1.0,700,650,5,100,1.7,160,100,5\n")
@@ -1189,7 +1212,7 @@ class TestReplicate:
         sim = replace(cli.parse_config(path).sim, seed=11)
 
         def hours_by_band(spec):
-            report = run(sim, sample_jobs(sim, spec, generate_arrivals(sim)), mode="resultant")
+            report = run(sim, sample_jobs(sim, spec), mode="resultant")
             return {band: wait / 3600.0 for band, wait in report.band_waits.items()}
 
         assert simulated == hours_by_band(cli.parse_config(path).workload)

@@ -24,7 +24,7 @@ from cloudsched.domain import (
 )
 from cloudsched.priority import WindowStats, build_record
 from cloudsched.simulator import JobRecord, run
-from cloudsched.workload import load_jobs, save_jobs
+from cloudsched.workload import jobs_to_csv, load_jobs
 
 
 def make_job(due=700.0, exec_time=650.0, prep=5.0, demand=None, business=None,
@@ -259,6 +259,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="^num_vms must be >= 1$"):
             SimConfig(num_vms=0)
 
+    def test_run_limits_must_be_in_range(self):
+        assert SimConfig(max_retries=0, max_queue_length=1).max_retries == 0
+        with pytest.raises(ValueError, match="^max_retries must be >= 0$"):
+            SimConfig(max_retries=-3)
+        with pytest.raises(ValueError, match="^max_queue_length must be >= 1$"):
+            SimConfig(max_queue_length=0)
+
 
 def _band_probability(rank: int) -> float:
     """The admission probability of rank's band in DEFAULT_ALLOCATION_BANDS."""
@@ -297,7 +304,7 @@ class TestRoundTrip:
     @given(job=jobs)
     def test_job_file_round_trip(self, tmp_path, job):
         path = tmp_path / "jobs.csv"
-        save_jobs(path, [job])
+        path.write_text(jobs_to_csv([job]), newline="")
         assert list(load_jobs(path)) == [job]
 
     def test_sim_config_round_trip(self):

@@ -9,6 +9,7 @@ from cloudsched.domain import (
     BusinessProfile,
     Job,
     JobSet,
+    ResourceCatalogEntry,
     ResourceDemand,
     SimConfig,
     default_catalog,
@@ -149,7 +150,7 @@ class TestTryAllocate:
         job = make_job()
         instance = cheapest_fit(default_catalog(), job.demand)
         assert instance == SMALL_FIT
-        assert try_allocate(job.id, job.demand, instance, 1.0, None) is True
+        assert try_allocate(1.0, None) is True
         # run() grants each job its cheapest fit: m1.large is the cheapest
         # entry with 2 cores and 7 GB.
         big = make_job(job_id=1, demand=ResourceDemand(2, 7.0, 300.0))
@@ -160,11 +161,8 @@ class TestTryAllocate:
         job = make_job(job_id=1, demand=ResourceDemand(16, 64.0, 5000))
         message = (r"job 1: demand ResourceDemand\(processors=16, memory=64.0, storage=5000\) "
                    "exceeds every catalog entry")
-        with pytest.raises(UnsatisfiableDemandError, match=message):
-            try_allocate(job.id, job.demand, None, 1.0, None)
-        # run() raises it at the job's first allocation attempt, naming the
-        # job's own demand, not that of job 0, which arrives later with the
-        # same demand as floats.
+        # run() raises it before any event, naming the job's own demand, not
+        # that of job 0, which arrives later with the same demand as floats.
         later = make_job(job_id=0, arrival=5.0, demand=ResourceDemand(16, 64.0, 5000.0))
         with pytest.raises(UnsatisfiableDemandError, match=message):
             run(intake_config(), [later, job])
@@ -173,12 +171,12 @@ class TestTryAllocate:
     def test_certain_band_draws_nothing(self):
         p = DEFAULT_ALLOCATION_BANDS[0][2]  # ranks 1..10
         assert p == 1.0
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, None) is True
+        assert try_allocate(p, None) is True
 
     def test_failed_draw_defers(self, monkeypatch):
         p = DEFAULT_ALLOCATION_BANDS[-1][2]  # ranks 91..100
         assert p == 0.3
-        assert try_allocate(0, make_job().demand, SMALL_FIT, p, 0.5118216247002567) is False
+        assert try_allocate(p, 0.5118216247002567) is False
         # run() retries a deferred job retry_interval after the attempt: the
         # job arrives at t=3, fails its first draw and is admitted at t=5.
         monkeypatch.setattr(simulator, "_uniforms", lambda seed, count, counter=None: np.array(
@@ -195,8 +193,43 @@ class TestTryAllocate:
         n = 100_000
         draws = [inputs.draw(i, d) for i in range(len(jobs)) for d in range(12)][:n]
         for p in (0.7, 0.9):  # the bands of ranks 51..60 and 31..40
-            successes = sum(try_allocate(0, make_job().demand, SMALL_FIT, p, u) for u in draws)
+            successes = sum(try_allocate(p, u) for u in draws)
             assert abs(successes / n - p) <= 0.02
+
+
+class TestUnfitJobs:
+    """A job that no catalog entry fits is rejected while run() prepares its
+    inputs, before any event: the error names the first such job to arrive."""
+
+    def test_first_unfit_job_to_arrive_is_named(self):
+        # Job 0 holds the only VM from t=0. Unfit job 1 arrives at t=1 with a
+        # late deadline, and unfit job 2 at t=2 with a tight one, which ranks
+        # it in the better class: job 2 would be offered the VM first, at job
+        # 0's completion, as it is with a catalog entry that fits them. Job 1
+        # arrived first, so job 1 is named.
+        big = ResourceDemand(16, 64.0, 5000)
+        jobs = [make_job(job_id=0), make_job(job_id=1, arrival=1.0, due=5000.0, demand=big),
+                make_job(job_id=2, arrival=2.0, demand=big)]
+        cfg = replace(intake_config(), class_rates=(0.5, 0.5))
+        huge = ResourceCatalogEntry("huge", 16, 1, 64.0, 64, 5000, 9.9)
+        fitted = run(replace(cfg, catalog=(*cfg.catalog, huge)), jobs).jobs
+        assert [r.class_index for r in fitted] == [1, 2, 1]
+        assert [r.start for r in fitted] == [0.0, 1300.0, 650.0]
+        message = r"^job 1: demand ResourceDemand\(processors=16, memory=64.0, storage=5000\) "
+        with pytest.raises(UnsatisfiableDemandError, match=message):
+            run(cfg, jobs)
+
+    def test_unfit_job_after_an_unstable_stop_raises(self):
+        # With max_queue_length=1 the run stops at t=2, when job 2 is the
+        # second job queued. Job 3, which nothing fits, would arrive after the
+        # stop, but the run raises before it starts.
+        cfg = replace(intake_config(), max_queue_length=1)
+        jobs = [make_job(job_id=i, arrival=float(i)) for i in range(3)]
+        stopped = run(cfg, jobs)
+        assert stopped.unstable and stopped.makespan == 2.0
+        unfit = make_job(job_id=3, arrival=3.0, demand=ResourceDemand(16, 64.0, 5000))
+        with pytest.raises(UnsatisfiableDemandError, match="^job 3: "):
+            run(cfg, [*jobs, unfit])
 
 
 class TestMg1Waiting:

@@ -26,7 +26,7 @@ from cloudsched.domain import (
     validate_job,
 )
 from cloudsched.priority import WindowStats
-from cloudsched.queueing import cheapest_fit, try_allocate
+from cloudsched.queueing import cheapest_fit
 from cloudsched.simulator import (
     InsufficientSamplesError,
     SimReport,
@@ -36,7 +36,7 @@ from cloudsched.simulator import (
     waiting_time_model,
     window_stats_by_epoch,
 )
-from cloudsched.workload import Distribution, WorkloadSpec, generate_arrivals, sample_jobs
+from cloudsched.workload import Distribution, WorkloadSpec, sample_jobs
 
 ALL_ONE_BANDS = tuple((lo, lo + 9, 1.0) for lo in range(1, 100, 10))
 MODES = ("native", "resultant")
@@ -51,7 +51,7 @@ def make_job(job_id=0, arrival=0.0, due=700.0, exec_time=650.0, prep=5.0,
 
 def fixed_jobs(cfg):
     """cfg's jobs with due, exec and prep fixed at its times."""
-    return sample_jobs(cfg, WorkloadSpec.fixed(cfg), generate_arrivals(cfg))
+    return sample_jobs(cfg, WorkloadSpec.fixed(cfg))
 
 
 def small_config(**kwargs):
@@ -241,7 +241,7 @@ class TestRunContract:
         # each band's probability and wait must land on its own ranks. The
         # reversed bands are lists and tuples, as a library caller may mix them.
         cfg, spec = _scenario("mixed")
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        jobs = sample_jobs(cfg, spec)
         mixed = [list(band) if i % 2 else band
                  for i, band in enumerate(DEFAULT_ALLOCATION_BANDS[::-1])]
         ordered, reversed_ = [run(replace(cfg, allocation_bands=bands), jobs, mode=mode)
@@ -807,14 +807,11 @@ class TestColumnPass:
         jobs = [Job(i, 0.0, 1.0, 1.0, 0.0, demand, BusinessProfile(0.0, 0.0))
                 for i, demand in enumerate(demands)]
         job_set = JobSet(jobs)
-        fits, job_demands = simulator._cheapest_fits(catalog, job_set, list(range(len(jobs))),
-                                                     job_set.columns[4:7])
+        fits = simulator._cheapest_fits(catalog, job_set, list(range(len(jobs))),
+                                        job_set.columns[4:7])
         # The entry itself: of equal-cost entries, the first listed.
         assert [id(fit) for fit in fits] == [id(cheapest_fit(catalog, job.demand))
                                              for job in jobs]
-        # A job that nothing fits keeps its own demand, for its error message.
-        assert [repr(d) for d, fit in zip(job_demands, fits) if fit is None] == [
-            repr(job.demand) for job, fit in zip(jobs, fits) if fit is None]
 
     def test_every_job_rejected(self):
         jobs = [make_job(job_id=0, exec_time=0.0), make_job(job_id=1, arrival=math.nan)]
@@ -885,7 +882,7 @@ def _scenario_jobs(name):
     if name == "library":
         return _library_scenario()
     cfg, spec = _scenario(name)
-    return cfg, sample_jobs(cfg, spec, generate_arrivals(cfg))
+    return cfg, sample_jobs(cfg, spec)
 
 
 # SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
@@ -914,13 +911,13 @@ class TestReportBytes:
 
     def test_mixed_scenario_reaches_every_band(self):
         cfg, spec = _scenario("mixed")
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        jobs = sample_jobs(cfg, spec)
         for mode in ("native", "resultant"):
             assert len(run(cfg, jobs, mode=mode).band_waits) == len(cfg.allocation_bands)
 
     def test_saturated_scenario_queues(self):
         cfg, spec = _scenario("saturated")
-        report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)))
+        report = run(cfg, sample_jobs(cfg, spec))
         assert not report.unstable
         assert max(r.wait for r in report.jobs) >= cfg.exec_time
 
@@ -993,26 +990,26 @@ def _count_generators(monkeypatch) -> list:
 
 
 def _record_draws(monkeypatch) -> list:
-    """Record the job id and the draw of every allocation attempt that draws."""
+    """Record the job place i and the draw u of every allocation attempt that
+    draws, as (i, u) in call order; the attempt's draw number is not kept."""
     used = []
+    real_draw = simulator._Inputs.draw
 
-    def recording(job_id, demand, instance, p, u):
-        if u is not None:
-            used.append((job_id, u))
-        return try_allocate(job_id, demand, instance, p, u)
+    def recording(inputs, i, d):
+        u = real_draw(inputs, i, d)
+        used.append((i, u))
+        return u
 
-    monkeypatch.setattr(simulator, "try_allocate", recording)
+    monkeypatch.setattr(simulator._Inputs, "draw", recording)
     return used
 
 
-def _by_place(used: list, ids) -> dict:
+def _by_place(used: list) -> dict:
     """(i, d) -> u of one run's recorded draws, for the job at place i of the
     job set and its draw d, the number of its earlier draws."""
-    place = {job_id: i for i, job_id in enumerate(ids)}
     drawn: Counter = Counter()
     draws = {}
-    for job_id, u in used:
-        i = place[job_id]
+    for i, u in used:
         draws[i, drawn[i]] = u
         drawn[i] += 1
     return draws
@@ -1028,7 +1025,7 @@ class TestJobStreams:
     def test_certain_bands_build_no_generator(self, monkeypatch):
         cfg, spec = _scenario("mixed")
         cfg = replace(cfg, allocation_bands=ALL_ONE_BANDS)
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        jobs = sample_jobs(cfg, spec)
         built = _count_generators(monkeypatch)
         report = run(cfg, jobs)
         assert report.completed == cfg.num_tasks
@@ -1038,11 +1035,11 @@ class TestJobStreams:
     @pytest.mark.parametrize("name", ["reference", "mixed", "saturated"])
     def test_no_generator_and_equal_to_eager_streams(self, monkeypatch, name, mode):
         cfg, spec = _scenario(name)
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        jobs = sample_jobs(cfg, spec)
         built = _count_generators(monkeypatch)
         used = _record_draws(monkeypatch)
         report = run(cfg, jobs, mode=mode)
-        drawn = _by_place(used, report.columns["job_id"])
+        drawn = _by_place(used)
         assert set(built) == {"Philox"}  # raw words only, no Generator
         assert sum(r.retries for r in report.jobs) > 0  # some draws failed
 
@@ -1054,7 +1051,7 @@ class TestJobStreams:
             return np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(count)
 
         monkeypatch.setattr(simulator, "_uniforms", eager)
-        eager_report = run(cfg, sample_jobs(cfg, spec, generate_arrivals(cfg)), mode=mode)
+        eager_report = run(cfg, sample_jobs(cfg, spec), mode=mode)
         assert eager_report.to_json() == report.to_json()
         # Draws 0..3 of every job come from one call, and a later block of four
         # is built once per run of _DRAW_RUN jobs, when a job of the run
@@ -1103,13 +1100,13 @@ class TestJobStreams:
         cfg, spec = _scenario("mixed")
         cfg = replace(cfg, num_tasks=80, num_vms=4, seed=seed,
                       allocation_bands=((1, 40, 0.8), (41, 100, 0.3)))
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))[::-1]
+        jobs = sample_jobs(cfg, spec)[::-1]
         runs = []
         for mode in ("native", "resultant"):
             with pytest.MonkeyPatch.context() as monkeypatch:
                 used = _record_draws(monkeypatch)
                 run(cfg, jobs, mode=mode)
-            runs.append(_by_place(used, jobs.ids))
+            runs.append(_by_place(used))
         native, resultant = runs
         common = native.keys() & resultant.keys()
         assert any(d >= 4 for _i, d in common)

@@ -22,9 +22,9 @@ from cloudsched.workload import (
     ParseError,
     WorkloadSpec,
     generate_arrivals,
+    jobs_to_csv,
     load_jobs,
     sample_jobs,
-    save_jobs,
 )
 
 
@@ -37,7 +37,7 @@ def jobs_of(num_tasks=100, seed=7, **spec_values):
     """config()'s jobs, drawn from its fixed-timing spec with spec_values set."""
     cfg = config(num_tasks, seed)
     spec = replace(WorkloadSpec.fixed(cfg), **spec_values)
-    return sample_jobs(cfg, spec, generate_arrivals(cfg))
+    return sample_jobs(cfg, spec)
 
 
 class TestGenerateArrivals:
@@ -130,7 +130,7 @@ class TestSampleJobs:
         cfg = replace(config(num_tasks=300), catalog=catalog)
         spec = replace(WorkloadSpec.fixed(cfg), due_dist=Distribution("uniform", (660.0, 3600.0)),
                        exec_dist=Distribution("exponential", (650.0,)))
-        jobs = sample_jobs(cfg, spec, generate_arrivals(cfg))
+        jobs = sample_jobs(cfg, spec)
         assert {type(v) for v in jobs.values[4]} == {int}
         assert jobs.columns.dtype == np.float64 and not jobs.columns.flags.writeable
         assert jobs.columns.tobytes() == np.array(jobs.values, dtype=float).tobytes()
@@ -182,7 +182,7 @@ class TestJobFile:
     def test_round_trip(self, tmp_path):
         jobs = jobs_of(num_tasks=25)
         path = tmp_path / "jobs.csv"
-        save_jobs(path, jobs)
+        path.write_text(jobs_to_csv(jobs), newline="")
         assert load_jobs(path) == jobs
 
     @pytest.mark.parametrize("rows,error,record,reason", [
