@@ -3,16 +3,17 @@ report and plot-data emission.
 
 Config files are JSON with nested sections ("simulation", "priority",
 "catalog", "allocation_bands", "workload", "analysis"); any omitted key takes
-its built-in default and is echoed. All outputs are written atomically:
-to a .tmp file that replaces the output when complete, and is removed if
-writing fails. simulate writes report_<mode>.json (SimReport.to_json() in
-schema 2 and a newline) and bands_<mode>.<fmt> for each mode, and
-comparison.json. export writes the job table of a report, jobs_<mode>.<fmt>,
-one row per job. Every table is written by one writer, _write_table, as
-csv.writer writes it or as json.dumps(..., indent=2) does, and a json table
-is encoded and written a slice of rows at a time. No command builds a
-JobRecord.
-load_report reads a report of schema 2 or 1 back.
+its built-in default and is echoed. Config files and reports are read by
+one JSON reader, _read_json. Every output is written by _atomic_file: to a
+.tmp file that replaces the output when complete, and is removed if writing
+fails. generate writes jobs.csv. simulate writes report_<mode>.json
+(SimReport.to_json() in schema 2 and a newline) and bands_<mode>.<fmt> for
+each mode, and comparison.json. export writes the job table of a report,
+jobs_<mode>.<fmt>, one row per job. Every table, jobs.csv included, is
+written by one writer, _write_table, from rows it streams, as csv.writer
+writes it or as json.dumps(..., indent=2) does; a json table is encoded a
+slice of rows at a time. No command builds a JobRecord. load_report reads
+a report of schema 2 or 1 back.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
-from .domain import ResourceCatalogEntry, SimConfig, jsonable
+from .domain import FieldError, ResourceCatalogEntry, SimConfig, jsonable
 from .queueing import UnsatisfiableDemandError, UnstableError, mg1_waiting
 from .simulator import (
     InsufficientSamplesError,
@@ -39,11 +40,12 @@ from .simulator import (
     value_texts,
 )
 from .workload import (
+    JOB_FILE_FIELDS,
     Distribution,
     InvalidJobError,
     ParseError,
     WorkloadSpec,
-    jobs_to_csv,
+    job_rows,
     load_jobs,
     sample_jobs,
 )
@@ -59,15 +61,9 @@ OUT_DIR_ENV = "CLOUDSCHED_OUT"
 class ConfigError(Exception):
     """A config file problem, carrying the offending key path when known."""
 
-    def __init__(self, message: str, keypath: str | None = None, line: int | None = None):
+    def __init__(self, message: str, keypath: str | None = None):
         self.keypath = keypath
-        self.line = line
-        parts = []
-        if keypath:
-            parts.append(keypath)
-        if line is not None:
-            parts.append(f"line {line}")
-        super().__init__(f"{': '.join(parts)}: {message}" if parts else message)
+        super().__init__(f"{keypath}: {message}" if keypath else message)
 
 
 @dataclass(frozen=True)
@@ -132,6 +128,10 @@ class _ClassMoments:
     mean_service: float
     mean_service_sq: float
 
+    def __post_init__(self):
+        if min(self.rate, self.mean_service, self.mean_service_sq) <= 0:
+            raise ValueError("rate, mean_service and mean_service_sq must be > 0")
+
 
 # Converters by annotated field type. Under `from __future__ import annotations`
 # each dataclass field's type is the annotation string, e.g. "tuple[float, ...]".
@@ -186,15 +186,16 @@ def _take(source: dict, keypath: str, tp: str, default, applied: list[str],
 
 _DEFAULTS = SimConfig()
 
-# Config file section of each SimConfig field: the priority engine's tuning
-# values go under "priority", the catalog and the bands at the top level
-# (None), every other field under "simulation".
+# Config file section and key path of each SimConfig field: the priority
+# engine's tuning values go under "priority", the catalog and the bands at the
+# top level (None), every other field under "simulation".
 _PRIORITY_FIELDS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
                     "business_cap", "blank_time")
 _SIM_FIELDS = tuple(
     (f.name, f.type, None if f.name in ("catalog", "allocation_bands")
      else "priority" if f.name in _PRIORITY_FIELDS else "simulation")
     for f in fields(SimConfig))
+_KEYPATHS = {name: name if sec is None else f"{sec}.{name}" for name, _tp, sec in _SIM_FIELDS}
 _DEFAULT_TEXT = {"catalog": f"<default {len(_DEFAULTS.catalog)}-entry catalog>",
                  "allocation_bands": f"<default {len(_DEFAULTS.allocation_bands)}-band table>"}
 # Workload section keys and the WorkloadSpec fields they set.
@@ -205,21 +206,25 @@ _TOP_KEYS = ("simulation", "priority", "catalog", "allocation_bands", "workload"
              "analysis")
 
 
+def _read_json(path, error):
+    """The JSON value of the UTF-8 file at path. A file that is not UTF-8 or
+    not JSON raises error(f"{path}: not valid JSON: {exc}")."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
+
+
 def parse_config(path: str | Path | None) -> ParsedConfig:
-    """Load a JSON config file (or all defaults when path is None).
+    """Load a JSON config file with _read_json, or all defaults when path is None.
 
     Every omitted key takes its default and is recorded in applied_defaults.
-    Unknown keys, type mismatches, and invariant violations raise ConfigError
+    A file that is not UTF-8 or not JSON raises ConfigError naming the file;
+    unknown keys, type mismatches, and invariant violations raise ConfigError
     naming the key path.
     """
-    if path is None:
-        data = {}
-    else:
-        text = Path(path).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(exc.msg, keypath=str(path), line=exc.lineno) from None
+    data = {} if path is None else _read_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
     _check_unknown(data, "config", _TOP_KEYS)
@@ -232,14 +237,13 @@ def parse_config(path: str | Path | None) -> ParsedConfig:
     applied: list[str] = []
     values = {}
     for name, tp, section in _SIM_FIELDS:
-        source, keypath = (data, name) if section is None else (sections[section],
-                                                                f"{section}.{name}")
-        values[name] = _take(source, keypath, tp, getattr(_DEFAULTS, name), applied,
+        source = data if section is None else sections[section]
+        values[name] = _take(source, _KEYPATHS[name], tp, getattr(_DEFAULTS, name), applied,
                              _DEFAULT_TEXT.get(name))
     try:
         sim = SimConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except FieldError as exc:
+        raise ConfigError(str(exc), _KEYPATHS[exc.field]) from None
 
     # Each workload key replaces its default in the fixed-timing spec, one at
     # a time, so a value that breaks a WorkloadSpec invariant is named.
@@ -287,12 +291,6 @@ def effective_config(parsed: ParsedConfig) -> dict:
     return result
 
 
-# Texts are written in slices, so that encoding a large text (the jobs.csv
-# of a 100k-job generate is about 13 MB) never makes a second full-size copy
-# of it.
-_WRITE_SLICE = 1 << 20
-
-
 @contextlib.contextmanager
 def _atomic_file(path: Path):
     """Open a tmp file for path; when the block ends, replace path with it.
@@ -305,13 +303,6 @@ def _atomic_file(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a tmp file, then replace path with it."""
-    with _atomic_file(path) as fh:
-        for i in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[i:i + _WRITE_SLICE])
 
 
 # A json table is encoded and written this many rows at a time, so that its
@@ -337,9 +328,10 @@ def _write_json_table(fh, header, rows) -> None:
 
 
 def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
-    """Write <name>.<fmt>: the header and rows as csv.writer writes them, or
+    """Write <name>.<fmt> in an _atomic_file block, opened with newline="":
+    the header and rows as csv.writer writes them, CRLF-terminated, or
     json.dumps([dict(zip(header, row)) for row in rows], indent=2) and a
-    newline (_write_json_table)."""
+    newline (_write_json_table). rows may be an iterator; it is read once."""
     path = out_dir / f"{name}.{fmt}"
     with _atomic_file(path) as fh:
         if fmt == "csv":
@@ -394,16 +386,12 @@ class ReportError(ValueError):
 
 
 def load_report(path) -> SimReport:
-    """Read back a report written by cmd_simulate, in schema 2 or 1.
+    """Read back a report written by cmd_simulate, in schema 2 or 1, with _read_json.
 
-    Raises ReportError naming the file when it is not JSON, not a report or
-    of another schema.
+    Raises ReportError naming the file when it is not UTF-8 JSON, not a
+    report or of another schema.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ReportError(f"{path}: not valid JSON: {exc}") from None
+    data = _read_json(path, ReportError)
     if not isinstance(data, dict):
         raise ReportError(f"{path}: top level must be an object")
     try:
@@ -420,8 +408,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = _ensure_out(args.out)
     sim = parsed.sim
     jobs = sample_jobs(sim, parsed.workload)
-    path = out / "jobs.csv"
-    _write_atomic(path, jobs_to_csv(jobs))
+    path = _write_table(out, "jobs", JOB_FILE_FIELDS, job_rows(jobs), "csv")
     print(f"generated {len(jobs)} jobs at rate {sim.arrival_rate:g}/s (seed {sim.seed}) "
           f"-> {path}")
     return EXIT_OK
@@ -483,8 +470,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     comparison = _comparison(native, resultant, parsed.sim.beta)
     _write_report(out, native, args.format)
     _write_report(out, resultant, args.format)
-    _write_atomic(out / "comparison.json",
-                  json.dumps(comparison, sort_keys=True, indent=2) + "\n")
+    with _atomic_file(out / "comparison.json") as fh:
+        fh.write(json.dumps(comparison, sort_keys=True, indent=2) + "\n")
     print(f"simulated {n_jobs} jobs twice (native, resultant) -> {out}")
     print(f"boosted jobs: {comparison['boosted_jobs']}, "
           f"mean wait native {comparison['mean_wait_native']:.4f}s vs resultant "

@@ -317,28 +317,41 @@ DEFAULT_ALLOCATION_BANDS: tuple[tuple[int, int, float], ...] = (
 )
 
 
+class FieldError(ValueError):
+    """A SimConfig invariant that fails; field names the field it checks, the
+    first of them when it checks two."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.field = name
+
+
+def _reject(failed: bool, name: str, message: str) -> None:
+    if failed:
+        raise FieldError(name, message)
+
+
 def check_bands(bands) -> None:
-    """Validate allocation bands, given in any order.
+    """Validate allocation bands, given in any order; a FieldError names the
+    allocation_bands field.
 
     The bands must cover ranks 1..100 without gaps or overlaps, and their
     probabilities must lie in (0, 1] and not increase with rank.
     """
-    if not bands:
-        raise ValueError("allocation_bands must be non-empty")
+    name = "allocation_bands"
+    _reject(not bands, name, "allocation_bands must be non-empty")
     ordered = sorted(bands, key=lambda b: b[0])
-    if ordered[0][0] != 1 or ordered[-1][1] != 100:
-        raise ValueError("allocation_bands must cover ranks 1..100")
+    _reject(ordered[0][0] != 1 or ordered[-1][1] != 100, name,
+            "allocation_bands must cover ranks 1..100")
     prev_hi = 0
     prev_p = None
     for lo, hi, p in ordered:
-        if lo != prev_hi + 1:
-            raise ValueError(f"allocation_bands must not overlap or leave gaps (at rank {lo})")
-        if hi < lo:
-            raise ValueError(f"allocation band ({lo},{hi}) is empty")
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"allocation probability {p} not in (0, 1]")
-        if prev_p is not None and p > prev_p:
-            raise ValueError("allocation probabilities must be non-increasing with rank")
+        _reject(lo != prev_hi + 1, name,
+                f"allocation_bands must not overlap or leave gaps (at rank {lo})")
+        _reject(hi < lo, name, f"allocation band ({lo},{hi}) is empty")
+        _reject(not (0.0 < p <= 1.0), name, f"allocation probability {p} not in (0, 1]")
+        _reject(prev_p is not None and p > prev_p, name,
+                "allocation probabilities must be non-increasing with rank")
         prev_hi, prev_p = hi, p
 
 
@@ -383,47 +396,36 @@ class SimConfig:
     max_queue_length: int = 1_000_000
 
     def __post_init__(self):
+        """Check every invariant in turn; the first that fails raises a
+        FieldError naming its field."""
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        if self.num_vms < 1:
-            raise ValueError("num_vms must be >= 1")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
-        if not self.class_rates or any(r <= 0 for r in self.class_rates):
-            raise ValueError("class_rates must be a non-empty list of positive rates")
+            _reject(f.type == "float" and not math.isfinite(getattr(self, f.name)), f.name,
+                    f"{f.name} must be finite")
+        _reject(self.num_tasks < 1, "num_tasks", "num_tasks must be >= 1")
+        _reject(self.num_vms < 1, "num_vms", "num_vms must be >= 1")
+        _reject(self.arrival_rate <= 0, "arrival_rate", "arrival_rate must be > 0")
+        _reject(not self.class_rates or any(r <= 0 for r in self.class_rates), "class_rates",
+                "class_rates must be a non-empty list of positive rates")
         total = math.fsum(self.class_rates)
-        if not math.isclose(total, self.arrival_rate, rel_tol=1e-9):
-            raise ValueError(
+        _reject(not math.isclose(total, self.arrival_rate, rel_tol=1e-9), "class_rates",
                 f"class_rates must sum to arrival_rate: sum is {total!r}, "
                 f"arrival_rate is {self.arrival_rate!r}")
-        if not (0.0 <= self.beta <= 100.0):
-            raise ValueError("beta must be in [0,100]")
-        if self.blank_time < 0:
-            raise ValueError("blank_time must be >= 0")
-        if self.w_urgency < 0 or self.w_demand < 0:
-            raise ValueError("priority weights must be >= 0")
-        if not math.isclose(self.w_urgency + self.w_demand, 1.0, rel_tol=1e-9):
-            raise ValueError("w_urgency + w_demand must equal 1")
-        if self.business_cap < 0:
-            raise ValueError("business_cap must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.seed >= 2**128:  # the allocation draws' Philox key has 128 bits
-            raise ValueError("seed must be < 2**128")
-        if not self.catalog:
-            raise ValueError("catalog must be non-empty")
+        _reject(not (0.0 <= self.beta <= 100.0), "beta", "beta must be in [0,100]")
+        _reject(self.blank_time < 0, "blank_time", "blank_time must be >= 0")
+        _reject(self.w_urgency < 0 or self.w_demand < 0, "w_urgency",
+                "priority weights must be >= 0")
+        _reject(not math.isclose(self.w_urgency + self.w_demand, 1.0, rel_tol=1e-9),
+                "w_urgency", "w_urgency + w_demand must equal 1")
+        _reject(self.business_cap < 0, "business_cap", "business_cap must be >= 0")
+        _reject(self.seed < 0, "seed", "seed must be >= 0")
+        _reject(self.seed >= 2**128, "seed", "seed must be < 2**128")  # a 128-bit Philox key
+        _reject(not self.catalog, "catalog", "catalog must be non-empty")
         check_bands(self.allocation_bands)
-        if self.retry_interval <= 0:
-            raise ValueError("retry_interval must be > 0")
-        if self.epoch_length <= 0:
-            raise ValueError("epoch_length must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_queue_length < 1:
-            raise ValueError("max_queue_length must be >= 1")
+        _reject(self.retry_interval <= 0, "retry_interval", "retry_interval must be > 0")
+        _reject(self.epoch_length <= 0, "epoch_length", "epoch_length must be > 0")
+        _reject(self.max_retries < 0, "max_retries", "max_retries must be >= 0")
+        _reject(self.max_queue_length < 1, "max_queue_length",
+                "max_queue_length must be >= 1")
 
     def to_dict(self) -> dict:
         return jsonable(self)

@@ -7,13 +7,12 @@ only the attribute distributions of the config file's "workload" section.
 sample_jobs and load_jobs return a domain.JobSet, which holds the jobs as
 one Python list per field: sample_jobs fills the lists from its numpy draws,
 and load_jobs parses a job file into them a column at a time. Neither builds
-a Job object; jobs_to_csv writes a job file from the lists.
+a Job object; job_rows gives the rows of a job file from the lists.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -174,17 +173,14 @@ JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage
 _PN = JOB_FILE_FIELDS.index("pn") - 1
 
 
-def jobs_to_csv(jobs) -> str:
-    """Render jobs (a JobSet or Job objects) as CSV text with the standard
-    header, shortest round-trip numerals."""
+def job_rows(jobs):
+    """The data rows of a job file of jobs (a JobSet or Job objects), one at a
+    time, under the header JOB_FILE_FIELDS: the id, pn as it is and the repr
+    of every other value, its shortest round-trip numeral."""
     if not isinstance(jobs, JobSet):
         jobs = JobSet(jobs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(JOB_FILE_FIELDS)
-    writer.writerows(zip(jobs.ids, *(values if c == _PN else map(repr, values)
-                                     for c, values in enumerate(jobs.values))))
-    return buf.getvalue()
+    return zip(jobs.ids, *(values if c == _PN else map(repr, values)
+                           for c, values in enumerate(jobs.values)))
 
 
 def _parse_float(value: str, name: str, record: int) -> float:
@@ -263,20 +259,23 @@ def load_jobs(path) -> JobSet:
     Raises ParseError for malformed records and InvalidJobError when a record
     violates a job invariant or repeats an earlier record's id; both carry the
     1-based data record number, and the error raised is that of the first
-    record in the file with an error. An empty file yields an empty set.
+    record in the file with an error. A byte that is not UTF-8 raises the
+    ParseError of the first record not read, which may precede the record
+    that holds the byte. An empty file yields an empty set.
 
     The values are parsed a column at a time (see _parse_rows) and validated
     at once by domain.valid_mask; validate_job runs only for the first
     rejected record, for its reason.
     """
-    # A line the csv module cannot read (a field over its size limit, say)
-    # ends the rows: extend keeps the rows read before it, and the error is
-    # that record's, counting the header as record 0.
+    # A line the csv module cannot read (a field over its size limit, say),
+    # or a byte that is not UTF-8, ends the rows: extend keeps the rows read
+    # before it, and the error is that of the first record not read,
+    # counting the header as record 0.
     rows, unread = [], None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows.extend(csv.reader(fh))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             unread = ParseError(len(rows), str(exc))
     if not rows:
         if unread is not None:

@@ -799,6 +799,97 @@ class TestRunLimits:
         assert not (tmp_path / "out").exists()
 
 
+class TestInvariantKeyPaths:
+    """A SimConfig invariant that fails is named by the key path of its field;
+    a check across two fields names the first of them."""
+
+    @pytest.mark.parametrize("config,keypath,message", [
+        ({"simulation": {"num_tasks": 0}}, "simulation.num_tasks", "num_tasks must be >= 1"),
+        ({"simulation": {"num_vms": 0}}, "simulation.num_vms", "num_vms must be >= 1"),
+        ({"simulation": {"arrival_rate": 0}}, "simulation.arrival_rate",
+         "arrival_rate must be > 0"),
+        ({"simulation": {"class_rates": [-1.0, 2.0]}}, "simulation.class_rates",
+         "class_rates must be a non-empty list of positive rates"),
+        ({"simulation": {"class_rates": [0.5]}}, "simulation.class_rates",
+         "class_rates must sum to arrival_rate: sum is 0.5, arrival_rate is 1.0"),
+        ({"priority": {"beta": 150}}, "priority.beta", "beta must be in [0,100]"),
+        ({"priority": {"blank_time": -1}}, "priority.blank_time", "blank_time must be >= 0"),
+        ({"priority": {"w_urgency": 1.5, "w_demand": -0.5}}, "priority.w_urgency",
+         "priority weights must be >= 0"),
+        ({"priority": {"w_demand": 0.7}}, "priority.w_urgency",
+         "w_urgency + w_demand must equal 1"),
+        ({"priority": {"business_cap": -1}}, "priority.business_cap",
+         "business_cap must be >= 0"),
+        ({"simulation": {"seed": -1}}, "simulation.seed", "seed must be >= 0"),
+        ({"simulation": {"seed": 2**128}}, "simulation.seed", "seed must be < 2**128"),
+        ({"allocation_bands": [[1, 50, 1.0]]}, "allocation_bands",
+         "allocation_bands must cover ranks 1..100"),
+        ({"allocation_bands": [[1, 10, 1.0], [21, 100, 0.5]]}, "allocation_bands",
+         "allocation_bands must not overlap or leave gaps (at rank 21)"),
+        ({"allocation_bands": [[1, 50, 1.0], [51, 50, 0.5], [51, 100, 0.5]]},
+         "allocation_bands", "allocation band (51,50) is empty"),
+        ({"allocation_bands": [[1, 100, 1.5]]}, "allocation_bands",
+         "allocation probability 1.5 not in (0, 1]"),
+        ({"allocation_bands": [[1, 50, 0.5], [51, 100, 1.0]]}, "allocation_bands",
+         "allocation probabilities must be non-increasing with rank"),
+        ({"simulation": {"retry_interval": 0}}, "simulation.retry_interval",
+         "retry_interval must be > 0"),
+        ({"simulation": {"epoch_length": 0}}, "simulation.epoch_length",
+         "epoch_length must be > 0"),
+        ({"simulation": {"max_retries": -3}}, "simulation.max_retries",
+         "max_retries must be >= 0"),
+        ({"simulation": {"max_queue_length": 0}}, "simulation.max_queue_length",
+         "max_queue_length must be >= 1"),
+    ])
+    def test_failed_invariant_names_its_key_path(self, tmp_path, capsys, config, keypath,
+                                                 message):
+        rc, _out, err = _print_config(tmp_path, capsys, config)
+        assert rc == cli.EXIT_CONFIG
+        assert err == f"config error: {keypath}: {message}\n"
+
+
+class TestErrorPaths:
+    """Bad input exits with its code and a reason, without a traceback. The
+    input file is written from text; {path} and {out} in argv and in the
+    stderr fragment are its path and an output directory."""
+
+    @pytest.mark.parametrize("argv,text,code,fragment", [
+        (["--print-config", "--config", "{path}"], '{\n  "simulation": {"num_tasks": }\n}\n',
+         cli.EXIT_CONFIG, "config error: {path}: not valid JSON: Expecting value: "
+         "line 2 column 31 (char 32)"),
+        (["--print-config", "--config", "{path}"], b'{"simulation": {"seed": "\xff"}}',
+         cli.EXIT_CONFIG, "config error: {path}: not valid JSON: 'utf-8' codec can't decode"),
+        (["--print-config", "--config", "{path}"], "[1]", cli.EXIT_CONFIG,
+         "config error: top level must be an object"),
+        (["--print-config", "--config", "{path}"], '{"priority": 5}', cli.EXIT_CONFIG,
+         "config error: priority: expected an object, got 5"),
+        (["--print-config", "--config", "{path}"], '{"catalog": [5]}', cli.EXIT_CONFIG,
+         "config error: catalog[0]: expected an object, got 5"),
+        (["--print-config", "--config", "{path}"], '{"allocation_bands": [[1, 100]]}',
+         cli.EXIT_CONFIG,
+         "config error: allocation_bands[0]: expected a list of 3 items, got [1, 100]"),
+        (["simulate", "--jobs", "{path}", "--out", "{out}"], "", cli.EXIT_CONFIG,
+         "config error: workload file {path} contains no jobs"),
+        (["analyze", "--config", "{path}", "--out", "{out}"], "{}", cli.EXIT_CONFIG,
+         "config error: analyze requires an analysis.classes section in the config"),
+        ([], "", cli.EXIT_CONFIG, "usage: cloudsched"),
+        (["simulate", "--config", "{path}", "--out", "{path}/out"], "{}", cli.EXIT_IO,
+         "i/o error: cannot create output directory {path}/out"),
+    ], ids=["malformed-config", "config-not-utf-8", "top-level-not-object",
+            "section-not-object", "catalog-entry-not-object", "band-of-2-items",
+            "empty-job-file", "analyze-without-analysis", "no-command",
+            "output-directory-not-made"])
+    def test_bad_input_exits_with_its_code_and_reason(self, tmp_path, capsys, argv, text,
+                                                      code, fragment):
+        path = tmp_path / "input"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        names = {"path": path, "out": tmp_path / "out"}
+        assert cli.main([arg.format(**names) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert fragment.format(**names) in err
+        assert "Traceback" not in err
+
+
 class TestGenerateOptions:
     def test_format_is_rejected(self, tmp_path, capsys):
         # generate writes jobs.csv whatever the format, so it takes none.
@@ -858,6 +949,18 @@ class TestSimulateJobFile:
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_byte_that_is_not_utf_8_exits_2(self, tmp_path, capsys):
+        # The file is decoded a block at a time, so no record of this short
+        # file is read: the error is record 0's, the header's.
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_bytes(JOB_FILE_HEADER.encode() + b"0,0.0,700,650,5,1,1.7,160,100,5\n"
+                         b"\xff1,0.0,700,650,5,1,1.7,160,100,5\n")
+        rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: record 0: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
     def test_start_slack_spread_that_overflows_is_scored(self, tmp_path):
         # Both jobs pass validation and share an epoch, but their start
         # slacks, about 1.7e308 and -1.7e308, differ by more than a float holds.
@@ -902,6 +1005,29 @@ class TestAnalyzeReport:
                        "--report", str(out / "report_native.json")])
         assert rc == cli.EXIT_CONFIG
         assert f"class 1 has {first} completed jobs, need 10000" in capsys.readouterr().err
+
+
+class TestAnalyzeClasses:
+    @pytest.mark.parametrize("key", ["rate", "mean_service", "mean_service_sq"])
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_non_positive_moment_exits_2_naming_the_class(self, tmp_path, capsys, key,
+                                                          value):
+        good = {"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0}
+        classes = [good, dict(good, **{key: value})]
+        path = _config_file(tmp_path, {"analysis": {"classes": classes}})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: analysis.classes[1]: rate, "
+                                           "mean_service and mean_service_sq must be > 0\n")
+        assert not out.exists()
+
+    def test_utilization_of_1_exits_4(self, tmp_path, capsys):
+        classes = [{"rate": 0.5, "mean_service": 1.0, "mean_service_sq": 2.0}] * 2
+        path = _config_file(tmp_path, {"analysis": {"classes": classes}})
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == cli.EXIT_UNSTABLE
+        assert capsys.readouterr().err == "unstable: utilization 1\n"
+        assert not (out / "analysis.csv").exists()
 
 
 ANALYSIS_CONFIG = {"analysis": {"classes": [

@@ -5,12 +5,14 @@ from dataclasses import asdict, fields, replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cloudsched import cli
 from cloudsched.domain import (
     DEFAULT_ALLOCATION_BANDS,
     INFEASIBLE,
     INVALID,
     OK,
     BusinessProfile,
+    FieldError,
     Job,
     JobSet,
     ResourceCatalogEntry,
@@ -24,7 +26,7 @@ from cloudsched.domain import (
 )
 from cloudsched.priority import WindowStats, build_record
 from cloudsched.simulator import JobRecord, run
-from cloudsched.workload import jobs_to_csv, load_jobs
+from cloudsched.workload import JOB_FILE_FIELDS, job_rows, load_jobs
 
 
 def make_job(due=700.0, exec_time=650.0, prep=5.0, demand=None, business=None,
@@ -212,6 +214,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"beta must be in \[0,100\]"):
             SimConfig(beta=150)
 
+    @pytest.mark.parametrize("name,message", [
+        ("catalog", "catalog must be non-empty"),
+        ("allocation_bands", "allocation_bands must be non-empty"),
+    ])
+    def test_empty_table_rejected_naming_its_field(self, name, message):
+        # A config file cannot reach these: its type checks reject an empty list.
+        with pytest.raises(FieldError, match=f"^{message}$") as exc:
+            SimConfig(**{name: ()})
+        assert exc.value.field == name
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             SimConfig(w_urgency=0.7, w_demand=0.7)
@@ -303,8 +315,7 @@ class TestRoundTrip:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(job=jobs)
     def test_job_file_round_trip(self, tmp_path, job):
-        path = tmp_path / "jobs.csv"
-        path.write_text(jobs_to_csv([job]), newline="")
+        path = cli._write_table(tmp_path, "jobs", JOB_FILE_FIELDS, job_rows([job]), "csv")
         assert list(load_jobs(path)) == [job]
 
     def test_sim_config_round_trip(self):

@@ -954,19 +954,35 @@ def _columns_of_scalars(draw):
     return column
 
 
+# Columns whose first and last tokens orjson spells differently from repr,
+# with an e (repr's 1e-07 and 1e+16) or with 0.0000 (1e-05 and -1.5e-05).
+# Two such tokens in 40 are within _RESPELL_SHARE, so both are respelled.
+RESPELLED_COLUMNS = ([1e-7] + [0.5] * 38 + [1e16], [1e-5] + [0.5] * 38 + [-1.5e-5])
+
+
 class TestColumnText:
     """The report writer's orjson path against the json module's encoder."""
 
     @settings(max_examples=300, deadline=None)
     @given(column=_columns_of_scalars())
-    @example(column=[0.5] * 20 + [1e16, 1e-7])
-    @example(column=[0.5] * 20 + [1e-5, -1.5e-5])
+    @example(column=RESPELLED_COLUMNS[0])
+    @example(column=RESPELLED_COLUMNS[1])
     @example(column=[0.5, math.nan, None, -math.inf])
     @example(column=[0.5, 'a"b'])
     @example(column=[0.5, "\xe9\x7f"])
     @example(column=[2**64, np.float64(0.5), _Level.HIGH, True])
     def test_column_text_equals_encode(self, column):
         assert simulator._column_text(column) == simulator._encode(column)
+
+    @pytest.mark.parametrize("column", RESPELLED_COLUMNS)
+    def test_marked_first_and_last_tokens_are_respelled(self, monkeypatch, column):
+        # A respelling that fails falls back to _encode, which gives the same
+        # text; so the fallback must not run.
+        want = simulator._encode(column)
+        encoded = []
+        monkeypatch.setattr(simulator, "_encode", lambda value: encoded.append(value))
+        assert simulator._column_text(column) == want
+        assert encoded == []
 
 
 def _oracle(seed: int, i: int, d: int) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cloudsched import cli
 from cloudsched.domain import (
     OK,
     BusinessProfile,
@@ -17,12 +18,13 @@ from cloudsched.domain import (
 )
 from cloudsched.priority import business_priority
 from cloudsched.workload import (
+    JOB_FILE_FIELDS,
     Distribution,
     InvalidJobError,
     ParseError,
     WorkloadSpec,
     generate_arrivals,
-    jobs_to_csv,
+    job_rows,
     load_jobs,
     sample_jobs,
 )
@@ -181,8 +183,7 @@ class TestWorkloadSpecInvariants:
 class TestJobFile:
     def test_round_trip(self, tmp_path):
         jobs = jobs_of(num_tasks=25)
-        path = tmp_path / "jobs.csv"
-        path.write_text(jobs_to_csv(jobs), newline="")
+        path = cli._write_table(tmp_path, "jobs", JOB_FILE_FIELDS, job_rows(jobs), "csv")
         assert load_jobs(path) == jobs
 
     @pytest.mark.parametrize("rows,error,record,reason", [
