@@ -405,10 +405,9 @@ def load_report(path) -> SimReport:
 def cmd_generate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(args.out)
     sim = parsed.sim
     jobs = sample_jobs(sim, parsed.workload)
-    path = _write_table(out, "jobs", JOB_FILE_FIELDS, job_rows(jobs), "csv")
+    path = _write_table(_ensure_out(args.out), "jobs", JOB_FILE_FIELDS, job_rows(jobs), "csv")
     print(f"generated {len(jobs)} jobs at rate {sim.arrival_rate:g}/s (seed {sim.seed}) "
           f"-> {path}")
     return EXIT_OK
@@ -454,7 +453,6 @@ def _comparison(native: SimReport, resultant: SimReport, beta: float) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(args.out)
     if args.jobs is not None:
         jobs = load_jobs(args.jobs)
         if not jobs:
@@ -468,6 +466,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_jobs = len(jobs)
     del jobs  # the writes need only the reports
     comparison = _comparison(native, resultant, parsed.sim.beta)
+    out = _ensure_out(args.out)
     _write_report(out, native, args.format)
     _write_report(out, resultant, args.format)
     with _atomic_file(out / "comparison.json") as fh:
@@ -485,19 +484,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(args.out)
     if parsed.analysis is None:
         raise ConfigError("analyze requires an analysis.classes section in the config")
     waits = mg1_waiting(parsed.analysis)
+    errors = (None if args.report is None
+              else compare_analytic(load_report(args.report), parsed.analysis))
     rows = [(i + 1, rate, es, es2, w)
             for i, ((rate, es, es2), w) in enumerate(zip(parsed.analysis, waits))]
+    out = _ensure_out(args.out)
     _write_table(out, "analysis", ("class", "rate", "mean_service", "mean_service_sq",
                                    "mean_wait"), rows, args.format)
     for i, w in enumerate(waits, start=1):
         print(f"class {i}: analytic mean wait {w:.6g}")
-    if args.report is not None:
-        report = load_report(args.report)
-        errors = compare_analytic(report, parsed.analysis)
+    if errors is not None:
         _write_table(out, "analysis_vs_simulation", ("class", "relative_error"),
                      list(enumerate(errors, start=1)), args.format)
         for i, err in enumerate(errors, start=1):
@@ -508,8 +507,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_replicate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    out = _ensure_out(args.out)
     rows = replication_bundle(parsed.sim, parsed.workload)
+    out = _ensure_out(args.out)
     _write_table(out, "replication", ("series", "x", "value", "provenance"),
                  [(r.series, r.x, r.value, r.provenance) for r in rows], args.format)
     series = sorted({r.series for r in rows})
@@ -558,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="config file for --print-config")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="DIR", default=os.environ.get(OUT_DIR_ENV, "."),
-                     help=f"output directory (default $'{OUT_DIR_ENV}' or '.')")
+                     help=f"output directory (default ${OUT_DIR_ENV} or '.')")
     tables = argparse.ArgumentParser(add_help=False, parents=[out])
     tables.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="format of the tables the command writes")

@@ -41,8 +41,8 @@ class Job:
     """One submitted task with timing, resource, and business attributes.
 
     Times are seconds on the simulation clock; due/exec/prep are relative to
-    the job's arrival. Jobs are plain containers: construction never raises,
-    use validate_job to check invariants.
+    the job's arrival. Jobs are plain containers: construction never raises;
+    validate_job gives the reason a job is rejected.
     """
 
     id: int | str
@@ -54,70 +54,47 @@ class Job:
     business: BusinessProfile
 
 
-OK = "ok"
-INFEASIBLE = "infeasible"
-INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validate_job: ok, infeasible (cannot meet its due time), or invalid."""
-
-    status: str
-    reason: str | None = None
-
-
-_VALID = ValidationResult(OK)
 # The numeric fields of a Job, as attribute paths, in the order of JobSet.values.
 JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.processors",
                "demand.memory", "demand.storage", "business.order_amount",
                "business.relationship")
 
 
-def validate_job(job: Job, blank_time: float = 0.0) -> ValidationResult:
-    """Check a job's invariants.
-
-    Returns invalid with a reason when any field constraint fails (every
-    numeric field must be finite, and so must the start slack and the demand
-    weight that the prioritizer derives from them in float arithmetic, with
-    the config's blank_time), infeasible when the required work cannot fit
-    before the due time, ok otherwise. Infeasible jobs are still admissible;
-    they simply miss their deadline.
-    """
+def validate_job(job: Job, blank_time: float = 0.0) -> str | None:
+    """The reason a job is rejected, or None when it is admitted: every numeric
+    field must be finite and in range, and so must the start slack and the
+    demand weight that the prioritizer derives from them in float arithmetic,
+    with the config's blank_time. A job that cannot meet its due time is admitted."""
     demand, business = job.demand, job.business
     values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.processors,
               demand.memory, demand.storage, business.order_amount, business.relationship)
     if not all(map(math.isfinite, values)):
         name = next(n for n, v in zip(JOB_COLUMNS, values) if not math.isfinite(v))
-        return ValidationResult(INVALID, f"{name.rpartition('.')[2]} must be finite")
+        return f"{name.rpartition('.')[2]} must be finite"
     if job.arrival_time < 0:
-        return ValidationResult(INVALID, "arrival_time must be >= 0")
+        return "arrival_time must be >= 0"
     if job.due_time <= 0:
-        return ValidationResult(INVALID, "due_time must be > 0")
+        return "due_time must be > 0"
     if job.exec_time <= 0:
-        return ValidationResult(INVALID, "exec_time must be > 0")
+        return "exec_time must be > 0"
     if job.prep_time < 0:
-        return ValidationResult(INVALID, "prep_time must be >= 0")
+        return "prep_time must be >= 0"
     if demand.processors < 1:
-        return ValidationResult(INVALID, "processors must be >= 1")
+        return "processors must be >= 1"
     if demand.memory <= 0:
-        return ValidationResult(INVALID, "memory must be > 0")
+        return "memory must be > 0"
     if demand.storage < 0:
-        return ValidationResult(INVALID, "storage must be >= 0")
+        return "storage must be >= 0"
     if business.order_amount < 0:
-        return ValidationResult(INVALID, "order_amount must be >= 0")
+        return "order_amount must be >= 0"
     if business.relationship < 0:
-        return ValidationResult(INVALID, "relationship must be >= 0")
+        return "relationship must be >= 0"
     _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = map(float, values)
     if not math.isfinite(due - exec_time - prep - blank_time):
-        return ValidationResult(
-            INVALID, "start slack (due_time - exec_time - prep_time - blank_time) must be finite")
+        return "start slack (due_time - exec_time - prep_time - blank_time) must be finite"
     if not math.isfinite(processors + memory + storage):
-        return ValidationResult(
-            INVALID, "demand weight (processors + memory + storage) must be finite")
-    if job.exec_time + job.prep_time > job.due_time:
-        return ValidationResult(INFEASIBLE, "exec_time + prep_time exceeds due_time")
-    return _VALID
+        return "demand weight (processors + memory + storage) must be finite"
+    return None
 
 
 def first_repeated(ids: list) -> int | None:
@@ -138,9 +115,9 @@ class JobSet(Sequence):
     order, with value i of each list belonging to job i. These lists are the
     source of truth: each value keeps the type it was given, so an int
     processor count or storage stays an int. columns, the float64 (9, n)
-    array of the same values, is derived from them on first use. Indexing
-    builds a Job on demand, a slice gives a JobSet, and two sets are equal
-    when their ids and values are.
+    array of the same values, is derived from them on first use. Indexing,
+    and so iterating, builds a Job on demand, a slice gives a JobSet, and two
+    sets are equal when their ids and values are.
 
     JobSet(jobs) takes Job objects; from_columns takes the lists themselves,
     as sample_jobs and load_jobs build them. The set also keeps what a
@@ -186,13 +163,6 @@ class JobSet(Sequence):
                    ResourceDemand(processors, memory, storage),
                    BusinessProfile(order, relationship))
 
-    def __iter__(self):
-        (arrival, due, exec_time, prep, processors, memory, storage, order,
-         relationship) = self.values
-        return map(Job, self.ids, arrival, due, exec_time, prep,
-                   map(ResourceDemand, processors, memory, storage),
-                   map(BusinessProfile, order, relationship))
-
     def __eq__(self, other):
         if not isinstance(other, JobSet):
             return NotImplemented
@@ -235,7 +205,7 @@ def start_and_weight(columns, blank_time: float = 0.0):
 
 def valid_mask(columns: np.ndarray, blank_time: float = 0.0) -> np.ndarray:
     """validate_job(job, blank_time) over a JobSet's columns: True where a job
-    is not invalid.
+    is admitted (validate_job gives None).
 
     Each term negates the check validate_job makes, under the same rule that
     every numeric field, the start slack and the demand weight are finite.

@@ -326,9 +326,10 @@ def _cheapest_fits(catalog, jobs: JobSet, order: list, demand) -> list:
 class _Inputs:
     """The inputs of run() that depend on the jobs and the config, not on the
     mode, prepared from a JobSet's value lists and its float64 columns, and
-    the allocation draws, built when first needed (draw). The columns of the
-    admitted jobs are not kept. When nothing in the catalog fits an admitted
-    job, UnsatisfiableDemandError names the first such job to arrive.
+    the allocation draws, built when first needed (draw). reasons[i] is
+    validate_job's reason for jobs[i], None for an admitted job. The columns
+    of the admitted jobs are not kept. When nothing in the catalog fits an
+    admitted job, UnsatisfiableDemandError names the first such job to arrive.
 
     Admitted jobs are numbered k = 0.. in job id order, int ids by value
     before the others by their text, so k breaks the ties between same-time
@@ -354,7 +355,7 @@ class _Inputs:
         valid = valid_mask(columns, config.blank_time)
         self.reasons = reasons = [None] * len(jobs)
         for i in np.flatnonzero(~valid).tolist():
-            reasons[i] = validate_job(jobs[i], config.blank_time).reason
+            reasons[i] = validate_job(jobs[i], config.blank_time)
         admitted = np.flatnonzero(valid).tolist()
         if len(admitted) < len(jobs):
             columns = columns[:, admitted]
@@ -448,9 +449,9 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
 
     The inputs that both modes share are prepared once per JobSet and config
     (JobSet.prepared) from the set's value lists and its float64 columns:
-    - domain.valid_mask validates every job at once. An invalid job is
-      recorded as rejected with the reason validate_job gives it, and never
-      enters the event queue; validate_job runs for those jobs only.
+    - domain.valid_mask validates every job at once. A job it rejects is
+      recorded as rejected with the reason validate_job returns for it, and
+      never enters the event queue; validate_job runs for those jobs only.
     - window_stats_by_epoch reduces the admitted jobs' columns to each job's
       epoch window, and technical_columns scores every admitted job against
       it.

@@ -13,6 +13,7 @@ a Job object; job_rows gives the rows of a job file from the lists.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -183,27 +184,6 @@ def job_rows(jobs):
                            for c, values in enumerate(jobs.values)))
 
 
-def _parse_float(value: str, name: str, record: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(record, f"field {name!r}: cannot parse {value!r} as a number") from None
-
-
-def _parse_int(value: str, name: str, record: int) -> int:
-    """value as an int, which must also convert to a float: jobs are
-    validated and simulated on float64 columns of their fields."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise ParseError(record, f"field {name!r}: cannot parse {value!r} as an integer") from None
-    try:
-        float(number)
-    except OverflowError:
-        raise ParseError(record, f"field {name!r}: integer too large for a float") from None
-    return number
-
-
 # An id is read as an int only when it is ASCII digits with an optional minus
 # sign, as generate writes it; any other id stays a string.
 _INT_ID = re.compile(r"-?[0-9]+")
@@ -214,10 +194,23 @@ def _parse_id(raw_id: str) -> int | str:
 
 
 def _parse_row(row: list, record: int) -> tuple:
-    """The id and the JOB_COLUMNS values of one record, parsed field by field."""
-    return (_parse_id(row[0]), *(
-        (_parse_int if c == _PN else _parse_float)(value, name, record)
-        for c, (value, name) in enumerate(zip(row[1:], JOB_FILE_FIELDS[1:]))))
+    """The id and the JOB_COLUMNS values of one record, parsed field by field:
+    pn as an int, which must also convert to a float, since jobs are validated
+    and simulated on float64 columns of their fields, and the rest as floats."""
+    if len(row) != len(JOB_FILE_FIELDS):
+        raise ParseError(record, f"expected {len(JOB_FILE_FIELDS)} fields, got {len(row)}")
+    parsed = [_parse_id(row[0])]
+    for c, (value, name) in enumerate(zip(row[1:], JOB_FILE_FIELDS[1:])):
+        try:
+            number = int(value) if c == _PN else float(value)
+            float(number)  # an int too large for a float raises OverflowError
+        except ValueError:
+            kind = "an integer" if c == _PN else "a number"
+            raise ParseError(record, f"field {name!r}: cannot parse {value!r} as {kind}") from None
+        except OverflowError:
+            raise ParseError(record, f"field {name!r}: integer too large for a float") from None
+        parsed.append(number)
+    return tuple(parsed)
 
 
 def _parse_rows(rows: list, records) -> tuple[list, list, ParseError | None]:
@@ -226,7 +219,8 @@ def _parse_rows(rows: list, records) -> tuple[list, list, ParseError | None]:
 
     Each column is parsed at once, with the float() and int() calls that
     _parse_row makes. Only when one fails, or a row has the wrong field count,
-    are the rows parsed one by one, in record order, to find the first error.
+    are the rows parsed one by one (_parse_row), in record order, to find the
+    first error.
     """
     n_fields = len(JOB_FILE_FIELDS)
     if set(map(len, rows)) == {n_fields}:
@@ -239,18 +233,25 @@ def _parse_rows(rows: list, records) -> tuple[list, list, ParseError | None]:
             pass
         else:
             return list(map(_parse_id, raw_ids)), values, None
-    parsed = []
-    error = None
-    for row, record in zip(rows, records):
-        try:
-            if len(row) != n_fields:
-                raise ParseError(record, f"expected {n_fields} fields, got {len(row)}")
-            parsed.append(_parse_row(row, record))
-        except ParseError as exc:
-            error = exc
-            break
+    parsed, error = [], None
+    try:
+        parsed.extend(map(_parse_row, rows, records))  # extend keeps the rows before an error
+    except ParseError as exc:
+        error = exc
     ids, *values = map(list, zip(*parsed)) if parsed else [[] for _ in range(n_fields)]
     return ids, values, error
+
+
+def _read_rows(lines) -> tuple[list, ParseError | None]:
+    """The csv rows of lines before the first record the csv module cannot read
+    (a field over its size limit, say), and that record's ParseError, counting
+    the header as record 0; None when every record reads."""
+    rows = []
+    try:
+        rows.extend(csv.reader(lines))
+    except csv.Error as exc:
+        return rows, ParseError(len(rows), str(exc))
+    return rows, None
 
 
 def load_jobs(path) -> JobSet:
@@ -260,23 +261,27 @@ def load_jobs(path) -> JobSet:
     violates a job invariant or repeats an earlier record's id; both carry the
     1-based data record number, and the error raised is that of the first
     record in the file with an error. A byte that is not UTF-8 raises the
-    ParseError of the first record not read, which may precede the record
-    that holds the byte. An empty file yields an empty set.
+    ParseError of the record that holds it. An empty file yields an empty set.
 
     The values are parsed a column at a time (see _parse_rows) and validated
     at once by domain.valid_mask; validate_job runs only for the first
     rejected record, for its reason.
     """
-    # A line the csv module cannot read (a field over its size limit, say),
-    # or a byte that is not UTF-8, ends the rows: extend keeps the rows read
-    # before it, and the error is that of the first record not read,
-    # counting the header as record 0.
-    rows, unread = [], None
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows, unread = _read_rows(fh)
+    except UnicodeDecodeError:
+        # The stream decodes in blocks, so its rows may end before the byte's
+        # record; with a placeholder for the byte, that record is the last row.
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            rows.extend(csv.reader(fh))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            unread = ParseError(len(rows), str(exc))
+            rows, unread = _read_rows(io.StringIO(data.decode("utf-8"), newline=""))
+        except UnicodeDecodeError as exc:
+            rows, unread = _read_rows(io.StringIO(data[:exc.start].decode() + "?", newline=""))
+            if unread is None:
+                rows.pop()
+                unread = ParseError(len(rows), str(exc))
     if not rows:
         if unread is not None:
             raise unread
@@ -301,8 +306,7 @@ def load_jobs(path) -> JobSet:
     repeated = first_repeated(ids)
     first_duplicate = n if repeated is None else repeated
     if first_invalid < n and first_invalid <= first_duplicate:
-        reason = validate_job(jobs[first_invalid]).reason
-        raise InvalidJobError(records[first_invalid], reason or "invalid job")
+        raise InvalidJobError(records[first_invalid], validate_job(jobs[first_invalid]))
     if first_duplicate < n:
         raise InvalidJobError(records[first_duplicate],
                               f"duplicate job id {ids[first_duplicate]!r}")

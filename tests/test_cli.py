@@ -888,6 +888,8 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert fragment.format(**names) in err
         assert "Traceback" not in err
+        if code == cli.EXIT_CONFIG:  # the inputs are checked before the directory is made
+            assert not names["out"].exists()
 
 
 class TestGenerateOptions:
@@ -897,6 +899,18 @@ class TestGenerateOptions:
             cli.main(["generate", "--format", "json", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "jobs.csv").exists()
+
+    def test_out_defaults_to_cloudsched_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env-out"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit):
+            cli.main(["generate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "output directory (default $CLOUDSCHED_OUT or '.')" in help_text
+        config = _config_file(tmp_path, {"simulation": {"num_tasks": 20}})
+        assert cli.main(["generate", "--config", config]) == cli.EXIT_OK
+        assert (tmp_path / "env-out" / "jobs.csv").exists()
         assert not (tmp_path / "jobs.csv").exists()
 
 
@@ -950,15 +964,40 @@ class TestSimulateJobFile:
         assert message in capsys.readouterr().err
 
     def test_byte_that_is_not_utf_8_exits_2(self, tmp_path, capsys):
-        # The file is decoded a block at a time, so no record of this short
-        # file is read: the error is record 0's, the header's.
+        # The error is that of record 2, which holds the byte, although the
+        # file is decoded a block at a time and its first block fails.
         jobs = tmp_path / "jobs.csv"
         jobs.write_bytes(JOB_FILE_HEADER.encode() + b"0,0.0,700,650,5,1,1.7,160,100,5\n"
                          b"\xff1,0.0,700,650,5,1,1.7,160,100,5\n")
         rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error: record 0: 'utf-8' codec can't decode byte 0xff" in err
+        assert "config error: record 2: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edits,message", [
+        ({}, "record 600: 'utf-8' codec can't decode byte 0xff in position {at}: "
+             "invalid start byte"),
+        # Earlier errors come first, also those in the block that fails to decode.
+        ({500: "500,0.0,700,0,5,1,1.7,160,100,5"}, "record 500: exec_time must be > 0"),
+        ({500: "3,0.0,700,650,5,1,1.7,160,100,5"}, "record 500: duplicate job id 3"),
+        ({500: "500,0.0,700,650,5,1,1.7,160,100"}, "record 500: expected 10 fields, got 9"),
+    ], ids=["byte-only", "invalid-before", "duplicate-before", "malformed-before"])
+    def test_byte_past_the_first_block_names_its_record(self, tmp_path, capsys, edits,
+                                                        message):
+        rows = [f"{i},0.0,700,650,5,1,1.7,160,100,5" for i in range(1, 1001)]
+        for record, row in edits.items():
+            rows[record - 1] = row
+        text = (JOB_FILE_HEADER + "\n".join(rows) + "\n").encode()
+        at = text.index(b"\n600,") + 5  # the byte is in record 600's second field
+        assert at > 8192
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_bytes(text[:at] + b"\xff" + text[at:])
+        rc = cli.main(["simulate", "--jobs", str(jobs), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {message.format(at=at)}" in err
         assert "Traceback" not in err
 
     def test_start_slack_spread_that_overflows_is_scored(self, tmp_path):
@@ -1027,7 +1066,23 @@ class TestAnalyzeClasses:
         out = tmp_path / "out"
         assert cli.main(["analyze", "--config", path, "--out", str(out)]) == cli.EXIT_UNSTABLE
         assert capsys.readouterr().err == "unstable: utilization 1\n"
-        assert not (out / "analysis.csv").exists()
+        assert not out.exists()
+
+    def test_report_comparison_is_written(self, tmp_path, capsys):
+        # One class, so that every one of the 10 000 jobs counts toward the
+        # floor of completed jobs per class that compare_analytic needs.
+        classes = [{"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0}]
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 10_000, "class_rates": [1.0]},
+                                       "analysis": {"classes": classes}})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        report = out / "report_resultant.json"
+        assert cli.main(["analyze", "--config", path, "--out", str(out),
+                         "--report", str(report)]) == cli.EXIT_OK
+        [error] = compare_analytic(cli.load_report(report), cli.parse_config(path).analysis)
+        assert (out / "analysis_vs_simulation.csv").read_text() == (
+            f"class,relative_error\n1,{error!r}\n")
+        assert f"class 1: relative error vs simulation {error:.4f}\n" in capsys.readouterr().out
 
 
 ANALYSIS_CONFIG = {"analysis": {"classes": [
@@ -1076,6 +1131,20 @@ class TestBadReportFile:
         rc, err, path = self._analyze(tmp_path, capsys, json.dumps(data))
         assert rc == cli.EXIT_CONFIG
         assert f"report error: {path}: not a report: column {column!r} holds {value!r}" in err
+
+    @pytest.mark.parametrize("reshape,message", [
+        (lambda data: [data], "top level must be an object"),
+        (lambda data: dict(data, jobs=dict(data["jobs"], wait=data["jobs"]["wait"][1:])),
+         "not a report: jobs must hold one list per JobRecord field, all of one length"),
+    ], ids=["top-level-not-object", "column-of-another-length"])
+    def test_report_of_a_wrong_shape_exits_2_naming_the_file(self, simulated, tmp_path, capsys,
+                                                             reshape, message):
+        out, _reports = simulated
+        data = json.loads((out / "report_native.json").read_text())
+        rc, err, path = self._analyze(tmp_path, capsys, json.dumps(reshape(data)))
+        assert rc == cli.EXIT_CONFIG
+        assert err == f"report error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_int_reads_back_in_a_float_column(self, simulated, tmp_path):
         out, _reports = simulated

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from cloudsched import simulator
 from cloudsched.domain import (
     DEFAULT_ALLOCATION_BANDS,
-    INVALID,
     JOB_COLUMNS,
     BusinessProfile,
     Job,
@@ -751,7 +750,7 @@ class TestColumnPass:
     def test_mask_agrees_with_validate_job(self, case):
         _length, jobs = case
         assert valid_mask(JobSet(jobs).columns).tolist() == [
-            validate_job(job).status != INVALID for job in jobs]
+            validate_job(job) is None for job in jobs]
 
     @given(case=_cases(st.sampled_from([math.nan, math.inf, -math.inf, 0, -0.0, -1])))
     @example(case=(60.0, OVERFLOW_JOBS))
@@ -760,11 +759,10 @@ class TestColumnPass:
         catalog = (ResourceCatalogEntry("huge", 8, 1, 1e6, 64, 1e6, 1.0),)
         report = run(small_config(num_vms=len(jobs), epoch_length=epoch_length,
                                   catalog=catalog), jobs)
-        verdicts = [validate_job(job) for job in jobs]
+        reasons = [validate_job(job) for job in jobs]
         assert [r.status == "rejected" for r in report.jobs] == [
-            v.status == INVALID for v in verdicts]
-        assert report.columns["reason"] == [v.reason if v.status == INVALID else None
-                                            for v in verdicts]
+            reason is not None for reason in reasons]
+        assert report.columns["reason"] == reasons
 
     @given(case=_cases(), blank_time=st.sampled_from([0.0, -0.0, 5.0, 0.3]))
     @example(case=(7.7, BOUNDARY_JOBS), blank_time=0.0)
@@ -774,7 +772,7 @@ class TestColumnPass:
     @example(case=(0.1, [make_job(due=1.0, exec_time=1e308, prep=1e308)]), blank_time=0.0)
     def test_window_stats_equal_window_stats_from_jobs(self, case, blank_time):
         epoch_length, jobs = case
-        jobs = [job for job in jobs if validate_job(job).status != INVALID]
+        jobs = [job for job in jobs if validate_job(job) is None]
         if not jobs:
             return
 

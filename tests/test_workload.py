@@ -8,7 +8,6 @@ from scipy import stats
 
 from cloudsched import cli
 from cloudsched.domain import (
-    OK,
     BusinessProfile,
     Job,
     ResourceCatalogEntry,
@@ -97,7 +96,7 @@ class TestGenerateArrivals:
 class TestSampleJobs:
     def test_reference_fixed_spec_all_valid(self):
         jobs = jobs_of(num_tasks=200)
-        assert all(validate_job(j).status == OK for j in jobs)
+        assert all(validate_job(j) is None for j in jobs)
         assert all((j.due_time, j.exec_time, j.prep_time) == (700.0, 650.0, 5.0)
                    for j in jobs)
 
