@@ -6,14 +6,16 @@ Config files are JSON with nested sections ("simulation", "priority",
 its built-in default and is echoed. Config files and reports are read by
 one JSON reader, _read_json. Every output is written by _atomic_file: to a
 .tmp file that replaces the output when complete, and is removed if writing
-fails. generate writes jobs.csv. simulate writes report_<mode>.json
-(SimReport.to_json() in schema 2 and a newline) and bands_<mode>.<fmt> for
-each mode, and comparison.json. export writes the job table of a report,
-jobs_<mode>.<fmt>, one row per job. Every table, jobs.csv included, is
-written by one writer, _write_table, from rows it streams, as csv.writer
-writes it or as json.dumps(..., indent=2) does; a json table is encoded a
-slice of rows at a time. No command builds a JobRecord. load_report reads
-a report of schema 2 or 1 back.
+fails. main checks that a command's --out can be made before the command
+reads its inputs (_check_out), and the command makes it just before its
+first write (_ensure_out). generate writes jobs.csv. simulate writes
+report_<mode>.json (SimReport.to_json() in schema 2 and a newline) and
+bands_<mode>.<fmt> for each mode, and comparison.json. export writes the
+job table of a report, jobs_<mode>.<fmt>, one row per job. Every table,
+jobs.csv included, is written by one writer, _write_table, from rows it
+streams, as csv.writer writes it or as json.dumps(..., indent=2) does; a
+json table is encoded a slice of rows at a time. No command builds a
+JobRecord. load_report reads a report of schema 2 or 1 back.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ _DEFAULTS = SimConfig()
 # engine's tuning values go under "priority", the catalog and the bands at the
 # top level (None), every other field under "simulation".
 _PRIORITY_FIELDS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
-                    "business_cap", "blank_time")
+                    "business_cap")
 _SIM_FIELDS = tuple(
     (f.name, f.type, None if f.name in ("catalog", "allocation_bands")
      else "priority" if f.name in _PRIORITY_FIELDS else "simulation")
@@ -344,14 +346,25 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     return path
 
 
+def _check_out(out_dir: str) -> None:
+    """Raise OSError unless _ensure_out can make out_dir: its nearest existing
+    ancestor, out_dir itself included, must be a writable directory. Creates
+    nothing, so main calls it before any command reads its inputs."""
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise OSError(f"cannot create output directory {out_dir}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write to output directory {out_dir}: {existing} is not writable")
+
+
 def _ensure_out(out_dir: str) -> Path:
+    """Make out_dir, which _check_out has checked, and its missing parents."""
     path = Path(out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from None
-    if not os.access(path, os.W_OK):
-        raise OSError(f"output directory not writable: {out_dir}")
     return path
 
 
@@ -595,6 +608,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("cloudsched: a command is required", file=sys.stderr)
             return EXIT_CONFIG
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (ConfigError, ParseError, InvalidJobError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -60,11 +60,11 @@ JOB_COLUMNS = ("arrival_time", "due_time", "exec_time", "prep_time", "demand.pro
                "business.relationship")
 
 
-def validate_job(job: Job, blank_time: float = 0.0) -> str | None:
+def validate_job(job: Job) -> str | None:
     """The reason a job is rejected, or None when it is admitted: every numeric
     field must be finite and in range, and so must the start slack and the
-    demand weight that the prioritizer derives from them in float arithmetic,
-    with the config's blank_time. A job that cannot meet its due time is admitted."""
+    demand weight that the prioritizer derives from them in float arithmetic.
+    A job that cannot meet its due time is admitted."""
     demand, business = job.demand, job.business
     values = (job.arrival_time, job.due_time, job.exec_time, job.prep_time, demand.processors,
               demand.memory, demand.storage, business.order_amount, business.relationship)
@@ -90,8 +90,8 @@ def validate_job(job: Job, blank_time: float = 0.0) -> str | None:
     if business.relationship < 0:
         return "relationship must be >= 0"
     _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = map(float, values)
-    if not math.isfinite(due - exec_time - prep - blank_time):
-        return "start slack (due_time - exec_time - prep_time - blank_time) must be finite"
+    if not math.isfinite(due - exec_time - prep):
+        return "start slack (due_time - exec_time - prep_time) must be finite"
     if not math.isfinite(processors + memory + storage):
         return "demand weight (processors + memory + storage) must be finite"
     return None
@@ -190,28 +190,27 @@ class JobSet(Sequence):
         return result
 
 
-def start_and_weight(columns, blank_time: float = 0.0):
-    """The start slack (due - exec - prep - blank_time) and the demand weight
-    (processors + memory + storage) of each job of a JobSet's columns, as
-    float64 arrays: the operations of priority.compute_start_time and
-    priority.demand_weight in the same order, so equal bit for bit when the
-    job's values are floats. A result that overflows is +-inf, as Python's
-    float arithmetic gives it, and one of non-finite values may be NaN, both
-    without a warning."""
+def start_and_weight(columns):
+    """The start slack (due - exec - prep) and the demand weight (processors +
+    memory + storage) of each job of a JobSet's columns, as float64 arrays:
+    the operations of priority.compute_start_time and priority.demand_weight
+    in the same order, so equal bit for bit when the job's values are floats.
+    A result that overflows is +-inf, as Python's float arithmetic gives it,
+    and one of non-finite values may be NaN, both without a warning."""
     _arrival, due, exec_time, prep, processors, memory, storage, _order, _rel = columns
     with np.errstate(over="ignore", invalid="ignore"):
-        return due - exec_time - prep - blank_time, processors + memory + storage
+        return due - exec_time - prep, processors + memory + storage
 
 
-def valid_mask(columns: np.ndarray, blank_time: float = 0.0) -> np.ndarray:
-    """validate_job(job, blank_time) over a JobSet's columns: True where a job
-    is admitted (validate_job gives None).
+def valid_mask(columns: np.ndarray) -> np.ndarray:
+    """validate_job over a JobSet's columns: True where a job is admitted
+    (validate_job gives None).
 
     Each term negates the check validate_job makes, under the same rule that
     every numeric field, the start slack and the demand weight are finite.
     """
     arrival, due, exec_time, prep, processors, memory, storage, order, relationship = columns
-    slack, weight = start_and_weight(columns, blank_time)
+    slack, weight = start_and_weight(columns)
     return (np.isfinite(columns).all(axis=0) & np.isfinite(slack) & np.isfinite(weight)
             & ~(arrival < 0) & ~(due <= 0) & ~(exec_time <= 0) & ~(prep < 0)
             & ~(processors < 1) & ~(memory <= 0) & ~(storage < 0)
@@ -348,7 +347,6 @@ class SimConfig:
     arrival_rate: float = 1.0
     class_rates: tuple[float, ...] = field(default_factory=_default_class_rates)
     beta: float = 60.0
-    blank_time: float = 0.0
     w_urgency: float = 0.7
     w_demand: float = 0.3
     order_norm: float = 0.01
@@ -381,7 +379,6 @@ class SimConfig:
                 f"class_rates must sum to arrival_rate: sum is {total!r}, "
                 f"arrival_rate is {self.arrival_rate!r}")
         _reject(not (0.0 <= self.beta <= 100.0), "beta", "beta must be in [0,100]")
-        _reject(self.blank_time < 0, "blank_time", "blank_time must be >= 0")
         _reject(self.w_urgency < 0 or self.w_demand < 0, "w_urgency",
                 "priority weights must be >= 0")
         _reject(not math.isclose(self.w_urgency + self.w_demand, 1.0, rel_tol=1e-9),

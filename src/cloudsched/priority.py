@@ -1,6 +1,6 @@
 """Priority algebra: start slack, demand weight, technical and business scores,
 threshold-gated resultant score and rank conversion. The tuning values (beta,
-weights, normalizers, business cap, blank time) are read from SimConfig."""
+weights, normalizers, business cap) are read from SimConfig."""
 
 from __future__ import annotations
 
@@ -33,22 +33,22 @@ class WindowStats:
     demand_weight_max: float
 
     @classmethod
-    def from_jobs(cls, jobs, blank_time: float = 0.0) -> "WindowStats":
+    def from_jobs(cls, jobs) -> "WindowStats":
         if not jobs:
             raise EmptyWindowError("window must contain at least one job")
-        starts = [compute_start_time(j, blank_time) for j in jobs]
+        starts = [compute_start_time(j) for j in jobs]
         weights = [demand_weight(j.demand) for j in jobs]
         return cls(count=len(jobs), t_start_min=min(starts), t_start_max=max(starts),
                    demand_weight_max=max(weights))
 
 
-def compute_start_time(job: Job, blank_time: float = 0.0) -> float:
+def compute_start_time(job: Job) -> float:
     """Latest start offset that still meets the due time, relative to arrival.
 
-    Due time minus execution, preparation, and blank (resource-wait) time.
-    Negative means the job is already late at arrival.
+    Due time minus execution and preparation time. Negative means the job is
+    already late at arrival.
     """
-    return job.due_time - job.exec_time - job.prep_time - blank_time
+    return job.due_time - job.exec_time - job.prep_time
 
 
 def demand_weight(d: ResourceDemand) -> float:
@@ -67,7 +67,7 @@ def technical_priority(job: Job, window: WindowStats, cfg: SimConfig) -> int:
     """
     if window.count < 1:
         raise EmptyWindowError("window must contain at least one job")
-    t_start = compute_start_time(job, cfg.blank_time)
+    t_start = compute_start_time(job)
     t_min, t_max = window.t_start_min, window.t_start_max
     if math.isinf(t_max - t_min):
         # A spread of finite slacks that overflows: u from their halves.
@@ -132,7 +132,7 @@ def build_record(job: Job, window: WindowStats, cfg: SimConfig,
     else:
         resultant = float(tp)
     return PriorityRecord(
-        t_start=compute_start_time(job, cfg.blank_time),
+        t_start=compute_start_time(job),
         demand_weight=demand_weight(job.demand),
         tp_score=tp,
         bp_score=bp,
@@ -164,7 +164,7 @@ def technical_columns(columns, windows, cfg: SimConfig):
     does. A NaN technical score raises ValueError, as score_to_rank does for
     the resultant it becomes in either mode.
     """
-    t_start, weight = start_and_weight(columns, cfg.blank_time)
+    t_start, weight = start_and_weight(columns)
     order, relationship = columns[7], columns[8]
     t_min, t_max, weight_max = windows
     # Where the spread overflows, the slacks are halved, as technical_priority

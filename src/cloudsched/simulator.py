@@ -283,7 +283,7 @@ def _uniforms(seed: int, count: int, counter=None) -> np.ndarray:
     return (np.random.Philox(key=seed, counter=counter).random_raw(count) >> 11) * 2.0**-53
 
 
-def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0):
+def window_stats_by_epoch(columns, epoch_length: float):
     """Each job's normalization stats over the jobs of its arrival epoch.
 
     columns holds the jobs' job_columns; run() passes only the jobs that pass
@@ -294,7 +294,7 @@ def window_stats_by_epoch(columns, epoch_length: float, blank_time: float = 0.0)
     t_start_max, demand_weight_max), one value per job, equal to the fields
     of WindowStats.from_jobs over the jobs of its epoch in the order given.
     """
-    t_start, weight = start_and_weight(columns, blank_time)
+    t_start, weight = start_and_weight(columns)
     with np.errstate(over="ignore", invalid="ignore"):
         quotients = np.floor_divide(columns[0], epoch_length)
     epochs, epoch = np.unique(quotients, return_inverse=True)
@@ -352,14 +352,14 @@ class _Inputs:
         # The mask validates every job at once; only the jobs it rejects are
         # validated one by one, for their reasons.
         columns = jobs.columns
-        valid = valid_mask(columns, config.blank_time)
+        valid = valid_mask(columns)
         self.reasons = reasons = [None] * len(jobs)
         for i in np.flatnonzero(~valid).tolist():
-            reasons[i] = validate_job(jobs[i], config.blank_time)
+            reasons[i] = validate_job(jobs[i])
         admitted = np.flatnonzero(valid).tolist()
         if len(admitted) < len(jobs):
             columns = columns[:, admitted]
-        windows = window_stats_by_epoch(columns, config.epoch_length, config.blank_time)
+        windows = window_stats_by_epoch(columns, config.epoch_length)
 
         # order[k] is job k's place in the job set. Int ids already in
         # increasing order, as sample_jobs and generate's files give them,

@@ -174,12 +174,10 @@ JOB_FILE_FIELDS = ("id", "arrival", "due", "exec", "prep", "pn", "mem", "storage
 _PN = JOB_FILE_FIELDS.index("pn") - 1
 
 
-def job_rows(jobs):
-    """The data rows of a job file of jobs (a JobSet or Job objects), one at a
-    time, under the header JOB_FILE_FIELDS: the id, pn as it is and the repr
-    of every other value, its shortest round-trip numeral."""
-    if not isinstance(jobs, JobSet):
-        jobs = JobSet(jobs)
+def job_rows(jobs: JobSet):
+    """The data rows of a job file of a JobSet, one at a time, under the
+    header JOB_FILE_FIELDS: the id, pn as it is and the repr of every other
+    value, its shortest round-trip numeral."""
     return zip(jobs.ids, *(values if c == _PN else map(repr, values)
                            for c, values in enumerate(jobs.values)))
 

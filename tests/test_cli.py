@@ -108,16 +108,16 @@ PINNED_OUTPUT_SHA256 = {
     "bands_native.csv": "6f650bafe17b9ab65f46b80c3459cd1a31a1c8ef3dbf6985598d587f7ef5ab3d",
     "bands_resultant.csv": "261be2d0d7aafd29ed79ce860a4ed50069567bf2a9906ce90599a0c6d49da5c1",
     "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
-    "report_native.json": "7f7d2914b27f0b63c854c657c8735ffa4da0db970c0d882eacb588b111aada44",
-    "report_resultant.json": "f43c5104b2547fe80af1d84b65ac41df60d552e1187fb5c03c16dd28cde752ea",
+    "report_native.json": "b8f5d37b3fb9dc7f7f44d6d5c589b0ce9d92a5cd3ab10e26674013851666a752",
+    "report_resultant.json": "6669227c81056cf05122635823d63c6e7e7fbddee1516a8db2e53feec8d95989",
 }
 # The same for `simulate --format json`.
 PINNED_JSON_OUTPUT_SHA256 = {
     "bands_native.json": "ae50eaaca3d457f0969374ee63ab8134761a7a16703a33f5e5acc413632a203a",
     "bands_resultant.json": "0313c458f2270952955240abd00d6e0121ce5fbca86445639c3c66eaba5d9296",
     "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
-    "report_native.json": "7f7d2914b27f0b63c854c657c8735ffa4da0db970c0d882eacb588b111aada44",
-    "report_resultant.json": "f43c5104b2547fe80af1d84b65ac41df60d552e1187fb5c03c16dd28cde752ea",
+    "report_native.json": "b8f5d37b3fb9dc7f7f44d6d5c589b0ce9d92a5cd3ab10e26674013851666a752",
+    "report_resultant.json": "6669227c81056cf05122635823d63c6e7e7fbddee1516a8db2e53feec8d95989",
 }
 # SHA-256 of the job tables that `export` writes from those reports, in each
 # format: the bytes `simulate` wrote as jobs_<mode>.<fmt> before the job
@@ -183,9 +183,10 @@ ALL_WORKLOAD_CONFIG = {
     },
 }
 # SHA-256 of `--print-config` stdout for ALL_WORKLOAD_CONFIG, as printed once
-# mu_base was deleted, and of the jobs.csv that `generate --seed 11` writes for
-# it, as written before WorkloadSpec lost its copies of the SimConfig values.
-PINNED_PRINT_CONFIG_SHA256 = "57af322c1c0b5321f38d2ae230d478e6bfa72aed4e08d8d61223750c778eb7db"
+# mu_base and blank_time were deleted, and of the jobs.csv that
+# `generate --seed 11` writes for it, as written before WorkloadSpec lost its
+# copies of the SimConfig values.
+PINNED_PRINT_CONFIG_SHA256 = "aed615a7491db5a3b2b1be3cc50b5f0f069e494af058320265e81df4ea2d9b98"
 PINNED_GENERATED_JOBS_SHA256 = "38db1d183c9e5eb498ac56ca6086290a6ce765c2979946db6f38794badb50cd9"
 # ALL_WORKLOAD_CONFIG with a catalog from the config file, whose converters
 # make every ram and disk a float; the default catalog's disks are ints.
@@ -575,35 +576,37 @@ def _print_config(tmp_path, capsys, config):
 # Keys the config file reads from the "priority" section and from the top
 # level; every other SimConfig field is read from "simulation".
 PRIORITY_KEYS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
-                 "business_cap", "blank_time")
+                 "business_cap")
 TOP_LEVEL_KEYS = ("catalog", "allocation_bands")
 
 CATALOG_ENTRY = {"name": "x1", "cores": 2, "ecus": 3.0, "ram": 4.0, "arch_bits": 64,
                  "disk": 100.0, "cost": 0.25}
 
 # A non-default value for every SimConfig field, plus the other keys that must
-# change with it to keep the config valid.
+# change with it to keep the config valid. Where a field can move a schedule,
+# its value moves one in TestFieldEffect's runs: a due time of 651 s leaves a
+# job 1 s of wait to meet it, a business cap of 5 is below the boost of 10
+# that the default order range reaches, and no retry makes a failed draw stick.
 FIELD_VALUES = {
     "num_tasks": (10, {}),
     "num_vms": (7, {}),
     "arrival_rate": (2.0, {"class_rates": [1.0, 1.0]}),
     "class_rates": ([0.25, 0.75], {}),
     "beta": (55.0, {}),
-    "blank_time": (3.0, {}),
     "w_urgency": (0.6, {"w_demand": 0.4}),
     "w_demand": (0.4, {"w_urgency": 0.6}),
     "order_norm": (0.02, {}),
     "relationship_norm": (0.5, {}),
-    "business_cap": (12.0, {}),
+    "business_cap": (5.0, {}),
     "seed": (99, {}),
     "catalog": ([CATALOG_ENTRY], {}),
     "allocation_bands": ([[1, 50, 1.0], [51, 100, 0.5]], {}),
     "retry_interval": (2.5, {}),
-    "due_time": (800.0, {}),
+    "due_time": (651.0, {}),
     "exec_time": (600.0, {}),
     "prep_time": (1.0, {}),
     "epoch_length": (30.0, {}),
-    "max_retries": (17, {}),
+    "max_retries": (0, {}),
     "max_queue_length": (23, {}),
 }
 
@@ -644,7 +647,6 @@ EMPTY_CONFIG_DEFAULTS = {
     "priority.order_norm=0.01",
     "priority.relationship_norm=0.0",
     "priority.business_cap=10.0",
-    "priority.blank_time=0.0",
     "catalog=<default 5-entry catalog>",
     "allocation_bands=<default 10-band table>",
     "workload.due=fixed(700.0)",
@@ -665,18 +667,20 @@ class TestConfigSchema:
         ({"workload": {"due": {"kind": "fixed", "params": [700.0], "bogus": 1}}},
          "workload.due.bogus"),
         ({"simulation": {"mu_base": 1.0}}, "simulation.mu_base"),
+        # The key of a deleted field.
+        ({"priority": {"blank_time": 0.0}}, "priority.blank_time"),
     ])
     def test_unknown_key_names_its_path(self, tmp_path, capsys, config, keypath):
         rc, _out, err = _print_config(tmp_path, capsys, config)
         assert rc == cli.EXIT_CONFIG
-        assert keypath in err
+        assert err == f"config error: {keypath}: unknown key\n"
 
     @pytest.mark.parametrize("config,keypath", [
         ({"simulation": {"arrival_rate": True}}, "simulation.arrival_rate"),
         ({"priority": {"beta": False}}, "priority.beta"),
         ({"simulation": {"num_tasks": 1.5}}, "simulation.num_tasks"),
         ({"simulation": {"seed": 2.0}}, "simulation.seed"),
-        ({"priority": {"blank_time": math.nan}}, "priority.blank_time"),
+        ({"priority": {"business_cap": math.nan}}, "priority.business_cap"),
         ({"simulation": {"retry_interval": math.inf}}, "simulation.retry_interval"),
         ({"catalog": [dict(CATALOG_ENTRY, ram=-math.inf)]}, "catalog[0].ram"),
         ({"workload": {"due": {"kind": "uniform", "params": [660.0, math.inf]}}},
@@ -753,6 +757,67 @@ class TestConfigSchema:
         assert f"workload.demand_weights: {message}" in capsys.readouterr().err
 
 
+# The field-effect runs: 400 jobs on 300 VMs, so that the queue grows, under
+# the fixed timing of the simulation section and under varying timing.
+EFFECT_SETTINGS = {"num_tasks": 400, "num_vms": 300, "seed": 5}
+EFFECT_TIMINGS = {
+    "fixed": {},
+    "varying": {"workload": {"due": {"kind": "uniform", "params": [660.0, 3600.0]},
+                             "exec": {"kind": "exponential", "params": [650.0]},
+                             "prep": {"kind": "uniform", "params": [0.0, 10.0]}}},
+}
+# What a run decides for each job, and its summary: every SimReport field but
+# the echoes of its input.
+OUTCOME_COLUMNS = ("start", "completion", "status", "retries", "rank", "class_index",
+                   "instance", "cost", "deadline_met", "chain_position")
+OUTCOME_SUMMARY = tuple(f.name for f in fields(SimReport)
+                        if f.name not in ("mode", "seed", "columns", "config"))
+# The SimConfig fields that no value moves a schedule of, and why.
+NO_EFFECT_FIELDS = {
+    "prep_time": "it shifts every start slack of a window alike, which moves no urgency, "
+                 "and the workload section's prep replaces it under varying timing",
+}
+
+
+def _outcomes(tmp_path, settings, workload) -> dict:
+    """The outcomes, by mode, of a paired run of EFFECT_SETTINGS updated with
+    settings, under the workload section of a timing."""
+    config = {**_config_setting({**EFFECT_SETTINGS, **settings}), **workload}
+    parsed = cli.parse_config(_config_file(tmp_path, config))
+    jobs = sample_jobs(parsed.sim, parsed.workload)
+    outcomes = {}
+    for mode in MODES:
+        report = run(parsed.sim, jobs, mode=mode)
+        outcomes[mode] = ([report.columns[name] for name in OUTCOME_COLUMNS],
+                          [getattr(report, name) for name in OUTCOME_SUMMARY])
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def effect_baselines(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("effect")
+    return {timing: _outcomes(tmp_path, {}, workload)
+            for timing, workload in EFFECT_TIMINGS.items()}
+
+
+class TestFieldEffect:
+    """Each SimConfig field's FIELD_VALUES setting changes some outcome of a
+    paired run, in at least one mode and timing, or the field is listed in
+    NO_EFFECT_FIELDS: a field that moves nothing is a key to delete."""
+
+    @pytest.mark.parametrize("name", sorted(FIELD_VALUES))
+    def test_each_field_moves_a_schedule(self, tmp_path, effect_baselines, name):
+        value, companions = FIELD_VALUES[name]
+        settings = {name: value, **companions}
+        moved = [f"{timing}/{mode}" for timing, workload in EFFECT_TIMINGS.items()
+                 for mode, outcome in _outcomes(tmp_path, settings, workload).items()
+                 if outcome != effect_baselines[timing][mode]]
+        assert bool(moved) == (name not in NO_EFFECT_FIELDS), moved
+
+    def test_listed_fields_are_fields(self):
+        assert set(NO_EFFECT_FIELDS) <= set(FIELD_VALUES)
+
+
 class TestCatalogEntries:
     @pytest.mark.parametrize("key,value", [("cores", 2.7), ("ecus", "3"), ("arch_bits", True),
                                            ("name", 5)])
@@ -813,7 +878,8 @@ class TestInvariantKeyPaths:
         ({"simulation": {"class_rates": [0.5]}}, "simulation.class_rates",
          "class_rates must sum to arrival_rate: sum is 0.5, arrival_rate is 1.0"),
         ({"priority": {"beta": 150}}, "priority.beta", "beta must be in [0,100]"),
-        ({"priority": {"blank_time": -1}}, "priority.blank_time", "blank_time must be >= 0"),
+        ({"priority": {"w_urgency": -0.5, "w_demand": 1.5}}, "priority.w_urgency",
+         "priority weights must be >= 0"),
         ({"priority": {"w_urgency": 1.5, "w_demand": -0.5}}, "priority.w_urgency",
          "priority weights must be >= 0"),
         ({"priority": {"w_demand": 0.7}}, "priority.w_urgency",
@@ -891,6 +957,44 @@ class TestErrorPaths:
         if code == cli.EXIT_CONFIG:  # the inputs are checked before the directory is made
             assert not names["out"].exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "{config}"],
+        ["simulate", "--config", "{config}"],
+        ["analyze", "--config", "{config}", "--report", "{report}"],
+        ["replicate", "--config", "{config}"],
+        ["export", "{report}"],
+    ], ids=lambda argv: argv[0])
+    def test_out_under_a_file_exits_3_before_the_work(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(simulator, "run", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        names = {"config": _config_file(tmp_path, {"simulation": {"num_tasks": 20},
+                                                   **ANALYSIS_CONFIG}),
+                 "report": tmp_path / "missing.json"}
+        before = sorted(tmp_path.rglob("*"))
+        out = blocker / "out"
+        rc = cli.main([arg.format(**names) for arg in argv] + ["--out", str(out)])
+        assert rc == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"i/o error: cannot create output directory {out}: {blocker} is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_in_a_directory_not_writable_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Permission bits do not bind every user, so the access check is stubbed.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        out = tmp_path / "a" / "out"
+        rc = cli.main(["simulate", "--config", _config_file(tmp_path, CONFIG),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"i/o error: cannot write to output directory {out}: {tmp_path} is not writable\n")
+        assert not (tmp_path / "a").exists()
+
 
 class TestGenerateOptions:
     def test_format_is_rejected(self, tmp_path, capsys):
@@ -952,7 +1056,7 @@ class TestSimulateJobFile:
         # Fields that pass every check, but whose start slack or demand
         # weight overflows to a float infinity.
         (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,1e308,1e308,1,1.7,160,100,5"],
-         "record 2: start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
+         "record 2: start slack (due_time - exec_time - prep_time) must be finite"),
         (["0,0.0,700,650,5,1,1.7,160,100,5", "1,0.0,700,650,5,1,1e308,1e308,100,5"],
          "record 2: demand weight (processors + memory + storage) must be finite"),
     ])
@@ -1195,6 +1299,13 @@ V1_REPORT = Path(__file__).parent / "data" / "report_v1.json"
 V2_REPORT = Path(__file__).parent / "data" / "report_v2.json"
 V1_CONFIG = SimConfig(num_tasks=12, num_vms=1, seed=7, max_retries=3, max_queue_length=2,
                       allocation_bands=((1, 100, 0.5),))
+# SHA-256 of the job table that `export` writes from either stored report, in
+# each format, as written while SimConfig still had the blank_time field that
+# both reports' configs hold.
+PINNED_STORED_EXPORT_SHA256 = {
+    "csv": "8ef942187684c133743ab7fbc494d83e4a61b865c8217ae3d098d01934fc988b",
+    "json": "f9f42772e2c691cff04392057374c1310e38db04bdcc23c6775316752ac87701",
+}
 
 
 def _v1_jobs() -> list:
@@ -1231,6 +1342,16 @@ class TestSchemaOne:
                              "--format", fmt]) == cli.EXIT_OK
             tables.append((out / f"jobs_resultant.{fmt}").read_bytes())
         assert tables[0] == tables[1]
+        assert hashlib.sha256(tables[0]).hexdigest() == PINNED_STORED_EXPORT_SHA256[fmt]
+
+    @pytest.mark.parametrize("path", (V1_REPORT, V2_REPORT), ids=("v1", "v2"))
+    def test_config_keeps_the_keys_of_deleted_fields(self, path):
+        # A report's config is read back as written: blank_time is no longer
+        # a SimConfig field, but a report that holds it still loads.
+        config = cli.load_report(path).config
+        assert config == json.loads(path.read_text())["config"]
+        assert config["blank_time"] == 0.0
+        assert "blank_time" not in {f.name for f in fields(SimConfig)}
 
     def test_v1_report_with_a_stray_job_key_is_not_a_report(self, tmp_path):
         data = json.loads(V1_REPORT.read_text())
@@ -1284,29 +1405,29 @@ PINNED_SCENARIO_SHA256 = {
         "bands_native.csv": "f39e8f73d76c699914e17f36bdd1c30cc814d1be3f501167a076f61ec0d5c5b5",
         "bands_resultant.csv": "d6a412e433a260ae62bfba7c6ffd8a122e7911b7f16c9a89c4c99b6c4e6de98a",
         "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
-        "report_native.json": "c9806e7d906f9eacc1806d05cabbeddd839076877fb987612774c2828cee1b60",
-        "report_resultant.json": "580cef309b53f0a98de2e567c0a7d17c452ea6aa9a9684118866f33cf921c3ad",
+        "report_native.json": "ef8f74558cd892c1f83e23b2152900b4dbdcad8fd0b0a50baf9d5e2fe9fbeb54",
+        "report_resultant.json": "b689e29d2b90941bdb1d5861bead5cff6f10b7ec5689384d4c78b34a0c5ae676",
     },
     ("generated", "json"): {
         "bands_native.json": "24dfaf7b3f627e823a38d17899e4c836543094f0caa37fd228ec168c5eeba220",
         "bands_resultant.json": "112f26f6575b25f4cb0dd1345a0593db8be8363f339326ecb7e48e68f88183b8",
         "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
-        "report_native.json": "c9806e7d906f9eacc1806d05cabbeddd839076877fb987612774c2828cee1b60",
-        "report_resultant.json": "580cef309b53f0a98de2e567c0a7d17c452ea6aa9a9684118866f33cf921c3ad",
+        "report_native.json": "ef8f74558cd892c1f83e23b2152900b4dbdcad8fd0b0a50baf9d5e2fe9fbeb54",
+        "report_resultant.json": "b689e29d2b90941bdb1d5861bead5cff6f10b7ec5689384d4c78b34a0c5ae676",
     },
     ("job-file", "csv"): {
         "bands_native.csv": "8da242edee983e4f4aad30ca32eda4892e6779873f3d5ea5f14343a6d08e8e99",
         "bands_resultant.csv": "3347f86470ee3b95fc594dd6d2517a27097813ca126630cd732fc81383dc288b",
         "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
-        "report_native.json": "7dd934ccb6701db6c43243655e3fc1569ace3dd99e466465dbbe4090e57787c0",
-        "report_resultant.json": "7cd40d2d888b00dbb0029d988e167960d661ef5a0cac72889575dcacb06ec468",
+        "report_native.json": "4a0f88b74e173429a56eb6befca68575bb617f31735780a70b18f2d437d1c21a",
+        "report_resultant.json": "a50663b3e8bee503e308c899470ab236824b6ead6239007f2e1cec0faaa63356",
     },
     ("job-file", "json"): {
         "bands_native.json": "7c8b5b6362a761a45af7713f65fab3cf7f34907f240ff635eab24a2c0937b52a",
         "bands_resultant.json": "1d02beab1d563f87e6de59bf378097279fb867f0052bde6eee7240a8d707615f",
         "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
-        "report_native.json": "7dd934ccb6701db6c43243655e3fc1569ace3dd99e466465dbbe4090e57787c0",
-        "report_resultant.json": "7cd40d2d888b00dbb0029d988e167960d661ef5a0cac72889575dcacb06ec468",
+        "report_native.json": "4a0f88b74e173429a56eb6befca68575bb617f31735780a70b18f2d437d1c21a",
+        "report_resultant.json": "a50663b3e8bee503e308c899470ab236824b6ead6239007f2e1cec0faaa63356",
     },
 }
 

@@ -88,21 +88,17 @@ class TestValidateJob:
             job = replace(job, **{field: value})
         assert validate_job(job) == f"{field} must be finite"
 
-    @pytest.mark.parametrize("job,blank_time,reason", [
-        (make_job(exec_time=1e308, prep=1e308), 0.0,
-         "start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
-        # Finite without the blank time, -inf with it.
-        (make_job(due=1.0, exec_time=1.7e308, prep=0.0), 1.7e308,
-         "start slack (due_time - exec_time - prep_time - blank_time) must be finite"),
-        (make_job(demand=ResourceDemand(1, 1e308, 1e308)), 0.0,
+    @pytest.mark.parametrize("job,reason", [
+        (make_job(exec_time=1e308, prep=1e308),
+         "start slack (due_time - exec_time - prep_time) must be finite"),
+        (make_job(demand=ResourceDemand(1, 1e308, 1e308)),
          "demand weight (processors + memory + storage) must be finite"),
     ])
-    def test_overflowing_slack_or_weight_is_invalid(self, job, blank_time, reason):
-        assert validate_job(job, blank_time) == reason
-        assert validate_job(job, 0.0) == (reason if blank_time == 0.0 else None)
+    def test_overflowing_slack_or_weight_is_invalid(self, job, reason):
+        assert validate_job(job) == reason
         # Like every column pass, valid_mask agrees with validate_job.
         jobs = JobSet([make_job(), job])
-        assert valid_mask(jobs.columns, blank_time).tolist() == [True, False]
+        assert valid_mask(jobs.columns).tolist() == [True, False]
 
     def test_negative_arrival_is_invalid(self):
         assert validate_job(make_job(arrival=-0.5)) == "arrival_time must be >= 0"
@@ -148,7 +144,7 @@ class TestDefaultCatalog:
 
 
 # The float fields of SimConfig.
-SIM_FLOAT_FIELDS = ("arrival_rate", "beta", "blank_time", "w_urgency", "w_demand", "order_norm",
+SIM_FLOAT_FIELDS = ("arrival_rate", "beta", "w_urgency", "w_demand", "order_norm",
                     "relationship_norm", "business_cap", "retry_interval", "due_time",
                     "exec_time", "prep_time", "epoch_length")
 
@@ -160,7 +156,6 @@ class TestSimConfig:
         assert cfg.num_vms == 2500
         assert (cfg.due_time, cfg.exec_time, cfg.prep_time) == (700.0, 650.0, 5.0)
         assert cfg.beta == 60.0
-        assert cfg.blank_time == 0.0
         assert len(cfg.class_rates) == 6
 
     def test_class_rates_must_sum_to_rate(self):
@@ -295,7 +290,8 @@ class TestRoundTrip:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(job=jobs)
     def test_job_file_round_trip(self, tmp_path, job):
-        path = cli._write_table(tmp_path, "jobs", JOB_FILE_FIELDS, job_rows([job]), "csv")
+        path = cli._write_table(tmp_path, "jobs", JOB_FILE_FIELDS, job_rows(JobSet([job])),
+                                "csv")
         assert list(load_jobs(path)) == [job]
 
     def test_sim_config_round_trip(self):

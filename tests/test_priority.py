@@ -36,13 +36,10 @@ def job_with_start(t_start, demand=None):
 
 class TestStartTime:
     def test_reference_values(self):
-        assert compute_start_time(timed_job(700, 650, 5), 0.0) == 45.0
+        assert compute_start_time(timed_job(700, 650, 5)) == 45.0
 
     def test_zero_slack(self):
-        assert compute_start_time(timed_job(700, 700, 0), 0.0) == 0.0
-
-    def test_blank_time_can_push_negative(self):
-        assert compute_start_time(timed_job(700, 650, 5), 60.0) == -15.0
+        assert compute_start_time(timed_job(700, 700, 0)) == 0.0
 
 
 class TestDemandWeight:
@@ -217,7 +214,7 @@ def _window_of_each(jobs, cfg):
     def epoch(job):
         return int(job.arrival_time // cfg.epoch_length)
 
-    windows = {e: WindowStats.from_jobs(list(batch), cfg.blank_time)
+    windows = {e: WindowStats.from_jobs(list(batch))
                for e, batch in itertools.groupby(sorted(jobs, key=epoch), key=epoch)}
     return [windows[epoch(j)] for j in jobs]
 
@@ -247,10 +244,10 @@ def _priority_job(job_id, epoch, offset, due, exec_time, prep, demand, order, re
 
 
 def _priority_cfg(beta=60.0, w_urgency=0.7, order_norm=0.01, relationship_norm=0.0,
-                  business_cap=10.0, blank_time=0.0):
+                  business_cap=10.0):
     return SimConfig(beta=beta, w_urgency=w_urgency, w_demand=1.0 - w_urgency,
                      order_norm=order_norm, relationship_norm=relationship_norm,
-                     business_cap=business_cap, blank_time=blank_time)
+                     business_cap=business_cap)
 
 
 SMALL = ResourceDemand(1, 1.0, 10.0)
@@ -300,8 +297,7 @@ _cfg = st.builds(
     w_urgency=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
     order_norm=st.sampled_from([0.0, -0.0, 0.01, -0.01]) | st.floats(-1.0, 1.0),
     relationship_norm=st.sampled_from([0.0, -0.0, 0.02, -0.02]) | st.floats(-1.0, 1.0),
-    business_cap=st.sampled_from([0.0, 0.5, 10.0]) | st.floats(0.0, 100.0),
-    blank_time=st.sampled_from([0.0, 5.0]) | st.floats(0.0, 100.0))
+    business_cap=st.sampled_from([0.0, 0.5, 10.0]) | st.floats(0.0, 100.0))
 
 
 def _with_ids(jobs):
