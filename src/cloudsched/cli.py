@@ -191,8 +191,7 @@ _DEFAULTS = SimConfig()
 # Config file section and key path of each SimConfig field: the priority
 # engine's tuning values go under "priority", the catalog and the bands at the
 # top level (None), every other field under "simulation".
-_PRIORITY_FIELDS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
-                    "business_cap")
+_PRIORITY_FIELDS = ("beta", "w_urgency", "order_norm", "relationship_norm", "business_cap")
 _SIM_FIELDS = tuple(
     (f.name, f.type, None if f.name in ("catalog", "allocation_bands")
      else "priority" if f.name in _PRIORITY_FIELDS else "simulation")

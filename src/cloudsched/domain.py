@@ -287,8 +287,8 @@ DEFAULT_ALLOCATION_BANDS: tuple[tuple[int, int, float], ...] = (
 
 
 class FieldError(ValueError):
-    """A SimConfig invariant that fails; field names the field it checks, the
-    first of them when it checks two."""
+    """A SimConfig invariant that fails; field names the field it checks,
+    class_rates for their sum against arrival_rate."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -335,7 +335,8 @@ class SimConfig:
     Defaults describe the reference scenario: 2000 tasks on 2500 VMs, fixed
     task timing (due 700 s, exec 650 s, prep 5 s), Poisson arrivals at 1 job/s
     split evenly over six priority classes, threshold 60, business boost
-    capped at 10.
+    capped at 10. The technical priority weighs a job's urgency by w_urgency
+    and its resource demand by 1 - w_urgency.
 
     run() reads only len(class_rates), the number of priority classes; the
     rates need only be positive and sum to arrival_rate. allocation_bands may
@@ -348,7 +349,6 @@ class SimConfig:
     class_rates: tuple[float, ...] = field(default_factory=_default_class_rates)
     beta: float = 60.0
     w_urgency: float = 0.7
-    w_demand: float = 0.3
     order_norm: float = 0.01
     relationship_norm: float = 0.0
     business_cap: float = 10.0
@@ -379,10 +379,7 @@ class SimConfig:
                 f"class_rates must sum to arrival_rate: sum is {total!r}, "
                 f"arrival_rate is {self.arrival_rate!r}")
         _reject(not (0.0 <= self.beta <= 100.0), "beta", "beta must be in [0,100]")
-        _reject(self.w_urgency < 0 or self.w_demand < 0, "w_urgency",
-                "priority weights must be >= 0")
-        _reject(not math.isclose(self.w_urgency + self.w_demand, 1.0, rel_tol=1e-9),
-                "w_urgency", "w_urgency + w_demand must equal 1")
+        _reject(not (0.0 <= self.w_urgency <= 1.0), "w_urgency", "w_urgency must be in [0,1]")
         _reject(self.business_cap < 0, "business_cap", "business_cap must be >= 0")
         _reject(self.seed < 0, "seed", "seed must be >= 0")
         _reject(self.seed >= 2**128, "seed", "seed must be < 2**128")  # a 128-bit Philox key

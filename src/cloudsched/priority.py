@@ -1,6 +1,7 @@
 """Priority algebra: start slack, demand weight, technical and business scores,
 threshold-gated resultant score and rank conversion. The tuning values (beta,
-weights, normalizers, business cap) are read from SimConfig."""
+the urgency weight w_urgency, normalizers, business cap) are read from
+SimConfig; the demand weight of the technical score is 1 - w_urgency."""
 
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ def technical_priority(job: Job, window: WindowStats, cfg: SimConfig) -> int:
 
     Urgency is 1 for the earliest start slack in the window and 0 for the
     latest (1 when the window has no spread); demand is normalized against the
-    window's maximum. The weighted blend is scaled to 100 and rounded. Where
-    the window's spread overflows to inf, urgency is computed from the halves
-    of its slacks and the job's.
+    window's maximum. The blend w_urgency * urgency + (1 - w_urgency) * demand
+    is scaled to 100 and rounded. Where the window's spread overflows to inf,
+    urgency is computed from the halves of its slacks and the job's.
     """
     if window.count < 1:
         raise EmptyWindowError("window must contain at least one job")
@@ -83,7 +84,7 @@ def technical_priority(job: Job, window: WindowStats, cfg: SimConfig) -> int:
     else:
         v = 1.0
     v = min(max(v, 0.0), 1.0)
-    score = round(100.0 * (cfg.w_urgency * u + cfg.w_demand * v))
+    score = round(100.0 * (cfg.w_urgency * u + (1.0 - cfg.w_urgency) * v))
     return int(min(max(score, 0), 100))
 
 
@@ -160,7 +161,8 @@ def technical_columns(columns, windows, cfg: SimConfig):
     columns holds the jobs' JobSet.columns, and windows their (t_start_min,
     t_start_max, demand_weight_max) arrays, one value per job, as
     window_stats_by_epoch gives them. Every column repeats the scalar
-    operations in the same order; np.rint rounds half to even, as round()
+    operations in the same order, the demand weight 1 - w_urgency included;
+    np.rint rounds half to even, as round()
     does. A NaN technical score raises ValueError, as score_to_rank does for
     the resultant it becomes in either mode.
     """
@@ -177,7 +179,7 @@ def technical_columns(columns, windows, cfg: SimConfig):
     u = np.where(has_spread, (t_max - scaled_start) / np.where(has_spread, spread, 1.0), 1.0)
     v = np.where(has_weight, weight / np.where(has_weight, weight_max, 1.0), 1.0)
     score = np.rint(100.0 * (cfg.w_urgency * _clamp(u, 0.0, 1.0)
-                             + cfg.w_demand * _clamp(v, 0.0, 1.0)))
+                             + (1.0 - cfg.w_urgency) * _clamp(v, 0.0, 1.0)))
     tp = _clamp(score, 0.0, 100.0)
     if np.isnan(tp).any():
         raise ValueError("score must be in [0,100]")

@@ -222,8 +222,9 @@ class SimReport:
     def from_dict(cls, d: dict) -> "SimReport":
         """The report of a parsed report file: schema 2, or schema 1, which has
         no "schema" key and holds "jobs" as one object per job record. Any
-        other schema or mode, and a job value whose type its JobRecord field
-        does not allow, raise ValueError."""
+        other schema or mode, a job value whose type its JobRecord field
+        does not allow, and a completed job that holds None in a field other
+        than reason raise ValueError."""
         if d["mode"] not in ("native", "resultant"):
             raise ValueError(f"unknown mode {d['mode']!r}")
         jobs = d["jobs"]
@@ -245,6 +246,12 @@ class SimReport:
             if not set(map(type, column)) <= allowed:
                 value = next(v for v in column if type(v) not in allowed)
                 raise ValueError(f"column {name!r} holds {value!r}, not {_FIELD_TYPES[name]}")
+        for name, column in columns.items():
+            if name != "reason" and None in column:
+                for job_id, value, status in zip(columns["job_id"], column, columns["status"]):
+                    if value is None and status == "completed":
+                        raise ValueError(f"column {name!r} holds None for the completed job "
+                                         f"{job_id!r}")
         values = {f.name: d[f.name] for f in fields(cls) if f.name != "columns"}
         values.update(band_waits=dict(values["band_waits"]),
                       class_sls=dict(values["class_sls"]))

@@ -108,16 +108,16 @@ PINNED_OUTPUT_SHA256 = {
     "bands_native.csv": "6f650bafe17b9ab65f46b80c3459cd1a31a1c8ef3dbf6985598d587f7ef5ab3d",
     "bands_resultant.csv": "261be2d0d7aafd29ed79ce860a4ed50069567bf2a9906ce90599a0c6d49da5c1",
     "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
-    "report_native.json": "b8f5d37b3fb9dc7f7f44d6d5c589b0ce9d92a5cd3ab10e26674013851666a752",
-    "report_resultant.json": "6669227c81056cf05122635823d63c6e7e7fbddee1516a8db2e53feec8d95989",
+    "report_native.json": "d511b09ac8a86633a8f3912077b83fe933c276ef7192e22f0f8fdd99262ce468",
+    "report_resultant.json": "575e46ad74eb9faa4a6ef5e1e8278c2bde14279a9fb56ae5c37d34511ff97a43",
 }
 # The same for `simulate --format json`.
 PINNED_JSON_OUTPUT_SHA256 = {
     "bands_native.json": "ae50eaaca3d457f0969374ee63ab8134761a7a16703a33f5e5acc413632a203a",
     "bands_resultant.json": "0313c458f2270952955240abd00d6e0121ce5fbca86445639c3c66eaba5d9296",
     "comparison.json": "5fe938402e08bd0d17af42525fbaf941f221c636441af3a7f11635880baec018",
-    "report_native.json": "b8f5d37b3fb9dc7f7f44d6d5c589b0ce9d92a5cd3ab10e26674013851666a752",
-    "report_resultant.json": "6669227c81056cf05122635823d63c6e7e7fbddee1516a8db2e53feec8d95989",
+    "report_native.json": "d511b09ac8a86633a8f3912077b83fe933c276ef7192e22f0f8fdd99262ce468",
+    "report_resultant.json": "575e46ad74eb9faa4a6ef5e1e8278c2bde14279a9fb56ae5c37d34511ff97a43",
 }
 # SHA-256 of the job tables that `export` writes from those reports, in each
 # format: the bytes `simulate` wrote as jobs_<mode>.<fmt> before the job
@@ -183,10 +183,10 @@ ALL_WORKLOAD_CONFIG = {
     },
 }
 # SHA-256 of `--print-config` stdout for ALL_WORKLOAD_CONFIG, as printed once
-# mu_base and blank_time were deleted, and of the jobs.csv that
+# mu_base, blank_time and w_demand were deleted, and of the jobs.csv that
 # `generate --seed 11` writes for it, as written before WorkloadSpec lost its
 # copies of the SimConfig values.
-PINNED_PRINT_CONFIG_SHA256 = "aed615a7491db5a3b2b1be3cc50b5f0f069e494af058320265e81df4ea2d9b98"
+PINNED_PRINT_CONFIG_SHA256 = "c7c53a17a33ba9c66181f05faa94128b7148bc5e32bff4c2013d05a056fd292b"
 PINNED_GENERATED_JOBS_SHA256 = "38db1d183c9e5eb498ac56ca6086290a6ce765c2979946db6f38794badb50cd9"
 # ALL_WORKLOAD_CONFIG with a catalog from the config file, whose converters
 # make every ram and disk a float; the default catalog's disks are ints.
@@ -575,8 +575,7 @@ def _print_config(tmp_path, capsys, config):
 
 # Keys the config file reads from the "priority" section and from the top
 # level; every other SimConfig field is read from "simulation".
-PRIORITY_KEYS = ("beta", "w_urgency", "w_demand", "order_norm", "relationship_norm",
-                 "business_cap")
+PRIORITY_KEYS = ("beta", "w_urgency", "order_norm", "relationship_norm", "business_cap")
 TOP_LEVEL_KEYS = ("catalog", "allocation_bands")
 
 CATALOG_ENTRY = {"name": "x1", "cores": 2, "ecus": 3.0, "ram": 4.0, "arch_bits": 64,
@@ -593,8 +592,7 @@ FIELD_VALUES = {
     "arrival_rate": (2.0, {"class_rates": [1.0, 1.0]}),
     "class_rates": ([0.25, 0.75], {}),
     "beta": (55.0, {}),
-    "w_urgency": (0.6, {"w_demand": 0.4}),
-    "w_demand": (0.4, {"w_urgency": 0.6}),
+    "w_urgency": (0.6, {}),
     "order_norm": (0.02, {}),
     "relationship_norm": (0.5, {}),
     "business_cap": (5.0, {}),
@@ -643,7 +641,6 @@ EMPTY_CONFIG_DEFAULTS = {
     "simulation.max_queue_length=1000000",
     "priority.beta=60.0",
     "priority.w_urgency=0.7",
-    "priority.w_demand=0.3",
     "priority.order_norm=0.01",
     "priority.relationship_norm=0.0",
     "priority.business_cap=10.0",
@@ -667,8 +664,9 @@ class TestConfigSchema:
         ({"workload": {"due": {"kind": "fixed", "params": [700.0], "bogus": 1}}},
          "workload.due.bogus"),
         ({"simulation": {"mu_base": 1.0}}, "simulation.mu_base"),
-        # The key of a deleted field.
+        # The keys of deleted fields.
         ({"priority": {"blank_time": 0.0}}, "priority.blank_time"),
+        ({"priority": {"w_demand": 0.3}}, "priority.w_demand"),
     ])
     def test_unknown_key_names_its_path(self, tmp_path, capsys, config, keypath):
         rc, _out, err = _print_config(tmp_path, capsys, config)
@@ -866,7 +864,7 @@ class TestRunLimits:
 
 class TestInvariantKeyPaths:
     """A SimConfig invariant that fails is named by the key path of its field;
-    a check across two fields names the first of them."""
+    the sum of class_rates against arrival_rate names class_rates."""
 
     @pytest.mark.parametrize("config,keypath,message", [
         ({"simulation": {"num_tasks": 0}}, "simulation.num_tasks", "num_tasks must be >= 1"),
@@ -878,12 +876,10 @@ class TestInvariantKeyPaths:
         ({"simulation": {"class_rates": [0.5]}}, "simulation.class_rates",
          "class_rates must sum to arrival_rate: sum is 0.5, arrival_rate is 1.0"),
         ({"priority": {"beta": 150}}, "priority.beta", "beta must be in [0,100]"),
-        ({"priority": {"w_urgency": -0.5, "w_demand": 1.5}}, "priority.w_urgency",
-         "priority weights must be >= 0"),
-        ({"priority": {"w_urgency": 1.5, "w_demand": -0.5}}, "priority.w_urgency",
-         "priority weights must be >= 0"),
-        ({"priority": {"w_demand": 0.7}}, "priority.w_urgency",
-         "w_urgency + w_demand must equal 1"),
+        ({"priority": {"w_urgency": -0.1}}, "priority.w_urgency", "w_urgency must be in [0,1]"),
+        ({"priority": {"w_urgency": 1.1}}, "priority.w_urgency", "w_urgency must be in [0,1]"),
+        ({"priority": {"w_urgency": 1.0000000000000002}}, "priority.w_urgency",
+         "w_urgency must be in [0,1]"),
         ({"priority": {"business_cap": -1}}, "priority.business_cap",
          "business_cap must be >= 0"),
         ({"simulation": {"seed": -1}}, "simulation.seed", "seed must be >= 0"),
@@ -912,6 +908,16 @@ class TestInvariantKeyPaths:
         rc, _out, err = _print_config(tmp_path, capsys, config)
         assert rc == cli.EXIT_CONFIG
         assert err == f"config error: {keypath}: {message}\n"
+
+    @pytest.mark.parametrize("w_urgency", [0.0, 0.7, 1.0])
+    def test_urgency_weight_alone_is_accepted(self, tmp_path, capsys, w_urgency):
+        # The demand weight is 1 - w_urgency, so no other key moves with it.
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 20},
+                                       "priority": {"w_urgency": w_urgency}})
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr().err) == (cli.EXIT_OK, "")
+        config = cli.load_report(tmp_path / "out" / "report_native.json").config
+        assert config["w_urgency"] == w_urgency and "w_demand" not in config
 
 
 class TestErrorPaths:
@@ -1250,6 +1256,23 @@ class TestBadReportFile:
         assert err == f"report error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_completed_job_without_a_wait_exits_2(self, tmp_path, capsys):
+        # Job 0 of the stored report completed; compare_analytic would add
+        # its wait.
+        data = json.loads(V2_REPORT.read_text())
+        data["jobs"]["wait"][0] = None
+        config = {"analysis": {"classes": [
+            {"rate": 0.2, "mean_service": 1.0, "mean_service_sq": 2.0}] * 3}}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = cli.main(["analyze", "--config", _config_file(tmp_path, config),
+                       "--out", str(out), "--report", str(report)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"report error: {report}: not a report: column "
+                                           "'wait' holds None for the completed job 0\n")
+        assert not out.exists()
+
     def test_int_reads_back_in_a_float_column(self, simulated, tmp_path):
         out, _reports = simulated
         data = json.loads((out / "report_native.json").read_text())
@@ -1346,12 +1369,13 @@ class TestSchemaOne:
 
     @pytest.mark.parametrize("path", (V1_REPORT, V2_REPORT), ids=("v1", "v2"))
     def test_config_keeps_the_keys_of_deleted_fields(self, path):
-        # A report's config is read back as written: blank_time is no longer
-        # a SimConfig field, but a report that holds it still loads.
+        # A report's config is read back as written: blank_time and w_demand
+        # are no longer SimConfig fields, but a report that holds them still
+        # loads.
         config = cli.load_report(path).config
         assert config == json.loads(path.read_text())["config"]
-        assert config["blank_time"] == 0.0
-        assert "blank_time" not in {f.name for f in fields(SimConfig)}
+        assert (config["blank_time"], config["w_demand"]) == (0.0, 0.3)
+        assert not {"blank_time", "w_demand"} & {f.name for f in fields(SimConfig)}
 
     def test_v1_report_with_a_stray_job_key_is_not_a_report(self, tmp_path):
         data = json.loads(V1_REPORT.read_text())
@@ -1405,29 +1429,29 @@ PINNED_SCENARIO_SHA256 = {
         "bands_native.csv": "f39e8f73d76c699914e17f36bdd1c30cc814d1be3f501167a076f61ec0d5c5b5",
         "bands_resultant.csv": "d6a412e433a260ae62bfba7c6ffd8a122e7911b7f16c9a89c4c99b6c4e6de98a",
         "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
-        "report_native.json": "ef8f74558cd892c1f83e23b2152900b4dbdcad8fd0b0a50baf9d5e2fe9fbeb54",
-        "report_resultant.json": "b689e29d2b90941bdb1d5861bead5cff6f10b7ec5689384d4c78b34a0c5ae676",
+        "report_native.json": "4a62ebcc596ca9cd40e7bfd8d5320cd0369e0f01399ac4e34c486d39baeb17e1",
+        "report_resultant.json": "4928bcc1d7c2b27a29fc28639ca4eb8d252ce9ef1c380eaf449741917f8f6860",
     },
     ("generated", "json"): {
         "bands_native.json": "24dfaf7b3f627e823a38d17899e4c836543094f0caa37fd228ec168c5eeba220",
         "bands_resultant.json": "112f26f6575b25f4cb0dd1345a0593db8be8363f339326ecb7e48e68f88183b8",
         "comparison.json": "20f1c63052f869b875a41213c891532269217378c1506e0d6de8e3f1bc69272d",
-        "report_native.json": "ef8f74558cd892c1f83e23b2152900b4dbdcad8fd0b0a50baf9d5e2fe9fbeb54",
-        "report_resultant.json": "b689e29d2b90941bdb1d5861bead5cff6f10b7ec5689384d4c78b34a0c5ae676",
+        "report_native.json": "4a62ebcc596ca9cd40e7bfd8d5320cd0369e0f01399ac4e34c486d39baeb17e1",
+        "report_resultant.json": "4928bcc1d7c2b27a29fc28639ca4eb8d252ce9ef1c380eaf449741917f8f6860",
     },
     ("job-file", "csv"): {
         "bands_native.csv": "8da242edee983e4f4aad30ca32eda4892e6779873f3d5ea5f14343a6d08e8e99",
         "bands_resultant.csv": "3347f86470ee3b95fc594dd6d2517a27097813ca126630cd732fc81383dc288b",
         "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
-        "report_native.json": "4a0f88b74e173429a56eb6befca68575bb617f31735780a70b18f2d437d1c21a",
-        "report_resultant.json": "a50663b3e8bee503e308c899470ab236824b6ead6239007f2e1cec0faaa63356",
+        "report_native.json": "8f5dcca7cc55b567f1ef61d8c05b080a591f807c4b2c8c95a6297506ad295694",
+        "report_resultant.json": "8ad3097c76880d24f2fea5c33b3a82a1b5b1e35e9836d48e9b09d9fa4b861520",
     },
     ("job-file", "json"): {
         "bands_native.json": "7c8b5b6362a761a45af7713f65fab3cf7f34907f240ff635eab24a2c0937b52a",
         "bands_resultant.json": "1d02beab1d563f87e6de59bf378097279fb867f0052bde6eee7240a8d707615f",
         "comparison.json": "e86a57106ef2641e29b16a902973e0170574c5494eec7c724169fd306d7e6de2",
-        "report_native.json": "4a0f88b74e173429a56eb6befca68575bb617f31735780a70b18f2d437d1c21a",
-        "report_resultant.json": "a50663b3e8bee503e308c899470ab236824b6ead6239007f2e1cec0faaa63356",
+        "report_native.json": "8f5dcca7cc55b567f1ef61d8c05b080a591f807c4b2c8c95a6297506ad295694",
+        "report_resultant.json": "8ad3097c76880d24f2fea5c33b3a82a1b5b1e35e9836d48e9b09d9fa4b861520",
     },
 }
 

@@ -144,9 +144,9 @@ class TestDefaultCatalog:
 
 
 # The float fields of SimConfig.
-SIM_FLOAT_FIELDS = ("arrival_rate", "beta", "w_urgency", "w_demand", "order_norm",
-                    "relationship_norm", "business_cap", "retry_interval", "due_time",
-                    "exec_time", "prep_time", "epoch_length")
+SIM_FLOAT_FIELDS = ("arrival_rate", "beta", "w_urgency", "order_norm", "relationship_norm",
+                    "business_cap", "retry_interval", "due_time", "exec_time", "prep_time",
+                    "epoch_length")
 
 
 class TestSimConfig:
@@ -199,9 +199,13 @@ class TestSimConfig:
             SimConfig(**{name: ()})
         assert exc.value.field == name
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SimConfig(w_urgency=0.7, w_demand=0.7)
+    def test_urgency_weight_must_be_in_unit_interval(self):
+        # 1 - w_urgency weighs the demand, so both ends are valid.
+        assert [SimConfig(w_urgency=w).w_urgency for w in (0.0, 1.0)] == [0.0, 1.0]
+        for w in (-0.1, -5e-324, math.nextafter(1.0, 2.0), 1.1):
+            with pytest.raises(FieldError, match=r"^w_urgency must be in \[0,1\]$") as exc:
+                SimConfig(w_urgency=w)
+            assert exc.value.field == "w_urgency"
 
     def test_band_gap_rejected(self):
         bands = ((1, 10, 1.0), (21, 100, 0.5))

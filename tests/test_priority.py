@@ -245,9 +245,8 @@ def _priority_job(job_id, epoch, offset, due, exec_time, prep, demand, order, re
 
 def _priority_cfg(beta=60.0, w_urgency=0.7, order_norm=0.01, relationship_norm=0.0,
                   business_cap=10.0):
-    return SimConfig(beta=beta, w_urgency=w_urgency, w_demand=1.0 - w_urgency,
-                     order_norm=order_norm, relationship_norm=relationship_norm,
-                     business_cap=business_cap)
+    return SimConfig(beta=beta, w_urgency=w_urgency, order_norm=order_norm,
+                     relationship_norm=relationship_norm, business_cap=business_cap)
 
 
 SMALL = ResourceDemand(1, 1.0, 10.0)

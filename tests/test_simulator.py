@@ -36,6 +36,7 @@ from cloudsched.simulator import (
     window_stats_by_epoch,
 )
 from cloudsched.workload import Distribution, WorkloadSpec, sample_jobs
+from reference import COLUMNS, SUMMARY, reference_run
 
 ALL_ONE_BANDS = tuple((lo, lo + 9, 1.0) for lo in range(1, 100, 10))
 MODES = ("native", "resultant")
@@ -455,6 +456,15 @@ PAIRED_EXAMPLES = {
          make_job(job_id=1, arrival=1.0, due=750.0, exec_time=650.0, prep=0.0),
          make_job(job_id=2, arrival=2.0, due=725.0, exec_time=650.0, prep=0.0,
                   demand=ResourceDemand(2, 4.0, 200.0), business=BusinessProfile(1000.0, 0.0))]),
+    # Job 0 fails its first draw at t=0 and retries at t=1, the instant job
+    # "1" arrives. The arrival goes first and overflows the queue of two; the
+    # retry would have admitted job 0.
+    "retry_meets_arrival": (
+        small_config(num_vms=1, class_rates=(0.5, 0.5), epoch_length=1.0, max_queue_length=2,
+                     max_retries=1, allocation_bands=((1, 100, 0.5),), catalog=PAIRED_CATALOG),
+        [make_job(job_id=job_id, arrival=arrival, due=1, exec_time=1, prep=0,
+                  demand=ResourceDemand(1, 1, 0))
+         for job_id, arrival in ((0, 0), (1, 0), ("1", 1))]),
 }
 
 
@@ -524,6 +534,10 @@ class TestJobSet:
         config, jobs = PAIRED_EXAMPLES["stuck_in_native"]
         assert [run(config, jobs, mode=mode).columns["status"] for mode in MODES] == [
             ["completed", "stuck", "stuck"], ["completed", "stuck", "completed"]]
+        config, jobs = PAIRED_EXAMPLES["retry_meets_arrival"]
+        report = run(config, jobs)
+        assert report.unstable and report.makespan == 1
+        assert (report.columns["start"], report.columns["retries"]) == ([None] * 3, [1, 0, 0])
 
     def test_inputs_are_prepared_once_per_config(self, monkeypatch):
         calls = []
@@ -564,6 +578,31 @@ class TestJobSet:
             retries = sum(report.columns["retries"])
             assert retries > 0 and allocated == cfg.num_tasks
             assert len(calls) == allocated + retries
+
+
+def _with_reference_examples(test):
+    for case in PAIRED_EXAMPLES.values():
+        test = example(case=case, w_urgency=0.7)(test)
+    return test
+
+
+class TestReferenceEngine:
+    """run() against tests/reference.py, a plain engine that shares no code
+    with it: one heap of events, every class offered at every event, and
+    each draw built from its definition."""
+
+    @_with_reference_examples
+    @settings(max_examples=150, deadline=None)
+    @given(case=_paired_cases(), w_urgency=st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    def test_run_agrees_with_the_reference_engine(self, case, w_urgency):
+        config, jobs = case
+        config = replace(config, w_urgency=w_urgency)
+        for mode in MODES:
+            report = run(config, jobs, mode=mode)
+            columns, summary = reference_run(config, jobs, mode)
+            # repr tells an int time from a float one.
+            assert repr({name: report.columns[name] for name in COLUMNS}) == repr(columns)
+            assert repr({name: getattr(report, name) for name in SUMMARY}) == repr(summary)
 
 
 class TestWaitingTimeModel:
@@ -886,16 +925,16 @@ def _scenario_jobs(name):
 # SHA-256 of SimReport.to_json() per (scenario, mode). A change to any of them
 # is a change in report bytes and must be recorded in CHANGES.md.
 PINNED_REPORT_SHA256 = {
-    ("reference", "native"): "6c128bb5a7f842003c45b73db7ed128f21ef9645076e2fb01d9a470bc13806ed",
+    ("reference", "native"): "2ca771a8ccd91b5997615b72de8b5d9128400954bb4f7c59e6f03629ac429f77",
     ("reference", "resultant"):
-        "0d4bd5c9dd869657421c9067a1f07b9ca7eead8801d70b884db8d7ce2bbbbe8e",
-    ("mixed", "native"): "2d2d45d0153590f62d3f79c23a4f00a22c63b177a8b0eb5f660516ee5c2d6f70",
-    ("mixed", "resultant"): "7d4b626a6122d152c6a59232f489a7ba37bc1194dea3393ebd50076490a9c331",
-    ("saturated", "native"): "2009eabd12799dec1e9966d8869cecdf3edb769ef5dc6aa9c24d8724a0040aef",
+        "d4e0382767e8565bf03e114aea6243dffd0303b2ea38dff5ada2c5cbde10e039",
+    ("mixed", "native"): "d66b121ef7549c7da4f8ceb2365577f08ce447f8d7c8e4e5d66cc5df51924dfe",
+    ("mixed", "resultant"): "6bd5ad2abfb0738a4f8d9d9ed469886d995e9f4f67119666c9afd8021c27f703",
+    ("saturated", "native"): "ec8dda27f168c22018daf2a0969e45861a4b792c7f3d3ff861cf65313d88e7b4",
     ("saturated", "resultant"):
-        "26c8a8d9a7adf159b3152289a1adf35b4f98f8888e03673ffe8255ae5bd3e483",
-    ("library", "native"): "5a44e02049c42932df1a29e524ad6f5ab065f9dcc006bf4b4e13fa79000833a3",
-    ("library", "resultant"): "56a59a931027ff1f804aa715400d5ee1fca5d8ec20e41f5d40bbb0b327f1b966",
+        "32ebd7a9e4b05f200f143a2885a750b2e12b1ec9857727730276e690f77fc2b8",
+    ("library", "native"): "aba822e34a0fc19c0a2981da3ab4a9e9395efdc6441c8878731558aa3c7759f7",
+    ("library", "resultant"): "9277df1d80267899bb4a3a28cd3e9c93cea04cd028ed261d0d7132f9ce071f49",
 }
 
 
