@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_UNSTABLE = 4
+# What simulate and replicate print on standard error, with EXIT_UNSTABLE,
+# after writing the outputs of a run that stopped unstable.
+_UNSTABLE_WARNING = "warning: run flagged unstable; reports are partial"
 
 OUT_DIR_ENV = "CLOUDSCHED_OUT"
 
@@ -488,7 +491,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"mean wait native {comparison['mean_wait_native']:.4f}s vs resultant "
           f"{comparison['mean_wait_resultant']:.4f}s")
     if native.unstable or resultant.unstable:
-        print("warning: run flagged unstable; reports are partial", file=sys.stderr)
+        print(_UNSTABLE_WARNING, file=sys.stderr)
         return EXIT_UNSTABLE
     return EXIT_OK
 
@@ -519,12 +522,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_replicate(args: argparse.Namespace) -> int:
     parsed = _load_parsed(args)
     _echo_defaults(parsed)
-    rows = replication_bundle(parsed.sim, parsed.workload)
+    rows, report = replication_bundle(parsed.sim, parsed.workload)
     out = _ensure_out(args.out)
     _write_table(out, "replication", ("series", "x", "value", "provenance"),
                  [(r.series, r.x, r.value, r.provenance) for r in rows], args.format)
     series = sorted({r.series for r in rows})
     print(f"wrote {len(rows)} replication rows ({', '.join(series)}) -> {out}")
+    if report.unstable:
+        print(_UNSTABLE_WARNING, file=sys.stderr)
+        return EXIT_UNSTABLE
     return EXIT_OK
 
 

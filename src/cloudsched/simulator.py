@@ -15,8 +15,11 @@ resultant, rank, class and admission probability of its mode. A job's
 allocation draws are common to both modes: draw d of the set's job i depends
 on (seed, i, d) alone, through numpy's counter-based Philox generator. The
 event loop keeps each job's state in per-field lists indexed by the job's
-place in id order, and its SimReport holds the job records as columns, one
-list per JobRecord field. A report is written in schema 2 as those columns:
+place in id order. It takes arrivals in arrival order from a list, retries
+from a heap, and completions from a FIFO in start order when every admitted
+job has one float exec time (their times then come out sorted), and from a
+heap otherwise. Its SimReport holds the job records as columns, one list per
+JobRecord field. A report is written in schema 2 as those columns:
 compact JSON with sorted keys, one encoder call per column
 (SimReport.json_texts). A column is encoded by orjson where its text is
 provably that of the json module's C encoder, and by the C encoder otherwise
@@ -29,6 +32,7 @@ import functools
 import heapq
 import json
 import operator
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,9 +55,10 @@ from .priority import (
 from .queueing import QueueClass, UnsatisfiableDemandError, cheapest_fit, classify, try_allocate
 from .workload import WorkloadSpec, sample_jobs
 
-# Event kinds, in the order same-time events resolve; remaining ties go by job
-# id. Completions free capacity before new arrivals see the pool, and retries
-# come last.
+# Event kinds, in the order same-time events resolve. Completions free
+# capacity before new arrivals see the pool, and retries come last. Remaining
+# ties go by job id (k), except between completions taken in start order from
+# a FIFO, which hold one float value and whose order changes nothing (run()).
 COMPLETION, ARRIVAL, RETRY_ALLOCATION = 0, 1, 2
 
 
@@ -341,11 +346,16 @@ class _Inputs:
     Admitted jobs are numbered k = 0.. in job id order, int ids by value
     before the others by their text, so k breaks the ties between same-time
     events of the same kind. Lists of admitted jobs are indexed by k; lists
-    of all jobs are in the order of the job set.
+    of all jobs are in the order of the job set. same_exec is True when at
+    least one job is admitted and every admitted job's exec time is the same
+    float value, each given as a float; run() then takes completions from a
+    FIFO. An int among equal exec times makes it False, as does a set with
+    no admitted job.
     """
 
     __slots__ = ("reasons", "row", "order", "arrival", "exec_time", "deadline", "instance",
-                 "cost", "arrivals", "t_start", "weight", "tp", "bp", "seed", "_first", "_blocks")
+                 "cost", "arrivals", "same_exec", "t_start", "weight", "tp", "bp", "seed", "_first",
+                 "_blocks")
 
     def __init__(self, config: SimConfig, jobs: JobSet):
         if not jobs:
@@ -400,6 +410,7 @@ class _Inputs:
         self.arrival = arrival = list(map(arrival_values.__getitem__, order))
         self.exec_time = exec_time = list(map(exec_values.__getitem__, order))
         self.deadline = [a + due_values[i] for a, i in zip(arrival, order)]
+        self.same_exec = set(map(type, exec_time)) == {float} and len(set(exec_time)) == 1
         # The k in arrival order, ties by k.
         self.arrivals = sorted(range(len(order)), key=arrival.__getitem__)
         # The first job to arrive that nothing fits is named, with its own demand.
@@ -473,7 +484,19 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     The pool is config.num_vms identical VMs, and the run counts the busy
     ones; a job is offered a VM, and its admission tested (try_allocate),
     only while one is free, and it is granted its cheapest fit. The event
-    loop handles only the events that change state. An arrival or a retry
+    loop handles only the events that change state. Each step takes the
+    earliest of the next arrival (from inputs.arrivals), the first
+    completion and the first retry, in event-kind order at one instant.
+    Retries wait in a heap of (time, k). Completions wait in done, a queue
+    of (time, k): a heap, or a FIFO in start order when every admitted job
+    has one float exec time e (_Inputs.same_exec). The FIFO gives the
+    heap's result: now never decreases and float addition is monotone, so
+    the times now + e come out sorted; completions tied at one instant hold
+    one float value, and each writes only its own job's fields, adds the
+    same e to the busy time and is followed by the same offers, so taking
+    them in start order instead of k order changes no field. Exec times of
+    one value given as an int and a float keep the heap: their completion
+    times differ in type, which the report shows. An arrival or a retry
     can unblock only its own class (every other class is empty, has a head
     waiting for its retry, or waits for a free VM), so only that class is
     offered the free VMs; a completion offers them to every class in class
@@ -517,11 +540,19 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     reasons = list(inputs.reasons)
     stuck_reason = f"exceeded max_retries ({config.max_retries})"
 
-    # Arrivals are known up front, in inputs.arrivals; the heap holds only
-    # completions and retries as (time, kind, k).
+    # Arrivals are known up front, in inputs.arrivals. Completions wait in
+    # done and retries in retry_heap, as (time, k), each first at [0].
     arrivals = inputs.arrivals
-    heap: list = []
+    retry_heap: list = []
     heappush, heappop = heapq.heappush, heapq.heappop
+    if inputs.same_exec:
+        done = deque()
+        push_done, pop_done = done.append, done.popleft
+    else:
+        done = []
+        push_done = functools.partial(heappush, done)
+        pop_done = functools.partial(heappop, done)
+    allocate = try_allocate
     capacity, retry_interval = config.num_vms, config.retry_interval
     max_retries, max_queue_length = config.max_retries, config.max_queue_length
 
@@ -532,37 +563,42 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
     unstable = False
 
     next_arrival = 0
-    while next_arrival < m_jobs or heap:
+    while True:
+        # The next event is the earliest of the next arrival, the first
+        # completion and the first retry, in event-kind order at one instant.
+        kind = None
         if next_arrival < m_jobs:
             k = arrivals[next_arrival]
-            now = arrival[k]
-            # The heap's first event goes first if it is earlier, or a
-            # completion at the same instant.
-            if heap and (heap[0][0] < now or (heap[0][0] == now and heap[0][1] < ARRIVAL)):
-                now, kind, k = heappop(heap)
-            else:
-                next_arrival += 1
-                kind = ARRIVAL
-        else:
-            now, kind, k = heappop(heap)
+            now, kind = arrival[k], ARRIVAL
+        if done and (kind is None or done[0][0] <= now):
+            now, k = done[0]
+            kind = COMPLETION
+        if retry_heap and (kind is None or retry_heap[0][0] < now):
+            now, k = retry_heap[0]
+            kind = RETRY_ALLOCATION
+        if kind is None:
+            break
         last_time = now
         if kind == ARRIVAL:
+            next_arrival += 1
             offered = (queue[k],)
             chain_position[k] = queue[k].enqueue(k)
             in_queue += 1
             if in_queue > max_queue_length:
                 unstable = True
                 break
-        elif kind == RETRY_ALLOCATION:
-            offered = (queue[k],)
-            pending_retry[k] = False
-        else:
+        elif kind == COMPLETION:
+            pop_done()
             offered = classes
             completion[k] = now
             status[k] = "completed"
             completed += 1
             in_service -= 1
             busy_time += exec_time[k]
+        else:
+            heappop(retry_heap)
+            offered = (queue[k],)
+            pending_retry[k] = False
         # Offer free VMs to the heads of the offered classes, in class
         # order, until a head waits for its retry or every VM is busy.
         if in_queue:
@@ -574,13 +610,13 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                     # Attempt d of job k draws u(seed, order[k], d); none at p = 1.
                     p = probs[k]
                     u = None if p == 1.0 else draw(order[k], retries[k])
-                    if try_allocate(p, u):
+                    if allocate(p, u):
                         # Service starts at the allocation instant.
                         qc.pop()
                         in_queue -= 1
                         in_service += 1
                         start[k] = now
-                        heappush(heap, (now + exec_time[k], COMPLETION, k))
+                        push_done((now + exec_time[k], k))
                         continue
                     retries[k] += 1
                     if retries[k] > max_retries:
@@ -591,7 +627,7 @@ def run(config: SimConfig, jobs, mode: str = "resultant") -> SimReport:
                         stuck += 1
                         continue
                     pending_retry[k] = True
-                    heappush(heap, (now + retry_interval, RETRY_ALLOCATION, k))
+                    heappush(retry_heap, (now + retry_interval, k))
                     break
                 if in_service >= capacity:
                     break
@@ -727,14 +763,17 @@ class ReplicationRow:
     provenance: str
 
 
-def replication_bundle(config: SimConfig, spec: WorkloadSpec) -> list[ReplicationRow]:
-    """All reference curves plus a simulated waiting curve at the configured scale.
+def replication_bundle(config: SimConfig,
+                       spec: WorkloadSpec) -> tuple[list[ReplicationRow], SimReport]:
+    """All reference curves plus a simulated waiting curve at the configured
+    scale, and the resultant run's report the simulated curve comes from.
 
     Series: priority_boost (technical score -> boosted score at the configured
     cap), sls_native / sls_resultant, allocation_band (rank band -> admission
     probability), wait_model_native / wait_model_resultant (hours), and
     wait_simulated (mean simulated wait hours per rank band) of config's jobs
-    drawn from spec.
+    drawn from spec. wait_simulated has a row for each band with a completed
+    job only, so it is partial, or absent, when the run stopped unstable.
     """
     rows = []
     for tp in (80, 78, 76, 74, 72, 70, 60, 58):
@@ -756,7 +795,7 @@ def replication_bundle(config: SimConfig, spec: WorkloadSpec) -> list[Replicatio
     report = run(config, jobs, mode="resultant")
     for band, wait in report.band_waits.items():
         rows.append(ReplicationRow("wait_simulated", band, wait / 3600.0, "simulated"))
-    return rows
+    return rows, report
 
 
 def compare_analytic(report: SimReport, class_moments, min_samples: int = 10_000) -> list[float]:

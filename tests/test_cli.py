@@ -1558,6 +1558,20 @@ class TestReplicate:
         assert simulated == hours_by_band(cli.parse_config(path).workload)
         assert simulated != hours_by_band(WorkloadSpec.fixed(sim))
 
+    def test_unstable_run_writes_the_rows_and_exits_4(self, tmp_path, capsys):
+        # One VM and a queue of three: the run stops unstable before any job
+        # completes, so no band has a simulated wait.
+        path = _config_file(tmp_path, {"simulation": {"num_tasks": 50, "num_vms": 1,
+                                                      "max_queue_length": 3}})
+        rc = cli.main(["replicate", "--config", path, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_UNSTABLE
+        captured = capsys.readouterr()
+        assert "wrote 54 replication rows" in captured.out
+        assert captured.err == "warning: run flagged unstable; reports are partial\n"
+        with open(tmp_path / "replication.csv", newline="") as fh:
+            series = [row["series"] for row in csv.DictReader(fh)]
+        assert len(series) == 54 and "wait_simulated" not in series
+
 
 class TestComparison:
     def test_native_run_stopped_before_a_boosted_job(self, tmp_path, capsys):

@@ -586,6 +586,57 @@ def _with_reference_examples(test):
     return test
 
 
+def _one_exec_cases():
+    """_paired_cases with each valid job's exec time set to one float, so that
+    every admitted job has it: 1.0, 2.5 (the longer retry interval), 650.0 or
+    any in [1e-3, 1e4]. An exec time that rejects its job is kept."""
+    def with_exec(pair):
+        (config, jobs), exec_time = pair
+        return config, [replace(job, exec_time=exec_time) if 0 < job.exec_time < math.inf
+                        else job for job in jobs]
+
+    return st.tuples(_paired_cases(),
+                     st.sampled_from([1.0, 2.5, 650.0]) | st.floats(1e-3, 1e4)).map(with_exec)
+
+
+ONE_EXEC_CONFIG = small_config(num_vms=2, class_rates=(0.5, 0.5), catalog=PAIRED_CATALOG,
+                               max_queue_length=1_000_000)
+ONE_EXEC_EXAMPLES = {
+    # Four jobs at t=0 and one at t=5 on two VMs, each served 2.5 s: two
+    # completions at each of t=2.5 and t=5.0, the last two tied with the
+    # arrival at t=5.
+    "completion_ties": (ONE_EXEC_CONFIG, [
+        make_job(job_id=job_id, arrival=arrival, due=due, exec_time=2.5, prep=0.0)
+        for job_id, arrival, due in (("b", 0.0, 10.0), (3, 0.0, 700.0), ("a", 0.0, 5.0),
+                                     (1, 0.0, 300.0), (0, 5, 20.0))]),
+    # Two VMs: job 1 starts at the int 0 and completes at the int 650; job 0
+    # starts at 1e-14 and completes at the float 650.0, the value 650 again.
+    # A heap takes job 0 first, by id, so job 2 (queued since t=1) starts at
+    # 650.0; start order would start it at the int 650.
+    "int_and_float_exec": (ONE_EXEC_CONFIG, [
+        make_job(job_id=0, arrival=1e-14, exec_time=650.0, prep=0.0),
+        make_job(job_id=1, arrival=0, exec_time=650, prep=0.0),
+        make_job(job_id=2, arrival=1, exec_time=650.0, prep=0.0)]),
+    # Every job is rejected, so no job has an exec time.
+    "all_rejected": (ONE_EXEC_CONFIG, [make_job(job_id=i, exec_time=0.0) for i in range(3)]),
+}
+
+
+def _with_one_exec_examples(test):
+    for case in ONE_EXEC_EXAMPLES.values():
+        test = example(case=case, w_urgency=0.7)(test)
+    return test
+
+
+def _assert_agrees_with_reference(config, jobs):
+    for mode in MODES:
+        report = run(config, jobs, mode=mode)
+        columns, summary = reference_run(config, jobs, mode)
+        # repr tells an int time from a float one.
+        assert repr({name: report.columns[name] for name in COLUMNS}) == repr(columns)
+        assert repr({name: getattr(report, name) for name in SUMMARY}) == repr(summary)
+
+
 class TestReferenceEngine:
     """run() against tests/reference.py, a plain engine that shares no code
     with it: one heap of events, every class offered at every event, and
@@ -596,13 +647,50 @@ class TestReferenceEngine:
     @given(case=_paired_cases(), w_urgency=st.sampled_from([0.0, 0.5, 0.7, 1.0]))
     def test_run_agrees_with_the_reference_engine(self, case, w_urgency):
         config, jobs = case
-        config = replace(config, w_urgency=w_urgency)
-        for mode in MODES:
-            report = run(config, jobs, mode=mode)
-            columns, summary = reference_run(config, jobs, mode)
-            # repr tells an int time from a float one.
-            assert repr({name: report.columns[name] for name in COLUMNS}) == repr(columns)
-            assert repr({name: getattr(report, name) for name in SUMMARY}) == repr(summary)
+        _assert_agrees_with_reference(replace(config, w_urgency=w_urgency), jobs)
+
+    @_with_one_exec_examples
+    @settings(max_examples=60, deadline=None)
+    @given(case=_one_exec_cases(), w_urgency=st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    def test_one_exec_time_agrees_with_the_reference_engine(self, case, w_urgency):
+        # Every admitted job has one float exec time, so run() takes its
+        # completions in start order, where the reference takes them by id.
+        config, jobs = case
+        _assert_agrees_with_reference(replace(config, w_urgency=w_urgency), jobs)
+
+    def test_completions_come_from_a_fifo_only_for_one_float_exec_time(self):
+        config = small_config(catalog=PAIRED_CATALOG)
+        cases = {name: jobs for name, (_config, jobs) in ONE_EXEC_EXAMPLES.items()}
+        cases["varied"] = [make_job(job_id=i, exec_time=1.0 + i) for i in range(3)]
+        same_exec = {name: JobSet(jobs).prepared(config, simulator._Inputs).same_exec
+                     for name, jobs in cases.items()}
+        assert same_exec == {"completion_ties": True, "int_and_float_exec": False,
+                             "all_rejected": False, "varied": False}
+        completions = Counter(run(*ONE_EXEC_EXAMPLES["completion_ties"]).columns["completion"])
+        assert completions == {2.5: 2, 5.0: 2, 7.5: 1}
+
+
+class TestConservationLaw:
+    """Kleinrock's conservation law: with every band at p = 1 and one exec
+    time, the pool is work-conserving, non-preemptive and serves every job
+    for the same time, so the start times cannot depend on the order of
+    service: the native and resultant runs start jobs at the instants a
+    single first-come-first-served class does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.tuples(_one_exec_cases(), st.integers(1, 4)).map(
+        lambda pair: (replace(pair[0][0], num_vms=pair[1], allocation_bands=ALL_ONE_BANDS,
+                              max_queue_length=1_000_000), pair[0][1])))
+    def test_start_times_do_not_depend_on_the_order_of_service(self, case):
+        config, jobs = case
+        reports = [run(config, jobs, mode=mode) for mode in MODES]
+        reports.append(run(replace(config, class_rates=(1.0,)), jobs))
+        assert not any(report.unstable or report.stuck for report in reports)
+        # Compared as values: one instant may be an int arrival in one run
+        # and the equal float completion in another.
+        starts = [sorted(t for t in report.columns["start"] if t is not None)
+                  for report in reports]
+        assert starts[0] == starts[1] == starts[2]
 
 
 class TestWaitingTimeModel:
@@ -634,7 +722,8 @@ class TestWaitingTimeModel:
 @pytest.fixture(scope="module")
 def bundle():
     cfg = SimConfig(num_tasks=150, num_vms=200, seed=5)
-    return replication_bundle(cfg, WorkloadSpec.fixed(cfg))
+    rows, _report = replication_bundle(cfg, WorkloadSpec.fixed(cfg))
+    return rows
 
 
 class TestReplicationBundle:
